@@ -14,7 +14,7 @@ from .schemecore import (FusionPattern, SchemeError, SchemeRecord,
                          two_class_scheme)
 from .zmring import GroupRingElement, GroupRingError
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BinaryField", "FieldTower", "FieldError", "InternalCheckError",

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .binfield import FieldError, FieldTower, InternalCheckError
+import numpy as np
+
+from .binfield import BinaryField, FieldError, FieldTower, InternalCheckError
 from .cycpart import get_partition, psi_omega_a_D
 from .reporting import Report
 
@@ -179,12 +181,99 @@ class CyclotomicInteger:
 # Gauss periods
 # ---------------------------------------------------------------------------
 
+# Exponents per chunk of the period walk, rounded to a multiple of 64*M; it
+# bounds the walk's working set (one uint8 per exponent, 1 MB).  Fields
+# smaller than a chunk get one chunk of about |K*| exponents.
+_CHUNK_BITS = 1 << 20
+
+_U64 = np.dtype("<u8")
+
+
+def _byte_tables(images: list[int]) -> np.ndarray:
+    """Lookup tables of the GF(2)-linear map sending bit i to images[i]:
+    row b takes byte b of the input to its share of the image, filled by
+    XOR-doubling so that row[v | 2^j] = row[v] ^ image of bit j."""
+    tables = np.zeros(((len(images) + 7) // 8, 256), dtype=_U64)
+    for i, image in enumerate(images):
+        row, bit = tables[i // 8], i % 8
+        row[1 << bit:2 << bit] = row[:1 << bit] ^ np.uint64(image)
+    return tables
+
+
+def _apply(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The linear map encoded by ``tables`` applied to every word."""
+    octets = words.view(np.uint8).reshape(-1, 8)
+    out = tables[0][octets[:, 0]]
+    for b in range(1, len(tables)):
+        out ^= tables[b][octets[:, b]]
+    return out
+
+
+def _mul_tables(K: BinaryField, c: int) -> np.ndarray:
+    return _byte_tables([K.mul(c, 1 << i) for i in range(K.degree)])
+
+
+def _trace_word_tables(K: BinaryField) -> np.ndarray:
+    """u -> the 64-bit word whose bit j is Tr(u * g^j)."""
+    images = []
+    for i in range(K.degree):
+        u, word = 1 << i, 0
+        for j in range(64):
+            word |= K.abs_trace(u) << j
+            u = K.mul(u, K.generator)
+        images.append(word)
+    return _byte_tables(images)
+
+
+def _trace_one_counts(K: BinaryField, M: int) -> list[int]:
+    """ones[r] = #{0 <= k < |K*| : k = r mod M and Tr(g^k) = 1}, g the
+    generator of K.
+
+    Tr(g^k) is the m-sequence of the primitive modulus, walked in chunks of
+    L = 64*M*c exponents.  A chunk is held as M*c states g^(k0 + 64 i);
+    one table lookup turns every state into its next 64 trace bits and one
+    more (multiplication by g^L) moves it to the next chunk.  L is a
+    multiple of M, so a bit's position in the chunk gives its residue.
+    Integer arrays only; the states are uint64, hence the degree bound.
+    """
+    if K.degree > 64:
+        raise FieldError(f"the Gauss-period walk needs degree <= 64, "
+                         f"not {K.degree}")
+    g = K.generator
+    n_words = M * max(1, min(_CHUNK_BITS, K.order) // (64 * M))
+    L = 64 * n_words
+    start = np.ones(1, dtype=_U64)
+    while len(start) < n_words:
+        jump = _mul_tables(K, K.pow(g, 64 * len(start)))
+        start = np.concatenate([start, _apply(jump, start)])
+    start = start[:n_words]
+    to_words = _trace_word_tables(K)
+    advance = _mul_tables(K, K.pow(g, L))
+    ones = np.zeros(M, dtype=np.int64)
+    states = start
+    walked = 0
+    while walked < K.order:
+        bits = np.unpackbits(_apply(to_words, states).view(np.uint8),
+                             bitorder="little")
+        bits[K.order - walked:] = 0
+        ones += bits.reshape(-1, M).sum(axis=0, dtype=np.int64)
+        states = _apply(advance, states)
+        walked += L
+    # g^|K*| = 1: rewinding by |K*| - walked steps must restore every start
+    rewind = _mul_tables(K, K.pow(g, K.order - walked))
+    if not np.array_equal(_apply(rewind, states), start):
+        raise InternalCheckError("period walk did not return to its start")
+    if int(ones.sum()) != 1 << (K.degree - 1):
+        raise InternalCheckError("trace-one count is not 2^(n-1)")
+    return ones.tolist()
+
+
 def gauss_periods(tower: FieldTower, label: str) -> list[int]:
     """eta_a = sum of psi over the a-th order-M cyclotomic class, for all a.
 
-    Single streaming pass over the multiplicative group: repeated
-    multiplication by x with the class index carried modulo M, so no log
-    table or element list is ever materialized.
+    The class of g^k is k*step mod M, and each residue class of exponents
+    holds |K*|/M elements, so eta at class r*step is |K*|/M minus twice the
+    number of trace-one elements among the exponents k = r mod M.
     """
     if label in tower._eta_cache:
         return tower._eta_cache[label]
@@ -193,23 +282,10 @@ def gauss_periods(tower: FieldTower, label: str) -> list[int]:
     if K.order % M:
         raise FieldError(f"M = {M} does not divide |{label}*| = {K.order}")
     step = tower.class_step(label)
-    modulus = K.modulus
-    top = 1 << K.degree
-    tmask = K.trace_mask
+    per_class = K.order // M
     eta = [0] * M
-    u = 1
-    c = 0
-    for _ in range(K.order):
-        if (u & tmask).bit_count() & 1:
-            eta[c] -= 1
-        else:
-            eta[c] += 1
-        u <<= 1
-        if u & top:
-            u ^= modulus
-        c += step
-        if c >= M:
-            c -= M
+    for r, count in enumerate(_trace_one_counts(K, M)):
+        eta[r * step % M] = per_class - 2 * count
     if sum(eta) != -1:
         raise InternalCheckError("Gauss periods do not sum to -1")
     tower._eta_cache[label] = eta

@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import charsum, paperbook, schemecore, zmring
-from .binfield import FieldError, build_tower, modulus_from_hex
+from .binfield import FieldError, _prime_factors, build_tower, modulus_from_hex
 from .cycpart import d_class_check, get_partition
 from .reporting import Report
 
@@ -51,13 +51,13 @@ def _target_fields(tower, config) -> tuple[list, list]:
                 tower.F.add(tower.F.mul(a, b), tower.F.mul(a, c)):
             ok = False
     report.add("random multiplication associativity/distributivity spot-check", ok)
+    order = tower.F.order
     for label in ("G", "H"):
         K = tower.field(label)
         w = tower.embed_F(K, tower.omega)
         report.add(f"embedded omega keeps its order in {label}",
-                   K.pow(w, tower.F.order) == 1 and
-                   all(K.pow(w, tower.F.order // p) != 1
-                       for p in (3, 7) if tower.F.order % p == 0))
+                   K.pow(w, order) == 1 and
+                   all(K.pow(w, order // p) != 1 for p in _prime_factors(order)))
     return [report], []
 
 

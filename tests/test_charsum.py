@@ -1,12 +1,24 @@
+from types import SimpleNamespace
+
 import pytest
 
-from cycloscheme.binfield import InternalCheckError, build_tower
+from cycloscheme import charsum
+from cycloscheme.binfield import FieldError, InternalCheckError, build_tower
 from cycloscheme.charsum import (CyclotomicInteger, conjugation_symmetry_check,
                                  cyclotomic_polynomial, eta_prime_law_check,
                                  gauss_period_from_sums, gauss_periods, gauss_sum,
                                  gauss_sum_modulus_check, gauss_sum_power_vector,
                                  period_expansion_check, recover_period_from_sums,
                                  verify_hasse_davenport, verify_t1_gauss_identity)
+from period_oracle import gauss_periods_reference
+
+# every (s, field) with |K*| <= 2^18
+SMALL_FIELDS = [(1, "F"), (1, "G"), (1, "H"), (2, "F"), (2, "G"), (2, "H"),
+                (3, "F"), (3, "G")]
+
+# non-default primitive moduli per s, as (F, G, H); None keeps the default
+OTHER_MODULI = {1: (0xd, 0x61, 0x221), 2: (0x61, 0x107b, 0x4004d),
+                3: (0x221, 0x4004d, None)}
 
 
 def test_cyclotomic_polynomial_small():
@@ -67,6 +79,40 @@ def test_gauss_periods_h_s1_frozen_values():
     assert sorted(eta) == [-7, -7, -7, 1, 1, 1, 17]
 
 
+def _assert_walk_matches_oracle(tower, label):
+    expected = gauss_periods_reference(tower.field(label), tower.M,
+                                       tower.class_step(label))
+    assert gauss_periods(tower, label) == expected
+
+
+@pytest.mark.parametrize("other_moduli", [False, True])
+@pytest.mark.parametrize("s,label", SMALL_FIELDS)
+def test_gauss_periods_match_oracle(s, label, other_moduli):
+    tower = build_tower(s, *OTHER_MODULI[s]) if other_moduli else build_tower(s)
+    if other_moduli:
+        assert tower.field(label).modulus == OTHER_MODULI[s]["FGH".index(label)]
+    _assert_walk_matches_oracle(tower, label)
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 3 * 64 * 21])
+@pytest.mark.parametrize("s,label", [(1, "H"), (2, "G"), (2, "H"), (3, "F")])
+def test_gauss_periods_multi_chunk(monkeypatch, chunk_bits, s, label):
+    # chunks of one or a few 64*M blocks: many full chunks, then a ragged
+    # tail (|K*| is odd, so never a multiple of 64)
+    monkeypatch.setattr(charsum, "_CHUNK_BITS", chunk_bits)
+    _assert_walk_matches_oracle(build_tower(s), label)
+
+
+def test_gauss_periods_degree_guard():
+    # GF(2^72) at s = 8: a uint64 state would wrap, so the walk must refuse
+    # before it builds a table or touches an element
+    field = SimpleNamespace(degree=72, order=(1 << 72) - 1)
+    tower = SimpleNamespace(_eta_cache={}, M=65793, field=lambda label: field,
+                            class_step=lambda label: 1)
+    with pytest.raises(FieldError, match="degree <= 64"):
+        gauss_periods(tower, "H")
+
+
 def test_gauss_sum_f_s1_value():
     tower = build_tower(1)
     g = gauss_sum(tower, "F", 1)
@@ -96,6 +142,11 @@ def test_hasse_davenport_square_and_cube(s):
     tower = build_tower(s)
     assert verify_hasse_davenport(tower, 2).passed
     assert verify_hasse_davenport(tower, 3).passed
+
+
+def test_hasse_davenport_cube_s3():
+    # walks H = GF(2^27) directly; ties those periods to the F Gauss sums
+    assert verify_hasse_davenport(build_tower(3), 3).passed
 
 
 def test_eta_prime_law():

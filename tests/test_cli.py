@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from cycloscheme.cli import RunConfig, TARGETS, main, run
+from cycloscheme.binfield import build_tower
+from cycloscheme.cli import RunConfig, TARGETS, _target_fields, main, run
 from cycloscheme.schemecore import _mat_mul
 
 
@@ -82,3 +83,16 @@ def test_target_order_is_fixed():
     run(RunConfig(s=1, targets=("thm1", "fields")), out=buf)
     text = buf.getvalue()
     assert text.index("field tower") < text.index("thm1 scheme")
+
+
+def test_embedded_omega_order_check_sees_every_prime(monkeypatch):
+    # |F*| = 511 = 7 * 73 at s = 3; omega^73 has order 7, which a check
+    # against the primes 3 and 7 alone lets through
+    tower = build_tower(3)
+    embed = tower.embed_F
+    monkeypatch.setattr(tower, "embed_F",
+                        lambda K, u: K.pow(embed(K, u), 73))
+    reports, _ = _target_fields(tower, RunConfig(s=3, targets=("fields",)))
+    failed = {c.name for c in reports[0].failures()}
+    assert failed == {"embedded omega keeps its order in G",
+                      "embedded omega keeps its order in H"}
