@@ -9,6 +9,7 @@ work; there is no floating point anywhere in the package.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 
 class FieldError(ValueError):
@@ -84,17 +85,6 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def poly_divmod(a: int, f: int) -> tuple[int, int]:
-    q = 0
-    df = f.bit_length() - 1
-    da = a.bit_length() - 1
-    while da >= df:
-        q |= 1 << (da - df)
-        a ^= f << (da - df)
-        da = a.bit_length() - 1
-    return q, a
-
-
 def _frobenius_power(f: int, times: int) -> int:
     """x^(2^times) mod f via repeated squaring."""
     t = 0b10
@@ -145,9 +135,6 @@ def _prime_factors(n: int) -> dict[int, int]:
 # fields
 # ---------------------------------------------------------------------------
 
-_LOG_TABLE_LIMIT = 1 << 20
-
-
 class BinaryField:
     """GF(2**degree) with a fixed modulus; elements are int bit masks.
 
@@ -162,7 +149,6 @@ class BinaryField:
         self.order = self.size - 1
         self.generator = generator
         self._top = 1 << degree
-        self._log_table: list[int] | None = None
         self._zero_mask_cache: dict[int, list[int]] = {}
         self.trace_mask = self._build_trace_mask()
 
@@ -288,37 +274,15 @@ class BinaryField:
             return 0
         return self.pow(u, self.order // ((1 << sub_degree) - 1))
 
-    # -- discrete logs -------------------------------------------------------
-
-    @property
-    def log_table(self) -> list[int] | None:
-        if self.size > _LOG_TABLE_LIMIT:
-            return None
-        if self._log_table is None:
-            table = [-1] * self.size
-            u = 1
-            for k in range(self.order):
-                table[u] = k
-                u = self.mul(u, self.generator)
-            self._log_table = table
-        return self._log_table
-
-    def dlog(self, u: int) -> int:
-        """Exponent k with generator**k == u."""
-        if u == 0:
-            raise FieldError("discrete log of 0")
-        table = self.log_table
-        if table is not None:
-            return table[u]
-        t = 1
-        for k in range(self.order):
-            if t == u:
-                return k
-            t = self.mul(t, self.generator)
-        raise InternalCheckError("element not generated; generator not primitive?")
-
-    def elements(self):
-        return range(self.size)
+    @cached_property
+    def powers(self) -> list[int]:
+        """generator**k for 0 <= k < |K*|, the one walk over K* that the
+        class and set computations share; |K*| ints, so meant for fields
+        small enough to enumerate."""
+        out = [1] * self.order
+        for k in range(1, self.order):
+            out[k] = self.mul(out[k - 1], self.generator)
+        return out
 
 
 def _order_of_x(modulus: int, m: int) -> int:
@@ -406,10 +370,6 @@ class FieldTower:
         self.norm_dlog_H, self.beta_exponent, self.beta = \
             self._normalize_primitive(H, self._root_powers_H)
 
-        self._eta_cache: dict[str, list[int]] = {}
-        self._gauss_cache: dict = {}
-        self._partition = None
-
         for K, prim in ((G, self.gamma), (H, self.beta)):
             if K.pow(prim, K.order // F.order) != self.embed_F(K, self.omega):
                 raise InternalCheckError("norm normalization failed")
@@ -447,7 +407,7 @@ class FieldTower:
         """Pick the smallest exponent j with gcd(j, |K*|) = 1 and
         Norm(g**j) equal to the embedded omega.  Returns (t0, j, g**j)."""
         F = self.F
-        omega_img = self._embed(root_powers, K, self.omega)
+        omega_img = self._embed(root_powers, self.omega)
         norm_g = K.pow(K.generator, K.order // F.order)
         t = 1
         t0 = None
@@ -466,7 +426,7 @@ class FieldTower:
         raise InternalCheckError("no coprime norm-compatible exponent found")
 
     @staticmethod
-    def _embed(root_powers: list[int], K: BinaryField, u: int) -> int:
+    def _embed(root_powers: list[int], u: int) -> int:
         acc = 0
         i = 0
         while u:
@@ -484,25 +444,17 @@ class FieldTower:
         except KeyError:
             raise FieldError(f"unknown field label {label!r}") from None
 
-    def embed_F_G(self, u: int) -> int:
-        self.F.check(u)
-        return self._embed(self._root_powers_G, self.G, u)
-
-    def embed_F_H(self, u: int) -> int:
-        self.F.check(u)
-        return self._embed(self._root_powers_H, self.H, u)
-
     def embed_F(self, K: BinaryField, u: int) -> int:
-        if K is self.G:
-            return self.embed_F_G(u)
-        if K is self.H:
-            return self.embed_F_H(u)
+        """The image of u, an element of F, under the fixed embedding of F
+        into K (F itself, G or H)."""
         if K is self.F:
             return u
+        self.F.check(u)
+        if K is self.G:
+            return self._embed(self._root_powers_G, u)
+        if K is self.H:
+            return self._embed(self._root_powers_H, u)
         raise FieldError("embedding only defined into F, G, H")
-
-    def primitive_element(self, label: str) -> int:
-        return {"F": self.omega, "G": self.gamma, "H": self.beta}[label]
 
     def class_step(self, label: str) -> int:
         """c with cyclotomic class of generator**k equal to k*c mod M."""
@@ -513,13 +465,6 @@ class FieldTower:
         if label == "H":
             return pow(self.beta_exponent % self.M, -1, self.M)
         raise FieldError(f"no cyclotomic classes for label {label!r}")
-
-    def class_index(self, label: str, u: int) -> int:
-        """Index of the order-M cyclotomic class of u (w.r.t. omega/gamma/beta)."""
-        K = self.field(label)
-        if u == 0:
-            raise FieldError("0 has no cyclotomic class")
-        return (K.dlog(u) * self.class_step(label)) % self.M
 
     def moduli_hex(self) -> dict[str, str]:
         return {lbl: modulus_to_hex(self.field(lbl).modulus)
@@ -536,30 +481,3 @@ def build_tower(s: int, mod_f: int | None = None, mod_g: int | None = None,
     H = build_field(9 * s, mod_h)
     return FieldTower(s, E, F, G, H)
 
-
-# ---------------------------------------------------------------------------
-# spec-level free functions
-# ---------------------------------------------------------------------------
-
-def rel_trace(K: BinaryField, sub_degree: int, u: int) -> int:
-    return K.rel_trace(sub_degree, u)
-
-
-def psi(K: BinaryField, u: int) -> int:
-    return K.psi(u)
-
-
-def dlog_class(K: BinaryField, M: int, u: int, base: int | None = None) -> int:
-    """Index of the order-M cyclotomic class of u, w.r.t. base (default:
-    the field generator)."""
-    if u == 0:
-        raise FieldError("0 has no cyclotomic class")
-    if M < 1 or K.order % M:
-        raise FieldError(f"M={M} does not divide the group order {K.order}")
-    k = K.dlog(u)
-    if base is not None and base != K.generator:
-        b = K.dlog(base)
-        if math.gcd(b, K.order) != 1:
-            raise FieldError("base is not a primitive element")
-        k = (k * pow(b, -1, K.order)) % K.order
-    return k % M

@@ -1,180 +1,22 @@
 """Exact Gauss periods and Gauss sums as cyclotomic integers.
 
-All identities are verified in Z[zeta_M] = Z[x]/(Phi_M): length-M power
-vectors are accumulated lazily and reduced modulo the M-th cyclotomic
-polynomial only when two sides are compared.
+A Gauss sum G(phi^ell) = sum_j eta_j zeta^(j ell) is the image in
+Z[zeta_M] of the group-ring element sum_j eta_j [j ell] of Z[Z_M].  All
+identities are verified on canonical representatives modulo Phi_M
+(``GroupRingElement.reduce``), so two sides agree exactly when their
+reductions are equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .binfield import BinaryField, FieldError, FieldTower, InternalCheckError
 from .cycpart import get_partition, psi_omega_a_D
 from .reporting import Report
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic polynomials and Z[zeta_M]
-# ---------------------------------------------------------------------------
-
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    dd = len(den) - 1
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i - dd + j] -= c * d
-    if any(num[:dd]):
-        raise ValueError("division not exact")
-    return out
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
-    """Coefficients of Phi_M, low degree first, via exact division of
-    x^M - 1 by the product of the proper-divisor cyclotomic polynomials."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if M == 1:
-        return (-1, 1)
-    num = [0] * (M + 1)
-    num[0], num[M] = -1, 1
-    den = [1]
-    for d in range(1, M):
-        if M % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            new = [0] * (len(den) + len(phi_d) - 1)
-            for i, a in enumerate(den):
-                if a:
-                    for j, b in enumerate(phi_d):
-                        new[i + j] += a * b
-            den = new
-    return tuple(_poly_divide_exact(num, den))
-
-
-def reduce_power_vector(M: int, vec) -> tuple[int, ...]:
-    """Reduce sum_k vec[k] * zeta^k modulo Phi_M, returning phi(M) coeffs."""
-    phi = cyclotomic_polynomial(M)
-    deg = len(phi) - 1
-    work = list(vec)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j, p in enumerate(phi):
-                work[i - deg + j] -= c * p
-    work = work[:deg]
-    work += [0] * (deg - len(work))
-    return tuple(work)
-
-
-@dataclass(frozen=True)
-class CyclotomicInteger:
-    """Element of Z[zeta_M] in the power basis reduced modulo Phi_M."""
-
-    M: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        deg = len(cyclotomic_polynomial(self.M)) - 1
-        if len(self.coeffs) != deg:
-            raise ValueError(f"expected {deg} coefficients, got {len(self.coeffs)}")
-
-    @classmethod
-    def from_power_vector(cls, M: int, vec) -> "CyclotomicInteger":
-        return cls(M, reduce_power_vector(M, vec))
-
-    @classmethod
-    def from_int(cls, M: int, n: int) -> "CyclotomicInteger":
-        return cls.from_power_vector(M, [n])
-
-    @classmethod
-    def zeta_power(cls, M: int, e: int) -> "CyclotomicInteger":
-        vec = [0] * M
-        vec[e % M] = 1
-        return cls.from_power_vector(M, vec)
-
-    def _coerce(self, other) -> "CyclotomicInteger":
-        if isinstance(other, int):
-            return CyclotomicInteger.from_int(self.M, other)
-        if isinstance(other, CyclotomicInteger):
-            if other.M != self.M:
-                raise ValueError("mixed cyclotomic orders")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return CyclotomicInteger(self.M, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return CyclotomicInteger(self.M, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return CyclotomicInteger(self.M, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicInteger(self.M, tuple(other * a for a in self.coeffs))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        prod = [0] * (2 * len(self.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    prod[i + j] += a * b
-        return CyclotomicInteger.from_power_vector(self.M, prod)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers not supported")
-        r = CyclotomicInteger.from_int(self.M, 1)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
-    def conj(self) -> "CyclotomicInteger":
-        """Complex conjugation zeta -> zeta^(-1)."""
-        vec = [0] * (2 * self.M)
-        for i, c in enumerate(self.coeffs):
-            vec[(-i) % self.M] += c
-        return CyclotomicInteger.from_power_vector(self.M, vec)
-
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def rational_value(self) -> int:
-        if not self.is_rational():
-            raise ValueError("not a rational integer")
-        return self.coeffs[0]
-
-    def to_json(self) -> dict:
-        return {"M": self.M, "coeffs": [str(c) for c in self.coeffs]}
+from .zmring import GroupRingElement
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +110,7 @@ def _trace_one_counts(K: BinaryField, M: int) -> list[int]:
     return ones.tolist()
 
 
+@cache
 def gauss_periods(tower: FieldTower, label: str) -> list[int]:
     """eta_a = sum of psi over the a-th order-M cyclotomic class, for all a.
 
@@ -275,8 +118,6 @@ def gauss_periods(tower: FieldTower, label: str) -> list[int]:
     holds |K*|/M elements, so eta at class r*step is |K*|/M minus twice the
     number of trace-one elements among the exponents k = r mod M.
     """
-    if label in tower._eta_cache:
-        return tower._eta_cache[label]
     K = tower.field(label)
     M = tower.M
     if K.order % M:
@@ -288,7 +129,6 @@ def gauss_periods(tower: FieldTower, label: str) -> list[int]:
         eta[r * step % M] = per_class - 2 * count
     if sum(eta) != -1:
         raise InternalCheckError("Gauss periods do not sum to -1")
-    tower._eta_cache[label] = eta
     return eta
 
 
@@ -321,17 +161,15 @@ def gauss_sum_power_vector(tower: FieldTower, label: str, ell: int) -> list[int]
     return vec
 
 
-def gauss_sum(tower: FieldTower, label: str, ell: int) -> CyclotomicInteger:
-    """G(phi^ell) where phi sends the normalized primitive element
-    (omega, gamma or beta) to zeta_M."""
+@cache
+def gauss_sum(tower: FieldTower, label: str, ell: int) -> GroupRingElement:
+    """G(phi^ell), reduced modulo Phi_M, where phi sends the normalized
+    primitive element (omega, gamma or beta) to zeta_M."""
     M = tower.M
     if not (0 <= ell < M):
         raise FieldError(f"character exponent {ell} out of range [0, {M})")
-    key = (label, ell)
-    if key not in tower._gauss_cache:
-        vec = gauss_sum_power_vector(tower, label, ell)
-        tower._gauss_cache[key] = CyclotomicInteger.from_power_vector(M, vec)
-    return tower._gauss_cache[key]
+    vec = gauss_sum_power_vector(tower, label, ell)
+    return GroupRingElement(M, tuple(vec)).reduce()
 
 
 def verify_t1_gauss_identity(tower: FieldTower) -> Report:
@@ -348,11 +186,8 @@ def verify_t1_gauss_identity(tower: FieldTower) -> Report:
     first = ""
     for ell in range(1, M):
         lhs = gauss_sum(tower, "F", ell)
-        vec = [0] * M
-        for x in part.T1:
-            vec[(ell * x) % M] += q
-        rhs = CyclotomicInteger.from_power_vector(M, vec)
-        if lhs != rhs and all_ok:
+        rhs = GroupRingElement.from_set(M, [(ell * x) % M for x in part.T1])
+        if lhs != rhs.scale(q).reduce() and all_ok:
             all_ok = False
             first = f"ell={ell}"
     report.add("G_F(chi^ell) == 2^s sum_{x in T1} zeta^(ell x), all ell", all_ok, first)
@@ -361,7 +196,8 @@ def verify_t1_gauss_identity(tower: FieldTower) -> Report:
 
 def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
     """Norm-lifted Gauss sums: degree 2 gives -(G_F)^2 over G, degree 3
-    gives +(G_F)^3 over H, exactly in Z[zeta_M]."""
+    gives +(G_F)^3 over H, exactly in Z[zeta_M]; lift_degree - 1 ring
+    products per character."""
     if lift_degree not in (2, 3):
         raise FieldError("lift degree must be 2 or 3")
     label = "G" if lift_degree == 2 else "H"
@@ -372,9 +208,10 @@ def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
     first = ""
     for ell in range(1, M):
         base = gauss_sum(tower, "F", ell)
-        lifted = gauss_sum(tower, label, ell)
-        expected = (base ** lift_degree) * sign
-        if lifted != expected and all_ok:
+        power = base
+        for _ in range(lift_degree - 1):
+            power = (power * base).reduce()
+        if gauss_sum(tower, label, ell) != power.scale(sign) and all_ok:
             all_ok = False
             first = f"ell={ell}"
     report.add(f"G_{label}(chi'^ell) == {'-' if sign < 0 else ''}(G_F(chi^ell))^{lift_degree}",
@@ -386,12 +223,13 @@ def gauss_sum_modulus_check(tower: FieldTower, label: str) -> Report:
     """|G(chi^ell)|^2 = |K| for nonprincipal ell, via G * conj(G)."""
     K = tower.field(label)
     M = tower.M
+    size = GroupRingElement.identity(M).scale(K.size)
     report = Report(f"Gauss sum modulus over {label} (s={tower.s})")
     all_ok = True
     first = ""
     for ell in range(1, M):
         g = gauss_sum(tower, label, ell)
-        if g * g.conj() != CyclotomicInteger.from_int(M, K.size) and all_ok:
+        if (g * g.involute()).reduce() != size and all_ok:
             all_ok = False
             first = f"ell={ell}"
     report.add(f"G * conj(G) == {K.size}", all_ok, first)
@@ -412,18 +250,12 @@ def recover_period_from_sums(M: int, sum_vectors: list[list[int]], a: int) -> in
         shift = (ell * a) % M
         for k, c in enumerate(vec):
             total[(k + shift) % M] += c
-    reduced = CyclotomicInteger.from_power_vector(M, total)
-    if not reduced.is_rational():
+    value, *irrational = GroupRingElement(M, tuple(total)).reduce().coeffs
+    if any(irrational):
         raise InternalCheckError("period expansion is not a rational integer")
-    value = reduced.rational_value()
     if value % M:
         raise InternalCheckError("period expansion not divisible by M")
     return value // M
-
-
-def gauss_period_from_sums(tower: FieldTower, label: str, a: int) -> int:
-    vectors = [gauss_sum_power_vector(tower, label, ell) for ell in range(tower.M)]
-    return recover_period_from_sums(tower.M, vectors, a)
 
 
 def period_expansion_check(tower: FieldTower, label: str) -> Report:
@@ -450,7 +282,8 @@ def conjugation_symmetry_check(tower: FieldTower, label: str) -> Report:
     all_ok = True
     first = ""
     for ell in range(1, M):
-        if gauss_sum(tower, label, ell).conj() != gauss_sum(tower, label, (M - ell) % M):
+        conj = gauss_sum(tower, label, ell).involute().reduce()
+        if conj != gauss_sum(tower, label, (M - ell) % M):
             if all_ok:
                 all_ok = False
                 first = f"ell={ell}"

@@ -94,7 +94,7 @@ def _target_gauss(tower, config):
         reports.append(charsum.verify_hasse_davenport(tower, 3))
     else:
         skipped = Report(f"Hasse-Davenport lift degree 3 (s={config.s})")
-        skipped.add("skipped: needs --big to stream the degree-9s field", True)
+        skipped.add("skipped: needs --big to stream the degree-9s field", None)
         reports.append(skipped)
     return reports, []
 
@@ -175,6 +175,12 @@ def run(config: RunConfig, out=None) -> int:
         print("error: thm2ii at s >= 3 streams a 2^(9s)-element field; "
               "pass --big to opt in", file=out)
         return USAGE_ERROR
+    if "im10" in config.targets and \
+            1 << (3 * config.s) > schemecore._ORACLE_SIZE_LIMIT:
+        print(f"error: im10 verifies GF(2^{3 * config.s}) element by element, "
+              f"which is limited to {schemecore._ORACLE_SIZE_LIMIT} elements",
+              file=out)
+        return USAGE_ERROR
     try:
         tower = build_tower(config.s, config.poly_f, config.poly_g, config.poly_h)
     except FieldError as exc:
@@ -192,12 +198,14 @@ def run(config: RunConfig, out=None) -> int:
         print(report, file=out)
         print(file=out)
     failures = [c for r in reports for c in r.failures()]
+    skipped = sum(len(r.skipped()) for r in reports)
     if config.json_path:
         export_catalog(config, tower, reports, records, config.json_path)
+    note = f", {skipped} skipped" if skipped else ""
     if failures:
-        print(f"{len(failures)} check(s) FAILED", file=out)
+        print(f"{len(failures)} check(s) FAILED{note}", file=out)
         return 1
-    print("all checks passed", file=out)
+    print(f"all checks passed{note}", file=out)
     return 0
 
 

@@ -8,6 +8,7 @@ trace quadric.  They must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .binfield import FieldError, FieldTower, InternalCheckError
 from .reporting import Report
@@ -35,14 +36,6 @@ class CyclotomicPartition:
         if sorted(self.T1 + self.T2 + self.T3) != list(range(self.M)):
             raise InternalCheckError("T1, T2, T3 do not partition Z_M")
 
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return (self.T1, self.T2, self.T3)
-
-    def to_json(self) -> dict:
-        return {"s": self.s, "M": self.M, "T1": list(self.T1),
-                "T2": list(self.T2), "T3": list(self.T3)}
-
 
 @dataclass(frozen=True)
 class InverseTraceSet:
@@ -50,16 +43,14 @@ class InverseTraceSet:
     members: frozenset[int]
 
 
+@cache
 def compute_D(tower: FieldTower) -> InverseTraceSet:
     F, s = tower.F, tower.s
     q = 1 << s
-    powers = [1]
-    for _ in range(F.order - 1):
-        powers.append(F.mul(powers[-1], tower.omega))
-    members = set()
-    for k, u in enumerate(powers):
-        if F.rel_trace_is_zero(s, powers[-k % F.order]):  # trace of u^(-1)
-            members.add(u)
+    powers = F.powers
+    # the inverse of omega^k is omega^(-k)
+    members = {u for k, u in enumerate(powers)
+               if F.rel_trace_is_zero(s, powers[-k % F.order])}
     if len(members) != q * q - 1:
         raise InternalCheckError(f"|D| = {len(members)}, expected {q * q - 1}")
     # quadratic-form description: D = {u : tr(u^(q+1)) = 0}
@@ -75,14 +66,12 @@ def compute_D(tower: FieldTower) -> InverseTraceSet:
     return InverseTraceSet(frozenset(members))
 
 
-def psi_omega_a_D(tower: FieldTower, a: int, D: InverseTraceSet | None = None) -> int:
+def psi_omega_a_D(tower: FieldTower, a: int) -> int:
     if not (0 <= a < tower.M):
         raise FieldError(f"a = {a} out of range [0, {tower.M})")
-    if D is None:
-        D = _cached_D(tower)
     F = tower.F
     wa = F.pow(tower.omega, a)
-    total = sum(F.psi(F.mul(wa, u)) for u in D.members)
+    total = sum(F.psi(F.mul(wa, u)) for u in compute_D(tower).members)
     q = 1 << tower.s
     if total not in (-1, q - 1, -q - 1):
         raise InternalCheckError(
@@ -91,20 +80,11 @@ def psi_omega_a_D(tower: FieldTower, a: int, D: InverseTraceSet | None = None) -
     return total
 
 
-def _cached_D(tower: FieldTower) -> InverseTraceSet:
-    cached = getattr(tower, "_D_cache", None)
-    if cached is None:
-        cached = compute_D(tower)
-        tower._D_cache = cached
-    return cached
-
-
 def partition_by_psiD(tower: FieldTower) -> CyclotomicPartition:
-    D = _cached_D(tower)
     q = 1 << tower.s
     t1, t2, t3 = [], [], []
     for a in range(tower.M):
-        v = psi_omega_a_D(tower, a, D)
+        v = psi_omega_a_D(tower, a)
         if v == -1:
             t1.append(a)
         elif v == q - 1:
@@ -119,9 +99,7 @@ def partition_by_trace(tower: FieldTower) -> CyclotomicPartition:
     from the sizes of S_a = {u : tr(u^(q+1)) = 0, tr(omega^a u) = 0}."""
     F, s, M = tower.F, tower.s, tower.M
     q = 1 << s
-    powers = [1]
-    for _ in range(F.order - 1):
-        powers.append(F.mul(powers[-1], tower.omega))
+    powers = F.powers
     quadric = [u for u in powers if F.rel_trace_is_zero(s, F.mul(F.pow(u, q), u))]
     trace_zero_T1 = {i for i in range(M) if F.rel_trace_is_zero(s, powers[i])}
     t1, t2, t3 = [], [], []
@@ -141,29 +119,21 @@ def partition_by_trace(tower: FieldTower) -> CyclotomicPartition:
     return CyclotomicPartition(s, M, tuple(t1), tuple(t2), tuple(t3))
 
 
+@cache
 def get_partition(tower: FieldTower) -> CyclotomicPartition:
-    """The cross-validated partition, cached on the tower."""
-    if tower._partition is None:
-        by_psi = partition_by_psiD(tower)
-        by_trace = partition_by_trace(tower)
-        if by_psi != by_trace:
-            raise InternalCheckError("the two partition routes disagree")
-        tower._partition = by_psi
-    return tower._partition
+    """The cross-validated partition."""
+    by_psi = partition_by_psiD(tower)
+    if by_psi != partition_by_trace(tower):
+        raise InternalCheckError("the two partition routes disagree")
+    return by_psi
 
 
 def d_class_check(tower: FieldTower) -> Report:
     """D must be the union of the cyclotomic classes indexed by -T1."""
     part = get_partition(tower)
-    D = _cached_D(tower)
-    F, M = tower.F, tower.M
+    M = tower.M
     neg_t1 = {(-i) % M for i in part.T1}
-    union = set()
-    u = 1
-    for k in range(F.order):
-        if k % M in neg_t1:
-            union.add(u)
-        u = F.mul(u, tower.omega)
+    union = {u for k, u in enumerate(tower.F.powers) if k % M in neg_t1}
     report = Report(f"D as a class union (s={tower.s})")
-    report.add("D == union of C_i, i in -T1", union == set(D.members))
+    report.add("D == union of C_i, i in -T1", union == compute_D(tower).members)
     return report

@@ -7,12 +7,14 @@ from dataclasses import dataclass, field
 
 @dataclass
 class CheckResult:
+    """One check; ``passed`` is None when the check was skipped."""
+
     name: str
-    passed: bool
+    passed: bool | None
     detail: str = ""
 
     def __str__(self) -> str:
-        tag = "PASS" if self.passed else "FAIL"
+        tag = {True: "PASS", False: "FAIL", None: "SKIP"}[self.passed]
         return f"[{tag}] {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
@@ -21,8 +23,8 @@ class Report:
     title: str
     checks: list[CheckResult] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, detail: str = "") -> CheckResult:
-        result = CheckResult(name, bool(passed), detail)
+    def add(self, name: str, passed: bool | None, detail: str = "") -> CheckResult:
+        result = CheckResult(name, None if passed is None else bool(passed), detail)
         self.checks.append(result)
         return result
 
@@ -31,10 +33,14 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """No check failed; skipped checks do not fail a report."""
+        return not self.failures()
 
     def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
+        return [c for c in self.checks if c.passed is False]
+
+    def skipped(self) -> list[CheckResult]:
+        return [c for c in self.checks if c.passed is None]
 
     def to_json(self) -> dict:
         return {

@@ -17,7 +17,7 @@ import numpy as np
 
 from .binfield import BinaryField, FieldTower, InternalCheckError
 from .charsum import gauss_periods
-from .cycpart import get_partition
+from .cycpart import compute_D, get_partition
 from .reporting import Report
 
 _ORACLE_SIZE_LIMIT = 1 << 12
@@ -329,16 +329,8 @@ def class_elements(tower: FieldTower, field_label: str,
         for i in b:
             block_of[i] = b_idx
     out = [[0]] + [[] for _ in pattern.blocks]
-    u, c = 1, 0
-    top = 1 << K.degree
-    for _ in range(K.order):
-        out[1 + block_of[c]].append(u)
-        u <<= 1
-        if u & top:
-            u ^= K.modulus
-        c += step
-        if c >= pattern.M:
-            c -= pattern.M
+    for k, u in enumerate(K.powers):
+        out[1 + block_of[k * step % pattern.M]].append(u)
     return out
 
 
@@ -376,23 +368,13 @@ def brute_force_intersection_oracle(tower: FieldTower, field_label: str,
 # element-level schemes (for the generic two-class refinement)
 # ---------------------------------------------------------------------------
 
-def _element_census(K: BinaryField, sets) -> tuple[dict, list]:
+def _element_census(K: BinaryField, sets) -> dict:
     """Character rows (1, sum psi(b x) over x in each set) for all b != 0,
-    grouped; returns (row -> frozenset of b, power list)."""
+    grouped as row -> frozenset of b."""
     order = K.order
-    powers = [0] * order
-    dlog = [0] * K.size
-    psi_pow = np.empty(order, dtype=np.int64)
-    top = 1 << K.degree
-    tmask = K.trace_mask
-    u = 1
-    for e in range(order):
-        powers[e] = u
-        dlog[u] = e
-        psi_pow[e] = -1 if (u & tmask).bit_count() & 1 else 1
-        u <<= 1
-        if u & top:
-            u ^= K.modulus
+    powers = K.powers
+    dlog = {u: e for e, u in enumerate(powers)}
+    psi_pow = np.array([K.psi(u) for u in powers], dtype=np.int64)
     eb = np.arange(order)
     cols = np.zeros((order, len(sets)), dtype=np.int64)
     for idx, S in enumerate(sets):
@@ -402,7 +384,7 @@ def _element_census(K: BinaryField, sets) -> tuple[dict, list]:
     for e in range(order):
         row = (1,) + tuple(int(v) for v in cols[e])
         census.setdefault(row, set()).add(powers[e])
-    return {row: frozenset(g) for row, g in census.items()}, powers
+    return {row: frozenset(g) for row, g in census.items()}
 
 
 def build_element_scheme(tower: FieldTower, field_label: str, sets,
@@ -418,7 +400,7 @@ def build_element_scheme(tower: FieldTower, field_label: str, sets,
     if 0 in covered or len(covered) != K.order or sum(len(S) for S in sets) != K.order:
         raise SchemeError("sets must partition the nonzero field elements")
     d = len(sets)
-    census, _ = _element_census(K, sets)
+    census = _element_census(K, sets)
     degree_row = (1,) + tuple(len(S) for S in sets)
     is_scheme = len(census) == d and degree_row not in census
     record = SchemeRecord(
@@ -485,22 +467,10 @@ def im10_construct(tower: FieldTower, two_class: SchemeRecord | None = None) -> 
 
 def _fused_elements(tower: FieldTower, field_label: str, indices) -> frozenset:
     """Union of the order-M cyclotomic classes named by ``indices``."""
-    K = tower.field(field_label)
     step = tower.class_step(field_label)
     want = set(indices)
-    out = set()
-    u, c = 1, 0
-    top = 1 << K.degree
-    for _ in range(K.order):
-        if c in want:
-            out.add(u)
-        u <<= 1
-        if u & top:
-            u ^= K.modulus
-        c += step
-        if c >= tower.M:
-            c -= tower.M
-    return frozenset(out)
+    return frozenset(u for k, u in enumerate(tower.field(field_label).powers)
+                     if k * step % tower.M in want)
 
 
 def dual_scheme_tables_check(tower: FieldTower, which: str) -> Report:
@@ -508,8 +478,6 @@ def dual_scheme_tables_check(tower: FieldTower, which: str) -> Report:
     G-scheme (which='thm2i'): the dual index blocks, the D = inverse-trace-zero
     set coincidence, and (thm1) imprimitivity via the zero block closing up
     to a subfield."""
-    from .cycpart import compute_D  # local import keeps module load cheap
-
     if which not in ("thm1", "thm2i"):
         raise SchemeError("which must be 'thm1' or 'thm2i'")
     part = get_partition(tower)

@@ -1,18 +1,57 @@
-"""Exact group-ring arithmetic in Z[Z_M] and the partition identities.
+"""Exact group-ring arithmetic in Z[Z_M], its image Z[zeta_M], and the
+partition identities.
 
 A set S of residues doubles as the group-ring element sum_{i in S} [i];
-all coefficients are arbitrary-precision ints.
+all coefficients are arbitrary-precision ints.  Z[zeta_M] = Z[x]/(Phi_M)
+is a quotient of Z[Z_M] = Z[x]/(x^M - 1), so one element type serves
+both: ``reduce`` picks the canonical representative modulo Phi_M, and two
+elements are equal in Z[zeta_M] exactly when their reductions are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .reporting import Report
 
 
 class GroupRingError(ValueError):
     pass
+
+
+def _divide(num: list[int], den) -> list[int]:
+    """Long division by a monic polynomial (coefficients low degree first).
+    Returns the quotient and leaves the remainder in ``num``: its first
+    len(den) - 1 entries, with zeros above."""
+    if den[-1] != 1:
+        raise ValueError("divisor must be monic")
+    dd = len(den) - 1
+    terms = [(j, d) for j, d in enumerate(den) if d]
+    quotient = [0] * max(0, len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c:
+            quotient[i - dd] = c
+            for j, d in terms:
+                num[i - dd + j] -= c * d
+    return quotient
+
+
+@cache
+def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
+    """Coefficients of Phi_M, low degree first: x^M - 1 divided exactly by
+    Phi_d for every proper divisor d of M."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    poly = [-1] + [0] * (M - 1) + [1]
+    for d in range(1, M):
+        if M % d == 0:
+            quotient = _divide(poly, cyclotomic_polynomial(d))
+            if any(poly):
+                raise ValueError("division not exact")
+            poly = quotient
+    return tuple(poly)
 
 
 @dataclass(frozen=True)
@@ -46,10 +85,6 @@ class GroupRingElement:
     @classmethod
     def all_ones(cls, M: int) -> "GroupRingElement":
         return cls(M, (1,) * M)
-
-    @classmethod
-    def zero(cls, M: int) -> "GroupRingElement":
-        return cls(M, (0,) * M)
 
     # -- ring structure ---------------------------------------------------------
 
@@ -105,12 +140,12 @@ class GroupRingElement:
     def augmentation(self) -> int:
         return sum(self.coeffs)
 
-    def to_json(self) -> dict:
-        return {"M": self.M, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GroupRingElement":
-        return cls(int(data["M"]), tuple(int(c) for c in data["coeffs"]))
+    def reduce(self) -> "GroupRingElement":
+        """The canonical representative of the image in Z[zeta_M]: the
+        remainder modulo Phi_M, zero from index phi(M) upward."""
+        work = list(self.coeffs)
+        _divide(work, cyclotomic_polynomial(self.M))
+        return GroupRingElement(self.M, tuple(work))
 
 
 def from_set(M: int, S) -> GroupRingElement:
@@ -121,14 +156,14 @@ def convolve(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     if a.M != b.M:
         raise GroupRingError("modulus mismatch")
     M = a.M
-    out = [0] * M
+    # the product over nonzero pairs lands in 2M slots, folded once mod x^M - 1
+    acc = [0] * (2 * M)
+    b_terms = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
     for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb:
-                out[(i + j) % M] += ca * cb
-    result = GroupRingElement(M, tuple(out))
+        if ca:
+            for j, cb in b_terms:
+                acc[i + j] += ca * cb
+    result = GroupRingElement(M, tuple(x + y for x, y in zip(acc, acc[M:])))
     if result.augmentation() != a.augmentation() * b.augmentation():
         raise GroupRingError("augmentation mismatch after convolution")
     return result

@@ -115,9 +115,9 @@ def test_tower_shape_s1():
 def test_tower_norm_normalization():
     for s in (1, 2):
         tower = build_tower(s)
-        w_g = tower.embed_F_G(tower.omega)
+        w_g = tower.embed_F(tower.G, tower.omega)
         assert tower.G.norm_to(tower.F.degree, tower.gamma) == w_g
-        w_h = tower.embed_F_H(tower.omega)
+        w_h = tower.embed_F(tower.H, tower.omega)
         assert tower.H.norm_to(tower.F.degree, tower.beta) == w_h
 
 
@@ -126,22 +126,22 @@ def test_embedding_is_a_field_homomorphism():
     F, G = tower.F, tower.G
     for a in (1, 7, 33, 60):
         for b in (2, 9, 41):
-            assert tower.embed_F_G(F.mul(a, b)) == G.mul(tower.embed_F_G(a),
-                                                         tower.embed_F_G(b))
-            assert tower.embed_F_G(a ^ b) == tower.embed_F_G(a) ^ tower.embed_F_G(b)
+            assert tower.embed_F(G, F.mul(a, b)) == G.mul(tower.embed_F(G, a),
+                                                          tower.embed_F(G, b))
+            assert tower.embed_F(G, a ^ b) == tower.embed_F(G, a) ^ tower.embed_F(G, b)
 
 
 def test_class_step_consistency():
-    tower = build_tower(1)
-    for label in ("F", "G", "H"):
-        K = tower.field(label)
-        step = tower.class_step(label)
-        # the class (w.r.t. omega/gamma/beta) of g^k is k*step mod M
-        g = K.generator
-        u = g
-        for k in range(1, 12):
-            assert tower.class_index(label, u) == (k * step) % tower.M
-            u = K.mul(u, g)
+    # the normalized primitive element is g^j; g^k is its (k/j)-th power,
+    # so the class of g^k is k*step mod M exactly when j*step = 1 mod M
+    for s in (1, 2):
+        tower = build_tower(s)
+        assert tower.class_step("F") == 1
+        for label, j, prim in (("G", tower.gamma_exponent, tower.gamma),
+                               ("H", tower.beta_exponent, tower.beta)):
+            K = tower.field(label)
+            assert K.pow(K.generator, j) == prim
+            assert j * tower.class_step(label) % tower.M == 1
 
 
 def test_invalid_s_rejected():

@@ -1,11 +1,13 @@
+import hashlib
 import io
+import itertools
 import json
 
 import pytest
 
 from cycloscheme.binfield import build_tower
 from cycloscheme.cli import RunConfig, TARGETS, _target_fields, main, run
-from cycloscheme.schemecore import _mat_mul
+from cycloscheme.schemecore import _ORACLE_SIZE_LIMIT, _mat_mul
 
 
 def run_quiet(config):
@@ -33,6 +35,50 @@ def test_thm2ii_s3_requires_big():
     code, text = run_quiet(RunConfig(s=3, targets=("thm2ii",)))
     assert code == 2
     assert "--big" in text
+
+
+def test_im10_beyond_the_element_limit_is_usage_error():
+    # the first s whose F = GF(2^(3s)) is over the element-level limit
+    s = next(s for s in itertools.count(1) if 1 << (3 * s) > _ORACLE_SIZE_LIMIT)
+    code, text = run_quiet(RunConfig(s=s, targets=("im10",)))
+    assert code == 2
+    assert "im10" in text
+
+
+def test_im10_s5_is_usage_error():
+    assert run_quiet(RunConfig(s=5, targets=("im10",)))[0] == 2
+
+
+def test_skipped_check_is_not_a_pass(tmp_path):
+    path = tmp_path / "catalog.json"
+    code, text = run_quiet(RunConfig(s=3, targets=("gauss",), json_path=str(path)))
+    assert code == 0
+    assert "[SKIP] skipped: needs --big" in text
+    assert "[PASS] skipped" not in text
+    assert text.rstrip().endswith("all checks passed, 1 skipped")
+    checks = [c for r in json.loads(path.read_text())["reports"] for c in r["checks"]]
+    assert [c["passed"] for c in checks].count(None) == 1
+    assert all(c["passed"] is True for c in checks if c["passed"] is not None)
+
+
+# SHA-256 of the catalog's schemes section and the number of checks, as
+# recorded in perfbench/references.json: the whole-catalog behaviour oracle
+CATALOG_REFERENCES = {
+    1: ("42d1839c5c663e0fbb026fae0bc4c28e42a83a36bc32fd0f992afdd5d6a37cfa", 75),
+    2: ("34ddcb3c0662b2934d3a46830f3ec95286184b37e1c0df8d01c02b62b457f7f3", 75),
+}
+
+
+@pytest.mark.parametrize("s", sorted(CATALOG_REFERENCES))
+def test_catalog_matches_reference(tmp_path, s):
+    path = tmp_path / "catalog.json"
+    code, _ = run_quiet(RunConfig(s=s, json_path=str(path)))
+    assert code == 0
+    payload = json.loads(path.read_text())
+    schemes = json.dumps(payload["schemes"], sort_keys=True, separators=(",", ":"))
+    checks = sum(len(r["checks"]) for r in payload["reports"])
+    assert (hashlib.sha256(schemes.encode()).hexdigest(), checks) == \
+        CATALOG_REFERENCES[s]
 
 
 def test_explicit_modulus_flag():

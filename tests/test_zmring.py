@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from cycloscheme.binfield import build_tower
 from cycloscheme.cycpart import CyclotomicPartition, get_partition
 from cycloscheme.zmring import (GroupRingElement, GroupRingError, convolve,
-                                delta_square_check, doubling_check, from_set,
-                                involute, verify_lemma2, verify_remark_eqs)
+                                cyclotomic_polynomial, delta_square_check,
+                                doubling_check, from_set, involute,
+                                verify_lemma2, verify_remark_eqs)
 
 PART_S1 = CyclotomicPartition(1, 7, (1, 2, 4), (3, 5, 6), (0,))
 
@@ -111,11 +112,6 @@ def test_doubling_map_fixes_t1():
     assert doubling_check(get_partition(build_tower(2))).passed
 
 
-def test_json_round_trip():
-    a = from_set(7, {1, 2, 4}).scale(10 ** 20)
-    assert GroupRingElement.from_json(a.to_json()) == a
-
-
 small_elements = st.builds(
     lambda coeffs: GroupRingElement(7, tuple(coeffs)),
     st.lists(st.integers(min_value=-50, max_value=50), min_size=7, max_size=7))
@@ -143,3 +139,74 @@ def test_involute_is_multiplicative(a, b):
 @given(small_elements, small_elements)
 def test_augmentation_homomorphism(a, b):
     assert convolve(a, b).augmentation() == a.augmentation() * b.augmentation()
+
+
+# -- the quotient map Z[Z_M] -> Z[zeta_M], at M = 7 (prime) and 21 -------------
+
+def _ring_tuples(n):
+    def for_modulus(M):
+        element = st.lists(st.integers(min_value=-50, max_value=50),
+                           min_size=M, max_size=M).map(
+            lambda c: GroupRingElement(M, tuple(c)))
+        return st.tuples(*[element] * n)
+    return st.sampled_from([7, 21]).flatmap(for_modulus)
+
+
+def _phi(M):
+    return len(cyclotomic_polynomial(M)) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_tuples(1))
+def test_reduce_is_canonical_and_idempotent(elements):
+    (a,) = elements
+    r = a.reduce()
+    assert not any(r.coeffs[_phi(a.M):])
+    assert r.reduce() == r
+
+
+# a prime p = 1 mod M for each M, so F_p holds the primitive M-th roots of 1
+_SPLITTING_PRIMES = {7: 29, 21: 43}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_tuples(1))
+def test_reduce_keeps_values_at_primitive_roots(elements):
+    # Phi_M vanishes at every primitive M-th root of unity mod p, so an
+    # element and its reduction agree there
+    (a,) = elements
+    M, p = a.M, _SPLITTING_PRIMES[a.M]
+    roots = [w for w in range(2, p)
+             if pow(w, M, p) == 1 and all(pow(w, d, p) != 1 for d in range(1, M))]
+    assert len(roots) == _phi(M)
+    r = a.reduce()
+    for w in roots:
+        assert sum(c * pow(w, i, p) for i, c in enumerate(a.coeffs)) % p == \
+            sum(c * pow(w, i, p) for i, c in enumerate(r.coeffs)) % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_tuples(2))
+def test_reduce_is_a_ring_homomorphism(elements):
+    a, b = elements
+    assert (a + b).reduce() == (a.reduce() + b.reduce()).reduce()
+    assert (a * b).reduce() == (a.reduce() * b.reduce()).reduce()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_tuples(1))
+def test_reduce_commutes_with_involute(elements):
+    (a,) = elements
+    assert a.involute().reduce() == a.reduce().involute().reduce()
+
+
+@pytest.mark.parametrize("M", [7, 21])
+def test_zeta_basics(M):
+    # 1 + zeta + ... + zeta^(M-1) = 0, zeta^M = 1, conj(zeta) = zeta^(M-1)
+    assert from_set(M, range(M)).reduce() == GroupRingElement(M, (0,) * M)
+    x = from_set(M, {1})
+    power = GroupRingElement.identity(M)
+    for _ in range(M):
+        power = power * x
+    assert power.reduce() == GroupRingElement.identity(M)
+    assert x.involute() == from_set(M, {M - 1})
