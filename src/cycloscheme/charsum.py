@@ -16,7 +16,7 @@ import numpy as np
 from .binfield import BinaryField, FieldError, FieldTower, InternalCheckError
 from .cycpart import get_partition, psi_omega_a_D
 from .reporting import Report
-from .zmring import GroupRingElement
+from .zmring import GroupRingElement, exact_array, reduce_rows
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +27,9 @@ from .zmring import GroupRingElement
 # bounds the walk's working set (one uint8 per exponent, 1 MB).  Fields
 # smaller than a chunk get one chunk of about |K*| exponents.
 _CHUNK_BITS = 1 << 20
+
+# The walk holds field elements in uint64 states.
+WALK_DEGREE_LIMIT = 64
 
 _U64 = np.dtype("<u8")
 
@@ -78,9 +81,9 @@ def _trace_one_counts(K: BinaryField, M: int) -> list[int]:
     multiple of M, so a bit's position in the chunk gives its residue.
     Integer arrays only; the states are uint64, hence the degree bound.
     """
-    if K.degree > 64:
-        raise FieldError(f"the Gauss-period walk needs degree <= 64, "
-                         f"not {K.degree}")
+    if K.degree > WALK_DEGREE_LIMIT:
+        raise FieldError(f"the Gauss-period walk needs degree <= "
+                         f"{WALK_DEGREE_LIMIT}, not {K.degree}")
     g = K.generator
     n_words = M * max(1, min(_CHUNK_BITS, K.order) // (64 * M))
     L = 64 * n_words
@@ -172,6 +175,13 @@ def gauss_sum(tower: FieldTower, label: str, ell: int) -> GroupRingElement:
     return GroupRingElement(M, tuple(vec)).reduce()
 
 
+def _check_every_ell(report: Report, name: str, M: int, holds) -> None:
+    """One check that ``holds(ell)`` for every nonprincipal ell; every ell
+    is evaluated, and the detail names the first that fails."""
+    bad = [ell for ell in range(1, M) if not holds(ell)]
+    report.add(name, not bad, f"ell={bad[0]}" if bad else "")
+
+
 def verify_t1_gauss_identity(tower: FieldTower) -> Report:
     """G_F(chi^ell) = 2^s * sum over x in T1 of zeta^(ell*x), for every
     nonprincipal ell.  chi is evaluated at powers of omega; since the
@@ -182,15 +192,13 @@ def verify_t1_gauss_identity(tower: FieldTower) -> Report:
     q = 1 << tower.s
     part = get_partition(tower)
     report = Report(f"Gauss sum vs T1 identity (s={tower.s})")
-    all_ok = True
-    first = ""
-    for ell in range(1, M):
-        lhs = gauss_sum(tower, "F", ell)
+
+    def holds(ell):
         rhs = GroupRingElement.from_set(M, [(ell * x) % M for x in part.T1])
-        if lhs != rhs.scale(q).reduce() and all_ok:
-            all_ok = False
-            first = f"ell={ell}"
-    report.add("G_F(chi^ell) == 2^s sum_{x in T1} zeta^(ell x), all ell", all_ok, first)
+        return gauss_sum(tower, "F", ell) == rhs.scale(q).reduce()
+
+    _check_every_ell(report, "G_F(chi^ell) == 2^s sum_{x in T1} zeta^(ell x), all ell",
+                     M, holds)
     return report
 
 
@@ -204,18 +212,15 @@ def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
     sign = -1 if lift_degree == 2 else 1
     M = tower.M
     report = Report(f"Hasse-Davenport lift degree {lift_degree} (s={tower.s})")
-    all_ok = True
-    first = ""
-    for ell in range(1, M):
-        base = gauss_sum(tower, "F", ell)
-        power = base
+
+    def holds(ell):
+        base = power = gauss_sum(tower, "F", ell)
         for _ in range(lift_degree - 1):
             power = (power * base).reduce()
-        if gauss_sum(tower, label, ell) != power.scale(sign) and all_ok:
-            all_ok = False
-            first = f"ell={ell}"
-    report.add(f"G_{label}(chi'^ell) == {'-' if sign < 0 else ''}(G_F(chi^ell))^{lift_degree}",
-               all_ok, first)
+        return gauss_sum(tower, label, ell) == power.scale(sign)
+
+    _check_every_ell(report, f"G_{label}(chi'^ell) == {'-' if sign < 0 else ''}"
+                             f"(G_F(chi^ell))^{lift_degree}", M, holds)
     return report
 
 
@@ -225,15 +230,34 @@ def gauss_sum_modulus_check(tower: FieldTower, label: str) -> Report:
     M = tower.M
     size = GroupRingElement.identity(M).scale(K.size)
     report = Report(f"Gauss sum modulus over {label} (s={tower.s})")
-    all_ok = True
-    first = ""
-    for ell in range(1, M):
+
+    def holds(ell):
         g = gauss_sum(tower, label, ell)
-        if (g * g.involute()).reduce() != size and all_ok:
-            all_ok = False
-            first = f"ell={ell}"
-    report.add(f"G * conj(G) == {K.size}", all_ok, first)
+        return (g * g.involute()).reduce() == size
+
+    _check_every_ell(report, f"G * conj(G) == {K.size}", M, holds)
     return report
+
+
+def _periods_from_sums(M: int, sum_vectors, a_values) -> list[int]:
+    """``recover_period_from_sums`` for each a in ``a_values``: one gather
+    per a, one matrix product reducing all the sums modulo Phi_M."""
+    peak = max(abs(c) for vec in sum_vectors for c in vec)
+    stacked = exact_array(sum_vectors, M * peak)
+    ell = np.arange(M)
+    by_minus_ell = stacked[-ell % M]
+    # total[j] = sum over l of G(phi^(-l))[j - l*a]: window M - t of the
+    # doubled row l is that row shifted by t
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([by_minus_ell, by_minus_ell], axis=1), M, axis=1)
+    totals = [windows[ell, M - a * ell % M].sum(axis=0) for a in a_values]
+    reduced = reduce_rows(M, totals, M * peak)
+    if reduced[:, 1:].any():
+        raise InternalCheckError("period expansion is not a rational integer")
+    values = reduced[:, 0].tolist()
+    if any(value % M for value in values):
+        raise InternalCheckError("period expansion not divisible by M")
+    return [value // M for value in values]
 
 
 def recover_period_from_sums(M: int, sum_vectors: list[list[int]], a: int) -> int:
@@ -244,18 +268,7 @@ def recover_period_from_sums(M: int, sum_vectors: list[list[int]], a: int) -> in
     Raises if the combination fails to collapse to a rational integer
     divisible by M.
     """
-    total = [0] * M
-    for ell in range(M):
-        vec = sum_vectors[(-ell) % M]
-        shift = (ell * a) % M
-        for k, c in enumerate(vec):
-            total[(k + shift) % M] += c
-    value, *irrational = GroupRingElement(M, tuple(total)).reduce().coeffs
-    if any(irrational):
-        raise InternalCheckError("period expansion is not a rational integer")
-    if value % M:
-        raise InternalCheckError("period expansion not divisible by M")
-    return value // M
+    return _periods_from_sums(M, sum_vectors, [a])[0]
 
 
 def period_expansion_check(tower: FieldTower, label: str) -> Report:
@@ -264,14 +277,10 @@ def period_expansion_check(tower: FieldTower, label: str) -> Report:
     eta = gauss_periods(tower, label)
     vectors = [gauss_sum_power_vector(tower, label, ell) for ell in range(M)]
     report = Report(f"period-from-sums expansion over {label} (s={tower.s})")
-    all_ok = True
-    first = ""
-    for a in range(M):
-        got = recover_period_from_sums(M, vectors, a)
-        if got != eta[a] and all_ok:
-            all_ok = False
-            first = f"a={a}: {got} != {eta[a]}"
-    report.add("expansion reproduces all periods", all_ok, first)
+    got = _periods_from_sums(M, vectors, range(M))
+    bad = next((a for a in range(M) if got[a] != eta[a]), None)
+    report.add("expansion reproduces all periods", bad is None,
+               "" if bad is None else f"a={bad}: {got[bad]} != {eta[bad]}")
     return report
 
 
@@ -279,13 +288,7 @@ def conjugation_symmetry_check(tower: FieldTower, label: str) -> Report:
     """conj(G(chi^ell)) == G(chi^(M-ell)); psi(-1) = +1 in characteristic 2."""
     M = tower.M
     report = Report(f"conjugation symmetry over {label} (s={tower.s})")
-    all_ok = True
-    first = ""
-    for ell in range(1, M):
-        conj = gauss_sum(tower, label, ell).involute().reduce()
-        if conj != gauss_sum(tower, label, (M - ell) % M):
-            if all_ok:
-                all_ok = False
-                first = f"ell={ell}"
-    report.add("conj(G(ell)) == G(M-ell)", all_ok, first)
+    _check_every_ell(report, "conj(G(ell)) == G(M-ell)", M,
+                     lambda ell: gauss_sum(tower, label, ell).involute().reduce()
+                     == gauss_sum(tower, label, M - ell))
     return report

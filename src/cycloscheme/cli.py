@@ -83,6 +83,18 @@ def _target_lemma2(tower, config):
     return reports, []
 
 
+def _streams_h(config) -> bool:
+    return config.s < 3 or config.big
+
+
+def _walked_degree(config) -> int:
+    """The largest degree of a field whose Gauss periods the targets walk;
+    F, G and H have degrees 3s, 6s and 9s."""
+    per_s = {"thm1": 3, "im10": 3, "thm2i": 6, "duals": 6, "thm2ii": 9,
+             "gauss": 9 if _streams_h(config) else 6}
+    return config.s * max((per_s.get(t, 0) for t in config.targets), default=0)
+
+
 def _target_gauss(tower, config):
     reports = [charsum.verify_t1_gauss_identity(tower),
                charsum.gauss_sum_modulus_check(tower, "F"),
@@ -90,7 +102,7 @@ def _target_gauss(tower, config):
                charsum.period_expansion_check(tower, "F"),
                charsum.verify_hasse_davenport(tower, 2),
                charsum.eta_prime_law_check(tower)]
-    if config.s < 3 or config.big:
+    if _streams_h(config):
         reports.append(charsum.verify_hasse_davenport(tower, 3))
     else:
         skipped = Report(f"Hasse-Davenport lift degree 3 (s={config.s})")
@@ -171,7 +183,7 @@ def run(config: RunConfig, out=None) -> int:
     if bad:
         print(f"error: unknown targets {bad}", file=out)
         return USAGE_ERROR
-    if config.s >= 3 and "thm2ii" in config.targets and not config.big:
+    if "thm2ii" in config.targets and not _streams_h(config):
         print("error: thm2ii at s >= 3 streams a 2^(9s)-element field; "
               "pass --big to opt in", file=out)
         return USAGE_ERROR
@@ -180,6 +192,11 @@ def run(config: RunConfig, out=None) -> int:
         print(f"error: im10 verifies GF(2^{3 * config.s}) element by element, "
               f"which is limited to {schemecore._ORACLE_SIZE_LIMIT} elements",
               file=out)
+        return USAGE_ERROR
+    degree = _walked_degree(config)
+    if degree > charsum.WALK_DEGREE_LIMIT:
+        print(f"error: the targets walk GF(2^{degree}); the Gauss-period walk "
+              f"is limited to degree {charsum.WALK_DEGREE_LIMIT}", file=out)
         return USAGE_ERROR
     try:
         tower = build_tower(config.s, config.poly_f, config.poly_g, config.poly_h)

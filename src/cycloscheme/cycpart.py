@@ -66,6 +66,7 @@ def compute_D(tower: FieldTower) -> InverseTraceSet:
     return InverseTraceSet(frozenset(members))
 
 
+@cache
 def psi_omega_a_D(tower: FieldTower, a: int) -> int:
     if not (0 <= a < tower.M):
         raise FieldError(f"a = {a} out of range [0, {tower.M})")

@@ -375,15 +375,17 @@ def _element_census(K: BinaryField, sets) -> dict:
     powers = K.powers
     dlog = {u: e for e, u in enumerate(powers)}
     psi_pow = np.array([K.psi(u) for u in powers], dtype=np.int64)
-    eb = np.arange(order)
-    cols = np.zeros((order, len(sets)), dtype=np.int64)
-    for idx, S in enumerate(sets):
-        dls = np.array(sorted(dlog[x] for x in S), dtype=np.int64)
-        cols[:, idx] = psi_pow[(eb[:, None] + dls[None, :]) % order].sum(axis=1)
+    # column entry e is sum over x in S of psi(g^(e + dlog x)): one cyclic
+    # correlation of psi with the indicator of dlog S
+    wrapped = np.concatenate([psi_pow, psi_pow[:-1]])
+    cols = []
+    for S in sets:
+        indicator = np.zeros(order, dtype=np.int64)
+        indicator[[dlog[x] for x in S]] = 1
+        cols.append(np.correlate(wrapped, indicator, "valid").tolist())
     census: dict = {}
-    for e in range(order):
-        row = (1,) + tuple(int(v) for v in cols[e])
-        census.setdefault(row, set()).add(powers[e])
+    for e, row in enumerate(zip(*cols)):
+        census.setdefault((1,) + row, set()).add(powers[e])
     return {row: frozenset(g) for row, g in census.items()}
 
 

@@ -6,12 +6,17 @@ all coefficients are arbitrary-precision ints.  Z[zeta_M] = Z[x]/(Phi_M)
 is a quotient of Z[Z_M] = Z[x]/(x^M - 1), so one element type serves
 both: ``reduce`` picks the canonical representative modulo Phi_M, and two
 elements are equal in Z[zeta_M] exactly when their reductions are equal.
+
+Products and reductions are integer numpy code: int64 under a bound that
+rules out overflow, Python ints (dtype=object) otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+
+import numpy as np
 
 from .reporting import Report
 
@@ -52,6 +57,40 @@ def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
                 raise ValueError("division not exact")
             poly = quotient
     return tuple(poly)
+
+
+@cache
+def _reduction_tail(M: int) -> tuple[np.ndarray, int]:
+    """The int64 matrix whose row k is x^(phi(M) + k) mod Phi_M, and the
+    growth factor 1 + (its largest column abs-sum): a reduction's
+    coefficients are at most that factor times the largest input one."""
+    phi_poly = cyclotomic_polynomial(M)
+    phi = len(phi_poly) - 1
+    low = np.array(phi_poly[:phi], dtype=object)
+    row = -low
+    rows = []
+    for _ in range(M - phi):
+        rows.append(row)
+        # x * row, with its x^phi term rewritten as -top * (Phi_M - x^phi)
+        row = np.concatenate(([0], row[:-1])) - row[-1] * low
+    tail = np.array(rows, dtype=np.int64).reshape(M - phi, phi)
+    return tail, 1 + int(np.abs(tail).sum(axis=0).max(initial=0))
+
+
+def exact_array(values, bound: int) -> np.ndarray:
+    """``values`` as int64 when ``bound`` caps every absolute value the
+    caller computes from them below 2^63, as Python ints otherwise."""
+    return np.asarray(values, dtype=np.int64 if bound < 1 << 63 else object)
+
+
+def reduce_rows(M: int, rows, peak: int) -> np.ndarray:
+    """The phi(M) low coefficients of each row's remainder modulo Phi_M
+    (rows of length M, no entry above ``peak`` in absolute value): the low
+    part plus the high part times the tail matrix."""
+    tail, growth = _reduction_tail(M)
+    rows = exact_array(rows, peak * growth)
+    phi = M - len(tail)
+    return rows[..., :phi] + rows[..., phi:] @ tail.astype(rows.dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -132,10 +171,7 @@ class GroupRingElement:
 
     def involute(self) -> "GroupRingElement":
         """Coefficient at i moves to -i mod M."""
-        out = [0] * self.M
-        for i, c in enumerate(self.coeffs):
-            out[(-i) % self.M] = c
-        return GroupRingElement(self.M, tuple(out))
+        return GroupRingElement(self.M, self.coeffs[:1] + self.coeffs[:0:-1])
 
     def augmentation(self) -> int:
         return sum(self.coeffs)
@@ -143,9 +179,8 @@ class GroupRingElement:
     def reduce(self) -> "GroupRingElement":
         """The canonical representative of the image in Z[zeta_M]: the
         remainder modulo Phi_M, zero from index phi(M) upward."""
-        work = list(self.coeffs)
-        _divide(work, cyclotomic_polynomial(self.M))
-        return GroupRingElement(self.M, tuple(work))
+        low = reduce_rows(self.M, self.coeffs, max(map(abs, self.coeffs))).tolist()
+        return GroupRingElement(self.M, tuple(low) + (0,) * (self.M - len(low)))
 
 
 def from_set(M: int, S) -> GroupRingElement:
@@ -156,14 +191,13 @@ def convolve(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     if a.M != b.M:
         raise GroupRingError("modulus mismatch")
     M = a.M
-    # the product over nonzero pairs lands in 2M slots, folded once mod x^M - 1
-    acc = [0] * (2 * M)
-    b_terms = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
-    for i, ca in enumerate(a.coeffs):
-        if ca:
-            for j, cb in b_terms:
-                acc[i + j] += ca * cb
-    result = GroupRingElement(M, tuple(x + y for x, y in zip(acc, acc[M:])))
+    # a cyclic coefficient is a sum of M products; peaks taken >= 1 make the
+    # bound cover the operands too
+    bound = max(1, *map(abs, a.coeffs)) * max(1, *map(abs, b.coeffs)) * M
+    full = np.convolve(exact_array(a.coeffs, bound), exact_array(b.coeffs, bound))
+    cyclic = full[:M]
+    cyclic[:M - 1] += full[M:]
+    result = GroupRingElement(M, tuple(cyclic.tolist()))
     if result.augmentation() != a.augmentation() * b.augmentation():
         raise GroupRingError("augmentation mismatch after convolution")
     return result
@@ -175,14 +209,10 @@ def involute(a: GroupRingElement) -> GroupRingElement:
 
 def _equation_check(report: Report, name: str, lhs: GroupRingElement,
                     rhs: GroupRingElement) -> None:
-    if lhs.coeffs == rhs.coeffs:
-        report.add(name, True)
-        return
-    for i, (l, r) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-        if l != r:
-            report.add(name, False,
-                       f"first differing coefficient at index {i}: {l} != {r}")
-            return
+    diff = [i for i, (l, r) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if l != r]
+    report.add(name, not diff, f"first differing coefficient at index {diff[0]}: "
+                               f"{lhs.coeffs[diff[0]]} != {rhs.coeffs[diff[0]]}"
+               if diff else "")
 
 
 def _t_elements(part):

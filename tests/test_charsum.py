@@ -181,6 +181,17 @@ def test_period_expansion_round_trip(label):
         assert recover_period_from_sums(7, vectors, a) == eta[a]
 
 
+def test_period_expansion_exact_beyond_int64():
+    # scaled by 2^70 the sums no longer fit int64, so the expansion runs on
+    # Python ints and must still recover the scaled periods exactly
+    tower = build_tower(1)
+    eta = gauss_periods(tower, "F")
+    vectors = [[c << 70 for c in gauss_sum_power_vector(tower, "F", ell)]
+               for ell in range(7)]
+    assert [recover_period_from_sums(7, vectors, a) for a in range(7)] == \
+        [e << 70 for e in eta]
+
+
 def test_period_expansion_all_s2():
     assert period_expansion_check(build_tower(2), "F").passed
 

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from cycloscheme import cli
 from cycloscheme.binfield import build_tower
-from cycloscheme.cli import RunConfig, TARGETS, _target_fields, main, run
+from cycloscheme.cli import (RunConfig, TARGETS, _target_fields, _walked_degree,
+                             main, run)
 from cycloscheme.schemecore import _ORACLE_SIZE_LIMIT, _mat_mul
 
 
@@ -49,6 +51,28 @@ def test_im10_s5_is_usage_error():
     assert run_quiet(RunConfig(s=5, targets=("im10",)))[0] == 2
 
 
+@pytest.mark.parametrize("config", [
+    RunConfig(s=8, targets=("thm2ii",), big=True),  # H = GF(2^72)
+    RunConfig(s=11, targets=("thm2i",)),            # G = GF(2^66)
+], ids=["H-s8", "G-s11"])
+def test_walk_above_degree_64_is_refused_up_front(monkeypatch, config):
+    def no_tower(*args):
+        raise AssertionError("the tower must not be built")
+
+    monkeypatch.setattr(cli, "build_tower", no_tower)
+    code, text = run_quiet(config)
+    assert code == 2
+    assert "limited to degree 64" in text
+
+
+def test_walked_degree_follows_the_targets():
+    assert _walked_degree(RunConfig(s=7, targets=("thm2ii",), big=True)) == 63
+    # gauss walks H only when it streams it
+    assert _walked_degree(RunConfig(s=8, targets=("gauss",))) == 48
+    assert _walked_degree(RunConfig(s=8, targets=("gauss",), big=True)) == 72
+    assert _walked_degree(RunConfig(s=8, targets=("partition", "lemma2"))) == 0
+
+
 def test_skipped_check_is_not_a_pass(tmp_path):
     path = tmp_path / "catalog.json"
     code, text = run_quiet(RunConfig(s=3, targets=("gauss",), json_path=str(path)))
@@ -62,17 +86,21 @@ def test_skipped_check_is_not_a_pass(tmp_path):
 
 
 # SHA-256 of the catalog's schemes section and the number of checks, as
-# recorded in perfbench/references.json: the whole-catalog behaviour oracle
+# recorded in perfbench/references.json: the whole-catalog behaviour oracle.
+# From s = 3 on the references leave out thm2ii, which needs --big there.
 CATALOG_REFERENCES = {
     1: ("42d1839c5c663e0fbb026fae0bc4c28e42a83a36bc32fd0f992afdd5d6a37cfa", 75),
     2: ("34ddcb3c0662b2934d3a46830f3ec95286184b37e1c0df8d01c02b62b457f7f3", 75),
+    3: ("d155fb97348d55463caafe486c7ec94f75e8cb23e0b91f9f96fddc93d1da43cb", 63),
+    4: ("2dfbd4f3ba99c5f894f13e65c5292bbc2dea9aa68120825b9c55f3c36785e3f1", 63),
 }
 
 
 @pytest.mark.parametrize("s", sorted(CATALOG_REFERENCES))
 def test_catalog_matches_reference(tmp_path, s):
     path = tmp_path / "catalog.json"
-    code, _ = run_quiet(RunConfig(s=s, json_path=str(path)))
+    targets = TARGETS if s < 3 else tuple(t for t in TARGETS if t != "thm2ii")
+    code, _ = run_quiet(RunConfig(s=s, targets=targets, json_path=str(path)))
     assert code == 0
     payload = json.loads(path.read_text())
     schemes = json.dumps(payload["schemes"], sort_keys=True, separators=(",", ":"))

@@ -1,13 +1,18 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycloscheme import zmring
 from cycloscheme.binfield import build_tower
 from cycloscheme.cycpart import CyclotomicPartition, get_partition
 from cycloscheme.zmring import (GroupRingElement, GroupRingError, convolve,
                                 cyclotomic_polynomial, delta_square_check,
                                 doubling_check, from_set, involute,
                                 verify_lemma2, verify_remark_eqs)
+from ring_oracle import convolve_reference, reduce_reference
 
 PART_S1 = CyclotomicPartition(1, 7, (1, 2, 4), (3, 5, 6), (0,))
 
@@ -210,3 +215,84 @@ def test_zeta_basics(M):
         power = power * x
     assert power.reduce() == GroupRingElement.identity(M)
     assert x.involute() == from_set(M, {M - 1})
+
+
+# -- the numpy kernels against the pure-Python reference ----------------------
+
+# M = q^2 + q + 1 for s = 1..4
+ORACLE_MODULI = [7, 21, 73, 273]
+INT64_MAX = (1 << 63) - 1
+
+
+@pytest.fixture
+def chosen_dtypes(monkeypatch):
+    """The dtype of every array the kernels build from Python coefficients."""
+    dtypes = []
+    exact_array = zmring.exact_array
+
+    def recording(values, bound):
+        array = exact_array(values, bound)
+        dtypes.append(array.dtype)
+        return array
+
+    monkeypatch.setattr(zmring, "exact_array", recording)
+    return dtypes
+
+
+# small coefficients take the int64 path; coefficients near 2^70 overflow
+# any int64 bound and take the Python-int path
+@pytest.mark.parametrize("magnitude,dtype", [(50, np.int64), (1 << 70, object)])
+@pytest.mark.parametrize("M", ORACLE_MODULI)
+def test_kernels_match_reference(chosen_dtypes, M, magnitude, dtype):
+    rng = random.Random(M)
+    for _ in range(3):
+        a, b = (tuple(rng.randint(-magnitude, magnitude) for _ in range(M))
+                for _ in range(2))
+        assert GroupRingElement(M, a).reduce().coeffs == reduce_reference(M, a)
+        assert convolve(GroupRingElement(M, a), GroupRingElement(M, b)).coeffs == \
+            convolve_reference(M, a, b)
+    assert set(chosen_dtypes) == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("M", ORACLE_MODULI)
+def test_convolve_either_side_of_the_int64_bound(chosen_dtypes, M):
+    # every cyclic coefficient of a constant times a constant is M*A*B: just
+    # below 2^63 on one side of the bound, at least 2^63 on the other
+    A = 1 << 31
+    B = INT64_MAX // (M * A)
+    for b_value, dtype in ((B, np.int64), (B + 1, object)):
+        a, b = (A,) * M, (b_value,) * M
+        chosen_dtypes.clear()
+        product = convolve(GroupRingElement(M, a), GroupRingElement(M, b))
+        assert product.coeffs == convolve_reference(M, a, b) == (M * A * b_value,) * M
+        assert chosen_dtypes == [np.dtype(dtype)] * 2
+
+
+def test_convolve_by_zero_keeps_a_huge_operand_exact():
+    # the product is 0, but the other operand itself does not fit int64
+    huge = GroupRingElement(7, (1 << 70,) * 7)
+    zero = GroupRingElement(7, (0,) * 7)
+    assert convolve(huge, zero) == convolve(zero, huge) == zero
+
+
+@pytest.mark.parametrize("M", ORACLE_MODULI)
+def test_reduce_either_side_of_the_int64_bound(chosen_dtypes, M):
+    # x^(phi + k) mod Phi_M from the reference; the column with the largest
+    # abs-sum sets the growth factor, and an input whose high coefficients
+    # carry that column's signs makes the reduction reach value * growth
+    phi = _phi(M)
+    tail = [reduce_reference(M, [0] * (phi + k) + [1] + [0] * (M - phi - k - 1))
+            for k in range(M - phi)]
+    col = max(range(phi), key=lambda j: sum(abs(row[j]) for row in tail))
+    growth = 1 + sum(abs(row[col]) for row in tail)
+    V = INT64_MAX // growth
+    for value, dtype in ((V, np.int64), (V + 1, object)):
+        coeffs = [0] * M
+        coeffs[col] = value
+        for k, row in enumerate(tail):
+            coeffs[phi + k] = value if row[col] >= 0 else -value
+        expected = reduce_reference(M, coeffs)
+        assert expected[col] == value * growth
+        chosen_dtypes.clear()
+        assert GroupRingElement(M, tuple(coeffs)).reduce().coeffs == expected
+        assert chosen_dtypes == [np.dtype(dtype)]
