@@ -153,15 +153,31 @@ def eta_prime_law_check(tower: FieldTower) -> Report:
 # Gauss sums
 # ---------------------------------------------------------------------------
 
+@cache
+def period_array(tower: FieldTower, label: str) -> np.ndarray:
+    """``gauss_periods`` as a read-only array, int64 when sum |eta| (which
+    bounds any sum of distinct periods) is below 2^63."""
+    eta = gauss_periods(tower, label)
+    eta = exact_array(eta, sum(map(abs, eta)))
+    eta.flags.writeable = False
+    return eta
+
+
+def _power_vectors(tower: FieldTower, label: str, ells) -> np.ndarray:
+    """Row i is the unreduced length-M power vector of G(phi^ells[i]), one
+    scatter for all rows."""
+    M = tower.M
+    eta = period_array(tower, label)
+    ells = np.asarray(ells)[:, None]
+    vectors = np.zeros((len(ells), M), dtype=eta.dtype)
+    np.add.at(vectors, (np.arange(len(ells))[:, None], ells * np.arange(M) % M), eta)
+    return vectors
+
+
 def gauss_sum_power_vector(tower: FieldTower, label: str, ell: int) -> list[int]:
     """Unreduced length-M power vector of G(phi^ell); coefficient at k is
     the sum of the periods eta_j over j with j*ell = k mod M."""
-    M = tower.M
-    eta = gauss_periods(tower, label)
-    vec = [0] * M
-    for j, e in enumerate(eta):
-        vec[(j * ell) % M] += e
-    return vec
+    return _power_vectors(tower, label, [ell % tower.M])[0].tolist()
 
 
 @cache
@@ -239,22 +255,32 @@ def gauss_sum_modulus_check(tower: FieldTower, label: str) -> Report:
     return report
 
 
+# Periods recovered per block of the expansion: a block's unreduced totals
+# are this many rows of length M, which bounds what the reduction holds.
+_EXPANSION_BLOCK = 64
+
+
 def _periods_from_sums(M: int, sum_vectors, a_values) -> list[int]:
     """``recover_period_from_sums`` for each a in ``a_values``: one gather
-    per a, one matrix product reducing all the sums modulo Phi_M."""
-    peak = max(abs(c) for vec in sum_vectors for c in vec)
-    stacked = exact_array(sum_vectors, M * peak)
+    per a, one matrix product per block of a values reducing their sums
+    modulo Phi_M."""
+    stacked = np.asarray(sum_vectors)
+    peak = max(int(stacked.max()), -int(stacked.min()))
+    stacked = exact_array(stacked, M * peak)
     ell = np.arange(M)
-    by_minus_ell = stacked[-ell % M]
+    minus_ell = -ell % M
     # total[j] = sum over l of G(phi^(-l))[j - l*a]: window M - t of the
-    # doubled row l is that row shifted by t
+    # doubled row -l is that row shifted by t
     windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([by_minus_ell, by_minus_ell], axis=1), M, axis=1)
-    totals = [windows[ell, M - a * ell % M].sum(axis=0) for a in a_values]
-    reduced = reduce_rows(M, totals, M * peak)
-    if reduced[:, 1:].any():
-        raise InternalCheckError("period expansion is not a rational integer")
-    values = reduced[:, 0].tolist()
+        np.concatenate([stacked, stacked], axis=1), M, axis=1)
+    values = []
+    for start in range(0, len(a_values), _EXPANSION_BLOCK):
+        totals = [windows[minus_ell, M - a * ell % M].sum(axis=0)
+                  for a in a_values[start:start + _EXPANSION_BLOCK]]
+        reduced = reduce_rows(M, totals, M * peak)
+        if reduced[:, 1:].any():
+            raise InternalCheckError("period expansion is not a rational integer")
+        values += reduced[:, 0].tolist()
     if any(value % M for value in values):
         raise InternalCheckError("period expansion not divisible by M")
     return [value // M for value in values]
@@ -275,9 +301,8 @@ def period_expansion_check(tower: FieldTower, label: str) -> Report:
     """The Gauss-sum expansion must reproduce every direct period."""
     M = tower.M
     eta = gauss_periods(tower, label)
-    vectors = [gauss_sum_power_vector(tower, label, ell) for ell in range(M)]
     report = Report(f"period-from-sums expansion over {label} (s={tower.s})")
-    got = _periods_from_sums(M, vectors, range(M))
+    got = _periods_from_sums(M, _power_vectors(tower, label, range(M)), range(M))
     bad = next((a for a in range(M) if got[a] != eta[a]), None)
     report.add("expansion reproduces all periods", bad is None,
                "" if bad is None else f"a={bad}: {got[bad]} != {eta[bad]}")

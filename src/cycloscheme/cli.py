@@ -7,6 +7,7 @@ import argparse
 import json
 import random
 import sys
+import time
 from dataclasses import dataclass, field
 
 from . import charsum, paperbook, schemecore, zmring
@@ -208,7 +209,10 @@ def run(config: RunConfig, out=None) -> int:
     reports: list[Report] = []
     records = []
     for target in ordered:
+        start = time.perf_counter()
         target_reports, target_records = _RUNNERS[target](tower, config)
+        if config.verbose:
+            print(f"{target}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
         reports.extend(target_reports)
         records.extend(target_records)
     for report in reports:
@@ -269,7 +273,8 @@ def _parse_args(argv) -> argparse.Namespace:
                         help="allow 2^(9s)-element streaming at s >= 3")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized spot-checks")
-    parser.add_argument("-v", "--verbose", action="store_true")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="print each target's wall time on stderr")
     return parser.parse_args(argv)
 
 

@@ -3,14 +3,21 @@
 Two independent routes compute the partition: the character sums
 psi(omega^a D), and the tangent/secant point counts |S_a| on the
 trace quadric.  They must agree.
+
+D, the quadric Q = {u : tr(u^(q+1)) = 0} and Z = ker tr_{F/E} are
+unions of the order-M classes C_r = omega^r E*, so both routes are folds
+of M-periodic indicators over the exponents k of g^k = omega^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
-from .binfield import FieldError, FieldTower, InternalCheckError
+import numpy as np
+
+from .binfield import BinaryField, FieldError, FieldTower, InternalCheckError
 from .reporting import Report
 
 
@@ -43,81 +50,121 @@ class InverseTraceSet:
     members: frozenset[int]
 
 
+class _ClassIndicators(NamedTuple):
+    """Read-only boolean arrays over the exponents k in [0, |F*|)."""
+    Z: np.ndarray  # tr_{F/E}(g^k) = 0
+    D: np.ndarray  # g^k in D: tr_{F/E}(g^-k) = 0
+    Q: np.ndarray  # g^k on the quadric: tr_{F/E}(g^(k(q+1))) = 0
+
+
+def _parities(F: BinaryField, masks) -> np.ndarray:
+    """Row i is the parity of g^k & masks[i] for every exponent k: the
+    GF(2)-linear functional with that mask, read along the powers of g."""
+    powers = np.array(F.powers, dtype=np.uint64)
+    return np.array([np.bitwise_count(powers & np.uint64(mask)) & 1 for mask in masks])
+
+
+def _trace_zero_indicator(F: BinaryField, s: int) -> np.ndarray:
+    """Z[k] is True when tr_{F/E}(g^k) = 0, i.e. when g^k has even parity
+    against every mask of ``subfield_zero_masks``."""
+    return ~_parities(F, F.subfield_zero_masks(s)).any(axis=0)
+
+
+@cache
+def _class_indicators(tower: FieldTower) -> _ClassIndicators:
+    """Z, D and Q as index maps of one trace-zero indicator, checked before
+    any route folds them: |D| = q^2 - 1, D equals Q (the quadratic-form
+    description of D), and all three are E*-invariant, i.e. reshaped to
+    (q - 1, M) their rows are equal."""
+    F, M = tower.F, tower.M
+    q = 1 << tower.s
+    zero = _trace_zero_indicator(F, tower.s)
+    k = np.arange(F.order)
+    # gcd(q + 1, q^3 - 1) = 1, so k -> k(q + 1) permutes the exponents
+    ind = _ClassIndicators(zero, zero[-k % F.order], zero[k * (q + 1) % F.order])
+    size = int(ind.D.sum())
+    if size != q * q - 1:
+        raise InternalCheckError(f"|D| = {size}, expected {q * q - 1}")
+    if not np.array_equal(ind.D, ind.Q):
+        raise InternalCheckError("quadratic-form description of D failed")
+    for name, arr in ind._asdict().items():
+        if not (arr.reshape(q - 1, M) == arr[:M]).all():
+            raise InternalCheckError(f"{name} is not E*-invariant")
+        arr.flags.writeable = False
+    return ind
+
+
 @cache
 def compute_D(tower: FieldTower) -> InverseTraceSet:
-    F, s = tower.F, tower.s
-    q = 1 << s
-    powers = F.powers
-    # the inverse of omega^k is omega^(-k)
-    members = {u for k, u in enumerate(powers)
-               if F.rel_trace_is_zero(s, powers[-k % F.order])}
-    if len(members) != q * q - 1:
-        raise InternalCheckError(f"|D| = {len(members)}, expected {q * q - 1}")
-    # quadratic-form description: D = {u : tr(u^(q+1)) = 0}
-    for u in powers:
-        qform_zero = F.rel_trace_is_zero(s, F.mul(F.pow(u, q), u))
-        if (u in members) != qform_zero:
-            raise InternalCheckError("quadratic-form description of D failed")
-    # E*-invariance: D * g = D for every nonzero g in the embedded E
-    e_star = {F.pow(tower.omega, k * tower.M) for k in range(q - 1)}
-    for g in e_star:
-        if {F.mul(d, g) for d in members} != members:
-            raise InternalCheckError("D is not E*-invariant")
-    return InverseTraceSet(frozenset(members))
+    D = _class_indicators(tower).D
+    return InverseTraceSet(frozenset(np.array(tower.F.powers)[D].tolist()))
+
+
+def _class_psi_sums(tower: FieldTower) -> np.ndarray:
+    """c[r] = sum over j of psi(omega^(r + jM)): the psi-sum over the class
+    C_r, read from the power table, independent of the period walk."""
+    F, M = tower.F, tower.M
+    ones = _parities(F, [F.trace_mask]).reshape(-1, M).sum(axis=0, dtype=np.int64)
+    return F.order // M - 2 * ones
+
+
+def cyclic_sums(values: np.ndarray, index_sets) -> list[list[int]]:
+    """Column S, entry a: the sum over i in S of values[(a + i) mod n], as
+    Python ints; one exact cyclic correlation of the integer values with
+    the indicator of each set."""
+    n = len(values)
+    wrapped = np.concatenate([values, values[:-1]])
+    columns = []
+    for S in index_sets:
+        indicator = np.zeros(n, dtype=values.dtype)
+        indicator[list(S)] = 1
+        columns.append(np.correlate(wrapped, indicator, "valid").tolist())
+    return columns
+
+
+def _split(tower: FieldTower, values, keys, name: str) -> CyclotomicPartition:
+    """T1, T2, T3: the a whose value is keys[0], keys[1], keys[2]."""
+    blocks = {key: [] for key in keys}
+    for a, value in enumerate(values):
+        if value not in blocks:
+            raise InternalCheckError(f"{name.format(a)} = {value} outside {keys}")
+        blocks[value].append(a)
+    return CyclotomicPartition(tower.s, tower.M, *map(tuple, blocks.values()))
 
 
 @cache
+def _psi_route(tower: FieldTower) -> tuple[tuple[int, ...], CyclotomicPartition]:
+    """psi(omega^a D) = sum over r in dlog D mod M of c[(a + r) mod M] for
+    every a, and the partition by its three values -1, q - 1, -q - 1."""
+    q = 1 << tower.s
+    R = np.flatnonzero(_class_indicators(tower).D[:tower.M])
+    values = tuple(cyclic_sums(_class_psi_sums(tower), [R])[0])
+    return values, _split(tower, values, (-1, q - 1, -q - 1), "psi(omega^{} D)")
+
+
 def psi_omega_a_D(tower: FieldTower, a: int) -> int:
     if not (0 <= a < tower.M):
         raise FieldError(f"a = {a} out of range [0, {tower.M})")
-    F = tower.F
-    wa = F.pow(tower.omega, a)
-    total = sum(F.psi(F.mul(wa, u)) for u in compute_D(tower).members)
-    q = 1 << tower.s
-    if total not in (-1, q - 1, -q - 1):
-        raise InternalCheckError(
-            f"psi(omega^{a} D) = {total} outside the three-value set"
-        )
-    return total
+    return _psi_route(tower)[0][a]
 
 
 def partition_by_psiD(tower: FieldTower) -> CyclotomicPartition:
-    q = 1 << tower.s
-    t1, t2, t3 = [], [], []
-    for a in range(tower.M):
-        v = psi_omega_a_D(tower, a)
-        if v == -1:
-            t1.append(a)
-        elif v == q - 1:
-            t2.append(a)
-        else:
-            t3.append(a)
-    return CyclotomicPartition(tower.s, tower.M, tuple(t1), tuple(t2), tuple(t3))
+    return _psi_route(tower)[1]
 
 
 def partition_by_trace(tower: FieldTower) -> CyclotomicPartition:
     """Independent route: T1 from trace zeros of omega^i, the T2/T3 split
-    from the sizes of S_a = {u : tr(u^(q+1)) = 0, tr(omega^a u) = 0}."""
-    F, s, M = tower.F, tower.s, tower.M
-    q = 1 << s
-    powers = F.powers
-    quadric = [u for u in powers if F.rel_trace_is_zero(s, F.mul(F.pow(u, q), u))]
-    trace_zero_T1 = {i for i in range(M) if F.rel_trace_is_zero(s, powers[i])}
-    t1, t2, t3 = [], [], []
-    for a in range(M):
-        wa = powers[a]
-        size = sum(1 for u in quadric if F.rel_trace_is_zero(s, F.mul(wa, u)))
-        if size == q - 1:
-            t1.append(a)
-        elif size == 2 * (q - 1):
-            t2.append(a)
-        elif size == 0:
-            t3.append(a)
-        else:
-            raise InternalCheckError(f"|S_{a}| = {size} outside the allowed sizes")
-    if set(t1) != trace_zero_T1:
+    from the sizes of S_a = {u : tr(u^(q+1)) = 0, tr(omega^a u) = 0},
+    |S_a| = (q - 1) * #{r in dlog Q mod M : (a + r) mod M in dlog Z mod M}."""
+    q, M = 1 << tower.s, tower.M
+    ind = _class_indicators(tower)
+    zero_row = ind.Z[:M]
+    counts = cyclic_sums(zero_row.astype(np.int64), [np.flatnonzero(ind.Q[:M])])[0]
+    sizes = (q - 1) * np.array(counts)
+    part = _split(tower, sizes.tolist(), (q - 1, 2 * (q - 1), 0), "|S_{}|")
+    if not np.array_equal(zero_row, sizes == q - 1):
         raise InternalCheckError("tangent-count T1 disagrees with trace-zero T1")
-    return CyclotomicPartition(s, M, tuple(t1), tuple(t2), tuple(t3))
+    return part
 
 
 @cache
@@ -130,11 +177,13 @@ def get_partition(tower: FieldTower) -> CyclotomicPartition:
 
 
 def d_class_check(tower: FieldTower) -> Report:
-    """D must be the union of the cyclotomic classes indexed by -T1."""
+    """D must be the union of the cyclotomic classes indexed by -T1; D is
+    E*-invariant, so its first row of exponents decides that."""
     part = get_partition(tower)
     M = tower.M
-    neg_t1 = {(-i) % M for i in part.T1}
-    union = {u for k, u in enumerate(tower.F.powers) if k % M in neg_t1}
+    neg_t1 = np.zeros(M, dtype=bool)
+    neg_t1[[(-i) % M for i in part.T1]] = True
     report = Report(f"D as a class union (s={tower.s})")
-    report.add("D == union of C_i, i in -T1", union == compute_D(tower).members)
+    report.add("D == union of C_i, i in -T1",
+               np.array_equal(_class_indicators(tower).D[:M], neg_t1))
     return report

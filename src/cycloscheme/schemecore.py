@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .binfield import BinaryField, FieldTower, InternalCheckError
-from .charsum import gauss_periods
-from .cycpart import compute_D, get_partition
+from .charsum import gauss_periods, period_array
+from .cycpart import compute_D, cyclic_sums, get_partition
 from .reporting import Report
 
 _ORACLE_SIZE_LIMIT = 1 << 12
@@ -159,13 +159,12 @@ def bannai_muzychuk_verify(tower: FieldTower, field_label: str,
                            pattern: FusionPattern) -> BMResult:
     """Group a in Z_M by character row; the fusion is a d-class scheme iff
     exactly d distinct rows occur, none equal to the degree row."""
-    eta = gauss_periods(tower, field_label)
     M = pattern.M
     d = len(pattern.blocks)
     census: dict = {}
-    for a in range(M):
-        row = (1,) + tuple(sum(eta[(a + i) % M] for i in b) for b in pattern.blocks)
-        census.setdefault(row, []).append(a)
+    columns = cyclic_sums(period_array(tower, field_label), pattern.blocks)
+    for a, row in enumerate(zip(*columns)):
+        census.setdefault((1,) + row, []).append(a)
     degree_row = character_row(tower, field_label, pattern, None)
     is_scheme = len(census) == d and degree_row not in census
     if not is_scheme:
@@ -371,20 +370,13 @@ def brute_force_intersection_oracle(tower: FieldTower, field_label: str,
 def _element_census(K: BinaryField, sets) -> dict:
     """Character rows (1, sum psi(b x) over x in each set) for all b != 0,
     grouped as row -> frozenset of b."""
-    order = K.order
     powers = K.powers
     dlog = {u: e for e, u in enumerate(powers)}
     psi_pow = np.array([K.psi(u) for u in powers], dtype=np.int64)
-    # column entry e is sum over x in S of psi(g^(e + dlog x)): one cyclic
-    # correlation of psi with the indicator of dlog S
-    wrapped = np.concatenate([psi_pow, psi_pow[:-1]])
-    cols = []
-    for S in sets:
-        indicator = np.zeros(order, dtype=np.int64)
-        indicator[[dlog[x] for x in S]] = 1
-        cols.append(np.correlate(wrapped, indicator, "valid").tolist())
+    # entry e of a row sums psi(g^(e + dlog x)) over x in a set
+    columns = cyclic_sums(psi_pow, [[dlog[x] for x in S] for S in sets])
     census: dict = {}
-    for e, row in enumerate(zip(*cols)):
+    for e, row in enumerate(zip(*columns)):
         census.setdefault((1,) + row, set()).add(powers[e])
     return {row: frozenset(g) for row, g in census.items()}
 

@@ -87,20 +87,30 @@ def test_skipped_check_is_not_a_pass(tmp_path):
 
 # SHA-256 of the catalog's schemes section and the number of checks, as
 # recorded in perfbench/references.json: the whole-catalog behaviour oracle.
-# From s = 3 on the references leave out thm2ii, which needs --big there.
+# From s = 3 on the references leave out thm2ii, which needs --big there; at
+# s = 5 they keep the targets that walk no field beyond F.
 CATALOG_REFERENCES = {
     1: ("42d1839c5c663e0fbb026fae0bc4c28e42a83a36bc32fd0f992afdd5d6a37cfa", 75),
     2: ("34ddcb3c0662b2934d3a46830f3ec95286184b37e1c0df8d01c02b62b457f7f3", 75),
     3: ("d155fb97348d55463caafe486c7ec94f75e8cb23e0b91f9f96fddc93d1da43cb", 63),
     4: ("2dfbd4f3ba99c5f894f13e65c5292bbc2dea9aa68120825b9c55f3c36785e3f1", 63),
+    5: ("4af4537d5d5a8cd7cfe1e8b6898e7943efd0c012714c20919ed4436896c9a1f0", 33),
 }
+
+
+def reference_targets(s):
+    if s < 3:
+        return TARGETS
+    if s < 5:
+        return tuple(t for t in TARGETS if t != "thm2ii")
+    return ("fields", "partition", "lemma2", "thm1", "appendix")
 
 
 @pytest.mark.parametrize("s", sorted(CATALOG_REFERENCES))
 def test_catalog_matches_reference(tmp_path, s):
     path = tmp_path / "catalog.json"
-    targets = TARGETS if s < 3 else tuple(t for t in TARGETS if t != "thm2ii")
-    code, _ = run_quiet(RunConfig(s=s, targets=targets, json_path=str(path)))
+    code, _ = run_quiet(RunConfig(s=s, targets=reference_targets(s),
+                                  json_path=str(path)))
     assert code == 0
     payload = json.loads(path.read_text())
     schemes = json.dumps(payload["schemes"], sort_keys=True, separators=(",", ":"))
@@ -170,3 +180,19 @@ def test_embedded_omega_order_check_sees_every_prime(monkeypatch):
     failed = {c.name for c in reports[0].failures()}
     assert failed == {"embedded omega keeps its order in G",
                       "embedded omega keeps its order in H"}
+
+
+def test_verbose_times_each_target_on_stderr_only(tmp_path, capsys):
+    outputs = []
+    for verbose in (False, True):
+        path = tmp_path / f"catalog-{verbose}.json"
+        code, text = run_quiet(RunConfig(s=2, json_path=str(path), verbose=verbose))
+        assert code == 0
+        outputs.append((text, path.read_bytes(), capsys.readouterr()))
+    (text, catalog, quiet), (verbose_text, verbose_catalog, loud) = outputs
+    assert verbose_text == text
+    assert verbose_catalog == catalog
+    assert quiet.out == quiet.err == loud.out == ""
+    lines = loud.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(TARGETS)
+    assert all(line.endswith(" s") for line in lines)

@@ -1,11 +1,16 @@
+import numpy as np
 import pytest
 
+from cycloscheme import cycpart
 from cycloscheme.binfield import InternalCheckError, build_tower
+from cycloscheme.charsum import gauss_periods
 from cycloscheme.cycpart import (CyclotomicPartition, compute_D, d_class_check,
                                  get_partition, partition_by_psiD,
                                  partition_by_trace, psi_omega_a_D)
 
 from gf_oracle import gf_mul, gf_pow, gf_trace
+from partition_oracle import (compute_D_reference, partition_by_trace_reference,
+                              psi_omega_D_reference)
 
 
 def brute_force_D(tower):
@@ -103,3 +108,104 @@ def test_trace_zero_abs_values_oracle_s1():
         u = gf_mul(u, F.generator, F.modulus)
     part = get_partition(tower)
     assert zero_classes == set(part.T1)
+
+
+@pytest.mark.parametrize("s, poly_f", [(1, None), (2, None), (3, None), (4, None),
+                                       (2, 0x61), (3, 0x221)])
+def test_class_folds_match_the_element_walk(s, poly_f):
+    tower = build_tower(s, poly_f)
+    assert compute_D(tower).members == compute_D_reference(tower)
+    assert [psi_omega_a_D(tower, a) for a in range(tower.M)] == \
+        psi_omega_D_reference(tower)
+    part = partition_by_trace(tower)
+    assert (part.T1, part.T2, part.T3) == partition_by_trace_reference(tower)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_class_psi_sums_are_the_F_periods(s):
+    # route 1 reads the power table, the periods come from the m-sequence walk
+    tower = build_tower(s)
+    assert cycpart._class_psi_sums(tower).tolist() == gauss_periods(tower, "F")
+
+
+def flip_class_zero(tower, zero):
+    """One whole class: |D| moves by q - 1."""
+    return range(0, tower.F.order, tower.M)
+
+
+def swap_two_classes(tower, zero):
+    """A trace-zero class r1 and a nonzero class r2 trade places: |D| and
+    E*-invariance hold, but Z stops being invariant under r -> -(q+1)r,
+    which is what D == Q needs."""
+    M, w = tower.M, -((1 << tower.s) + 1)
+    r1 = next(r for r in range(M) if zero[r] and r * w % M != r)
+    r2 = next(r for r in range(M) if not zero[r] and r != r1 * w % M)
+    return [k for k in range(tower.F.order) if k % tower.M in (r1, r2)]
+
+
+def swap_two_orbits(tower, zero):
+    """Two orbits of k -> -(q+1)k of one size, one inside Z and one outside,
+    trade places: |D| and D == Q hold, but the orbits are not unions of
+    classes."""
+    N, w = tower.F.order, -((1 << tower.s) + 1)
+
+    def orbit(j):
+        out = [j]
+        while out[-1] * w % N != j:
+            out.append(out[-1] * w % N)
+        return out
+
+    def is_union_of_classes(o):
+        return {(k + tower.M) % N for k in o} == set(o)
+
+    inside = next(o for o in map(orbit, range(N))
+                  if zero[o[0]] and not is_union_of_classes(o))
+    outside = next(o for o in map(orbit, range(N))
+                   if not zero[o[0]] and len(o) == len(inside))
+    return inside + outside
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("flip, message", [
+    (flip_class_zero, r"\|D\| = "),
+    (swap_two_classes, "quadratic-form description"),
+    (swap_two_orbits, r"is not E\*-invariant"),
+])
+def test_corrupted_trace_zero_indicator_is_caught(monkeypatch, s, flip, message):
+    tower = build_tower(s)
+    indicator = cycpart._trace_zero_indicator
+
+    def corrupted(F, sub_degree):
+        zero = indicator(F, sub_degree)
+        zero[list(flip(tower, zero))] ^= True
+        return zero
+
+    monkeypatch.setattr(cycpart, "_trace_zero_indicator", corrupted)
+    with pytest.raises(InternalCheckError, match=message):
+        get_partition(tower)
+
+
+def test_psi_sum_outside_the_three_values_is_caught(monkeypatch):
+    tower = build_tower(2)
+    sums = cycpart._class_psi_sums
+    monkeypatch.setattr(cycpart, "_class_psi_sums", lambda tw: sums(tw) + 2)
+    with pytest.raises(InternalCheckError, match=r"psi\(omega\^0 D\) = -?\d+ outside"):
+        get_partition(tower)
+
+
+def test_tangent_count_T1_must_be_the_trace_zero_classes(monkeypatch):
+    # dlog Q shifted by one class keeps |S_a| in {0, q - 1, 2(q - 1)} with
+    # the right counts, but moves T1 off the trace-zero classes
+    tower = build_tower(2)
+    ind = cycpart._class_indicators(tower)
+    monkeypatch.setattr(cycpart, "_class_indicators",
+                        lambda tw: ind._replace(Q=np.roll(ind.Q, 1)))
+    with pytest.raises(InternalCheckError, match="tangent-count T1"):
+        partition_by_trace(tower)
+
+
+def test_indicators_are_read_only():
+    indicators = cycpart._class_indicators(build_tower(2))
+    for arr in indicators:
+        with pytest.raises(ValueError):
+            arr[0] = not arr[0]

@@ -50,6 +50,21 @@ def test_bannai_muzychuk_f_s1(tower1):
         {(0,), (3, 5, 6), (1, 2, 4)}
 
 
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+@pytest.mark.parametrize("corrupted", [False, True])
+def test_census_rows_are_the_character_rows(tower2, label, corrupted):
+    # the census gathers whole columns; character_row sums one a at a time
+    pat = pattern_for(tower2)
+    if corrupted:
+        first, second, third = pat.blocks
+        pat = FusionPattern(pat.M, (first[1:], second + first[:1], third))
+    bm = bannai_muzychuk_verify(tower2, label, pat)
+    assert sorted(a for group in bm.census.values() for a in group) == \
+        list(range(pat.M))
+    for row, group in bm.census.items():
+        assert all(character_row(tower2, label, pat, a) == row for a in group)
+
+
 def test_bannai_muzychuk_corrupted_pattern(tower1):
     bad = FusionPattern(7, ((1, 2, 3), (4, 5), (0, 6)))
     bm = bannai_muzychuk_verify(tower1, "F", bad)
