@@ -360,15 +360,10 @@ class FieldTower:
         self.M = (1 << (2 * s)) + (1 << s) + 1
         self.omega = F.generator
 
-        self._rootF_G = self._find_subfield_root(G, F)
-        self._rootF_H = self._find_subfield_root(H, F)
-        self._root_powers_G = self._powers(G, self._rootF_G, F.degree)
-        self._root_powers_H = self._powers(H, self._rootF_H, F.degree)
-
-        self.norm_dlog_G, self.gamma_exponent, self.gamma = \
-            self._normalize_primitive(G, self._root_powers_G)
-        self.norm_dlog_H, self.beta_exponent, self.beta = \
-            self._normalize_primitive(H, self._root_powers_H)
+        self._root_powers_G, self.norm_dlog_G, self.gamma_exponent, self.gamma = \
+            self._normalize_primitive(G)
+        self._root_powers_H, self.norm_dlog_H, self.beta_exponent, self.beta = \
+            self._normalize_primitive(H)
 
         for K, prim in ((G, self.gamma), (H, self.beta)):
             if K.pow(prim, K.order // F.order) != self.embed_F(K, self.omega):
@@ -383,14 +378,13 @@ class FieldTower:
             out.append(K.mul(out[-1], base))
         return out
 
-    def _find_subfield_root(self, K: BinaryField, F: BinaryField) -> int:
-        """First root of F's modulus inside the order-|F*| subfield of K,
-        scanning z**k for z = g**(|K*|/|F*|)."""
-        step = K.pow(K.generator, K.order // F.order)
+    def _find_subfield_root(self, K: BinaryField, z: int) -> int:
+        """The smallest k with z**k a root of F's modulus, scanning the
+        order-|F*| subgroup of K generated by z."""
+        f = self.F.modulus
         w = 1
-        for _ in range(F.order):
+        for k in range(self.F.order):
             acc = 0
-            f = F.modulus
             i = poly_degree(f)
             while i >= 0:
                 acc = K.mul(acc, w)
@@ -398,30 +392,25 @@ class FieldTower:
                     acc ^= 1
                 i -= 1
             if acc == 0:
-                return w
-            w = K.mul(w, step)
+                return k
+            w = K.mul(w, z)
         raise InternalCheckError("no root of F's modulus in the subfield")
 
-    def _normalize_primitive(self, K: BinaryField,
-                             root_powers: list[int]) -> tuple[int, int, int]:
-        """Pick the smallest exponent j with gcd(j, |K*|) = 1 and
-        Norm(g**j) equal to the embedded omega.  Returns (t0, j, g**j)."""
+    def _normalize_primitive(self, K: BinaryField) -> tuple[list[int], int, int, int]:
+        """Embed F into K by x -> z**k, the first root of F's modulus in
+        powers of z = Norm(g) = g**(|K*|/|F*|), and pick the smallest
+        exponent j with gcd(j, |K*|) = 1 and Norm(g**j) equal to the
+        embedded omega.  omega = x embeds as z**k, so z is its t0-th power
+        for t0 = k^-1 mod |F*|, and j = k mod |F*|.  Returns the powers of
+        the root, t0, j and g**j."""
         F = self.F
-        omega_img = self._embed(root_powers, self.omega)
-        norm_g = K.pow(K.generator, K.order // F.order)
-        t = 1
-        t0 = None
-        for k in range(F.order):
-            if t == norm_g:
-                t0 = k
-                break
-            t = K.mul(t, omega_img)
-        if t0 is None:
-            raise InternalCheckError("norm of generator not in embedded F*")
-        j = pow(t0, -1, F.order)
+        z = K.pow(K.generator, K.order // F.order)
+        k = self._find_subfield_root(K, z)
+        root_powers = self._powers(K, K.pow(z, k), F.degree)
+        j = k
         while j <= K.order:
             if math.gcd(j, K.order) == 1:
-                return t0, j, K.pow(K.generator, j)
+                return root_powers, pow(k, -1, F.order), j, K.pow(K.generator, j)
             j += F.order
         raise InternalCheckError("no coprime norm-compatible exponent found")
 

@@ -15,9 +15,8 @@ from functools import lru_cache
 from importlib import resources
 
 from .binfield import FieldTower
-from .cycpart import get_partition
 from .reporting import Report
-from .schemecore import SchemeError, build_dual_scheme, build_scheme
+from .schemecore import build_dual_scheme, build_scheme, expected_dual_groups
 
 TABLE_IDS = ("thm1", "dual1", "thm2i", "dual2i", "thm2ii")
 _ROMAN = {"I": "thm1", "II": "dual1", "III": "thm2i", "IV": "dual2i", "V": "thm2ii"}
@@ -231,21 +230,6 @@ def row_sum_identity_check() -> Report:
 # reconciliation against computed schemes
 # ---------------------------------------------------------------------------
 
-def _expected_row_groups(tower: FieldTower, scheme_id: str) -> list:
-    """The residue groups labelling the nonprincipal table rows, in table order."""
-    part = get_partition(tower)
-    M = tower.M
-    T1 = frozenset(part.T1)
-    if scheme_id == "thm1":
-        minus_T1 = frozenset((-i) % M for i in part.T1)
-        return [frozenset({0}), minus_T1, frozenset(range(M)) - minus_T1 - {0}]
-    if scheme_id == "thm2i":
-        return [frozenset({0}), T1, frozenset(range(M)) - T1 - {0}]
-    if scheme_id == "thm2ii":
-        return [T1, frozenset(part.T2), frozenset(part.T3)]
-    raise SchemeError(f"unknown scheme id {scheme_id!r}")
-
-
 def _relabel(mats: list, perm: list) -> list:
     """Intersection matrices under a relabelling of the classes."""
     return [[[mats[perm[i]][perm[k]][perm[j]] for j in range(len(perm))]
@@ -267,7 +251,7 @@ def reconcile(tower: FieldTower, scheme_id: str) -> Report:
     report.add("degree row matches the table",
                record.degrees == table_row(scheme_id, "degree", q),
                f"computed {record.degrees}")
-    groups = _expected_row_groups(tower, scheme_id)
+    groups = expected_dual_groups(tower, scheme_id)
     row_map = []
     ok = True
     detail = ""
@@ -310,19 +294,17 @@ def reconcile(tower: FieldTower, scheme_id: str) -> Report:
     report.add("dual classes match the published D_k index groups", True,
                f"D_k -> computed class {perm[1:]}")
 
-    dual_table_id = {"thm1": "dual1", "thm2i": "dual2i", "thm2ii": "thm2ii"}[scheme_id]
+    dual_table_id = dual.scheme_id
     exp_deg = table_row(dual_table_id, "degree", q)
     got_deg = [dual.degrees[perm[c]] for c in range(4)]
     report.add("dual degree row matches the table", got_deg == exp_deg,
                f"computed {got_deg}, table {exp_deg}")
-    part_blocks = [frozenset(b) for b in
-                   (get_partition(tower).T1, get_partition(tower).T2,
-                    get_partition(tower).T3)]
     ok = True
     detail = ""
-    for t, grp in enumerate(part_blocks):
-        # rows of the dual table are labelled a in T_k; the dual-of-dual
-        # classes are the original blocks, so they name the dual's P rows
+    for t, grp in enumerate(record.pattern_sets):
+        # rows of the dual table are labelled a in T_k, the primal's
+        # blocks; they are the dual-of-dual classes, so they name the
+        # dual's P rows
         try:
             l = dual.dual_sets.index(grp)
         except ValueError:

@@ -12,16 +12,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
-from .binfield import BinaryField, FieldTower, InternalCheckError
+from .binfield import FieldTower, InternalCheckError
 from .charsum import gauss_periods, period_array
-from .cycpart import compute_D, cyclic_sums, get_partition
+from .cycpart import cyclic_sums, d_class_check, get_partition
 from .reporting import Report
 
 _ORACLE_SIZE_LIMIT = 1 << 12
 _JSON_INT_LIMIT = 1 << 53
+
+# scheme id -> (field, id of the dual scheme); the H-scheme is self-dual
+SCHEMES = {"thm1": ("F", "dual1"), "dual1": ("F", "thm1"),
+           "thm2i": ("G", "dual2i"), "dual2i": ("G", "thm2i"),
+           "thm2ii": ("H", "thm2ii")}
 
 
 class SchemeError(ValueError):
@@ -47,8 +53,11 @@ class FusionPattern:
         return cls(part.M, (part.T1, part.T2, part.T3))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeRecord:
+    """One verified (or refuted) fusion, built whole by ``_assemble``; the
+    spectral fields stay empty when the census refutes the fusion."""
+
     scheme_id: str
     field_label: str
     s: int
@@ -56,16 +65,16 @@ class SchemeRecord:
     size: int
     d: int
     is_scheme: bool
-    degrees: list  # (1, n_1, ..., n_d)
-    multiplicities: list
-    P: list
-    Q: list
     pattern_sets: tuple  # frozensets; indices in Z_M or field elements
-    dual_sets: tuple  # canonical order, matching P rows 1..d
     domain: str  # "index" or "element"
+    row_census: dict  # row -> sorted members giving it
+    flags: dict
+    degrees: list = field(default_factory=list)  # (1, n_1, ..., n_d)
+    multiplicities: list = field(default_factory=list)
+    P: list = field(default_factory=list)
+    Q: list = field(default_factory=list)
+    dual_sets: tuple = ()  # canonical order, matching P rows 1..d
     B: list = field(default_factory=list)
-    flags: dict = field(default_factory=dict)
-    row_census: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -146,34 +155,13 @@ def character_row(tower: FieldTower, field_label: str, pattern: FusionPattern,
     return (1,) + tuple(sum(eta[(a + i) % M] for i in b) for b in pattern.blocks)
 
 
-@dataclass
-class BMResult:
-    is_scheme: bool
-    dual_groups: tuple  # canonical order: by (multiplicity, row)
-    P: list
-    census: dict  # row -> sorted list of residues
-    degree_row: tuple
-
-
-def bannai_muzychuk_verify(tower: FieldTower, field_label: str,
-                           pattern: FusionPattern) -> BMResult:
-    """Group a in Z_M by character row; the fusion is a d-class scheme iff
-    exactly d distinct rows occur, none equal to the degree row."""
-    M = pattern.M
-    d = len(pattern.blocks)
+def _census(values, blocks) -> dict:
+    """Rows (1, sum over i in each block of values[(a + i) mod n]) for every
+    a, grouped as row -> list of the a giving it."""
     census: dict = {}
-    columns = cyclic_sums(period_array(tower, field_label), pattern.blocks)
-    for a, row in enumerate(zip(*columns)):
+    for a, row in enumerate(zip(*cyclic_sums(values, blocks))):
         census.setdefault((1,) + row, []).append(a)
-    degree_row = character_row(tower, field_label, pattern, None)
-    is_scheme = len(census) == d and degree_row not in census
-    if not is_scheme:
-        return BMResult(False, (), [], census, degree_row)
-    per_class = tower.field(field_label).order // M
-    items = sorted(census.items(), key=lambda kv: (len(kv[1]) * per_class, kv[0]))
-    P = [list(degree_row)] + [list(row) for row, _ in items]
-    groups = tuple(frozenset(g) for _, g in items)
-    return BMResult(True, groups, P, census, degree_row)
+    return census
 
 
 def second_eigenmatrix(P: list, size: int) -> list:
@@ -212,32 +200,32 @@ def intersection_numbers(degrees: list, multiplicities: list, P: list,
 # classification
 # ---------------------------------------------------------------------------
 
-def classify(record: SchemeRecord) -> dict:
+def _flags(P: list, Q: list, pattern_sets: tuple, dual_sets: tuple,
+           size: int) -> dict:
     """Primitivity, self-duality (under the psi(b.)-pairing identification
     of classes with dual classes), and per-relation strong regularity."""
-    d = record.d
-    P, Q = record.P, record.Q
-    degrees = record.degrees
+    d = len(P) - 1
+    degrees = P[0]
     is_primitive = all(P[l][i] != degrees[i]
                        for l in range(1, d + 1) for i in range(1, d + 1))
     srg = [len({P[l][i] for l in range(1, d + 1)}) == 2 for i in range(1, d + 1)]
 
     is_self_dual = False
-    if set(record.pattern_sets) == set(record.dual_sets):
+    if set(pattern_sets) == set(dual_sets):
         # permute dual labels so dual class k is the one equal (as a set)
         # to class k, then compare the relabeled P with Q
-        perm = [0] + [1 + record.dual_sets.index(ps) for ps in record.pattern_sets]
+        perm = [0] + [1 + dual_sets.index(ps) for ps in pattern_sets]
         n = d + 1
         P_m = [[P[perm[r]][c] for c in range(n)] for r in range(n)]
         Q_m = [[Q[r][perm[c]] for c in range(n)] for r in range(n)]
         if P_m == Q_m:
             is_self_dual = True
             square = _mat_mul(P_m, P_m)
-            ident = [[record.size if i == j else 0 for j in range(n)] for i in range(n)]
+            ident = [[size if i == j else 0 for j in range(n)] for i in range(n)]
             if square != ident:
                 raise InternalCheckError("self-dual scheme with P^2 != |X|*I")
     return {
-        "is_scheme": record.is_scheme,
+        "is_scheme": True,
         "is_primitive": is_primitive,
         "is_self_dual": is_self_dual,
         "srg_relations": srg,
@@ -248,70 +236,106 @@ def classify(record: SchemeRecord) -> dict:
 # record assembly
 # ---------------------------------------------------------------------------
 
-_SCHEME_FIELDS = {"thm1": "F", "thm2i": "G", "thm2ii": "H"}
+def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
+              pattern: FusionPattern, domain: str) -> SchemeRecord:
+    """Census, P, Q, multiplicities, B and flags of one fusion.
 
-
-def _index_sets(pattern: FusionPattern) -> tuple:
-    return tuple(frozenset(b) for b in pattern.blocks)
-
-
-def build_scheme(tower: FieldTower, scheme_id: str,
-                 pattern: FusionPattern | None = None) -> SchemeRecord:
-    """Full pipeline for one of the three index-fusion schemes (or any
-    explicit fusion pattern on any tower field)."""
-    if scheme_id in _SCHEME_FIELDS:
-        label = _SCHEME_FIELDS[scheme_id]
-        if pattern is None:
-            pattern = FusionPattern.from_partition(get_partition(tower))
-    elif pattern is None:
-        raise SchemeError(f"unknown scheme id {scheme_id!r} needs an explicit pattern")
+    An index fusion fuses the order-M cyclotomic classes, and the census
+    folds the Gauss periods.  An element fusion is the same census with
+    every element of K* its own class: M = |K*|, values psi(g^k), blocks
+    the discrete logs of the sets, members named by g^k.  The fusion is a
+    d-class scheme iff exactly d distinct rows occur, none equal to the
+    degree row."""
+    K = tower.field(field_label)
+    if domain == "index":
+        values, names = period_array(tower, field_label), range(pattern.M)
     else:
-        label = scheme_id_field(scheme_id)
-    K = tower.field(label)
-    bm = bannai_muzychuk_verify(tower, label, pattern)
-    d = len(pattern.blocks)
-    record = SchemeRecord(
-        scheme_id=scheme_id, field_label=label, s=tower.s, M=tower.M,
-        size=K.size, d=d, is_scheme=bm.is_scheme,
-        degrees=list(bm.degree_row) if bm.is_scheme else [],
-        multiplicities=[], P=bm.P, Q=[],
-        pattern_sets=_index_sets(pattern), dual_sets=bm.dual_groups,
-        domain="index",
-        row_census={row: sorted(g) for row, g in bm.census.items()},
-    )
-    if not bm.is_scheme:
-        record.flags = {"is_scheme": False}
-        return record
+        values = np.array([K.psi(u) for u in K.powers], dtype=np.int64)
+        names = K.powers
+    census = _census(values, pattern.blocks)
     per_class = K.order // pattern.M
-    record.Q = second_eigenmatrix(bm.P, K.size)
-    record.multiplicities = [1] + [len(g) * per_class for g in bm.dual_groups]
-    if record.Q[0] != record.multiplicities:
-        raise InternalCheckError("Q row 0 disagrees with dual-class multiplicities")
-    record.B = intersection_numbers(record.degrees, record.multiplicities,
-                                    record.P, record.size)
-    record.flags = classify(record)
-    return record
+    degrees = [1] + [len(b) * per_class for b in pattern.blocks]
+    d = len(pattern.blocks)
+    pattern_sets = tuple(frozenset(names[i] for i in b) for b in pattern.blocks)
+    is_scheme = len(census) == d and tuple(degrees) not in census
+    spectrum = {"flags": {"is_scheme": False}}
+    if is_scheme:
+        items = sorted(census.items(), key=lambda kv: (len(kv[1]), kv[0]))
+        P = [degrees] + [list(row) for row, _ in items]
+        Q = second_eigenmatrix(P, K.size)
+        multiplicities = [1] + [len(g) * per_class for _, g in items]
+        if Q[0] != multiplicities:
+            raise InternalCheckError("Q row 0 disagrees with dual-class multiplicities")
+        dual_sets = tuple(frozenset(names[i] for i in g) for _, g in items)
+        spectrum = {
+            "degrees": degrees, "multiplicities": multiplicities, "P": P, "Q": Q,
+            "dual_sets": dual_sets,
+            "B": intersection_numbers(degrees, multiplicities, P, K.size),
+            "flags": _flags(P, Q, pattern_sets, dual_sets, K.size),
+        }
+    return SchemeRecord(
+        scheme_id=scheme_id, field_label=field_label, s=tower.s, M=tower.M,
+        size=K.size, d=d, is_scheme=is_scheme, pattern_sets=pattern_sets,
+        domain=domain,
+        row_census={row: sorted(names[i] for i in g) for row, g in census.items()},
+        **spectrum)
+
+
+def bannai_muzychuk_verify(tower: FieldTower, field_label: str,
+                           pattern: FusionPattern,
+                           scheme_id: str = "fusion") -> SchemeRecord:
+    """Group a in Z_M by character row and assemble the record of this
+    index fusion."""
+    return _assemble(tower, scheme_id, field_label, pattern, "index")
+
+
+def _scheme(scheme_id: str) -> tuple[str, str]:
+    try:
+        return SCHEMES[scheme_id]
+    except KeyError:
+        raise SchemeError(f"unknown scheme id {scheme_id!r}") from None
 
 
 def scheme_id_field(scheme_id: str) -> str:
-    if scheme_id in _SCHEME_FIELDS:
-        return _SCHEME_FIELDS[scheme_id]
-    if scheme_id in ("dual1", "dual2i"):
-        return {"dual1": "F", "dual2i": "G"}[scheme_id]
-    raise SchemeError(f"unknown scheme id {scheme_id!r}")
+    return _scheme(scheme_id)[0]
+
+
+@cache
+def build_scheme(tower: FieldTower, scheme_id: str,
+                 pattern: FusionPattern | None = None) -> SchemeRecord:
+    """The record of a scheme of ``SCHEMES`` on its field, built once per
+    tower and pattern.  The three theorem fusions default to T1, T2, T3;
+    a dual needs its pattern (see ``build_dual_scheme``)."""
+    label = scheme_id_field(scheme_id)
+    if pattern is None:
+        if scheme_id not in ("thm1", "thm2i", "thm2ii"):
+            raise SchemeError(f"scheme id {scheme_id!r} needs an explicit pattern")
+        pattern = FusionPattern.from_partition(get_partition(tower))
+    return bannai_muzychuk_verify(tower, label, pattern, scheme_id)
 
 
 def build_dual_scheme(tower: FieldTower, primal: SchemeRecord) -> SchemeRecord:
     """Run the pipeline on the dual index partition of a verified
-    index-fusion scheme (the D-classes)."""
+    index-fusion scheme (the D-classes), under the dual's scheme id."""
     if not primal.is_scheme or primal.domain != "index":
         raise SchemeError("dual requires a verified index-fusion scheme")
-    pattern = FusionPattern(primal.M, tuple(tuple(sorted(g)) for g in primal.dual_sets))
-    dual_id = {"thm1": "dual1", "thm2i": "dual2i", "thm2ii": "thm2ii"}.get(
-        primal.scheme_id, primal.scheme_id + "-dual")
-    record = build_scheme(tower, primal.scheme_id, pattern)
-    record.scheme_id = dual_id
-    return record
+    pattern = FusionPattern(primal.M, primal.dual_sets)
+    return build_scheme(tower, _scheme(primal.scheme_id)[1], pattern)
+
+
+def build_element_scheme(tower: FieldTower, field_label: str, sets,
+                         scheme_id: str) -> SchemeRecord:
+    """Verify a partition of X* given by explicit element sets (plus {0})
+    as a translation scheme, with dual classes read off from the census
+    under the pairing b -> psi(b.)."""
+    K = tower.field(field_label)
+    if K.size > _ORACLE_SIZE_LIMIT:
+        raise SchemeError("element-level verification limited to small fields")
+    dlog = {u: e for e, u in enumerate(K.powers)}
+    # 0 has no discrete log: -1 makes the pattern reject a set holding it
+    blocks = tuple(tuple(dlog.get(x, -1) for x in S) for S in sets)
+    return _assemble(tower, scheme_id, field_label,
+                     FusionPattern(K.order, blocks), "element")
 
 
 # ---------------------------------------------------------------------------
@@ -367,60 +391,6 @@ def brute_force_intersection_oracle(tower: FieldTower, field_label: str,
 # element-level schemes (for the generic two-class refinement)
 # ---------------------------------------------------------------------------
 
-def _element_census(K: BinaryField, sets) -> dict:
-    """Character rows (1, sum psi(b x) over x in each set) for all b != 0,
-    grouped as row -> frozenset of b."""
-    powers = K.powers
-    dlog = {u: e for e, u in enumerate(powers)}
-    psi_pow = np.array([K.psi(u) for u in powers], dtype=np.int64)
-    # entry e of a row sums psi(g^(e + dlog x)) over x in a set
-    columns = cyclic_sums(psi_pow, [[dlog[x] for x in S] for S in sets])
-    census: dict = {}
-    for e, row in enumerate(zip(*columns)):
-        census.setdefault((1,) + row, set()).add(powers[e])
-    return {row: frozenset(g) for row, g in census.items()}
-
-
-def build_element_scheme(tower: FieldTower, field_label: str, sets,
-                         scheme_id: str) -> SchemeRecord:
-    """Verify a partition of X* given by explicit element sets (plus {0})
-    as a translation scheme, with dual classes read off from the census
-    under the pairing b -> psi(b.)."""
-    K = tower.field(field_label)
-    if K.size > _ORACLE_SIZE_LIMIT:
-        raise SchemeError("element-level verification limited to small fields")
-    sets = tuple(frozenset(S) for S in sets)
-    covered = set().union(*sets)
-    if 0 in covered or len(covered) != K.order or sum(len(S) for S in sets) != K.order:
-        raise SchemeError("sets must partition the nonzero field elements")
-    d = len(sets)
-    census = _element_census(K, sets)
-    degree_row = (1,) + tuple(len(S) for S in sets)
-    is_scheme = len(census) == d and degree_row not in census
-    record = SchemeRecord(
-        scheme_id=scheme_id, field_label=field_label, s=tower.s, M=tower.M,
-        size=K.size, d=d, is_scheme=is_scheme,
-        degrees=list(degree_row) if is_scheme else [],
-        multiplicities=[], P=[], Q=[],
-        pattern_sets=sets, dual_sets=(), domain="element",
-        row_census={row: sorted(g) for row, g in census.items()},
-    )
-    if not is_scheme:
-        record.flags = {"is_scheme": False}
-        return record
-    items = sorted(census.items(), key=lambda kv: (len(kv[1]), kv[0]))
-    record.P = [list(degree_row)] + [list(row) for row, _ in items]
-    record.dual_sets = tuple(g for _, g in items)
-    record.Q = second_eigenmatrix(record.P, K.size)
-    record.multiplicities = [1] + [len(g) for g in record.dual_sets]
-    if record.Q[0] != record.multiplicities:
-        raise InternalCheckError("Q row 0 disagrees with dual-class sizes")
-    record.B = intersection_numbers(record.degrees, record.multiplicities,
-                                    record.P, record.size)
-    record.flags = classify(record)
-    return record
-
-
 def two_class_scheme(tower: FieldTower, field_label: str = "F") -> SchemeRecord:
     """The two-class translation scheme from the trace-zero hyperplane:
     R_1 = ker(tr) \\ {0}, R_2 = the rest (a strongly regular Cayley graph)."""
@@ -459,12 +429,18 @@ def im10_construct(tower: FieldTower, two_class: SchemeRecord | None = None) -> 
 # dual-structure checks
 # ---------------------------------------------------------------------------
 
-def _fused_elements(tower: FieldTower, field_label: str, indices) -> frozenset:
-    """Union of the order-M cyclotomic classes named by ``indices``."""
-    step = tower.class_step(field_label)
-    want = set(indices)
-    return frozenset(u for k, u in enumerate(tower.field(field_label).powers)
-                     if k * step % tower.M in want)
+def expected_dual_groups(tower: FieldTower, scheme_id: str) -> list:
+    """The residue groups of the published dual classes, in the order of
+    the dual table's rows: {0}, -T1, the rest (thm1); {0}, T1, the rest
+    (thm2i); T1, T2, T3 (the self-dual thm2ii)."""
+    part = get_partition(tower)
+    if scheme_id == "thm2ii":
+        return [frozenset(b) for b in (part.T1, part.T2, part.T3)]
+    sign = {"thm1": -1, "thm2i": 1}.get(scheme_id)
+    if sign is None:
+        raise SchemeError(f"unknown scheme id {scheme_id!r}")
+    first = frozenset(sign * i % tower.M for i in part.T1)
+    return [frozenset({0}), first, frozenset(range(tower.M)) - first - {0}]
 
 
 def dual_scheme_tables_check(tower: FieldTower, which: str) -> Report:
@@ -472,37 +448,27 @@ def dual_scheme_tables_check(tower: FieldTower, which: str) -> Report:
     G-scheme (which='thm2i'): the dual index blocks, the D = inverse-trace-zero
     set coincidence, and (thm1) imprimitivity via the zero block closing up
     to a subfield."""
-    if which not in ("thm1", "thm2i"):
+    blocks = {"thm1": "{0}, -T1, the rest", "thm2i": "{0}, T1, (T2 u T3) \\ {0}"}
+    if which not in blocks:
         raise SchemeError("which must be 'thm1' or 'thm2i'")
-    part = get_partition(tower)
-    M = tower.M
     record = build_scheme(tower, which)
     report = Report(f"dual structure of {which} (s={tower.s})")
     report.add("primal fusion is a 3-class scheme", record.is_scheme)
     if not record.is_scheme:
         return report
     groups = set(record.dual_sets)
-    T1 = frozenset(part.T1)
+    report.add(f"dual index blocks are {blocks[which]}",
+               groups == set(expected_dual_groups(tower, which)),
+               f"found {sorted(map(sorted, groups))}")
     if which == "thm1":
-        minus_T1 = frozenset((-i) % M for i in part.T1)
-        rest = frozenset(range(M)) - minus_T1 - {0}
-        report.add("dual index blocks are {0}, -T1, the rest",
-                   groups == {frozenset({0}), minus_T1, rest},
-                   f"found {sorted(map(sorted, groups))}")
-        D_set = compute_D(tower).members
         report.add("dual class on -T1 equals the inverse-trace-zero set D",
-                   _fused_elements(tower, "F", minus_T1) == D_set)
+                   d_class_check(tower).passed)
         # D_0 u D_1 closes under addition, i.e. the dual is imprimitive
         # (C_0 u {0} is the degree-s subfield)
-        c0 = _fused_elements(tower, "F", {0}) | {0}
+        c0 = set(tower.F.powers[::tower.M]) | {0}
         closed = all((a ^ b) in c0 for a in c0 for b in c0)
         report.add("zero-indexed dual block plus 0 is additively closed "
                    f"of size 2^{tower.s}", closed and len(c0) == 1 << tower.s)
-    else:
-        rest = frozenset(range(M)) - T1 - {0}
-        report.add("dual index blocks are {0}, T1, (T2 u T3) \\ {0}",
-                   groups == {frozenset({0}), T1, rest},
-                   f"found {sorted(map(sorted, groups))}")
     dual = build_dual_scheme(tower, record)
     report.add("dual fusion is itself a 3-class scheme", dual.is_scheme)
     return report

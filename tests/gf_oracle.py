@@ -4,6 +4,8 @@ Deliberately naive: element = tuple of bits, multiplication by schoolbook
 polynomial product followed by remainder.  Shares no code with the package.
 """
 
+from math import gcd
+
 
 def poly_from_int(n):
     bits = []
@@ -66,3 +68,40 @@ def gf_trace(a_int, modulus_int, m):
         t = gf_mul(t, t, modulus_int)
     assert total in (0, 1)
     return total
+
+
+def norm_exponents(f_modulus, k_modulus, k_generator, k_order, f_order,
+                   mul=None):
+    """The tower's former normalisation by two scans of the order-|F*|
+    subgroup <z> of K, z = g^(|K*|/|F*|): the first z^k that is a root r of
+    F's modulus, then the t0 with r^t0 = z, then the smallest j = t0^-1
+    mod |F*| (plus multiples of |F*|) coprime to |K*|.  Returns (t0, j).
+    ``mul`` multiplies in K; it defaults to the schoolbook ``gf_mul``."""
+    mul = mul or (lambda a, b: gf_mul(a, b, k_modulus))
+    z = 1
+    base, e = k_generator, k_order // f_order
+    while e:
+        if e & 1:
+            z = mul(z, base)
+        base = mul(base, base)
+        e >>= 1
+    root = 1
+    for _ in range(f_order):
+        acc = 0
+        for i in reversed(range(f_modulus.bit_length())):
+            acc = mul(acc, root) ^ ((f_modulus >> i) & 1)
+        if acc == 0:
+            break
+        root = mul(root, z)
+    else:
+        raise AssertionError("no root of F's modulus in the subfield")
+    t, t0 = 1, None
+    for k in range(f_order):
+        if t == z:
+            t0 = k
+            break
+        t = mul(t, root)
+    j = pow(t0, -1, f_order)
+    while gcd(j, k_order) != 1:
+        j += f_order
+    return t0, j

@@ -8,7 +8,7 @@ from cycloscheme.binfield import (BinaryField, FieldError, NonPrimitiveModulusEr
                                   irreducibility_certificate, modulus_from_hex,
                                   modulus_to_hex)
 
-from gf_oracle import gf_mul, gf_pow, gf_trace
+from gf_oracle import gf_mul, gf_pow, gf_trace, norm_exponents
 
 
 def test_default_moduli_are_lexicographically_first():
@@ -142,6 +142,29 @@ def test_class_step_consistency():
             K = tower.field(label)
             assert K.pow(K.generator, j) == prim
             assert j * tower.class_step(label) % tower.M == 1
+
+
+# moduli_hex() of the default towers: E, F, G, H
+DEFAULT_MODULI = {1: ("3", "b", "43", "211"), 2: ("7", "43", "1053", "40027"),
+                  3: ("b", "211", "40027", "8000027"),
+                  4: ("13", "1053", "100001b", "1000000077")}
+
+
+@pytest.mark.parametrize("s,poly_f", [(1, None), (2, None), (3, None), (4, None),
+                                      (2, 0x61), (3, 0x221)])
+def test_tower_matches_the_scanning_construction(s, poly_f):
+    tower = build_tower(s, poly_f)
+    expected = dict(zip("EFGH", DEFAULT_MODULI[s]))
+    if poly_f:
+        expected["F"] = modulus_to_hex(poly_f)
+    assert tower.moduli_hex() == expected
+    F = tower.F
+    for K, t0, j in ((tower.G, tower.norm_dlog_G, tower.gamma_exponent),
+                     (tower.H, tower.norm_dlog_H, tower.beta_exponent)):
+        # the schoolbook product would take over a second at s = 4
+        mul = K.mul if s == 4 else None
+        assert norm_exponents(F.modulus, K.modulus, K.generator, K.order,
+                              F.order, mul) == (t0, j)
 
 
 def test_invalid_s_rejected():

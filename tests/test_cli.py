@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -5,7 +6,7 @@ import json
 
 import pytest
 
-from cycloscheme import cli
+from cycloscheme import cli, schemecore
 from cycloscheme.binfield import build_tower
 from cycloscheme.cli import (RunConfig, TARGETS, _target_fields, _walked_degree,
                              main, run)
@@ -88,13 +89,16 @@ def test_skipped_check_is_not_a_pass(tmp_path):
 # SHA-256 of the catalog's schemes section and the number of checks, as
 # recorded in perfbench/references.json: the whole-catalog behaviour oracle.
 # From s = 3 on the references leave out thm2ii, which needs --big there; at
-# s = 5 they keep the targets that walk no field beyond F.
+# s = 5 they keep the targets that walk no field beyond F.  At s = 1, 2 the
+# third value pins the SHA-256 of the whole catalog file, reports included.
 CATALOG_REFERENCES = {
-    1: ("42d1839c5c663e0fbb026fae0bc4c28e42a83a36bc32fd0f992afdd5d6a37cfa", 75),
-    2: ("34ddcb3c0662b2934d3a46830f3ec95286184b37e1c0df8d01c02b62b457f7f3", 75),
-    3: ("d155fb97348d55463caafe486c7ec94f75e8cb23e0b91f9f96fddc93d1da43cb", 63),
-    4: ("2dfbd4f3ba99c5f894f13e65c5292bbc2dea9aa68120825b9c55f3c36785e3f1", 63),
-    5: ("4af4537d5d5a8cd7cfe1e8b6898e7943efd0c012714c20919ed4436896c9a1f0", 33),
+    1: ("42d1839c5c663e0fbb026fae0bc4c28e42a83a36bc32fd0f992afdd5d6a37cfa", 75,
+        "82c704d6ac3c5cb28547c377f9ab96a48db4e85f69282a772cdeaed04d8c693f"),
+    2: ("34ddcb3c0662b2934d3a46830f3ec95286184b37e1c0df8d01c02b62b457f7f3", 75,
+        "12a9210eda3dce81ae7ffb9bbdfb37e0f8073802203273d1bde6e17e5517ca2f"),
+    3: ("d155fb97348d55463caafe486c7ec94f75e8cb23e0b91f9f96fddc93d1da43cb", 63, None),
+    4: ("2dfbd4f3ba99c5f894f13e65c5292bbc2dea9aa68120825b9c55f3c36785e3f1", 63, None),
+    5: ("4af4537d5d5a8cd7cfe1e8b6898e7943efd0c012714c20919ed4436896c9a1f0", 33, None),
 }
 
 
@@ -115,8 +119,11 @@ def test_catalog_matches_reference(tmp_path, s):
     payload = json.loads(path.read_text())
     schemes = json.dumps(payload["schemes"], sort_keys=True, separators=(",", ":"))
     checks = sum(len(r["checks"]) for r in payload["reports"])
+    schemes_sha, expected_checks, file_sha = CATALOG_REFERENCES[s]
     assert (hashlib.sha256(schemes.encode()).hexdigest(), checks) == \
-        CATALOG_REFERENCES[s]
+        (schemes_sha, expected_checks)
+    if file_sha is not None:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
 
 
 def test_explicit_modulus_flag():
@@ -196,3 +203,27 @@ def test_verbose_times_each_target_on_stderr_only(tmp_path, capsys):
     lines = loud.err.splitlines()
     assert [line.split(":")[0] for line in lines] == list(TARGETS)
     assert all(line.endswith(" s") for line in lines)
+
+
+def test_each_fusion_is_censused_once(monkeypatch):
+    # the census sees the values it folds (Gauss periods of one field, or
+    # psi over every element) and the blocks of one fusion pattern
+    census = schemecore._census
+    seen = []
+
+    def counting(values, blocks):
+        seen.append((values.tobytes(), tuple(blocks)))
+        return census(values, blocks)
+
+    monkeypatch.setattr(schemecore, "_census", counting)
+    targets = ("thm1", "thm2i", "thm2ii", "duals", "im10")
+    assert run_quiet(RunConfig(s=2, targets=targets))[0] == 0
+    # thm1, thm2i, thm2ii and their duals (thm2ii's blocks in the dual's
+    # order), then the two-class scheme and its refinement
+    assert len(seen) == len(set(seen)) == 8
+
+
+def test_scheme_records_are_frozen():
+    record = schemecore.build_scheme(build_tower(1), "thm1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.scheme_id = "dual1"

@@ -46,7 +46,7 @@ def test_character_row_g_s1(tower1):
 def test_bannai_muzychuk_f_s1(tower1):
     bm = bannai_muzychuk_verify(tower1, "F", pattern_for(tower1))
     assert bm.is_scheme
-    assert {tuple(sorted(g)) for g in bm.dual_groups} == \
+    assert {tuple(sorted(g)) for g in bm.dual_sets} == \
         {(0,), (3, 5, 6), (1, 2, 4)}
 
 
@@ -59,9 +59,9 @@ def test_census_rows_are_the_character_rows(tower2, label, corrupted):
         first, second, third = pat.blocks
         pat = FusionPattern(pat.M, (first[1:], second + first[:1], third))
     bm = bannai_muzychuk_verify(tower2, label, pat)
-    assert sorted(a for group in bm.census.values() for a in group) == \
+    assert sorted(a for group in bm.row_census.values() for a in group) == \
         list(range(pat.M))
-    for row, group in bm.census.items():
+    for row, group in bm.row_census.items():
         assert all(character_row(tower2, label, pat, a) == row for a in group)
 
 
@@ -69,7 +69,7 @@ def test_bannai_muzychuk_corrupted_pattern(tower1):
     bad = FusionPattern(7, ((1, 2, 3), (4, 5), (0, 6)))
     bm = bannai_muzychuk_verify(tower1, "F", bad)
     assert not bm.is_scheme
-    assert len(bm.census) != 3
+    assert len(bm.row_census) != 3
 
 
 @pytest.mark.parametrize("scheme_id,label", [("thm1", "F"), ("thm2i", "G"),
