@@ -16,10 +16,11 @@ from importlib import resources
 
 from .binfield import FieldTower
 from .reporting import Report
-from .schemecore import build_dual_scheme, build_scheme, expected_dual_groups
+from .schemecore import (SCHEMES, THEOREMS, build_dual_scheme, build_scheme,
+                         expected_dual_groups)
 
-TABLE_IDS = ("thm1", "dual1", "thm2i", "dual2i", "thm2ii")
-_ROMAN = {"I": "thm1", "II": "dual1", "III": "thm2i", "IV": "dual2i", "V": "thm2ii"}
+TABLE_IDS = tuple(SCHEMES)
+_ROMAN = dict(zip(("I", "II", "III", "IV", "V"), TABLE_IDS))
 
 
 @dataclass(frozen=True)
@@ -206,10 +207,8 @@ def row_sum_identity_check() -> Report:
                 bad.append(f"table {tid} row {r}")
     report.add("nonprincipal table rows sum to 0 identically", not bad, "; ".join(bad))
 
-    degree_of = {"B": {sid: _table(sid)["rows"][0] for sid in ("thm1", "thm2i", "thm2ii")},
-                 "L": {"thm1": _table("dual1")["rows"][0],
-                       "thm2i": _table("dual2i")["rows"][0],
-                       "thm2ii": _table("thm2ii")["rows"][0]}}
+    degree_of = {"B": {sid: _table(sid)["rows"][0] for sid in THEOREMS},
+                 "L": {sid: _table(SCHEMES[sid][1])["rows"][0] for sid in THEOREMS}}
     bad = []
     data = _load_data()["intersection_matrices"]
     for sid, mats in data.items():

@@ -24,10 +24,17 @@ from .reporting import Report
 _ORACLE_SIZE_LIMIT = 1 << 12
 _JSON_INT_LIMIT = 1 << 53
 
-# scheme id -> (field, id of the dual scheme); the H-scheme is self-dual
+# scheme id -> (field, id of the dual scheme), in the order of the paper's
+# tables I-V; the H-scheme is self-dual
 SCHEMES = {"thm1": ("F", "dual1"), "dual1": ("F", "thm1"),
            "thm2i": ("G", "dual2i"), "dual2i": ("G", "thm2i"),
            "thm2ii": ("H", "thm2ii")}
+# the fusions T1, T2, T3 of Theorems 1 and 2; the duals need their pattern
+THEOREMS = tuple(sid for sid in SCHEMES if sid.startswith("thm"))
+# theorem id -> (sign of T1 in the published dual's first block, how the
+# dual's blocks read); the self-dual thm2ii's dual blocks are T1, T2, T3
+_DUAL_BLOCKS = {"thm1": (-1, "{0}, -T1, the rest"),
+                "thm2i": (1, "{0}, T1, (T2 u T3) \\ {0}")}
 
 
 class SchemeError(ValueError):
@@ -282,11 +289,10 @@ def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
 
 
 def bannai_muzychuk_verify(tower: FieldTower, field_label: str,
-                           pattern: FusionPattern,
-                           scheme_id: str = "fusion") -> SchemeRecord:
+                           pattern: FusionPattern) -> SchemeRecord:
     """Group a in Z_M by character row and assemble the record of this
     index fusion."""
-    return _assemble(tower, scheme_id, field_label, pattern, "index")
+    return _assemble(tower, "fusion", field_label, pattern, "index")
 
 
 def _scheme(scheme_id: str) -> tuple[str, str]:
@@ -308,10 +314,10 @@ def build_scheme(tower: FieldTower, scheme_id: str,
     a dual needs its pattern (see ``build_dual_scheme``)."""
     label = scheme_id_field(scheme_id)
     if pattern is None:
-        if scheme_id not in ("thm1", "thm2i", "thm2ii"):
+        if scheme_id not in THEOREMS:
             raise SchemeError(f"scheme id {scheme_id!r} needs an explicit pattern")
         pattern = FusionPattern.from_partition(get_partition(tower))
-    return bannai_muzychuk_verify(tower, label, pattern, scheme_id)
+    return _assemble(tower, scheme_id, label, pattern, "index")
 
 
 def build_dual_scheme(tower: FieldTower, primal: SchemeRecord) -> SchemeRecord:
@@ -333,7 +339,7 @@ def build_element_scheme(tower: FieldTower, field_label: str, sets,
         raise SchemeError("element-level verification limited to small fields")
     dlog = {u: e for e, u in enumerate(K.powers)}
     # 0 has no discrete log: -1 makes the pattern reject a set holding it
-    blocks = tuple(tuple(dlog.get(x, -1) for x in S) for S in sets)
+    blocks = tuple(tuple(dlog.get(x, -1) for x in frozenset(S)) for S in sets)
     return _assemble(tower, scheme_id, field_label,
                      FusionPattern(K.order, blocks), "element")
 
@@ -436,9 +442,9 @@ def expected_dual_groups(tower: FieldTower, scheme_id: str) -> list:
     part = get_partition(tower)
     if scheme_id == "thm2ii":
         return [frozenset(b) for b in (part.T1, part.T2, part.T3)]
-    sign = {"thm1": -1, "thm2i": 1}.get(scheme_id)
-    if sign is None:
+    if scheme_id not in _DUAL_BLOCKS:
         raise SchemeError(f"unknown scheme id {scheme_id!r}")
+    sign = _DUAL_BLOCKS[scheme_id][0]
     first = frozenset(sign * i % tower.M for i in part.T1)
     return [frozenset({0}), first, frozenset(range(tower.M)) - first - {0}]
 
@@ -448,8 +454,7 @@ def dual_scheme_tables_check(tower: FieldTower, which: str) -> Report:
     G-scheme (which='thm2i'): the dual index blocks, the D = inverse-trace-zero
     set coincidence, and (thm1) imprimitivity via the zero block closing up
     to a subfield."""
-    blocks = {"thm1": "{0}, -T1, the rest", "thm2i": "{0}, T1, (T2 u T3) \\ {0}"}
-    if which not in blocks:
+    if which not in _DUAL_BLOCKS:
         raise SchemeError("which must be 'thm1' or 'thm2i'")
     record = build_scheme(tower, which)
     report = Report(f"dual structure of {which} (s={tower.s})")
@@ -457,7 +462,7 @@ def dual_scheme_tables_check(tower: FieldTower, which: str) -> Report:
     if not record.is_scheme:
         return report
     groups = set(record.dual_sets)
-    report.add(f"dual index blocks are {blocks[which]}",
+    report.add(f"dual index blocks are {_DUAL_BLOCKS[which][1]}",
                groups == set(expected_dual_groups(tower, which)),
                f"found {sorted(map(sorted, groups))}")
     if which == "thm1":

@@ -218,9 +218,11 @@ def test_each_fusion_is_censused_once(monkeypatch):
     monkeypatch.setattr(schemecore, "_census", counting)
     targets = ("thm1", "thm2i", "thm2ii", "duals", "im10")
     assert run_quiet(RunConfig(s=2, targets=targets))[0] == 0
-    # thm1, thm2i, thm2ii and their duals (thm2ii's blocks in the dual's
-    # order), then the two-class scheme and its refinement
+    # each (field, ordered blocks) once: thm1, thm2i, thm2ii, dual1, dual2i,
+    # the two-class scheme and its refinement, and the self-dual thm2ii
+    # again with its blocks in the dual's order (a distinct pattern)
     assert len(seen) == len(set(seen)) == 8
+    assert len({(values, frozenset(blocks)) for values, blocks in seen}) == 7
 
 
 def test_scheme_records_are_frozen():

@@ -4,7 +4,7 @@ from cycloscheme.binfield import build_tower
 from cycloscheme.cycpart import get_partition
 from cycloscheme.schemecore import (FusionPattern, SchemeError, bannai_muzychuk_verify,
                                     brute_force_intersection_oracle, build_dual_scheme,
-                                    build_scheme, character_row,
+                                    build_element_scheme, build_scheme, character_row,
                                     dual_scheme_tables_check, im10_construct,
                                     second_eigenmatrix, two_class_scheme)
 
@@ -184,6 +184,17 @@ def test_two_class_scheme_s1(tower1):
     record = two_class_scheme(tower1)
     assert record.is_scheme and record.d == 2
     assert record.degrees == [1, 3, 4]
+
+
+def test_element_sets_must_partition_nonzero_elements(tower1):
+    R1, R2 = two_class_scheme(tower1).pattern_sets
+    with pytest.raises(SchemeError):
+        build_element_scheme(tower1, "F", (R1 | {0}, R2), "bad")  # holds 0
+    with pytest.raises(SchemeError):
+        build_element_scheme(tower1, "F", (R1, R2 | {min(R1)}), "bad")  # overlap
+    # an element repeated within one set counts once
+    record = build_element_scheme(tower1, "F", (list(R1) * 2, R2), "trace2")
+    assert record.is_scheme and record.pattern_sets == (R1, R2)
 
 
 def test_im10_scheme_s1(tower1):
