@@ -9,7 +9,8 @@ work; there is no floating point anywhere in the package.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 
 
 class FieldError(ValueError):
@@ -85,12 +86,15 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _frobenius_power(f: int, times: int) -> int:
-    """x^(2^times) mod f via repeated squaring."""
-    t = 0b10
-    for _ in range(times):
-        t = poly_mulmod(t, t, f)
-    return t
+def poly_powmod(a: int, e: int, f: int) -> int:
+    """a^e mod f by square-and-multiply."""
+    r = 1
+    while e:
+        if e & 1:
+            r = poly_mulmod(r, a, f)
+        a = poly_mulmod(a, a, f)
+        e >>= 1
+    return r
 
 
 def irreducibility_certificate(f: int) -> int | None:
@@ -109,10 +113,10 @@ def irreducibility_certificate(f: int) -> int | None:
         return 1  # x divides f
     for p in sorted(_prime_factors(m)):
         d = m // p
-        t = _frobenius_power(f, d)
+        t = poly_powmod(0b10, 1 << d, f)
         if poly_gcd(t ^ 0b10, f) != 1:
             return d
-    if _frobenius_power(f, m) != 0b10:
+    if poly_powmod(0b10, 1 << m, f) != 0b10:
         return m
     return None
 
@@ -290,19 +294,8 @@ def _order_of_x(modulus: int, m: int) -> int:
     n = (1 << m) - 1
     order = n
     for p in _prime_factors(n):
-        while order % p == 0:
-            t = 0b10
-            e = order // p
-            r = 1
-            while e:
-                if e & 1:
-                    r = poly_mulmod(r, t, modulus)
-                t = poly_mulmod(t, t, modulus)
-                e >>= 1
-            if r == 1:
-                order //= p
-            else:
-                break
+        while order % p == 0 and poly_powmod(0b10, order // p, modulus) == 1:
+            order //= p
     return order
 
 
@@ -384,13 +377,9 @@ class FieldTower:
         f = self.F.modulus
         w = 1
         for k in range(self.F.order):
-            acc = 0
-            i = poly_degree(f)
-            while i >= 0:
-                acc = K.mul(acc, w)
-                if (f >> i) & 1:
-                    acc ^= 1
-                i -= 1
+            acc = 0  # f(w) by Horner's rule
+            for i in range(poly_degree(f), -1, -1):
+                acc = K.mul(acc, w) ^ (f >> i & 1)
             if acc == 0:
                 return k
             w = K.mul(w, z)
@@ -416,14 +405,7 @@ class FieldTower:
 
     @staticmethod
     def _embed(root_powers: list[int], u: int) -> int:
-        acc = 0
-        i = 0
-        while u:
-            if u & 1:
-                acc ^= root_powers[i]
-            u >>= 1
-            i += 1
-        return acc
+        return reduce(xor, (w for i, w in enumerate(root_powers) if u >> i & 1), 0)
 
     # -- public surface --------------------------------------------------------
 

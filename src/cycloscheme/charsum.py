@@ -1,22 +1,25 @@
 """Exact Gauss periods and Gauss sums as cyclotomic integers.
 
 A Gauss sum G(phi^ell) = sum_j eta_j zeta^(j ell) is the image in
-Z[zeta_M] of the group-ring element sum_j eta_j [j ell] of Z[Z_M].  All
-identities are verified on canonical representatives modulo Phi_M
-(``GroupRingElement.reduce``), so two sides agree exactly when their
-reductions are equal.
+Z[zeta_M] of the group-ring element sum_j eta_j [j ell] of Z[Z_M];
+``gauss_sum`` returns its canonical representative modulo Phi_M.  The
+identities between Gauss sums are verified for every ell at once, by
+comparing number-theoretic DFT tables of the periods modulo enough primes
+p = 1 (mod M) to make the comparison exact.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import isqrt
 
 import numpy as np
 
-from .binfield import BinaryField, FieldError, FieldTower, InternalCheckError
+from .binfield import (BinaryField, FieldError, FieldTower, InternalCheckError,
+                       _prime_factors)
 from .cycpart import get_partition, psi_omega_a_D
 from .reporting import Report
-from .zmring import GroupRingElement, exact_array, reduce_rows
+from .zmring import GroupRingElement, _reduction_tail, exact_array, reduce_rows
 
 
 # ---------------------------------------------------------------------------
@@ -163,157 +166,195 @@ def period_array(tower: FieldTower, label: str) -> np.ndarray:
     return eta
 
 
-def _power_vectors(tower: FieldTower, label: str, ells) -> np.ndarray:
-    """Row i is the unreduced length-M power vector of G(phi^ells[i]), one
-    scatter for all rows."""
-    M = tower.M
-    eta = period_array(tower, label)
-    ells = np.asarray(ells)[:, None]
-    vectors = np.zeros((len(ells), M), dtype=eta.dtype)
-    np.add.at(vectors, (np.arange(len(ells))[:, None], ells * np.arange(M) % M), eta)
-    return vectors
-
-
 def gauss_sum_power_vector(tower: FieldTower, label: str, ell: int) -> list[int]:
     """Unreduced length-M power vector of G(phi^ell); coefficient at k is
     the sum of the periods eta_j over j with j*ell = k mod M."""
-    return _power_vectors(tower, label, [ell % tower.M])[0].tolist()
+    M = tower.M
+    eta = period_array(tower, label)
+    vector = np.zeros(M, dtype=eta.dtype)
+    np.add.at(vector, ell % M * np.arange(M) % M, eta)
+    return vector.tolist()
 
 
 @cache
 def gauss_sum(tower: FieldTower, label: str, ell: int) -> GroupRingElement:
     """G(phi^ell), reduced modulo Phi_M, where phi sends the normalized
     primitive element (omega, gamma or beta) to zeta_M."""
-    M = tower.M
-    if not (0 <= ell < M):
-        raise FieldError(f"character exponent {ell} out of range [0, {M})")
-    vec = gauss_sum_power_vector(tower, label, ell)
-    return GroupRingElement(M, tuple(vec)).reduce()
-
-
-def _check_every_ell(report: Report, name: str, M: int, holds) -> None:
-    """One check that ``holds(ell)`` for every nonprincipal ell; every ell
-    is evaluated, and the detail names the first that fails."""
-    bad = [ell for ell in range(1, M) if not holds(ell)]
-    report.add(name, not bad, f"ell={bad[0]}" if bad else "")
-
-
-def verify_t1_gauss_identity(tower: FieldTower) -> Report:
-    """G_F(chi^ell) = 2^s * sum over x in T1 of zeta^(ell*x), for every
-    nonprincipal ell.  chi is evaluated at powers of omega; since the
-    norm-lifted character takes the same value at the matching powers of
-    gamma, the gamma reading of the identity is verified by the same
-    equality."""
-    M = tower.M
-    q = 1 << tower.s
-    part = get_partition(tower)
-    report = Report(f"Gauss sum vs T1 identity (s={tower.s})")
-
-    def holds(ell):
-        rhs = GroupRingElement.from_set(M, [(ell * x) % M for x in part.T1])
-        return gauss_sum(tower, "F", ell) == rhs.scale(q).reduce()
-
-    _check_every_ell(report, "G_F(chi^ell) == 2^s sum_{x in T1} zeta^(ell x), all ell",
-                     M, holds)
-    return report
-
-
-def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
-    """Norm-lifted Gauss sums: degree 2 gives -(G_F)^2 over G, degree 3
-    gives +(G_F)^3 over H, exactly in Z[zeta_M]; lift_degree - 1 ring
-    products per character."""
-    if lift_degree not in (2, 3):
-        raise FieldError("lift degree must be 2 or 3")
-    label = "G" if lift_degree == 2 else "H"
-    sign = -1 if lift_degree == 2 else 1
-    M = tower.M
-    report = Report(f"Hasse-Davenport lift degree {lift_degree} (s={tower.s})")
-
-    def holds(ell):
-        base = power = gauss_sum(tower, "F", ell)
-        for _ in range(lift_degree - 1):
-            power = (power * base).reduce()
-        return gauss_sum(tower, label, ell) == power.scale(sign)
-
-    _check_every_ell(report, f"G_{label}(chi'^ell) == {'-' if sign < 0 else ''}"
-                             f"(G_F(chi^ell))^{lift_degree}", M, holds)
-    return report
-
-
-def gauss_sum_modulus_check(tower: FieldTower, label: str) -> Report:
-    """|G(chi^ell)|^2 = |K| for nonprincipal ell, via G * conj(G)."""
-    K = tower.field(label)
-    M = tower.M
-    size = GroupRingElement.identity(M).scale(K.size)
-    report = Report(f"Gauss sum modulus over {label} (s={tower.s})")
-
-    def holds(ell):
-        g = gauss_sum(tower, label, ell)
-        return (g * g.involute()).reduce() == size
-
-    _check_every_ell(report, f"G * conj(G) == {K.size}", M, holds)
-    return report
-
-
-# Periods recovered per block of the expansion: a block's unreduced totals
-# are this many rows of length M, which bounds what the reduction holds.
-_EXPANSION_BLOCK = 64
-
-
-def _periods_from_sums(M: int, sum_vectors, a_values) -> list[int]:
-    """``recover_period_from_sums`` for each a in ``a_values``: one gather
-    per a, one matrix product per block of a values reducing their sums
-    modulo Phi_M."""
-    stacked = np.asarray(sum_vectors)
-    peak = max(int(stacked.max()), -int(stacked.min()))
-    stacked = exact_array(stacked, M * peak)
-    ell = np.arange(M)
-    minus_ell = -ell % M
-    # total[j] = sum over l of G(phi^(-l))[j - l*a]: window M - t of the
-    # doubled row -l is that row shifted by t
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([stacked, stacked], axis=1), M, axis=1)
-    values = []
-    for start in range(0, len(a_values), _EXPANSION_BLOCK):
-        totals = [windows[minus_ell, M - a * ell % M].sum(axis=0)
-                  for a in a_values[start:start + _EXPANSION_BLOCK]]
-        reduced = reduce_rows(M, totals, M * peak)
-        if reduced[:, 1:].any():
-            raise InternalCheckError("period expansion is not a rational integer")
-        values += reduced[:, 0].tolist()
-    if any(value % M for value in values):
-        raise InternalCheckError("period expansion not divisible by M")
-    return [value // M for value in values]
+    if not (0 <= ell < tower.M):
+        raise FieldError(f"character exponent {ell} out of range [0, {tower.M})")
+    return GroupRingElement(tower.M, tuple(gauss_sum_power_vector(tower, label, ell))).reduce()
 
 
 def recover_period_from_sums(M: int, sum_vectors: list[list[int]], a: int) -> int:
     """eta_a from the M Gauss sums via the expansion
-    eta_a = (1/M) * sum_l G(phi^(-l)) * zeta^(l*a).
+    eta_a = (1/M) * sum_l G(phi^(-l)) * zeta^(l*a), exactly in Z[zeta_M].
 
     ``sum_vectors[ell]`` is the unreduced power vector of G(phi^ell).
     Raises if the combination fails to collapse to a rational integer
     divisible by M.
     """
-    return _periods_from_sums(M, sum_vectors, [a])[0]
+    stacked = np.asarray(sum_vectors)
+    peak = max(int(stacked.max()), -int(stacked.min()))
+    stacked = exact_array(stacked, M * peak)
+    ell = np.arange(M)[:, None]
+    # total[j] = sum over l of G(phi^(-l))[j - l*a]
+    total = stacked[-ell % M, (np.arange(M) - ell * a) % M].sum(axis=0)
+    reduced = reduce_rows(M, total, M * peak)
+    if reduced[1:].any() or reduced[0] % M:
+        raise InternalCheckError("period expansion is not an integer multiple of M")
+    return int(reduced[0]) // M
+
+
+# ---------------------------------------------------------------------------
+# Gauss-sum identities, evaluated in DFT tables
+# ---------------------------------------------------------------------------
+#
+# Let p = 1 (mod M) be prime and r of order M mod p.  Phi_M splits mod p
+# into the distinct factors x - r^k, k prime to M, so a remainder modulo
+# Phi_M vanishes mod p exactly when its element vanishes at every r^k.
+# G(phi^ell) at r^k is V[ell*k], V = DFT_p(eta), and the ell*k are the m
+# with gcd(m, M) = gcd(ell, M).  So an identity holds mod p for every
+# nonprincipal ell exactly when two tables agree at every m in [1, M), and
+# the first failing ell is the least gcd(m, M) over the failing m.  The
+# remainder of an element of Z[Z_M] with coefficients at most B is at most
+# growth * B (``_reduction_tail``); primes whose product exceeds twice that
+# make "zero mod every prime" mean zero (CRT).
+
+# Deterministic Miller-Rabin bases: they decide every n below 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Rows per block of a DFT matrix: a block is this many rows of length M.
+_DFT_ROWS = 64
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    twos = ((n - 1) & (1 - n)).bit_length() - 1
+    # n - 1 = odd * 2^twos; b^odd must be 1 or reach -1 by squaring
+    return all(pow(b, (n - 1) >> twos, n) == 1 or
+               n - 1 in [pow(b, (n - 1) >> i, n) for i in range(1, twos + 1)]
+               for b in _MR_BASES)
+
+
+@cache
+def _dft_prime(M: int, index: int) -> tuple[int, int]:
+    """(p, r): the index-th largest prime p = 1 (mod M) with
+    M (p-1)^2 < 2^63, so that a sum of M products of residues fits int64,
+    and r = x^((p-1)/M) of exact order M for the least such x >= 2."""
+    top = _dft_prime(M, index - 1)[0] if index else \
+        (isqrt(((1 << 63) - 1) // M) // M + 1) * M + 1
+    p = next((p for p in range(top - M, M, -M) if _is_prime(p)), 1)
+    roots = (pow(x, (p - 1) // M, p) for x in range(2, p))
+    r = next((r for r in roots if all(pow(r, M // f, p) != 1 for f in _prime_factors(M))), 0)
+    if not (r and _is_prime(p) and p % M == 1 and M * (p - 1) ** 2 < 1 << 63
+            and pow(r, M, p) == 1):
+        raise InternalCheckError(f"no DFT prime for M = {M} at index {index}")
+    return p, r
+
+
+def _primes(M: int, bound: int) -> list[tuple[int, int]]:
+    """The leading DFT primes whose product exceeds twice the remainder
+    bound of an unreduced difference with coefficients at most ``bound``."""
+    limit = 2 * _reduction_tail(M)[1] * bound
+    primes, product = [], 1
+    while product <= limit:
+        primes.append(_dft_prime(M, len(primes)))
+        product *= primes[-1][0]
+    return primes
+
+
+def _dft(values, M: int, p: int, r: int) -> np.ndarray:
+    """out[m] = sum_j values[j] r^(j m) mod p: one int64 matrix-vector
+    product, the matrix gathered in blocks of rows from the powers of r.
+    Both factors are residues below p, so no sum reaches M (p-1)^2."""
+    powers = np.array([pow(r, k, p) for k in range(M)], dtype=np.int64)
+    x = (np.asarray(values) % p).astype(np.int64)
+    out = np.empty(M, dtype=np.int64)
+    for start in range(0, M, _DFT_ROWS):
+        m = np.arange(start, min(start + _DFT_ROWS, M))[:, None]
+        out[start:start + len(m)] = powers[m * np.arange(M) % M] @ x % p
+    return out
+
+
+def _l1(eta: np.ndarray) -> int:
+    return int(np.abs(eta).sum())
+
+
+def _table_check(report: Report, name: str, bound: int, vectors, agree) -> Report:
+    """Add the check that ``agree(p, *tables)``, the tables DFT_p of
+    ``vectors``, holds at every m in [1, M) for each prime the coefficient
+    bound needs; the detail names the first failing ell."""
+    M = len(vectors[0])
+    failing = np.zeros(M, dtype=bool)
+    for p, r in _primes(M, bound):
+        failing |= ~agree(p, *(_dft(v, M, p, r) for v in vectors))
+    m = np.flatnonzero(failing[1:]) + 1
+    report.add(name, not len(m), f"ell={np.gcd(m, M).min()}" if len(m) else "")
+    return report
+
+
+def verify_t1_gauss_identity(tower: FieldTower) -> Report:
+    """G_F(chi^ell) = 2^s * sum over x in T1 of zeta^(ell*x), for every
+    nonprincipal ell: V_F = 2^s DFT(1_T1).  chi is evaluated at powers of
+    omega; since the norm-lifted character takes the same value at the
+    matching powers of gamma, the gamma reading of the identity is
+    verified by the same equality."""
+    q = 1 << tower.s
+    T1 = get_partition(tower).T1
+    eta = period_array(tower, "F")
+    return _table_check(Report(f"Gauss sum vs T1 identity (s={tower.s})"),
+                        "G_F(chi^ell) == 2^s sum_{x in T1} zeta^(ell x), all ell",
+                        _l1(eta) + q * len(T1), [eta, np.bincount(T1, minlength=tower.M)],
+                        lambda p, v, w: v == q * w % p)
+
+
+def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
+    """Norm-lifted Gauss sums: degree 2 gives -(G_F)^2 over G, degree 3
+    gives +(G_F)^3 over H, exactly in Z[zeta_M]: V_K = -V_F^2 or V_F^3."""
+    if lift_degree not in (2, 3):
+        raise FieldError("lift degree must be 2 or 3")
+    label, sign = ("G", -1) if lift_degree == 2 else ("H", 1)
+    eta_f, eta = period_array(tower, "F"), period_array(tower, label)
+    return _table_check(
+        Report(f"Hasse-Davenport lift degree {lift_degree} (s={tower.s})"),
+        f"G_{label}(chi'^ell) == {'-' if sign < 0 else ''}(G_F(chi^ell))^{lift_degree}",
+        _l1(eta) + _l1(eta_f) ** lift_degree, [eta_f, eta],
+        lambda p, v_f, v: v == sign * (v_f * v_f % p * v_f ** (lift_degree - 2)) % p)
+
+
+def gauss_sum_modulus_check(tower: FieldTower, label: str) -> Report:
+    """|G(chi^ell)|^2 = |K| for nonprincipal ell: V[m] V[-m] = |K|."""
+    size = tower.field(label).size
+    eta = period_array(tower, label)
+    neg = -np.arange(tower.M) % tower.M
+    return _table_check(Report(f"Gauss sum modulus over {label} (s={tower.s})"),
+                        f"G * conj(G) == {size}", _l1(eta) ** 2 + size, [eta],
+                        lambda p, v: v * v[neg] % p == size % p)
 
 
 def period_expansion_check(tower: FieldTower, label: str) -> Report:
-    """The Gauss-sum expansion must reproduce every direct period."""
+    """eta_a = (1/M) sum_l G(phi^(-l)) zeta^(l*a) must reproduce every
+    direct period: the inverse DFT of V is M eta.  This holds for every
+    integer vector eta, so it checks the tables, not the periods."""
     M = tower.M
-    eta = gauss_periods(tower, label)
+    eta = period_array(tower, label)
+    failing = np.zeros(M, dtype=bool)
+    for p, r in _primes(M, 2 * M * _l1(eta)):
+        failing |= _dft(_dft(eta, M, p, r), M, p, r)[-np.arange(M) % M] != eta % p * M % p
+    bad = np.flatnonzero(failing)
     report = Report(f"period-from-sums expansion over {label} (s={tower.s})")
-    got = _periods_from_sums(M, _power_vectors(tower, label, range(M)), range(M))
-    bad = next((a for a in range(M) if got[a] != eta[a]), None)
-    report.add("expansion reproduces all periods", bad is None,
-               "" if bad is None else f"a={bad}: {got[bad]} != {eta[bad]}")
+    report.add("expansion reproduces all periods", not len(bad),
+               f"a={bad[0]}: inverse DFT is not M*eta_a" if len(bad) else "")
     return report
 
 
 def conjugation_symmetry_check(tower: FieldTower, label: str) -> Report:
-    """conj(G(chi^ell)) == G(chi^(M-ell)); psi(-1) = +1 in characteristic 2."""
-    M = tower.M
-    report = Report(f"conjugation symmetry over {label} (s={tower.s})")
-    _check_every_ell(report, "conj(G(ell)) == G(M-ell)", M,
-                     lambda ell: gauss_sum(tower, label, ell).involute().reduce()
-                     == gauss_sum(tower, label, M - ell))
-    return report
+    """conj(G(chi^ell)) == G(chi^(M-ell)); psi(-1) = +1 in characteristic 2.
+    The table of eta read backwards must be V[-m]; this holds for every
+    integer vector eta, so it checks the tables, not the periods."""
+    eta = period_array(tower, label)
+    neg = -np.arange(tower.M) % tower.M
+    return _table_check(Report(f"conjugation symmetry over {label} (s={tower.s})"),
+                        "conj(G(ell)) == G(M-ell)", 2 * _l1(eta), [eta[neg], eta],
+                        lambda p, back, v: back == v[neg])

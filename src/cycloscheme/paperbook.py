@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import zip_longest
 
 from .binfield import FieldTower
 from .reporting import Report
@@ -54,10 +55,8 @@ class QPoly:
         o = QPoly._lift(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [Fraction(0)] * (n - len(o.coeffs))
-        return QPoly(QPoly._trim([x + y for x, y in zip(a, b)]))
+        return QPoly(QPoly._trim([x + y for x, y in
+                                  zip_longest(self.coeffs, o.coeffs, fillvalue=Fraction(0))]))
 
     __radd__ = __add__
 
@@ -200,10 +199,7 @@ def row_sum_identity_check() -> Report:
     for tid in TABLE_IDS:
         table = _table(tid)
         for r in range(1, len(table["rows"])):
-            total = zero
-            for expr in table["rows"][r]:
-                total = total + parse_qpoly(expr)
-            if total != zero:
+            if sum(map(parse_qpoly, table["rows"][r]), zero) != zero:
                 bad.append(f"table {tid} row {r}")
     report.add("nonprincipal table rows sum to 0 identically", not bad, "; ".join(bad))
 
@@ -215,10 +211,7 @@ def row_sum_identity_check() -> Report:
         for which, mat in mats.items():
             n_i = parse_qpoly(degree_of[which[0]][sid][int(which[1])])
             for r, row in enumerate(mat):
-                total = zero
-                for expr in row:
-                    total = total + parse_qpoly(expr)
-                if total != n_i:
+                if sum(map(parse_qpoly, row), zero) != n_i:
                     bad.append(f"{sid} {which} row {r}")
     report.add("every B_i/L_i row sums to the degree n_i identically", not bad,
                "; ".join(bad))
@@ -270,12 +263,8 @@ def reconcile(tower: FieldTower, scheme_id: str) -> Report:
     report.add("nonprincipal P rows match the table "
                f"(table row -> computed row {[1 + l for l in row_map]})", ok, detail)
 
-    bad = ""
-    for i in (1, 2, 3):
-        expected = appendix_matrix(scheme_id, f"B{i}", q)
-        if record.B[i] != expected:
-            bad = f"B{i}: computed {record.B[i]}"
-            break
+    bad = next((f"B{i}: computed {record.B[i]}" for i in (1, 2, 3)
+                if record.B[i] != appendix_matrix(scheme_id, f"B{i}", q)), "")
     report.add("intersection matrices B1..B3 match", not bad, bad)
 
     # dual scheme: relabel its classes to the published D_k order before
@@ -317,12 +306,8 @@ def reconcile(tower: FieldTower, scheme_id: str) -> Report:
     report.add("dual table rows match", ok, detail)
 
     relabelled = _relabel(dual.B, perm)
-    bad = ""
-    for i in (1, 2, 3):
-        expected = appendix_matrix(scheme_id, f"L{i}", q)
-        if relabelled[i] != expected:
-            bad = f"L{i}: computed {relabelled[i]}"
-            break
+    bad = next((f"L{i}: computed {relabelled[i]}" for i in (1, 2, 3)
+                if relabelled[i] != appendix_matrix(scheme_id, f"L{i}", q)), "")
     report.add("intersection matrices L1..L3 match", not bad, bad)
     if scheme_id == "thm2ii":
         report.add("self-dual: L_i coincide with B_i",

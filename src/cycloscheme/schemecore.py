@@ -128,16 +128,11 @@ def _inverse_times(mat: list, scalar: int) -> list:
             if r != col and work[r][col]:
                 f = work[r][col]
                 work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = work[i][n + j]
+    for i, row in enumerate(work):
+        for j, v in enumerate(row[n:]):
             if v.denominator != 1:
                 raise InternalCheckError(f"non-integral entry at ({i},{j}): {v}")
-            row.append(int(v))
-        out.append(row)
-    return out
+    return [[int(v) for v in row[n:]] for row in work]
 
 
 def _mat_mul(a: list, b: list) -> list:
@@ -353,10 +348,7 @@ def class_elements(tower: FieldTower, field_label: str,
     """Elements of each fused class (class 0 = {0}), by one streaming pass."""
     K = tower.field(field_label)
     step = tower.class_step(field_label)
-    block_of = {}
-    for b_idx, b in enumerate(pattern.blocks):
-        for i in b:
-            block_of[i] = b_idx
+    block_of = {i: b_idx for b_idx, b in enumerate(pattern.blocks) for i in b}
     out = [[0]] + [[] for _ in pattern.blocks]
     for k, u in enumerate(K.powers):
         out[1 + block_of[k * step % pattern.M]].append(u)
@@ -468,12 +460,14 @@ def dual_scheme_tables_check(tower: FieldTower, which: str) -> Report:
     if which == "thm1":
         report.add("dual class on -T1 equals the inverse-trace-zero set D",
                    d_class_check(tower).passed)
-        # D_0 u D_1 closes under addition, i.e. the dual is imprimitive
-        # (C_0 u {0} is the degree-s subfield)
+        # D_0 u D_1 closes under addition, i.e. the dual is imprimitive:
+        # C_0 u {0} is the degree-s subfield, which holds 1 and is fixed by
+        # u -> u^q (every other class omega^r C_0 u {0} is closed as well)
         c0 = set(tower.F.powers[::tower.M]) | {0}
         closed = all((a ^ b) in c0 for a in c0 for b in c0)
+        fixed = 1 in c0 and all(tower.F.pow(u, 1 << tower.s) == u for u in c0)
         report.add("zero-indexed dual block plus 0 is additively closed "
-                   f"of size 2^{tower.s}", closed and len(c0) == 1 << tower.s)
+                   f"of size 2^{tower.s}", closed and fixed and len(c0) == 1 << tower.s)
     dual = build_dual_scheme(tower, record)
     report.add("dual fusion is itself a 3-class scheme", dual.is_scheme)
     return report

@@ -216,11 +216,7 @@ def _equation_check(report: Report, name: str, lhs: GroupRingElement,
 
 
 def _t_elements(part):
-    M = part.M
-    T1 = GroupRingElement.from_set(M, part.T1)
-    T2 = GroupRingElement.from_set(M, part.T2)
-    T3 = GroupRingElement.from_set(M, part.T3)
-    return T1, T2, T3
+    return tuple(GroupRingElement.from_set(part.M, T) for T in (part.T1, part.T2, part.T3))
 
 
 def verify_lemma2(part, s: int) -> Report:

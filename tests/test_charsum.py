@@ -144,18 +144,20 @@ def test_hasse_davenport_square_and_cube(s):
 
 @pytest.mark.parametrize("lift_degree", [2, 3])
 def test_hasse_davenport_products_per_character(monkeypatch, lift_degree):
-    # one ring product for the square, two for the cube
-    products = []
-    mul = GroupRingElement.__mul__
+    # no ring product per character: one forward DFT (a matrix-vector
+    # product) per prime and per period vector, F and the lifted field
+    primes = []
+    dft = charsum._dft
 
-    def counted(self, other):
-        products.append(other)
-        return mul(self, other)
+    def counted(values, M, p, r):
+        primes.append(p)
+        return dft(values, M, p, r)
 
-    monkeypatch.setattr(GroupRingElement, "__mul__", counted)
+    monkeypatch.setattr(charsum, "_dft", counted)
+    monkeypatch.setattr(GroupRingElement, "__mul__", None)
     tower = build_tower(1)
     assert verify_hasse_davenport(tower, lift_degree).passed
-    assert len(products) == (lift_degree - 1) * (tower.M - 1)
+    assert primes and all(primes.count(p) == 2 for p in primes)
 
 
 def test_hasse_davenport_cube_s3():

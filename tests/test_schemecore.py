@@ -227,3 +227,22 @@ def test_record_json_round_trip(tower1):
     data = json.loads(blob)
     assert data["P"] == record.P
     assert data["flags"]["is_self_dual"]
+
+
+def test_dual_check_needs_the_subfield_block(monkeypatch):
+    # every class omega^r C_0 plus 0 is an additive group of size q, so the
+    # check must also see that the block is the subfield: it holds 1 and
+    # is fixed by u -> u^q.  Rotating the power table by one hands the
+    # check the block F.powers[1::M] = omega C_0.
+    tower = build_tower(2)
+    name = "zero-indexed dual block plus 0 is additively closed of size 2^2"
+    # the first run fills every cache the check reads, so the patched run
+    # leaves none built from the rotated table
+    checks = {c.name: c for c in dual_scheme_tables_check(tower, "thm1").checks}
+    assert checks[name].passed
+    powers = tower.F.powers
+    monkeypatch.setitem(vars(tower.F), "powers", powers[1:] + powers[:1])
+    shifted = set(tower.F.powers[::tower.M]) | {0}
+    assert all((a ^ b) in shifted for a in shifted for b in shifted)
+    checks = {c.name: c for c in dual_scheme_tables_check(tower, "thm1").checks}
+    assert checks[name].passed is False
