@@ -180,6 +180,9 @@ def run(config: RunConfig, out=None) -> int:
     if config.s < 1:
         print("error: --s must be >= 1", file=out)
         return USAGE_ERROR
+    if not config.targets:
+        print("error: the target list is empty", file=out)
+        return USAGE_ERROR
     bad = [t for t in config.targets if t not in TARGETS]
     if bad:
         print(f"error: unknown targets {bad}", file=out)
@@ -281,7 +284,7 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse_args(argv)
     targets = TARGETS
-    if args.targets and not args.all:
+    if args.targets is not None and not args.all:
         targets = tuple(t.strip() for t in args.targets.split(",") if t.strip())
     try:
         config = RunConfig(

@@ -1,19 +1,21 @@
 """Symbolic parameter book: every published table row and intersection
 matrix as a polynomial in q = 2^s, cross-checked against computed results.
 
-The transcription lives in data/tables.json as expression strings; they are
-evaluated with a rational-coefficient polynomial type, so a stray float or
-inexact division is impossible by construction.
+The transcription lives in data/tables.json as expression strings.  Each is
+checked against the grammar of integer literals, q, + - *, ** by a
+non-negative integer literal and / by a nonzero integer literal, which bounds
+its degree, then compiled and evaluated exactly at q = Fraction(q); a float
+result such as 1/2 is rejected.  Entries have degree at most D, so the
+row-sum identities hold identically iff they hold at q = 0..D.
 """
 
 from __future__ import annotations
 
+import ast
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import zip_longest
 
 from .binfield import FieldTower
 from .reporting import Report
@@ -24,100 +26,54 @@ TABLE_IDS = tuple(SCHEMES)
 _ROMAN = dict(zip(("I", "II", "III", "IV", "V"), TABLE_IDS))
 
 
-@dataclass(frozen=True)
-class QPoly:
-    """Univariate polynomial in q with Fraction coefficients, low degree first."""
-
-    coeffs: tuple
-
-    @classmethod
-    def const(cls, c) -> "QPoly":
-        return cls((Fraction(c),))
-
-    @classmethod
-    def x(cls) -> "QPoly":
-        return cls((Fraction(0), Fraction(1)))
-
-    @staticmethod
-    def _lift(v):
-        if isinstance(v, QPoly):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return QPoly.const(v)
-        return None
-
-    def _trim(coeffs):
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
-
-    def __add__(self, other):
-        o = QPoly._lift(other)
-        if o is None:
-            return NotImplemented
-        return QPoly(QPoly._trim([x + y for x, y in
-                                  zip_longest(self.coeffs, o.coeffs, fillvalue=Fraction(0))]))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = QPoly._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = QPoly._lift(other)
-        if o is None:
-            return NotImplemented
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return QPoly(QPoly._trim(out))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other != 0:
-            return QPoly(tuple(c / other for c in self.coeffs))
-        return NotImplemented
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        r = QPoly.const(1)
-        for _ in range(e):
-            r = r * self
-        return r
-
-    def __call__(self, q_value: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q_value + c
-        return acc
-
-    def eval_int(self, q_value: int) -> int:
-        v = self(q_value)
-        if v.denominator != 1:
-            raise ValueError(f"non-integer value {v} at q={q_value}")
-        return int(v)
+def _degree(node, expr: str) -> int:
+    """Degree bound in q of an expression node; ValueError for anything
+    outside the grammar."""
+    if isinstance(node, ast.Name) and node.id == "q":
+        return 1
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return 0
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        return _degree(node.operand, expr)
+    if isinstance(node, ast.BinOp):
+        left = _degree(node.left, expr)
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            return max(left, _degree(node.right, expr))
+        if isinstance(node.op, ast.Mult):
+            return left + _degree(node.right, expr)
+        right = node.right
+        literal = right.value if isinstance(right, ast.Constant) \
+            and type(right.value) is int else None
+        if isinstance(node.op, ast.Pow) and literal is not None:
+            return left * literal
+        if isinstance(node.op, ast.Div) and literal:
+            return left
+    raise ValueError(f"expression {expr!r} is not a polynomial in q")
 
 
 @lru_cache(maxsize=None)
-def parse_qpoly(expr: str) -> QPoly:
-    """Evaluate an expression string in q with polynomial arithmetic only."""
-    value = eval(expr, {"__builtins__": {}}, {"q": QPoly.x()})  # noqa: S307 -- fixed data file
-    lifted = QPoly._lift(value)
-    if lifted is None:
+def _parse(expr: str) -> tuple:
+    """Code object and degree bound of a grammar-checked expression."""
+    tree = ast.parse(expr, mode="eval")
+    degree = _degree(tree.body, expr)
+    return compile(tree, "<tables.json>", "eval"), degree
+
+
+@lru_cache(maxsize=None)
+def evaluate(expr: str, q_value: int) -> Fraction:
+    """Exact value of an expression at q.  A division with no q in its
+    dividend is float division in Python, so its result is rejected."""
+    value = eval(_parse(expr)[0], {"__builtins__": {}}, {"q": Fraction(q_value)})  # noqa: S307
+    if not isinstance(value, (int, Fraction)):
         raise ValueError(f"expression {expr!r} is not a polynomial in q")
-    return lifted
+    return Fraction(value)
+
+
+def eval_int(expr: str, q_value: int) -> int:
+    v = evaluate(expr, q_value)
+    if v.denominator != 1:
+        raise ValueError(f"non-integer value {v} at q={q_value}")
+    return int(v)
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +102,7 @@ def table_row(table_id: str, row_label, q_value: int) -> list[int]:
         idx = table["row_labels"].index(row_label)
     else:
         raise KeyError(f"unknown row {row_label!r}")
-    return [parse_qpoly(e).eval_int(q_value) for e in table["rows"][idx]]
+    return [eval_int(e, q_value) for e in table["rows"][idx]]
 
 
 def appendix_matrix(scheme_id: str, which: str, q_value: int) -> list:
@@ -160,7 +116,7 @@ def appendix_matrix(scheme_id: str, which: str, q_value: int) -> list:
     mats = data[scheme_id]
     if which not in mats:
         raise KeyError(f"no matrix {which!r} for {scheme_id}")
-    return [[parse_qpoly(e).eval_int(q_value) for e in row] for row in mats[which]]
+    return [[eval_int(e, q_value) for e in row] for row in mats[which]]
 
 
 def _all_expressions():
@@ -179,12 +135,8 @@ def _all_expressions():
 def integrality_check(q_values=(2, 4, 8, 16)) -> Report:
     """Every transcribed entry must evaluate to an integer at q = 2^s."""
     report = Report("integrality of transcribed entries")
-    bad = []
-    for where, expr in _all_expressions():
-        poly = parse_qpoly(expr)
-        for q in q_values:
-            if poly(q).denominator != 1:
-                bad.append(f"{where} at q={q}")
+    bad = [f"{where} at q={q}" for where, expr in _all_expressions()
+           for q in q_values if evaluate(expr, q).denominator != 1]
     report.add(f"all entries integral at q in {tuple(q_values)}", not bad,
                "; ".join(bad[:3]))
     return report
@@ -192,27 +144,27 @@ def integrality_check(q_values=(2, 4, 8, 16)) -> Report:
 
 def row_sum_identity_check() -> Report:
     """Polynomial identities: nonprincipal table rows sum to 0, and every
-    row of B_i (resp. L_i) sums to the degree n_i of the matching scheme."""
+    row of B_i (resp. L_i) sums to the degree n_i of the matching scheme.
+    Every entry has degree at most D, the largest degree bound in the book,
+    so a row sum equals its target identically iff it does at q = 0..D."""
     report = Report("row-sum polynomial identities")
-    zero = QPoly.const(0)
-    bad = []
-    for tid in TABLE_IDS:
-        table = _table(tid)
-        for r in range(1, len(table["rows"])):
-            if sum(map(parse_qpoly, table["rows"][r]), zero) != zero:
-                bad.append(f"table {tid} row {r}")
+    points = range(max(_parse(e)[1] for _, e in _all_expressions()) + 1)
+
+    def sums_to(row, target: str) -> bool:
+        return all(sum(evaluate(e, q) for e in row) == evaluate(target, q)
+                   for q in points)
+
+    bad = [f"table {tid} row {r}" for tid in TABLE_IDS
+           for r, row in enumerate(_table(tid)["rows"][1:], 1) if not sums_to(row, "0")]
     report.add("nonprincipal table rows sum to 0 identically", not bad, "; ".join(bad))
 
     degree_of = {"B": {sid: _table(sid)["rows"][0] for sid in THEOREMS},
                  "L": {sid: _table(SCHEMES[sid][1])["rows"][0] for sid in THEOREMS}}
-    bad = []
-    data = _load_data()["intersection_matrices"]
-    for sid, mats in data.items():
-        for which, mat in mats.items():
-            n_i = parse_qpoly(degree_of[which[0]][sid][int(which[1])])
-            for r, row in enumerate(mat):
-                if sum(map(parse_qpoly, row), zero) != n_i:
-                    bad.append(f"{sid} {which} row {r}")
+    bad = [f"{sid} {which} row {r}"
+           for sid, mats in _load_data()["intersection_matrices"].items()
+           for which, mat in mats.items()
+           for r, row in enumerate(mat)
+           if not sums_to(row, degree_of[which[0]][sid][int(which[1])])]
     report.add("every B_i/L_i row sums to the degree n_i identically", not bad,
                "; ".join(bad))
     return report

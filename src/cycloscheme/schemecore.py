@@ -111,30 +111,6 @@ def _jint(n: int):
 # exact small-matrix helpers
 # ---------------------------------------------------------------------------
 
-def _inverse_times(mat: list, scalar: int) -> list:
-    """scalar * mat^(-1) as an integer matrix; raises if any entry is not
-    an integer (which would flag a misidentified scheme)."""
-    n = len(mat)
-    work = [[Fraction(mat[i][j]) for j in range(n)] +
-            [Fraction(scalar if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise InternalCheckError("singular eigenmatrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    for i, row in enumerate(work):
-        for j, v in enumerate(row[n:]):
-            if v.denominator != 1:
-                raise InternalCheckError(f"non-integral entry at ({i},{j}): {v}")
-    return [[int(v) for v in row[n:]] for row in work]
-
-
 def _mat_mul(a: list, b: list) -> list:
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
@@ -167,11 +143,22 @@ def _census(values, blocks) -> dict:
 
 
 def second_eigenmatrix(P: list, size: int) -> list:
-    """Q = |X| * P^(-1), exact; P*Q = |X|*I is rechecked."""
-    Q = _inverse_times(P, size)
-    prod = _mat_mul(P, Q)
+    """Q = |X| * P^(-1) by orthogonality: with n_i = P[0][i], the dual
+    multiplicity is m_l = |X| / sum_i P[l][i]^2 / n_i and
+    Q[i][l] = m_l P[l][i] / n_i.  Both divisions must be exact, and
+    P*Q = |X|*I is rechecked."""
     n = len(P)
-    if prod != [[size if i == j else 0 for j in range(n)] for i in range(n)]:
+    Q = [[0] * n for _ in range(n)]
+    for l, row in enumerate(P):
+        m = size / sum(Fraction(v * v, k) for v, k in zip(row, P[0]))
+        if m.denominator != 1:
+            raise InternalCheckError(f"multiplicity m_{l} = {m} is not an integer")
+        for i, (v, k) in enumerate(zip(row, P[0])):
+            if m.numerator * v % k:
+                raise InternalCheckError(f"Q[{i}][{l}] = {m.numerator * v}/{k} "
+                                         "is not an integer")
+            Q[i][l] = m.numerator * v // k
+    if _mat_mul(P, Q) != [[size if i == j else 0 for j in range(n)] for i in range(n)]:
         raise InternalCheckError("P*Q != |X|*I")
     return Q
 

@@ -34,6 +34,16 @@ def test_unknown_target_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("targets", [",", ""])
+def test_empty_target_list_is_usage_error(monkeypatch, capsys, targets):
+    def no_tower(*args):
+        raise AssertionError("the tower must not be built")
+
+    monkeypatch.setattr(cli, "build_tower", no_tower)
+    assert main(["--s", "1", "--targets", targets]) == 2
+    assert "all checks passed" not in capsys.readouterr().out
+
+
 def test_thm2ii_s3_requires_big():
     code, text = run_quiet(RunConfig(s=3, targets=("thm2ii",)))
     assert code == 2
@@ -89,16 +99,19 @@ def test_skipped_check_is_not_a_pass(tmp_path):
 # SHA-256 of the catalog's schemes section and the number of checks, as
 # recorded in perfbench/references.json: the whole-catalog behaviour oracle.
 # From s = 3 on the references leave out thm2ii, which needs --big there; at
-# s = 5 they keep the targets that walk no field beyond F.  At s = 1, 2 the
-# third value pins the SHA-256 of the whole catalog file, reports included.
+# s = 5 they keep the targets that walk no field beyond F.  The third value
+# pins the SHA-256 of the whole catalog file, reports included.
 CATALOG_REFERENCES = {
     1: ("42d1839c5c663e0fbb026fae0bc4c28e42a83a36bc32fd0f992afdd5d6a37cfa", 75,
         "82c704d6ac3c5cb28547c377f9ab96a48db4e85f69282a772cdeaed04d8c693f"),
     2: ("34ddcb3c0662b2934d3a46830f3ec95286184b37e1c0df8d01c02b62b457f7f3", 75,
         "12a9210eda3dce81ae7ffb9bbdfb37e0f8073802203273d1bde6e17e5517ca2f"),
-    3: ("d155fb97348d55463caafe486c7ec94f75e8cb23e0b91f9f96fddc93d1da43cb", 63, None),
-    4: ("2dfbd4f3ba99c5f894f13e65c5292bbc2dea9aa68120825b9c55f3c36785e3f1", 63, None),
-    5: ("4af4537d5d5a8cd7cfe1e8b6898e7943efd0c012714c20919ed4436896c9a1f0", 33, None),
+    3: ("d155fb97348d55463caafe486c7ec94f75e8cb23e0b91f9f96fddc93d1da43cb", 63,
+        "daf8f0f1b309de38d449947fcf0346f9513f812fcc530bb76d10b8fb4cecdfb3"),
+    4: ("2dfbd4f3ba99c5f894f13e65c5292bbc2dea9aa68120825b9c55f3c36785e3f1", 63,
+        "aa184992996207516398600d34a11ad7b886a642b13ace0abbe01531c096e89f"),
+    5: ("4af4537d5d5a8cd7cfe1e8b6898e7943efd0c012714c20919ed4436896c9a1f0", 33,
+        "ebe188620fede6596cd146166eab6576b689696028b4a79dcca1c14e0b454cdd"),
 }
 
 
@@ -122,8 +135,7 @@ def test_catalog_matches_reference(tmp_path, s):
     schemes_sha, expected_checks, file_sha = CATALOG_REFERENCES[s]
     assert (hashlib.sha256(schemes.encode()).hexdigest(), checks) == \
         (schemes_sha, expected_checks)
-    if file_sha is not None:
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
 
 
 def test_explicit_modulus_flag():

@@ -1,29 +1,50 @@
-import pytest
+import copy
 from fractions import Fraction
 
+import pytest
+
+from cycloscheme import paperbook
 from cycloscheme.binfield import build_tower
-from cycloscheme.paperbook import (QPoly, appendix_matrix, integrality_check,
-                                   parse_qpoly, reconcile, row_sum_identity_check,
-                                   table_row)
+from cycloscheme.paperbook import (appendix_matrix, eval_int, evaluate, integrality_check,
+                                   reconcile, row_sum_identity_check, table_row)
 
 
 def test_qpoly_eval():
-    p = parse_qpoly("q*(q**2+q-2)/4")
-    assert p(2) == Fraction(2)
-    assert p(4) == Fraction(18)
-    assert p.eval_int(4) == 18
+    expr = "q*(q**2+q-2)/4"
+    assert evaluate(expr, 2) == Fraction(2)
+    assert evaluate(expr, 4) == Fraction(18)
+    assert eval_int(expr, 4) == 18
 
 
 def test_qpoly_rejects_non_integral():
-    p = parse_qpoly("q/2")
     with pytest.raises(ValueError):
-        p.eval_int(3)
+        eval_int("q/2", 3)
 
 
-def test_qpoly_arithmetic():
-    q = QPoly.x()
-    assert (q + 1) * (q - 1) == q ** 2 - 1
-    assert (q ** 2 - 1) / 1 == q ** 2 - 1
+@pytest.mark.parametrize("expr", [
+    "1.5*q", "1/2", "q+1/2", "q**q", "q/q", "q**-1", "__import__('os')",
+    "q.numerator", "(lambda: 1)()", "[q][0]", "q//2", "q%2", "True*q", "x"])
+def test_expressions_outside_the_grammar_are_rejected(expr):
+    with pytest.raises(ValueError):
+        evaluate(expr, 2)
+
+
+def test_degree_bound():
+    assert [paperbook._parse(e)[1] for e in
+            ("7", "q", "-q/2", "q*(q-1)**2/2", "(q**2-1)*(q**3+1)", "q**0")] == \
+        [0, 1, 1, 3, 5, 0]
+
+
+def test_row_sums_are_checked_past_the_largest_degree(monkeypatch):
+    # q(q-1)...(q-9) vanishes at q = 0..9, the points that suffice for the
+    # unpatched book; its degree 10 raises the bound to one more point
+    data = copy.deepcopy(paperbook._load_data())
+    row = data["tables"]["thm1"]["rows"][2]
+    row[1] += "+q*" + "*".join(f"(q-{k})" for k in range(1, 10))
+    monkeypatch.setattr(paperbook, "_load_data", lambda: data)
+    report = row_sum_identity_check()
+    assert not report.passed
+    assert [c.detail for c in report.failures()] == ["table thm1 row 2"]
 
 
 def test_table_rows_s1():

@@ -1,6 +1,6 @@
 import pytest
 
-from cycloscheme.binfield import build_tower
+from cycloscheme.binfield import InternalCheckError, build_tower
 from cycloscheme.cycpart import get_partition
 from cycloscheme.schemecore import (FusionPattern, SchemeError, bannai_muzychuk_verify,
                                     brute_force_intersection_oracle, build_dual_scheme,
@@ -90,6 +90,16 @@ def test_second_eigenmatrix_f_s1(tower1):
     record = build_scheme(tower1, "thm1")
     assert record.Q[0] == [1, 1, 3, 3]
     assert second_eigenmatrix(record.P, record.size) == record.Q
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_second_eigenmatrix_rejects_a_perturbed_entry(tower2, i, l):
+    record = build_scheme(tower2, "thm1")
+    P = [list(row) for row in record.P]
+    P[l][i] += 1
+    with pytest.raises(InternalCheckError):
+        second_eigenmatrix(P, record.size)
 
 
 def test_intersection_matrices_f_s1(tower1):
