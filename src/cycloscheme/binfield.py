@@ -4,6 +4,11 @@ Field elements are plain ints: bit i is the coefficient of x**i of the
 polynomial-basis representative.  A modulus bit mask includes the leading
 coefficient, so x**3 + x + 1 is 0b1011.  Everything here is exact integer
 work; there is no floating point anywhere in the package.
+
+Every walk over a cyclic group of field elements reads one power table:
+``power_table`` returns base**i for i < count as uint64 words, built by
+doubling with byte lookup tables of GF(2)-linear maps, so fields of degree
+at most 64 (and towers with s <= 7).
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import math
 from functools import cached_property, reduce
 from operator import xor
+
+import numpy as np
 
 
 class FieldError(ValueError):
@@ -56,17 +63,6 @@ def poly_degree(f: int) -> int:
     return f.bit_length() - 1
 
 
-def poly_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[x] polynomials."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def poly_mod(a: int, f: int) -> int:
     df = f.bit_length() - 1
     da = a.bit_length() - 1
@@ -76,25 +72,10 @@ def poly_mod(a: int, f: int) -> int:
     return a
 
 
-def poly_mulmod(a: int, b: int, f: int) -> int:
-    return poly_mod(poly_mul(a, b), f)
-
-
 def poly_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, poly_mod(a, b)
     return a
-
-
-def poly_powmod(a: int, e: int, f: int) -> int:
-    """a^e mod f by square-and-multiply."""
-    r = 1
-    while e:
-        if e & 1:
-            r = poly_mulmod(r, a, f)
-        a = poly_mulmod(a, a, f)
-        e >>= 1
-    return r
 
 
 def irreducibility_certificate(f: int) -> int | None:
@@ -111,12 +92,16 @@ def irreducibility_certificate(f: int) -> int | None:
         return None
     if not (f & 1):
         return 1  # x divides f
+    ring = BinaryField(m, f, 0b10)  # mul is arithmetic mod f, a field or not
+
+    def x_to_the_2_to(d: int) -> int:
+        return reduce(lambda t, _: ring.mul(t, t), range(d), 0b10)
+
     for p in sorted(_prime_factors(m)):
         d = m // p
-        t = poly_powmod(0b10, 1 << d, f)
-        if poly_gcd(t ^ 0b10, f) != 1:
+        if poly_gcd(x_to_the_2_to(d) ^ 0b10, f) != 1:
             return d
-    if poly_powmod(0b10, 1 << m, f) != 0b10:
+    if x_to_the_2_to(m) != 0b10:
         return m
     return None
 
@@ -153,8 +138,6 @@ class BinaryField:
         self.order = self.size - 1
         self.generator = generator
         self._top = 1 << degree
-        self._zero_mask_cache: dict[int, list[int]] = {}
-        self.trace_mask = self._build_trace_mask()
 
     def __repr__(self) -> str:
         return f"BinaryField(degree={self.degree}, modulus={self.modulus:#x})"
@@ -181,16 +164,6 @@ class BinaryField:
                 a ^= f
         return r
 
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("inverse of 0")
-        if self.order == 1:
-            return 1
-        return self.pow(a, self.order - 1)
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
@@ -205,20 +178,13 @@ class BinaryField:
             e >>= 1
         return r
 
-    # -- traces, norms, characters ------------------------------------------
+    # -- traces and characters ----------------------------------------------
 
-    def _build_trace_mask(self) -> int:
-        mask = 0
-        for i in range(self.degree):
-            t = 1 << i
-            acc = 0
-            for _ in range(self.degree):
-                acc ^= t
-                t = self.mul(t, t)
-            if acc not in (0, 1):
-                raise InternalCheckError("absolute trace left the prime field")
-            mask |= acc << i
-        return mask
+    @cached_property
+    def trace_mask(self) -> int:
+        """Bit i is the absolute trace of x**i, so Tr(u) is the parity of
+        u & trace_mask."""
+        return sum(self.rel_trace(1, 1 << i) << i for i in range(self.degree))
 
     def abs_trace(self, u: int) -> int:
         return (u & self.trace_mask).bit_count() & 1
@@ -251,52 +217,77 @@ class BinaryField:
         (u & m_t) has even parity.  The trace is GF(2)-linear, so its
         coordinate t (in this field's basis) at u is the parity of
         u & m_t; zero masks are dropped."""
-        if sub_degree not in self._zero_mask_cache:
-            vals = [self.rel_trace(sub_degree, 1 << i) for i in range(self.degree)]
-            masks = []
-            for t in range(self.degree):
-                mask = 0
-                for i, v in enumerate(vals):
-                    mask |= ((v >> t) & 1) << i
-                if mask:
-                    masks.append(mask)
-            self._zero_mask_cache[sub_degree] = masks
-        return self._zero_mask_cache[sub_degree]
-
-    def rel_trace_is_zero(self, sub_degree: int, u: int) -> bool:
-        for mask in self.subfield_zero_masks(sub_degree):
-            if (u & mask).bit_count() & 1:
-                return False
-        return True
-
-    def norm_to(self, sub_degree: int, u: int) -> int:
-        if sub_degree <= 0 or self.degree % sub_degree:
-            raise FieldError(
-                f"sub_degree {sub_degree} does not divide degree {self.degree}"
-            )
-        if u == 0:
-            return 0
-        return self.pow(u, self.order // ((1 << sub_degree) - 1))
+        vals = [self.rel_trace(sub_degree, 1 << i) for i in range(self.degree)]
+        masks = (sum((v >> t & 1) << i for i, v in enumerate(vals)) for t in range(self.degree))
+        return [mask for mask in masks if mask]
 
     @cached_property
     def powers(self) -> list[int]:
-        """generator**k for 0 <= k < |K*|, the one walk over K* that the
-        class and set computations share; |K*| ints, so meant for fields
-        small enough to enumerate."""
-        out = [1] * self.order
-        for k in range(1, self.order):
-            out[k] = self.mul(out[k - 1], self.generator)
-        return out
+        """generator**k for 0 <= k < |K*| as Python ints, for the class and
+        set computations that index and hash them; meant for fields small
+        enough to enumerate."""
+        return power_table(self, self.generator, self.order).tolist()
 
 
-def _order_of_x(modulus: int, m: int) -> int:
-    """Multiplicative order of the residue of x modulo an irreducible modulus."""
-    n = (1 << m) - 1
-    order = n
-    for p in _prime_factors(n):
-        while order % p == 0 and poly_powmod(0b10, order // p, modulus) == 1:
+def _order_of_x(K: BinaryField) -> int:
+    """Multiplicative order of x in K, whose modulus is irreducible."""
+    order = K.order
+    for p in _prime_factors(K.order):
+        while order % p == 0 and K.pow(0b10, order // p) == 1:
             order //= p
     return order
+
+
+# ---------------------------------------------------------------------------
+# the power-table kernel
+# ---------------------------------------------------------------------------
+
+# Power tables hold field elements in uint64 words.
+WALK_DEGREE_LIMIT = 64
+
+_U64 = np.dtype("<u8")
+
+
+def _byte_tables(images: list[int]) -> np.ndarray:
+    """Lookup tables of the GF(2)-linear map sending bit i to images[i]:
+    row b takes byte b of the input to its share of the image, filled by
+    XOR-doubling so that row[v | 2^j] = row[v] ^ image of bit j."""
+    tables = np.zeros(((len(images) + 7) // 8, 256), dtype=_U64)
+    for i, image in enumerate(images):
+        row, bit = tables[i // 8], i % 8
+        row[1 << bit:2 << bit] = row[:1 << bit] ^ np.uint64(image)
+    return tables
+
+
+def _apply(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The linear map encoded by ``tables`` applied to every word."""
+    octets = words.view(np.uint8).reshape(-1, 8)
+    out = tables[0][octets[:, 0]]
+    for b in range(1, len(tables)):
+        out ^= tables[b][octets[:, b]]
+    return out
+
+
+def _mul_tables(K: BinaryField, c: int) -> np.ndarray:
+    """Byte tables of u -> c*u in K."""
+    return _byte_tables([K.mul(c, 1 << i) for i in range(K.degree)])
+
+
+def power_table(K: BinaryField, base: int, count: int) -> np.ndarray:
+    """base**i for 0 <= i < count as uint64 words (degree <= 64): the table
+    doubles by appending itself times base**len, one lookup per word."""
+    table = np.ones(1, dtype=_U64)
+    while len(table) < count:
+        step = _mul_tables(K, K.pow(base, len(table)))
+        table = np.concatenate([table, _apply(step, table)])
+    return table[:count]
+
+
+def parities(words, masks) -> np.ndarray:
+    """Row i is the parity of w & masks[i] for every word w: the GF(2)-linear
+    functional with that mask, read along a power table."""
+    words = np.asarray(words, dtype=_U64)
+    return np.array([np.bitwise_count(words & np.uint64(mask)) & 1 for mask in masks])
 
 
 def build_field(m: int, modulus: int | None = None) -> BinaryField:
@@ -314,15 +305,17 @@ def build_field(m: int, modulus: int | None = None) -> BinaryField:
         d = irreducibility_certificate(modulus)
         if d is not None:
             raise ReducibleModulusError(modulus, d)
-        order = _order_of_x(modulus, m)
-        if order != (1 << m) - 1:
+        K = BinaryField(m, modulus, 0b10)
+        order = _order_of_x(K)
+        if order != K.order:
             raise NonPrimitiveModulusError(modulus, order)
-        return BinaryField(m, modulus, 0b10)
+        return K
     for candidate in range((1 << m) | 1, 1 << (m + 1), 2):
         if irreducibility_certificate(candidate) is not None:
             continue
-        if _order_of_x(candidate, m) == (1 << m) - 1:
-            return BinaryField(m, candidate, 0b10)
+        K = BinaryField(m, candidate, 0b10)
+        if _order_of_x(K) == K.order:
+            return K
     raise InternalCheckError(f"no primitive polynomial of degree {m} found")
 
 
@@ -364,26 +357,20 @@ class FieldTower:
 
     # -- construction helpers -------------------------------------------------
 
-    @staticmethod
-    def _powers(K: BinaryField, base: int, count: int) -> list[int]:
-        out = [1]
-        for _ in range(count - 1):
-            out.append(K.mul(out[-1], base))
-        return out
-
-    def _find_subfield_root(self, K: BinaryField, z: int) -> int:
-        """The smallest k with z**k a root of F's modulus, scanning the
-        order-|F*| subgroup of K generated by z."""
-        f = self.F.modulus
-        w = 1
-        for k in range(self.F.order):
-            acc = 0  # f(w) by Horner's rule
-            for i in range(poly_degree(f), -1, -1):
-                acc = K.mul(acc, w) ^ (f >> i & 1)
-            if acc == 0:
-                return k
-            w = K.mul(w, z)
-        raise InternalCheckError("no root of F's modulus in the subfield")
+    def _find_subfield_root(self, table: np.ndarray) -> int:
+        """The smallest k with z**k a root of F's modulus f, given the table
+        of z**i over the order-|F*| subgroup of K generated by z: f(z**k) is
+        the XOR of z**(i*k mod |F*|) over the terms x**i of f."""
+        f, n = self.F.modulus, len(table)
+        k = np.arange(n)
+        value = np.zeros(n, dtype=table.dtype)
+        for i in range(f.bit_length()):
+            if f >> i & 1:
+                value ^= table[i * k % n]
+        roots = np.flatnonzero(value == 0)
+        if not len(roots):
+            raise InternalCheckError("no root of F's modulus in the subfield")
+        return int(roots[0])
 
     def _normalize_primitive(self, K: BinaryField) -> tuple[list[int], int, int, int]:
         """Embed F into K by x -> z**k, the first root of F's modulus in
@@ -393,9 +380,9 @@ class FieldTower:
         for t0 = k^-1 mod |F*|, and j = k mod |F*|.  Returns the powers of
         the root, t0, j and g**j."""
         F = self.F
-        z = K.pow(K.generator, K.order // F.order)
-        k = self._find_subfield_root(K, z)
-        root_powers = self._powers(K, K.pow(z, k), F.degree)
+        table = power_table(K, K.pow(K.generator, K.order // F.order), F.order)
+        k = self._find_subfield_root(table)
+        root_powers = table[k * np.arange(F.degree) % F.order].tolist()
         j = k
         while j <= K.order:
             if math.gcd(j, K.order) == 1:
@@ -446,6 +433,10 @@ def build_tower(s: int, mod_f: int | None = None, mod_g: int | None = None,
                 mod_h: int | None = None) -> FieldTower:
     if s < 1:
         raise FieldError("s must be >= 1")
+    if 9 * s > WALK_DEGREE_LIMIT:
+        raise FieldError(f"H = GF(2^{9 * s}) does not fit the uint64 power "
+                         f"tables (degree <= {WALK_DEGREE_LIMIT}, so s <= "
+                         f"{WALK_DEGREE_LIMIT // 9})")
     E = build_field(s)
     F = build_field(3 * s, mod_f)
     G = build_field(6 * s, mod_g)

@@ -15,8 +15,9 @@ from math import isqrt
 
 import numpy as np
 
-from .binfield import (BinaryField, FieldError, FieldTower, InternalCheckError,
-                       _prime_factors)
+from .binfield import (WALK_DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
+                       InternalCheckError, _apply, _byte_tables, _mul_tables,
+                       _prime_factors, parities, power_table)
 from .cycpart import get_partition, psi_omega_a_D
 from .reporting import Report
 from .zmring import GroupRingElement, _reduction_tail, exact_array, reduce_rows
@@ -31,46 +32,18 @@ from .zmring import GroupRingElement, _reduction_tail, exact_array, reduce_rows
 # smaller than a chunk get one chunk of about |K*| exponents.
 _CHUNK_BITS = 1 << 20
 
-# The walk holds field elements in uint64 states.
-WALK_DEGREE_LIMIT = 64
-
-_U64 = np.dtype("<u8")
-
-
-def _byte_tables(images: list[int]) -> np.ndarray:
-    """Lookup tables of the GF(2)-linear map sending bit i to images[i]:
-    row b takes byte b of the input to its share of the image, filled by
-    XOR-doubling so that row[v | 2^j] = row[v] ^ image of bit j."""
-    tables = np.zeros(((len(images) + 7) // 8, 256), dtype=_U64)
-    for i, image in enumerate(images):
-        row, bit = tables[i // 8], i % 8
-        row[1 << bit:2 << bit] = row[:1 << bit] ^ np.uint64(image)
-    return tables
-
-
-def _apply(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """The linear map encoded by ``tables`` applied to every word."""
-    octets = words.view(np.uint8).reshape(-1, 8)
-    out = tables[0][octets[:, 0]]
-    for b in range(1, len(tables)):
-        out ^= tables[b][octets[:, b]]
-    return out
-
-
-def _mul_tables(K: BinaryField, c: int) -> np.ndarray:
-    return _byte_tables([K.mul(c, 1 << i) for i in range(K.degree)])
-
 
 def _trace_word_tables(K: BinaryField) -> np.ndarray:
-    """u -> the 64-bit word whose bit j is Tr(u * g^j)."""
-    images = []
-    for i in range(K.degree):
-        u, word = 1 << i, 0
-        for j in range(64):
-            word |= K.abs_trace(u) << j
-            u = K.mul(u, K.generator)
-        images.append(word)
-    return _byte_tables(images)
+    """u -> the 64-bit word whose bit j is Tr(u * g^j).  The generator is
+    x, so the basis element 2^i is g^i and its word is the 64 bits of the
+    trace sequence Tr(g^n) from n = i, the parities of one power table."""
+    table = power_table(K, K.generator, K.degree + 63)
+    if table[:K.degree].tolist() != [1 << i for i in range(K.degree)]:
+        raise InternalCheckError("the basis is not the first powers of g")
+    bits = parities(table, [K.trace_mask])[0]
+    windows = np.lib.stride_tricks.sliding_window_view(bits, 64)
+    words = np.packbits(windows, axis=1, bitorder="little").view("<u8")[:, 0]
+    return _byte_tables(words.tolist())
 
 
 def _trace_one_counts(K: BinaryField, M: int) -> list[int]:
@@ -90,11 +63,7 @@ def _trace_one_counts(K: BinaryField, M: int) -> list[int]:
     g = K.generator
     n_words = M * max(1, min(_CHUNK_BITS, K.order) // (64 * M))
     L = 64 * n_words
-    start = np.ones(1, dtype=_U64)
-    while len(start) < n_words:
-        jump = _mul_tables(K, K.pow(g, 64 * len(start)))
-        start = np.concatenate([start, _apply(jump, start)])
-    start = start[:n_words]
+    start = power_table(K, K.pow(g, 64), n_words)
     to_words = _trace_word_tables(K)
     advance = _mul_tables(K, K.pow(g, L))
     ones = np.zeros(M, dtype=np.int64)

@@ -11,7 +11,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import charsum, paperbook, schemecore, zmring
-from .binfield import FieldError, _prime_factors, build_tower, modulus_from_hex
+from .binfield import (WALK_DEGREE_LIMIT, FieldError, _prime_factors, build_tower,
+                       modulus_from_hex)
 from .cycpart import d_class_check, get_partition
 from .reporting import Report
 
@@ -198,9 +199,9 @@ def run(config: RunConfig, out=None) -> int:
               file=out)
         return USAGE_ERROR
     degree = _walked_degree(config)
-    if degree > charsum.WALK_DEGREE_LIMIT:
+    if degree > WALK_DEGREE_LIMIT:
         print(f"error: the targets walk GF(2^{degree}); the Gauss-period walk "
-              f"is limited to degree {charsum.WALK_DEGREE_LIMIT}", file=out)
+              f"is limited to degree {WALK_DEGREE_LIMIT}", file=out)
         return USAGE_ERROR
     try:
         tower = build_tower(config.s, config.poly_f, config.poly_g, config.poly_h)
@@ -224,7 +225,11 @@ def run(config: RunConfig, out=None) -> int:
     failures = [c for r in reports for c in r.failures()]
     skipped = sum(len(r.skipped()) for r in reports)
     if config.json_path:
-        export_catalog(config, tower, reports, records, config.json_path)
+        try:
+            export_catalog(config, tower, reports, records, config.json_path)
+        except OSError as exc:
+            print(f"error: cannot write the catalog: {exc}", file=out)
+            return USAGE_ERROR
     note = f", {skipped} skipped" if skipped else ""
     if failures:
         print(f"{len(failures)} check(s) FAILED{note}", file=out)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binfield import BinaryField, FieldError, FieldTower, InternalCheckError
+from .binfield import BinaryField, FieldError, FieldTower, InternalCheckError, parities
 from .reporting import Report
 
 
@@ -44,12 +44,6 @@ class CyclotomicPartition:
             raise InternalCheckError("T1, T2, T3 do not partition Z_M")
 
 
-@dataclass(frozen=True)
-class InverseTraceSet:
-    """Nonzero u in F with tr_{F/E}(1/u) = 0; invariant under E* scaling."""
-    members: frozenset[int]
-
-
 class _ClassIndicators(NamedTuple):
     """Read-only boolean arrays over the exponents k in [0, |F*|)."""
     Z: np.ndarray  # tr_{F/E}(g^k) = 0
@@ -57,17 +51,10 @@ class _ClassIndicators(NamedTuple):
     Q: np.ndarray  # g^k on the quadric: tr_{F/E}(g^(k(q+1))) = 0
 
 
-def _parities(F: BinaryField, masks) -> np.ndarray:
-    """Row i is the parity of g^k & masks[i] for every exponent k: the
-    GF(2)-linear functional with that mask, read along the powers of g."""
-    powers = np.array(F.powers, dtype=np.uint64)
-    return np.array([np.bitwise_count(powers & np.uint64(mask)) & 1 for mask in masks])
-
-
 def _trace_zero_indicator(F: BinaryField, s: int) -> np.ndarray:
     """Z[k] is True when tr_{F/E}(g^k) = 0, i.e. when g^k has even parity
     against every mask of ``subfield_zero_masks``."""
-    return ~_parities(F, F.subfield_zero_masks(s)).any(axis=0)
+    return ~parities(F.powers, F.subfield_zero_masks(s)).any(axis=0)
 
 
 @cache
@@ -95,16 +82,17 @@ def _class_indicators(tower: FieldTower) -> _ClassIndicators:
 
 
 @cache
-def compute_D(tower: FieldTower) -> InverseTraceSet:
+def compute_D(tower: FieldTower) -> frozenset[int]:
+    """Nonzero u in F with tr_{F/E}(1/u) = 0; invariant under E* scaling."""
     D = _class_indicators(tower).D
-    return InverseTraceSet(frozenset(np.array(tower.F.powers)[D].tolist()))
+    return frozenset(np.array(tower.F.powers)[D].tolist())
 
 
 def _class_psi_sums(tower: FieldTower) -> np.ndarray:
     """c[r] = sum over j of psi(omega^(r + jM)): the psi-sum over the class
     C_r, read from the power table, independent of the period walk."""
     F, M = tower.F, tower.M
-    ones = _parities(F, [F.trace_mask]).reshape(-1, M).sum(axis=0, dtype=np.int64)
+    ones = parities(F.powers, [F.trace_mask]).reshape(-1, M).sum(axis=0, dtype=np.int64)
     return F.order // M - 2 * ones
 
 

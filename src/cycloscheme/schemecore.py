@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .binfield import FieldTower, InternalCheckError
+from .binfield import FieldTower, InternalCheckError, parities
 from .charsum import gauss_periods, period_array
 from .cycpart import cyclic_sums, d_class_check, get_partition
 from .reporting import Report
@@ -239,7 +239,7 @@ def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
     if domain == "index":
         values, names = period_array(tower, field_label), range(pattern.M)
     else:
-        values = np.array([K.psi(u) for u in K.powers], dtype=np.int64)
+        values = 1 - 2 * parities(K.powers, [K.trace_mask])[0].astype(np.int64)
         names = K.powers
     census = _census(values, pattern.blocks)
     per_class = K.order // pattern.M

@@ -13,7 +13,7 @@ def compute_D_reference(tower):
     powers = F.powers
     # the inverse of omega^k is omega^(-k)
     return {u for k, u in enumerate(powers)
-            if F.rel_trace_is_zero(s, powers[-k % F.order])}
+            if F.rel_trace(s, powers[-k % F.order]) == 0}
 
 
 def psi_omega_D_reference(tower):
@@ -30,11 +30,11 @@ def partition_by_trace_reference(tower):
     F, s, M = tower.F, tower.s, tower.M
     q = 1 << s
     powers = F.powers
-    quadric = [u for u in powers if F.rel_trace_is_zero(s, F.mul(F.pow(u, q), u))]
+    quadric = [u for u in powers if F.rel_trace(s, F.mul(F.pow(u, q), u)) == 0]
     blocks = {q - 1: [], 2 * (q - 1): [], 0: []}
     for a in range(M):
         wa = powers[a]
-        size = sum(1 for u in quadric if F.rel_trace_is_zero(s, F.mul(wa, u)))
+        size = sum(1 for u in quadric if F.rel_trace(s, F.mul(wa, u)) == 0)
         blocks[size].append(a)
     return tuple(tuple(block) for block in blocks.values())
 

@@ -29,3 +29,17 @@ def gauss_periods_reference(K, M, step):
             c -= M
     assert u == 1, "walk did not return to 1"
     return eta
+
+
+def trace_word_images_reference(K):
+    """images[i] = the 64-bit word whose bit j is Tr(x^i * g^j), by 64 field
+    products per basis element, as the walk built its lookup tables before
+    they were read off one power table."""
+    images = []
+    for i in range(K.degree):
+        u, word = 1 << i, 0
+        for j in range(64):
+            word |= K.abs_trace(u) << j
+            u = K.mul(u, K.generator)
+        images.append(word)
+    return images

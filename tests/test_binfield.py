@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +7,7 @@ from cycloscheme import binfield
 from cycloscheme.binfield import (BinaryField, FieldError, NonPrimitiveModulusError,
                                   ReducibleModulusError, build_field, build_tower,
                                   irreducibility_certificate, modulus_from_hex,
-                                  modulus_to_hex)
+                                  modulus_to_hex, power_table)
 
 from gf_oracle import gf_mul, gf_pow, gf_trace, norm_exponents
 
@@ -36,7 +37,7 @@ def test_mul_matches_naive_oracle_gf64():
 def test_pow_and_inverse():
     K = build_field(4)
     for a in range(1, 16):
-        assert K.mul(a, K.inv(a)) == 1
+        assert K.mul(a, K.pow(a, K.order - 1)) == 1
         assert K.pow(a, K.order) == 1
         assert K.pow(a, 3) == gf_pow(a, 3, K.modulus)
 
@@ -70,14 +71,8 @@ def test_rel_trace_lands_in_subfield_and_is_linear():
         for v in range(0, 512, 23):
             t = K.rel_trace(3, u ^ v)
             assert t == K.rel_trace(3, u) ^ K.rel_trace(3, v)
-
-
-def test_rel_trace_is_zero_agrees_with_rel_trace():
-    K = build_field(9)
-    zeros = [u for u in range(512) if K.rel_trace(3, u) == 0]
-    fast = [u for u in range(512) if K.rel_trace_is_zero(3, u)]
-    assert zeros == fast
-    assert len(zeros) == 64  # kernel is a GF(8)-hyperplane
+    # the kernel is a GF(8)-hyperplane
+    assert sum(K.rel_trace(3, u) == 0 for u in range(512)) == 64
 
 
 def test_reducible_modulus_rejected_with_certificate():
@@ -115,10 +110,9 @@ def test_tower_shape_s1():
 def test_tower_norm_normalization():
     for s in (1, 2):
         tower = build_tower(s)
-        w_g = tower.embed_F(tower.G, tower.omega)
-        assert tower.G.norm_to(tower.F.degree, tower.gamma) == w_g
-        w_h = tower.embed_F(tower.H, tower.omega)
-        assert tower.H.norm_to(tower.F.degree, tower.beta) == w_h
+        for K, prim in ((tower.G, tower.gamma), (tower.H, tower.beta)):
+            norm = gf_pow(prim, K.order // tower.F.order, K.modulus)
+            assert norm == tower.embed_F(K, tower.omega)
 
 
 def test_embedding_is_a_field_homomorphism():
@@ -147,29 +141,70 @@ def test_class_step_consistency():
 # moduli_hex() of the default towers: E, F, G, H
 DEFAULT_MODULI = {1: ("3", "b", "43", "211"), 2: ("7", "43", "1053", "40027"),
                   3: ("b", "211", "40027", "8000027"),
-                  4: ("13", "1053", "100001b", "1000000077")}
+                  4: ("13", "1053", "100001b", "1000000077"),
+                  5: ("25", "8003", "40000053", "20000000001b")}
 
 
-@pytest.mark.parametrize("s,poly_f", [(1, None), (2, None), (3, None), (4, None),
-                                      (2, 0x61), (3, 0x221)])
-def test_tower_matches_the_scanning_construction(s, poly_f):
-    tower = build_tower(s, poly_f)
+def _assert_tower_matches_scans(tower, s, moduli):
     expected = dict(zip("EFGH", DEFAULT_MODULI[s]))
-    if poly_f:
-        expected["F"] = modulus_to_hex(poly_f)
+    expected.update((label, modulus_to_hex(m)) for label, m in moduli.items() if m)
     assert tower.moduli_hex() == expected
     F = tower.F
     for K, t0, j in ((tower.G, tower.norm_dlog_G, tower.gamma_exponent),
                      (tower.H, tower.norm_dlog_H, tower.beta_exponent)):
-        # the schoolbook product would take over a second at s = 4
-        mul = K.mul if s == 4 else None
+        # the schoolbook product would take over a second from s = 4 on
+        mul = K.mul if s >= 4 else None
         assert norm_exponents(F.modulus, K.modulus, K.generator, K.order,
                               F.order, mul) == (t0, j)
+
+
+@pytest.mark.parametrize("s,poly_f", [(1, None), (2, None), (3, None), (4, None),
+                                      (5, None), (2, 0x61), (3, 0x221)])
+def test_tower_matches_the_scanning_construction(s, poly_f):
+    _assert_tower_matches_scans(build_tower(s, poly_f), s, {"F": poly_f})
+
+
+def test_tower_matches_the_scanning_construction_under_other_g_h_moduli():
+    moduli = {"G": 0x107b, "H": 0x4004d}
+    _assert_tower_matches_scans(build_tower(2, None, *moduli.values()), 2, moduli)
 
 
 def test_invalid_s_rejected():
     with pytest.raises(FieldError):
         build_tower(0)
+
+
+def test_tower_beyond_the_word_size_is_refused(monkeypatch):
+    # H = GF(2^72) at s = 8 does not fit a uint64 power table
+    def no_field(*args):
+        raise AssertionError("no field may be built")
+
+    monkeypatch.setattr(binfield, "build_field", no_field)
+    with pytest.raises(FieldError, match="s <= 7"):
+        build_tower(8)
+
+
+@pytest.mark.parametrize("m", [3, 12, 36, 63])
+def test_power_table_matches_the_schoolbook_loop(m):
+    K = build_field(m)
+    g = K.generator
+    # 7 divides |K*| at degrees 12, 36 and 63, so g^7 generates a proper
+    # subgroup; at degree 3 every element but 0 and 1 is a generator
+    for base in (1, g, K.pow(g, 7), 0):
+        expected = [1]
+        while len(expected) < 1000:
+            expected.append(gf_mul(expected[-1], base, K.modulus))
+        for count in (1, 2, 5, 64, 1000):
+            table = power_table(K, base, count)
+            assert table.dtype == np.uint64
+            assert table.tolist() == expected[:count]
+
+
+def test_powers_is_a_list_of_python_ints():
+    # its consumers index the list and hash its entries
+    K = build_field(6)
+    assert type(K.powers) is list and all(type(u) is int for u in K.powers)
+    assert sorted(K.powers) == list(range(1, K.size))
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,4 +221,4 @@ def test_field_axioms_gf64(a, b, c):
 @given(st.integers(min_value=1, max_value=511))
 def test_frobenius_fixes_trace_gf512(u):
     K = build_field(9)
-    assert K.abs_trace(K.sqr(u)) == K.abs_trace(u)
+    assert K.abs_trace(K.mul(u, u)) == K.abs_trace(u)

@@ -1,9 +1,11 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cycloscheme import charsum
-from cycloscheme.binfield import FieldError, InternalCheckError, build_tower
+from cycloscheme.binfield import (FieldError, InternalCheckError, _byte_tables, build_field,
+                                  build_tower)
 from cycloscheme.charsum import (conjugation_symmetry_check, eta_prime_law_check,
                                  gauss_periods, gauss_sum,
                                  gauss_sum_modulus_check, gauss_sum_power_vector,
@@ -11,7 +13,7 @@ from cycloscheme.charsum import (conjugation_symmetry_check, eta_prime_law_check
                                  verify_hasse_davenport, verify_t1_gauss_identity)
 from cycloscheme.zmring import (GroupRingElement, GroupRingError,
                                 cyclotomic_polynomial)
-from period_oracle import gauss_periods_reference
+from period_oracle import gauss_periods_reference, trace_word_images_reference
 
 # every (s, field) with |K*| <= 2^18
 SMALL_FIELDS = [(1, "F"), (1, "G"), (1, "H"), (2, "F"), (2, "G"), (2, "H"),
@@ -104,6 +106,15 @@ class _StubTower:
 
     def class_step(self, label):
         return 1
+
+
+def test_trace_word_tables_match_the_product_loop():
+    # 61 and 62 are left out: 2^61 - 1 and 2^62 - 1 have prime factors
+    # beyond 10^8, which the default-modulus search factors by trial division
+    for m in [*range(3, 61), 63]:
+        K = build_field(m)
+        assert np.array_equal(charsum._trace_word_tables(K),
+                              _byte_tables(trace_word_images_reference(K))), m
 
 
 def test_gauss_periods_degree_guard():

@@ -76,6 +76,19 @@ def test_walk_above_degree_64_is_refused_up_front(monkeypatch, config):
     assert "limited to degree 64" in text
 
 
+def test_tower_beyond_the_word_size_is_usage_error(capsys):
+    # walks nothing, but H = GF(2^72) at s = 8 does not fit the power tables
+    assert main(["--s", "8", "--targets", "fields"]) == 2
+    assert "s <= 7" in capsys.readouterr().out
+
+
+def test_unwritable_catalog_path_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "c.json"
+    assert main(["--s", "1", "--targets", "fields", "--json", str(path)]) == 2
+    assert "error: cannot write the catalog" in capsys.readouterr().out
+    assert not path.exists()
+
+
 def test_walked_degree_follows_the_targets():
     assert _walked_degree(RunConfig(s=7, targets=("thm2ii",), big=True)) == 63
     # gauss walks H only when it streams it
