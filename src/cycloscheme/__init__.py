@@ -10,8 +10,7 @@ from .paperbook import appendix_matrix, reconcile, table_row
 from .reporting import CheckResult, Report
 from .schemecore import (FusionPattern, SchemeError, SchemeRecord,
                          bannai_muzychuk_verify, build_dual_scheme, build_scheme,
-                         brute_force_intersection_oracle, im10_construct,
-                         two_class_scheme)
+                         im10_construct, two_class_scheme)
 from .zmring import GroupRingElement, GroupRingError, cyclotomic_polynomial
 
 __version__ = "0.1.0"
@@ -24,6 +23,6 @@ __all__ = [
     "get_partition", "appendix_matrix", "reconcile", "table_row",
     "CheckResult", "Report", "FusionPattern", "SchemeError", "SchemeRecord",
     "bannai_muzychuk_verify", "build_dual_scheme", "build_scheme",
-    "brute_force_intersection_oracle", "im10_construct", "two_class_scheme",
+    "im10_construct", "two_class_scheme",
     "GroupRingElement", "GroupRingError",
 ]

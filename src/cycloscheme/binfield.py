@@ -106,17 +106,55 @@ def irreducibility_certificate(f: int) -> int | None:
     return None
 
 
+# Deterministic Miller-Rabin bases: they decide every n below 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+def _is_prime(n: int) -> bool:
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    twos = ((n - 1) & (1 - n)).bit_length() - 1
+    # n - 1 = odd * 2^twos; b^odd must be 1 or reach -1 by squaring
+    return all(pow(b, (n - 1) >> twos, n) == 1 or
+               n - 1 in [pow(b, (n - 1) >> i, n) for i in range(1, twos + 1)]
+               for b in _MR_BASES)
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho on
+    y -> y^2 + c, with Brent's cycle finding (the saved point x jumps to y
+    whenever the step count reaches a power of two)."""
+    for c in range(1, n):
+        x = y = 2
+        d = steps = 1
+        while d == 1:
+            if steps & (steps - 1) == 0:
+                x = y
+            y = (y * y + c) % n
+            steps += 1
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+    raise InternalCheckError(f"Pollard rho found no factor of {n}")
+
+
 def _prime_factors(n: int) -> dict[int, int]:
-    """Trial-division factorization; fine for the tower sizes used here."""
+    """Factorization by trial division below 2^10, then Miller-Rabin and
+    Pollard rho on the cofactor (exact for n < 3.3e24)."""
     factors: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < 1 << 10:
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            rest += [d, m // d]
     return factors
 
 
@@ -178,20 +216,13 @@ class BinaryField:
             e >>= 1
         return r
 
-    # -- traces and characters ----------------------------------------------
+    # -- traces -----------------------------------------------------------------
 
     @cached_property
     def trace_mask(self) -> int:
         """Bit i is the absolute trace of x**i, so Tr(u) is the parity of
         u & trace_mask."""
         return sum(self.rel_trace(1, 1 << i) << i for i in range(self.degree))
-
-    def abs_trace(self, u: int) -> int:
-        return (u & self.trace_mask).bit_count() & 1
-
-    def psi(self, u: int) -> int:
-        """Canonical additive character: +1 iff the absolute trace is 0."""
-        return 1 - 2 * self.abs_trace(u)
 
     def rel_trace(self, sub_degree: int, u: int) -> int:
         """Trace down to the subfield GF(2**sub_degree)."""

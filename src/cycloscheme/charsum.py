@@ -17,7 +17,7 @@ import numpy as np
 
 from .binfield import (WALK_DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
                        InternalCheckError, _apply, _byte_tables, _mul_tables,
-                       _prime_factors, parities, power_table)
+                       _is_prime, _prime_factors, parities, power_table)
 from .cycpart import get_partition, psi_omega_a_D
 from .reporting import Report
 from .zmring import GroupRingElement, _reduction_tail, exact_array, reduce_rows
@@ -189,21 +189,8 @@ def recover_period_from_sums(M: int, sum_vectors: list[list[int]], a: int) -> in
 # growth * B (``_reduction_tail``); primes whose product exceeds twice that
 # make "zero mod every prime" mean zero (CRT).
 
-# Deterministic Miller-Rabin bases: they decide every n below 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 # Rows per block of a DFT matrix: a block is this many rows of length M.
 _DFT_ROWS = 64
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2 or any(n % b == 0 for b in _MR_BASES):
-        return n in _MR_BASES
-    twos = ((n - 1) & (1 - n)).bit_length() - 1
-    # n - 1 = odd * 2^twos; b^odd must be 1 or reach -1 by squaring
-    return all(pow(b, (n - 1) >> twos, n) == 1 or
-               n - 1 in [pow(b, (n - 1) >> i, n) for i in range(1, twos + 1)]
-               for b in _MR_BASES)
 
 
 @cache

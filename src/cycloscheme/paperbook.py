@@ -3,10 +3,11 @@ matrix as a polynomial in q = 2^s, cross-checked against computed results.
 
 The transcription lives in data/tables.json as expression strings.  Each is
 checked against the grammar of integer literals, q, + - *, ** by a
-non-negative integer literal and / by a nonzero integer literal, which bounds
-its degree, then compiled and evaluated exactly at q = Fraction(q); a float
-result such as 1/2 is rejected.  Entries have degree at most D, so the
-row-sum identities hold identically iff they hold at q = 0..D.
+non-negative integer literal and / by a nonzero integer literal of a
+dividend that holds q (so 1/2 is rejected), which bounds its degree.  It is
+then compiled with every / an exact division and evaluated at the integer
+q.  Entries have degree at most D, so the row-sum identities hold
+identically iff they hold at q = 0..D.
 """
 
 from __future__ import annotations
@@ -26,47 +27,54 @@ TABLE_IDS = tuple(SCHEMES)
 _ROMAN = dict(zip(("I", "II", "III", "IV", "V"), TABLE_IDS))
 
 
-def _degree(node, expr: str) -> int:
-    """Degree bound in q of an expression node; ValueError for anything
-    outside the grammar."""
+def _checked(node, expr: str) -> tuple[int, ast.expr]:
+    """Degree bound in q of an expression node, and the node with every
+    a / b turned into the exact division _divide(a, b); ValueError for
+    anything outside the grammar."""
     if isinstance(node, ast.Name) and node.id == "q":
-        return 1
+        return 1, node
     if isinstance(node, ast.Constant) and type(node.value) is int:
-        return 0
+        return 0, node
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        return _degree(node.operand, expr)
+        degree, node.operand = _checked(node.operand, expr)
+        return degree, node
     if isinstance(node, ast.BinOp):
-        left = _degree(node.left, expr)
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            return max(left, _degree(node.right, expr))
-        if isinstance(node.op, ast.Mult):
-            return left + _degree(node.right, expr)
+        left, node.left = _checked(node.left, expr)
+        if isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
+            right, node.right = _checked(node.right, expr)
+            return (left + right if isinstance(node.op, ast.Mult) else max(left, right)), node
         right = node.right
         literal = right.value if isinstance(right, ast.Constant) \
             and type(right.value) is int else None
         if isinstance(node.op, ast.Pow) and literal is not None:
-            return left * literal
-        if isinstance(node.op, ast.Div) and literal:
-            return left
+            return left * literal, node
+        if isinstance(node.op, ast.Div) and literal and \
+                any(isinstance(n, ast.Name) and n.id == "q" for n in ast.walk(node.left)):
+            name = ast.copy_location(ast.Name("_divide", ast.Load()), node)
+            return left, ast.copy_location(ast.Call(name, [node.left, right], []), node)
     raise ValueError(f"expression {expr!r} is not a polynomial in q")
+
+
+def _divide(a, b: int):
+    """a / b as an int when b divides a, else as a Fraction."""
+    if type(a) is int and a % b == 0:
+        return a // b
+    return Fraction(a, b)
 
 
 @lru_cache(maxsize=None)
 def _parse(expr: str) -> tuple:
     """Code object and degree bound of a grammar-checked expression."""
     tree = ast.parse(expr, mode="eval")
-    degree = _degree(tree.body, expr)
+    degree, tree.body = _checked(tree.body, expr)
     return compile(tree, "<tables.json>", "eval"), degree
 
 
 @lru_cache(maxsize=None)
-def evaluate(expr: str, q_value: int) -> Fraction:
-    """Exact value of an expression at q.  A division with no q in its
-    dividend is float division in Python, so its result is rejected."""
-    value = eval(_parse(expr)[0], {"__builtins__": {}}, {"q": Fraction(q_value)})  # noqa: S307
-    if not isinstance(value, (int, Fraction)):
-        raise ValueError(f"expression {expr!r} is not a polynomial in q")
-    return Fraction(value)
+def evaluate(expr: str, q_value: int) -> int | Fraction:
+    """Exact value of an expression at the integer q."""
+    return eval(_parse(expr)[0], {"__builtins__": {}, "_divide": _divide},  # noqa: S307
+                {"q": q_value})
 
 
 def eval_int(expr: str, q_value: int) -> int:

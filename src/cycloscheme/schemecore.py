@@ -16,8 +16,8 @@ from functools import cache
 
 import numpy as np
 
-from .binfield import FieldTower, InternalCheckError, parities
-from .charsum import gauss_periods, period_array
+from .binfield import BinaryField, FieldTower, InternalCheckError, parities, power_table
+from .charsum import period_array
 from .cycpart import cyclic_sums, d_class_check, get_partition
 from .reporting import Report
 
@@ -117,29 +117,49 @@ def _mat_mul(a: list, b: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# character rows and the Bannai-Muzychuk census
+# the Bannai-Muzychuk census
 # ---------------------------------------------------------------------------
 
-def character_row(tower: FieldTower, field_label: str, pattern: FusionPattern,
-                  a: int | None) -> tuple[int, ...]:
-    """Row (1, psi(g^a R_1), ..., psi(g^a R_d)) of fused character sums;
-    a = None stands for the zero element and yields the degree row."""
-    K = tower.field(field_label)
-    M = pattern.M
-    if a is None:
-        per_class = K.order // M
-        return (1,) + tuple(len(b) * per_class for b in pattern.blocks)
-    eta = gauss_periods(tower, field_label)
-    return (1,) + tuple(sum(eta[(a + i) % M] for i in b) for b in pattern.blocks)
-
-
-def _census(values, blocks) -> dict:
-    """Rows (1, sum over i in each block of values[(a + i) mod n]) for every
-    a, grouped as row -> list of the a giving it."""
+def _census(columns) -> dict:
+    """Rows (1, entry a of every column) for every a, grouped as
+    row -> list of the a giving it."""
     census: dict = {}
-    for a, row in enumerate(zip(*cyclic_sums(values, blocks))):
+    for a, row in enumerate(zip(*columns)):
         census.setdefault((1,) + row, []).append(a)
     return census
+
+
+def _trace_form_masks(K: BinaryField) -> np.ndarray:
+    """m[a], the mask of the functional x -> Tr(g^a x), for every a.  Bit j
+    of m[a] is Tr(g^a x^j), the parity of g^a & L_j, where bit i of the
+    Hankel mask L_j is Tr(x^(i+j)); the generator g need not be x.
+    u -> m_u is a linear bijection, so the masks must be nonzero and
+    distinct, and m[0] = m_1 is the trace mask."""
+    n = K.degree
+    trace = parities(power_table(K, 0b10, 2 * n - 1), [K.trace_mask])[0].tolist()
+    hankel = [sum(bit << i for i, bit in enumerate(trace[j:j + n])) for j in range(n)]
+    bits = parities(K.powers, hankel).astype(np.int64)
+    masks = (bits << np.arange(n)[:, None]).sum(axis=0)
+    if masks[0] != K.trace_mask:
+        raise InternalCheckError("the trace-form mask of 1 is not the trace mask")
+    if not (np.bincount(masks, minlength=K.size)[1:] == 1).all():
+        raise InternalCheckError("the trace-form masks of K* are not nonzero and distinct")
+    return masks
+
+
+def _element_columns(K: BinaryField, sets) -> list[list[int]]:
+    """Column S, entry a: sum over x in S of psi(g^a x) = W_S[m[a]], where
+    W_S[m] = sum over x in S of (-1)^parity(x & m) is the Walsh-Hadamard
+    transform of the indicator of S over (K, +), done in deg K butterfly
+    stages of int64 adds; |W_S| <= |S|, so it is exact."""
+    W = np.zeros((len(sets), K.size), dtype=np.int64)
+    for row, S in zip(W, sets):
+        row[list(S)] = 1
+    for j in range(K.degree):
+        pairs = W.reshape(len(sets), -1, 2, 1 << j)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        W = np.stack([low + high, low - high], axis=2).reshape(len(sets), -1)
+    return W[:, _trace_form_masks(K)].tolist()
 
 
 def second_eigenmatrix(P: list, size: int) -> list:
@@ -230,22 +250,20 @@ def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
     """Census, P, Q, multiplicities, B and flags of one fusion.
 
     An index fusion fuses the order-M cyclotomic classes, and the census
-    folds the Gauss periods.  An element fusion is the same census with
-    every element of K* its own class: M = |K*|, values psi(g^k), blocks
-    the discrete logs of the sets, members named by g^k.  The fusion is a
-    d-class scheme iff exactly d distinct rows occur, none equal to the
-    degree row."""
+    folds the Gauss periods by cyclic correlation.  An element fusion is
+    the same census with every element of K* its own class: M = |K*|,
+    blocks the discrete logs of the sets, members named by g^k, and the
+    columns read off the Walsh-Hadamard transforms of the sets.  The
+    fusion is a d-class scheme iff exactly d distinct rows occur, none
+    equal to the degree row."""
     K = tower.field(field_label)
-    if domain == "index":
-        values, names = period_array(tower, field_label), range(pattern.M)
-    else:
-        values = 1 - 2 * parities(K.powers, [K.trace_mask])[0].astype(np.int64)
-        names = K.powers
-    census = _census(values, pattern.blocks)
+    names = range(pattern.M) if domain == "index" else K.powers
+    pattern_sets = tuple(frozenset(names[i] for i in b) for b in pattern.blocks)
+    census = _census(cyclic_sums(period_array(tower, field_label), pattern.blocks)
+                     if domain == "index" else _element_columns(K, pattern_sets))
     per_class = K.order // pattern.M
     degrees = [1] + [len(b) * per_class for b in pattern.blocks]
     d = len(pattern.blocks)
-    pattern_sets = tuple(frozenset(names[i] for i in b) for b in pattern.blocks)
     is_scheme = len(census) == d and tuple(degrees) not in census
     spectrum = {"flags": {"is_scheme": False}}
     if is_scheme:
@@ -324,52 +342,6 @@ def build_element_scheme(tower: FieldTower, field_label: str, sets,
     blocks = tuple(tuple(dlog.get(x, -1) for x in frozenset(S)) for S in sets)
     return _assemble(tower, scheme_id, field_label,
                      FusionPattern(K.order, blocks), "element")
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-def class_elements(tower: FieldTower, field_label: str,
-                   pattern: FusionPattern) -> list:
-    """Elements of each fused class (class 0 = {0}), by one streaming pass."""
-    K = tower.field(field_label)
-    step = tower.class_step(field_label)
-    block_of = {i: b_idx for b_idx, b in enumerate(pattern.blocks) for i in b}
-    out = [[0]] + [[] for _ in pattern.blocks]
-    for k, u in enumerate(K.powers):
-        out[1 + block_of[k * step % pattern.M]].append(u)
-    return out
-
-
-def brute_force_intersection_oracle(tower: FieldTower, field_label: str,
-                                    pattern: FusionPattern):
-    """p_{ij}^k by direct pair counting over the whole field: for every z,
-    count pairs x in R_i, y in R_j with x + y = z, and certify the count is
-    constant on each class.  Returns (B, report)."""
-    K = tower.field(field_label)
-    if K.size > _ORACLE_SIZE_LIMIT:
-        raise SchemeError(f"oracle limited to fields of size <= {_ORACLE_SIZE_LIMIT}")
-    elems = [np.array(sorted(c), dtype=np.int64)
-             for c in class_elements(tower, field_label, pattern)]
-    n = len(elems)
-    report = Report(f"pair-count oracle over {field_label} (s={tower.s})")
-    B = [[[0] * n for _ in range(n)] for _ in range(n)]
-    constant = True
-    detail = ""
-    for i in range(n):
-        for j in range(n):
-            z = elems[i][:, None] ^ elems[j][None, :]
-            counts = np.bincount(z.ravel(), minlength=K.size)
-            for k in range(n):
-                vals = counts[elems[k]]
-                if not (vals == vals[0]).all():
-                    constant = False
-                    if not detail:
-                        detail = f"count not constant on class {k} for (i,j)=({i},{j})"
-                B[i][k][j] = int(vals[0])
-    report.add("pair counts constant on every class", constant, detail)
-    return B, report
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ computed D, psi(omega^a D) and the tangent/secant route before they
 became folds of M-periodic indicators.
 """
 
+from character_oracle import psi
+
 
 def compute_D_reference(tower):
     """The nonzero u in F with tr_{F/E}(1/u) = 0."""
@@ -20,7 +22,7 @@ def psi_omega_D_reference(tower):
     """psi(omega^a D) for every a in Z_M, one field product per element of D."""
     F = tower.F
     D = compute_D_reference(tower)
-    return [sum(F.psi(F.mul(wa, u)) for u in D)
+    return [sum(psi(F, F.mul(wa, u)) for u in D)
             for wa in (F.pow(tower.omega, a) for a in range(tower.M))]
 
 

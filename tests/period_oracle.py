@@ -6,6 +6,8 @@ index carried modulo M, exactly as the package computed the periods
 before the walk was vectorised.
 """
 
+from character_oracle import abs_trace
+
 
 def gauss_periods_reference(K, M, step):
     """eta[a] = sum of psi over the a-th order-M cyclotomic class, where the
@@ -39,7 +41,7 @@ def trace_word_images_reference(K):
     for i in range(K.degree):
         u, word = 1 << i, 0
         for j in range(64):
-            word |= K.abs_trace(u) << j
+            word |= abs_trace(K, u) << j
             u = K.mul(u, K.generator)
         images.append(word)
     return images

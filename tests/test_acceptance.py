@@ -17,11 +17,12 @@ from cycloscheme.charsum import (eta_prime_law_check, gauss_periods,
 from cycloscheme.cycpart import get_partition, partition_by_psiD, partition_by_trace
 from cycloscheme.paperbook import reconcile
 from cycloscheme.schemecore import (FusionPattern, bannai_muzychuk_verify,
-                                    brute_force_intersection_oracle,
                                     build_scheme, dual_scheme_tables_check,
                                     im10_construct, _mat_mul)
 from cycloscheme.zmring import (GroupRingElement, convolve, delta_square_check,
                                 involute, verify_lemma2, verify_remark_eqs)
+
+from scheme_oracle import brute_force_intersection_oracle
 
 _TOWERS = {}
 

@@ -231,14 +231,15 @@ def test_verbose_times_each_target_on_stderr_only(tmp_path, capsys):
 
 
 def test_each_fusion_is_censused_once(monkeypatch):
-    # the census sees the values it folds (Gauss periods of one field, or
-    # psi over every element) and the blocks of one fusion pattern
+    # the census sees one column per block of one fusion pattern; recorded
+    # as (column length, columns), the length tells the fields apart and
+    # a set of columns forgets the order of the blocks
     census = schemecore._census
     seen = []
 
-    def counting(values, blocks):
-        seen.append((values.tobytes(), tuple(blocks)))
-        return census(values, blocks)
+    def counting(columns):
+        seen.append((len(columns[0]), tuple(map(tuple, columns))))
+        return census(columns)
 
     monkeypatch.setattr(schemecore, "_census", counting)
     targets = ("thm1", "thm2i", "thm2ii", "duals", "im10")

@@ -3,10 +3,11 @@ import pytest
 from cycloscheme.binfield import InternalCheckError, build_tower
 from cycloscheme.cycpart import get_partition
 from cycloscheme.schemecore import (FusionPattern, SchemeError, bannai_muzychuk_verify,
-                                    brute_force_intersection_oracle, build_dual_scheme,
-                                    build_element_scheme, build_scheme, character_row,
+                                    build_dual_scheme, build_element_scheme, build_scheme,
                                     dual_scheme_tables_check, im10_construct,
                                     second_eigenmatrix, two_class_scheme)
+
+from scheme_oracle import brute_force_intersection_oracle, character_row
 
 
 def pattern_for(tower):
