@@ -1,11 +1,9 @@
-"""Exact Gauss periods and Gauss sums as cyclotomic integers.
+"""Exact Gauss periods, and the identities between their Gauss sums.
 
-A Gauss sum G(phi^ell) = sum_j eta_j zeta^(j ell) is the image in
-Z[zeta_M] of the group-ring element sum_j eta_j [j ell] of Z[Z_M];
-``gauss_sum`` returns its canonical representative modulo Phi_M.  The
-identities between Gauss sums are verified for every ell at once, by
-comparing number-theoretic DFT tables of the periods modulo enough primes
-p = 1 (mod M) to make the comparison exact.
+A Gauss sum G(phi^ell) = sum_j eta_j zeta^(j ell) lives in Z[zeta_M], but
+none is formed here: the identities between Gauss sums are verified for
+every ell at once, by comparing number-theoretic DFT tables of the periods
+modulo enough primes p = 1 (mod M) to make the comparison exact.
 """
 
 from __future__ import annotations
@@ -18,9 +16,9 @@ import numpy as np
 from .binfield import (WALK_DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
                        InternalCheckError, _apply, _byte_tables, _mul_tables,
                        _is_prime, _prime_factors, parities, power_table)
-from .cycpart import get_partition, psi_omega_a_D
+from .cycpart import _psi_route, get_partition
 from .reporting import Report
-from .zmring import GroupRingElement, _reduction_tail, exact_array, reduce_rows
+from .zmring import _reduction_tail
 
 
 # ---------------------------------------------------------------------------
@@ -109,69 +107,27 @@ def gauss_periods(tower: FieldTower, label: str) -> list[int]:
 
 def eta_prime_law_check(tower: FieldTower) -> Report:
     """eta'_a over G must equal -2^s * psi(omega^a D) - 1 for every a."""
-    q = 1 << tower.s
-    eta_g = gauss_periods(tower, "G")
+    eta_g = period_array(tower, "G")
+    law = -(1 << tower.s) * np.array(_psi_route(tower)[0]) - 1
+    bad = np.flatnonzero(eta_g != law)
     report = Report(f"G-period law (s={tower.s})")
-    bad = [(a, eta_g[a], -q * psi_omega_a_D(tower, a) - 1)
-           for a in range(tower.M)
-           if eta_g[a] != -q * psi_omega_a_D(tower, a) - 1]
-    report.add("eta'_a == -2^s psi(omega^a D) - 1 for all a", not bad,
-               "" if not bad else f"first mismatch at a={bad[0][0]}: "
-                                  f"{bad[0][1]} != {bad[0][2]}")
+    report.add("eta'_a == -2^s psi(omega^a D) - 1 for all a", not len(bad),
+               f"first mismatch at a={bad[0]}: {eta_g[bad[0]]} != {law[bad[0]]}"
+               if len(bad) else "")
     return report
 
 
-# ---------------------------------------------------------------------------
-# Gauss sums
-# ---------------------------------------------------------------------------
-
 @cache
 def period_array(tower: FieldTower, label: str) -> np.ndarray:
-    """``gauss_periods`` as a read-only array, int64 when sum |eta| (which
-    bounds any sum of distinct periods) is below 2^63."""
+    """``gauss_periods`` as a read-only int64 array.  sum |eta| bounds any
+    sum of distinct periods, and it is at most |K*|, below 2^63 for every
+    field the walk accepts; the guard keeps that a checked fact."""
     eta = gauss_periods(tower, label)
-    eta = exact_array(eta, sum(map(abs, eta)))
+    if sum(map(abs, eta)) >= 1 << 63:
+        raise InternalCheckError(f"periods over {label} do not fit int64")
+    eta = np.array(eta, dtype=np.int64)
     eta.flags.writeable = False
     return eta
-
-
-def gauss_sum_power_vector(tower: FieldTower, label: str, ell: int) -> list[int]:
-    """Unreduced length-M power vector of G(phi^ell); coefficient at k is
-    the sum of the periods eta_j over j with j*ell = k mod M."""
-    M = tower.M
-    eta = period_array(tower, label)
-    vector = np.zeros(M, dtype=eta.dtype)
-    np.add.at(vector, ell % M * np.arange(M) % M, eta)
-    return vector.tolist()
-
-
-@cache
-def gauss_sum(tower: FieldTower, label: str, ell: int) -> GroupRingElement:
-    """G(phi^ell), reduced modulo Phi_M, where phi sends the normalized
-    primitive element (omega, gamma or beta) to zeta_M."""
-    if not (0 <= ell < tower.M):
-        raise FieldError(f"character exponent {ell} out of range [0, {tower.M})")
-    return GroupRingElement(tower.M, tuple(gauss_sum_power_vector(tower, label, ell))).reduce()
-
-
-def recover_period_from_sums(M: int, sum_vectors: list[list[int]], a: int) -> int:
-    """eta_a from the M Gauss sums via the expansion
-    eta_a = (1/M) * sum_l G(phi^(-l)) * zeta^(l*a), exactly in Z[zeta_M].
-
-    ``sum_vectors[ell]`` is the unreduced power vector of G(phi^ell).
-    Raises if the combination fails to collapse to a rational integer
-    divisible by M.
-    """
-    stacked = np.asarray(sum_vectors)
-    peak = max(int(stacked.max()), -int(stacked.min()))
-    stacked = exact_array(stacked, M * peak)
-    ell = np.arange(M)[:, None]
-    # total[j] = sum over l of G(phi^(-l))[j - l*a]
-    total = stacked[-ell % M, (np.arange(M) - ell * a) % M].sum(axis=0)
-    reduced = reduce_rows(M, total, M * peak)
-    if reduced[1:].any() or reduced[0] % M:
-        raise InternalCheckError("period expansion is not an integer multiple of M")
-    return int(reduced[0]) // M
 
 
 # ---------------------------------------------------------------------------

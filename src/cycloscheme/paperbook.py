@@ -140,12 +140,13 @@ def _all_expressions():
                     yield f"{sid} {which} ({r},{c})", expr
 
 
-def integrality_check(q_values=(2, 4, 8, 16)) -> Report:
+def integrality_check() -> Report:
     """Every transcribed entry must evaluate to an integer at q = 2^s."""
+    q_values = (2, 4, 8, 16)
     report = Report("integrality of transcribed entries")
     bad = [f"{where} at q={q}" for where, expr in _all_expressions()
            for q in q_values if evaluate(expr, q).denominator != 1]
-    report.add(f"all entries integral at q in {tuple(q_values)}", not bad,
+    report.add(f"all entries integral at q in {q_values}", not bad,
                "; ".join(bad[:3]))
     return report
 

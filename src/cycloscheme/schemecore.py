@@ -348,13 +348,13 @@ def build_element_scheme(tower: FieldTower, field_label: str, sets,
 # element-level schemes (for the generic two-class refinement)
 # ---------------------------------------------------------------------------
 
-def two_class_scheme(tower: FieldTower, field_label: str = "F") -> SchemeRecord:
-    """The two-class translation scheme from the trace-zero hyperplane:
+def two_class_scheme(tower: FieldTower) -> SchemeRecord:
+    """The two-class translation scheme on F from the trace-zero hyperplane:
     R_1 = ker(tr) \\ {0}, R_2 = the rest (a strongly regular Cayley graph)."""
-    K = tower.field(field_label)
+    K = tower.F
     R1 = frozenset(u for u in range(1, K.size) if not ((u & K.trace_mask).bit_count() & 1))
     R2 = frozenset(range(1, K.size)) - R1
-    return build_element_scheme(tower, field_label, (R1, R2), "trace2")
+    return build_element_scheme(tower, "F", (R1, R2), "trace2")
 
 
 def im10_construct(tower: FieldTower, two_class: SchemeRecord | None = None) -> SchemeRecord:

@@ -1,19 +1,23 @@
-"""Per-character reference for the Gauss-sum identities, kept to
-cross-check the package's DFT tables.
+"""Per-character reference for the Gauss sums and their identities, kept
+to cross-check the package's DFT tables.
 
-Each identity is decided one nonprincipal ell at a time in Z[zeta_M], on
-reductions modulo Phi_M of group-ring products, as the package verified
-them before it compared tables.  The periods and T1 come in as arguments,
-so a test can hand both routes the same perturbed inputs.  Every function
+A Gauss sum G(phi^ell) = sum_j eta_j zeta^(j ell) is the image in Z[zeta_M]
+of the group-ring element sum_j eta_j [j ell] of Z[Z_M]; ``gauss_sum``
+returns its canonical representative modulo Phi_M.  Each identity is
+decided one nonprincipal ell at a time in Z[zeta_M], on reductions modulo
+Phi_M of group-ring products, as the package verified them before it
+compared tables.  The periods and T1 come in as arguments, so a test can
+hand both routes the same perturbed inputs.  Every identity function
 returns the first failing ell (a for the expansion), or None.
 """
 
-from cycloscheme.charsum import recover_period_from_sums
-from cycloscheme.zmring import GroupRingElement
+from cycloscheme.binfield import InternalCheckError
+from ring_oracle import GroupRingElement, reduce_reference
 
 
-def power_vector(eta, ell):
-    """Unreduced G(phi^ell) = sum_j eta_j [j ell] in Z[Z_M]."""
+def gauss_sum_power_vector(eta, ell):
+    """Unreduced G(phi^ell) = sum_j eta_j [j ell] in Z[Z_M]: the coefficient
+    at k is the sum of the periods eta_j over j with j*ell = k mod M."""
     M = len(eta)
     coeffs = [0] * M
     for j, e in enumerate(eta):
@@ -22,7 +26,26 @@ def power_vector(eta, ell):
 
 
 def gauss_sum(eta, ell):
-    return GroupRingElement(len(eta), tuple(power_vector(eta, ell))).reduce()
+    """G(phi^ell), reduced modulo Phi_M."""
+    return GroupRingElement(len(eta), tuple(gauss_sum_power_vector(eta, ell))).reduce()
+
+
+def recover_period_from_sums(M, sum_vectors, a):
+    """eta_a from the M Gauss sums via the expansion
+    eta_a = (1/M) * sum_l G(phi^(-l)) * zeta^(l*a), exactly in Z[zeta_M].
+
+    ``sum_vectors[ell]`` is the unreduced power vector of G(phi^ell).
+    Raises if the combination fails to collapse to a rational integer
+    divisible by M.
+    """
+    total = [0] * M
+    for ell in range(M):
+        for j, c in enumerate(sum_vectors[-ell % M]):
+            total[(j + ell * a) % M] += c
+    reduced = reduce_reference(M, total)
+    if any(reduced[1:]) or reduced[0] % M:
+        raise InternalCheckError("period expansion is not an integer multiple of M")
+    return reduced[0] // M
 
 
 def _first_failing(M, holds):
@@ -71,6 +94,6 @@ def conjugation(eta):
 def expansion(eta):
     """The first a whose period the expansion from all M Gauss sums misses."""
     M = len(eta)
-    vectors = [power_vector(eta, ell) for ell in range(M)]
+    vectors = [gauss_sum_power_vector(eta, ell) for ell in range(M)]
     return next((a for a in range(M)
                  if recover_period_from_sums(M, vectors, a) != eta[a]), None)

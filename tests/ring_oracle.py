@@ -1,12 +1,16 @@
-"""Pure-Python reference for the group-ring kernels, kept to cross-check
-the package's numpy reduction and product.
+"""Pure-Python reference for the group ring Z[Z_M] and its quotient
+Z[zeta_M], kept to cross-check the package's int64 arrays.
 
 Reduction is long division by Phi_M and the product is a schoolbook sum
-over nonzero pairs folded modulo x^M - 1, exactly as the package computed
-them before they became array code.  Coefficients are Python ints.
+over nonzero pairs folded modulo x^M - 1.  Coefficients are Python ints.
+``GroupRingElement`` wraps the two for the per-character Gauss-sum oracle
+and for ``partition_identities``, the ten identities of Lemma 2 and the
+difference-set remarks computed element by element.
 """
 
-from cycloscheme.zmring import cyclotomic_polynomial
+from dataclasses import dataclass
+
+from cycloscheme.zmring import GroupRingError, cyclotomic_polynomial
 
 
 def reduce_reference(M, coeffs):
@@ -33,3 +37,102 @@ def convolve_reference(M, a, b):
             for j, cb in b_terms:
                 acc[i + j] += ca * cb
     return tuple(x + y for x, y in zip(acc, acc[M:]))
+
+
+@dataclass(frozen=True)
+class GroupRingElement:
+    """An element of Z[Z_M]; ``reduce`` gives its canonical representative
+    in Z[zeta_M], so two elements are equal there exactly when their
+    reductions are equal."""
+    M: int
+    coeffs: tuple
+
+    def __post_init__(self):
+        if self.M < 1:
+            raise GroupRingError("modulus must be >= 1")
+        if len(self.coeffs) != self.M:
+            raise GroupRingError(
+                f"coefficient array has length {len(self.coeffs)}, expected {self.M}")
+
+    @classmethod
+    def from_set(cls, M, S):
+        coeffs = [0] * M
+        for i in S:
+            if not (0 <= i < M):
+                raise GroupRingError(f"residue {i} out of range [0, {M})")
+            coeffs[i] += 1
+        return cls(M, tuple(coeffs))
+
+    @classmethod
+    def identity(cls, M):
+        return cls(M, (1,) + (0,) * (M - 1))
+
+    @classmethod
+    def all_ones(cls, M):
+        return cls(M, (1,) * M)
+
+    def _same_ring(self, other):
+        if other.M != self.M:
+            raise GroupRingError("modulus mismatch")
+        return other.coeffs
+
+    def __add__(self, other):
+        return GroupRingElement(self.M, tuple(
+            a + b for a, b in zip(self.coeffs, self._same_ring(other))))
+
+    def __sub__(self, other):
+        return GroupRingElement(self.M, tuple(
+            a - b for a, b in zip(self.coeffs, self._same_ring(other))))
+
+    def scale(self, k):
+        return GroupRingElement(self.M, tuple(k * a for a in self.coeffs))
+
+    def __mul__(self, other):
+        return GroupRingElement(self.M, convolve_reference(
+            self.M, self.coeffs, self._same_ring(other)))
+
+    def involute(self):
+        """Coefficient at i moves to -i mod M."""
+        return GroupRingElement(self.M, self.coeffs[:1] + self.coeffs[:0:-1])
+
+    def augmentation(self):
+        return sum(self.coeffs)
+
+    def reduce(self):
+        return GroupRingElement(self.M, reduce_reference(self.M, self.coeffs))
+
+
+def from_set(M, S):
+    return GroupRingElement.from_set(M, S)
+
+
+def involute(a):
+    return a.involute()
+
+
+def partition_identities(part, s):
+    """check name -> (lhs, rhs) for the ten identities that
+    ``zmring.verify_lemma2``, ``verify_remark_eqs`` and
+    ``delta_square_check`` decide, as the package computed them on
+    group-ring elements before they became int64 arrays."""
+    M = part.M
+    T1, T2, T3 = (from_set(M, T) for T in (part.T1, part.T2, part.T3))
+    Z = GroupRingElement.all_ones(M)
+    one = GroupRingElement.identity(M)
+    q, h = 1 << s, 1 << (s - 1)
+    delta = T2 - T3
+    T1inv = T1.involute()
+    T1sq = T1 * T1
+    return {
+        "delta*T1inv": (delta * T1inv, T1.scale(q)),
+        "delta*T2inv": (delta * T2.involute(), one.scale(q * h) + (Z - T1).scale(h)),
+        "delta*T3inv": (delta * T3.involute(), one.scale(-q * h) + (Z - T1).scale(h)),
+        "T1*T1inv": (T1 * T1inv, one.scale(q) + Z),
+        "T1*T2inv": (T1 * T2.involute(), T1inv.scale(h) + Z.scale(h) - one.scale(h)),
+        "T1*T3inv": (T1 * T3.involute(), T1inv.scale(-h) + Z.scale(h) - one.scale(h)),
+        "T1^2*T1inv": (T1sq * T1inv, T1.scale(q) + Z.scale(q + 1)),
+        "T1^2*T2inv": (T1sq * T2.involute(),
+                       one.scale(h * q) + Z.scale(q + h * q) - T1.scale(h)),
+        "T1^2*T3inv": (T1sq * T3.involute(), one.scale(-h * q) + Z.scale(h * q) - T1.scale(h)),
+        "delta*deltainv": (delta * delta.involute(), one.scale(q * q)),
+    }

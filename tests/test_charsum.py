@@ -7,13 +7,14 @@ from cycloscheme import charsum
 from cycloscheme.binfield import (FieldError, InternalCheckError, _byte_tables, build_field,
                                   build_tower)
 from cycloscheme.charsum import (conjugation_symmetry_check, eta_prime_law_check,
-                                 gauss_periods, gauss_sum,
-                                 gauss_sum_modulus_check, gauss_sum_power_vector,
-                                 period_expansion_check, recover_period_from_sums,
-                                 verify_hasse_davenport, verify_t1_gauss_identity)
-from cycloscheme.zmring import (GroupRingElement, GroupRingError,
-                                cyclotomic_polynomial)
+                                 gauss_periods, gauss_sum_modulus_check,
+                                 period_expansion_check, verify_hasse_davenport,
+                                 verify_t1_gauss_identity)
+from cycloscheme.cycpart import psi_omega_a_D
+from cycloscheme.zmring import GroupRingError, cyclotomic_polynomial
+from gauss_ring_oracle import gauss_sum, gauss_sum_power_vector, recover_period_from_sums
 from period_oracle import gauss_periods_reference, trace_word_images_reference
+from ring_oracle import GroupRingElement
 
 # every (s, field) with |K*| <= 2^18
 SMALL_FIELDS = [(1, "F"), (1, "G"), (1, "H"), (2, "F"), (2, "G"), (2, "H"),
@@ -122,16 +123,40 @@ def test_gauss_periods_degree_guard():
         gauss_periods(_StubTower(), "H")
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_period_array_is_int64(s):
+    tower = build_tower(s)
+    for label in "FGH":
+        eta = charsum.period_array(tower, label)
+        assert eta.dtype == np.int64 and not eta.flags.writeable
+        assert eta.tolist() == gauss_periods(tower, label)
+
+
+# sum |eta| just below 2^63 fits int64; at 2^63, or with a period that is
+# itself past int64, the guard refuses
+@pytest.mark.parametrize("periods,fits", [([1 << 62, (1 << 62) - 1], True),
+                                          ([1 << 62, -(1 << 62)], False),
+                                          ([1 << 70, -1], False)])
+def test_period_array_guard(monkeypatch, periods, fits):
+    monkeypatch.setattr(charsum, "gauss_periods", lambda tower, label: periods)
+    tower = _StubTower()  # a new cache key, so the stub is called
+    if fits:
+        assert charsum.period_array(tower, "F").tolist() == periods
+    else:
+        with pytest.raises(InternalCheckError, match="int64"):
+            charsum.period_array(tower, "F")
+
+
 def test_gauss_sum_f_s1_value():
     tower = build_tower(1)
-    g = gauss_sum(tower, "F", 1)
+    g = gauss_sum(gauss_periods(tower, "F"), 1)
     assert g == GroupRingElement.from_set(7, {1, 2, 4}).scale(2).reduce()
     assert not any(g.coeffs[6:])  # reduced: phi(7) = 6
 
 
 def test_gauss_sum_principal_character():
     tower = build_tower(1)
-    assert gauss_sum(tower, "F", 0) == GroupRingElement.identity(7).scale(-1)
+    assert gauss_sum(gauss_periods(tower, "F"), 0) == GroupRingElement.identity(7).scale(-1)
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -163,7 +188,6 @@ def test_hasse_davenport_products_per_character(monkeypatch, lift_degree):
         return dft(values, M, p, r)
 
     monkeypatch.setattr(charsum, "_dft", counted)
-    monkeypatch.setattr(GroupRingElement, "__mul__", None)
     tower = build_tower(1)
     assert verify_hasse_davenport(tower, lift_degree).passed
     assert primes and all(primes.count(p) == 2 for p in primes)
@@ -179,6 +203,18 @@ def test_eta_prime_law():
         assert eta_prime_law_check(build_tower(s)).passed
 
 
+def test_eta_prime_law_names_the_first_mismatch(monkeypatch):
+    tower = build_tower(2)
+    eta_g = np.array(charsum.period_array(tower, "G"))
+    eta_g[[5, 9]] += 1
+    monkeypatch.setattr(charsum, "period_array", lambda tw, label: eta_g)
+    (result,) = eta_prime_law_check(tower).checks
+    assert result.name == "eta'_a == -2^s psi(omega^a D) - 1 for all a"
+    assert not result.passed
+    assert result.detail == \
+        f"first mismatch at a=5: {eta_g[5]} != {-4 * psi_omega_a_D(tower, 5) - 1}"
+
+
 def test_conjugation_symmetry():
     assert conjugation_symmetry_check(build_tower(1), "F").passed
 
@@ -187,17 +223,17 @@ def test_conjugation_symmetry():
 def test_period_expansion_round_trip(label):
     tower = build_tower(1)
     eta = gauss_periods(tower, label)
-    vectors = [gauss_sum_power_vector(tower, label, ell) for ell in range(7)]
+    vectors = [gauss_sum_power_vector(eta, ell) for ell in range(7)]
     for a in (0, 1, 3):
         assert recover_period_from_sums(7, vectors, a) == eta[a]
 
 
 def test_period_expansion_exact_beyond_int64():
-    # scaled by 2^70 the sums no longer fit int64, so the expansion runs on
-    # Python ints and must still recover the scaled periods exactly
+    # scaled by 2^70 the sums no longer fit int64; the reference expansion
+    # runs on Python ints and must still recover the scaled periods exactly
     tower = build_tower(1)
     eta = gauss_periods(tower, "F")
-    vectors = [[c << 70 for c in gauss_sum_power_vector(tower, "F", ell)]
+    vectors = [[c << 70 for c in gauss_sum_power_vector(eta, ell)]
                for ell in range(7)]
     assert [recover_period_from_sums(7, vectors, a) for a in range(7)] == \
         [e << 70 for e in eta]
@@ -211,7 +247,7 @@ def test_perturbed_gauss_sums_rejected():
     # negative control: corrupt one sum vector and the expansion no longer
     # collapses to a rational multiple of M
     tower = build_tower(1)
-    vectors = [gauss_sum_power_vector(tower, "F", ell) for ell in range(7)]
+    vectors = [gauss_sum_power_vector(gauss_periods(tower, "F"), ell) for ell in range(7)]
     vectors[3][2] += 1
     with pytest.raises(InternalCheckError):
         for a in range(7):

@@ -1,18 +1,18 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloscheme import zmring
 from cycloscheme.binfield import build_tower
 from cycloscheme.cycpart import CyclotomicPartition, get_partition
-from cycloscheme.zmring import (GroupRingElement, GroupRingError, convolve,
+from cycloscheme.zmring import (GroupRingError, _cyclic_product, _reduction_tail,
                                 cyclotomic_polynomial, delta_square_check,
-                                doubling_check, from_set, involute,
-                                verify_lemma2, verify_remark_eqs)
-from ring_oracle import convolve_reference, reduce_reference
+                                doubling_check, verify_lemma2, verify_remark_eqs)
+from ring_oracle import (GroupRingElement, convolve_reference, from_set, involute,
+                         partition_identities, reduce_reference)
 
 PART_S1 = CyclotomicPartition(1, 7, (1, 2, 4), (3, 5, 6), (0,))
 
@@ -32,12 +32,12 @@ def test_singer_identity_m7():
     T1 = from_set(7, {1, 2, 4})
     # T1 * T1^(-1) = 2*[id] + Z_7: nine pairwise differences, each nonzero
     # residue hit once
-    assert convolve(T1, involute(T1)).coeffs == (3, 1, 1, 1, 1, 1, 1)
+    assert (T1 * involute(T1)).coeffs == (3, 1, 1, 1, 1, 1, 1)
 
 
 def test_t1_square_m7():
     T1 = from_set(7, {1, 2, 4})
-    assert convolve(T1, T1).coeffs == (0, 1, 1, 2, 1, 2, 2)  # T1 + 2*T2
+    assert (T1 * T1).coeffs == (0, 1, 1, 2, 1, 2, 2)  # T1 + 2*T2
 
 
 def test_involution_negates_support():
@@ -48,7 +48,7 @@ def test_involution_negates_support():
 
 def test_modulus_mismatch():
     with pytest.raises(GroupRingError):
-        convolve(from_set(7, {1}), from_set(21, {1}))
+        from_set(7, {1}) * from_set(21, {1})
 
 
 def test_lemma2_s1_passes():
@@ -57,7 +57,7 @@ def test_lemma2_s1_passes():
 
 def test_lemma2_eq3_value_s1():
     T1, T2, T3 = (from_set(7, s) for s in ((1, 2, 4), (3, 5, 6), (0,)))
-    lhs = convolve(T2 - T3, involute(T2))
+    lhs = (T2 - T3) * involute(T2)
     assert lhs.coeffs == (3, 0, 0, 1, 0, 1, 1)
 
 
@@ -80,7 +80,7 @@ def test_remark_eqs_s1():
 
 def test_remark_eq8_value_s1():
     T1 = from_set(7, {1, 2, 4})
-    lhs = convolve(convolve(T1, T1), involute(T1))
+    lhs = T1 * T1 * involute(T1)
     rhs = T1.scale(2) + GroupRingElement.all_ones(7).scale(3)
     assert lhs == rhs
 
@@ -98,7 +98,7 @@ def test_delta_square_s1():
     assert report.passed
     T2, T3 = from_set(7, {3, 5, 6}), from_set(7, {0})
     d = T2 - T3
-    assert convolve(d, involute(d)) == GroupRingElement.identity(7).scale(4)
+    assert d * involute(d) == GroupRingElement.identity(7).scale(4)
 
 
 def test_delta_square_degenerate_modulus():
@@ -125,25 +125,25 @@ small_elements = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(small_elements, small_elements)
 def test_convolution_commutative(a, b):
-    assert convolve(a, b) == convolve(b, a)
+    assert a * b == b * a
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_elements, small_elements, small_elements)
 def test_convolution_associative(a, b, c):
-    assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
+    assert (a * b) * c == a * (b * c)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_elements, small_elements)
 def test_involute_is_multiplicative(a, b):
-    assert involute(convolve(a, b)) == convolve(involute(a), involute(b))
+    assert involute(a * b) == involute(a) * involute(b)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_elements, small_elements)
 def test_augmentation_homomorphism(a, b):
-    assert convolve(a, b).augmentation() == a.augmentation() * b.augmentation()
+    assert (a * b).augmentation() == a.augmentation() * b.augmentation()
 
 
 # -- the quotient map Z[Z_M] -> Z[zeta_M], at M = 7 (prime) and 21 -------------
@@ -217,82 +217,79 @@ def test_zeta_basics(M):
     assert x.involute() == from_set(M, {M - 1})
 
 
-# -- the numpy kernels against the pure-Python reference ----------------------
+# -- the int64 identities and kernels against the pure-Python reference ------
+
+# (s, swap, checked s): the true partitions at s = 1..4, T2 and T3 trading
+# one element at s = 2, and true partitions checked at the wrong s
+IDENTITY_CASES = [(s, False, s) for s in (1, 2, 3, 4)] + \
+    [(2, True, 2), (1, False, 2), (2, False, 3)]
+
+
+@pytest.mark.parametrize("s,swap,checked_s", IDENTITY_CASES)
+def test_identities_agree_with_ring_oracle(s, swap, checked_s):
+    part = get_partition(build_tower(s))
+    if swap:
+        T2, T3 = list(part.T2), list(part.T3)
+        T2[0], T3[0] = T3[0], T2[0]
+        part = replace(part, T2=tuple(T2), T3=tuple(T3))
+    expected = partition_identities(part, checked_s)
+    checks = [c for verify in (verify_lemma2, verify_remark_eqs, delta_square_check)
+              for c in verify(part, checked_s).checks]
+    assert [c.name for c in checks] == list(expected)
+    for c in checks:
+        lhs, rhs = (x.coeffs for x in expected[c.name])
+        diff = [i for i, (l, r) in enumerate(zip(lhs, rhs)) if l != r]
+        assert c.passed == (not diff)
+        assert c.detail == (f"first differing coefficient at index {diff[0]}: "
+                            f"{lhs[diff[0]]} != {rhs[diff[0]]}" if diff else "")
+    assert all(c.passed for c in checks) == (not swap and checked_s == s)
+
 
 # M = q^2 + q + 1 for s = 1..4
 ORACLE_MODULI = [7, 21, 73, 273]
 INT64_MAX = (1 << 63) - 1
 
 
-@pytest.fixture
-def chosen_dtypes(monkeypatch):
-    """The dtype of every array the kernels build from Python coefficients."""
-    dtypes = []
-    exact_array = zmring.exact_array
-
-    def recording(values, bound):
-        array = exact_array(values, bound)
-        dtypes.append(array.dtype)
-        return array
-
-    monkeypatch.setattr(zmring, "exact_array", recording)
-    return dtypes
-
-
-# small coefficients take the int64 path; coefficients near 2^70 overflow
-# any int64 bound and take the Python-int path
-@pytest.mark.parametrize("magnitude,dtype", [(50, np.int64), (1 << 70, object)])
 @pytest.mark.parametrize("M", ORACLE_MODULI)
-def test_kernels_match_reference(chosen_dtypes, M, magnitude, dtype):
+def test_cyclic_product_matches_reference(M):
     rng = random.Random(M)
     for _ in range(3):
-        a, b = (tuple(rng.randint(-magnitude, magnitude) for _ in range(M))
-                for _ in range(2))
-        assert GroupRingElement(M, a).reduce().coeffs == reduce_reference(M, a)
-        assert convolve(GroupRingElement(M, a), GroupRingElement(M, b)).coeffs == \
-            convolve_reference(M, a, b)
-    assert set(chosen_dtypes) == {np.dtype(dtype)}
+        a, b = ([rng.randint(-50, 50) for _ in range(M)] for _ in range(2))
+        product = _cyclic_product(np.array(a), np.array(b))
+        assert product.dtype == np.int64
+        assert tuple(product.tolist()) == convolve_reference(M, a, b)
 
 
 @pytest.mark.parametrize("M", ORACLE_MODULI)
-def test_convolve_either_side_of_the_int64_bound(chosen_dtypes, M):
-    # every cyclic coefficient of a constant times a constant is M*A*B: just
-    # below 2^63 on one side of the bound, at least 2^63 on the other
+def test_convolve_either_side_of_the_int64_bound(M):
+    # for constants A and B the guard's bound sum |a| * max |b| is M*A*B,
+    # which is also every cyclic coefficient of the product: just below 2^63
+    # the product is exact, at 2^63 or above it is refused
     A = 1 << 31
     B = INT64_MAX // (M * A)
-    for b_value, dtype in ((B, np.int64), (B + 1, object)):
-        a, b = (A,) * M, (b_value,) * M
-        chosen_dtypes.clear()
-        product = convolve(GroupRingElement(M, a), GroupRingElement(M, b))
-        assert product.coeffs == convolve_reference(M, a, b) == (M * A * b_value,) * M
-        assert chosen_dtypes == [np.dtype(dtype)] * 2
-
-
-def test_convolve_by_zero_keeps_a_huge_operand_exact():
-    # the product is 0, but the other operand itself does not fit int64
-    huge = GroupRingElement(7, (1 << 70,) * 7)
-    zero = GroupRingElement(7, (0,) * 7)
-    assert convolve(huge, zero) == convolve(zero, huge) == zero
+    a = np.full(M, A)
+    product = _cyclic_product(a, np.full(M, B))
+    assert tuple(product.tolist()) == convolve_reference(M, (A,) * M, (B,) * M) == \
+        (M * A * B,) * M
+    with pytest.raises(GroupRingError, match="int64"):
+        _cyclic_product(a, np.full(M, B + 1))
 
 
 @pytest.mark.parametrize("M", ORACLE_MODULI)
-def test_reduce_either_side_of_the_int64_bound(chosen_dtypes, M):
-    # x^(phi + k) mod Phi_M from the reference; the column with the largest
-    # abs-sum sets the growth factor, and an input whose high coefficients
-    # carry that column's signs makes the reduction reach value * growth
+def test_reduction_tail_matches_reference(M):
+    # row k is x^(phi + k) mod Phi_M by long division; an input whose high
+    # coefficients carry the signs of the column with the largest abs-sum
+    # makes a reduction reach the growth factor times the input
     phi = _phi(M)
-    tail = [reduce_reference(M, [0] * (phi + k) + [1] + [0] * (M - phi - k - 1))
+    tail = [reduce_reference(M, [0] * (phi + k) + [1] + [0] * (M - phi - k - 1))[:phi]
             for k in range(M - phi)]
+    rows, growth = _reduction_tail(M)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [list(row) for row in tail]
     col = max(range(phi), key=lambda j: sum(abs(row[j]) for row in tail))
-    growth = 1 + sum(abs(row[col]) for row in tail)
-    V = INT64_MAX // growth
-    for value, dtype in ((V, np.int64), (V + 1, object)):
-        coeffs = [0] * M
-        coeffs[col] = value
-        for k, row in enumerate(tail):
-            coeffs[phi + k] = value if row[col] >= 0 else -value
-        expected = reduce_reference(M, coeffs)
-        assert expected[col] == value * growth
-        chosen_dtypes.clear()
-        assert GroupRingElement(M, tuple(coeffs)).reduce().coeffs == expected
-        assert chosen_dtypes == [np.dtype(dtype)]
+    assert growth == 1 + sum(abs(row[col]) for row in tail)
+    coeffs = [0] * M
+    coeffs[col] = 1
+    for k, row in enumerate(tail):
+        coeffs[phi + k] = 1 if row[col] >= 0 else -1
+    assert reduce_reference(M, coeffs)[col] == growth
