@@ -11,15 +11,14 @@ from .reporting import CheckResult, Report
 from .schemecore import (FusionPattern, SchemeError, SchemeRecord,
                          bannai_muzychuk_verify, build_dual_scheme, build_scheme,
                          im10_construct, two_class_scheme)
-from .zmring import GroupRingError, cyclotomic_polynomial
+from .zmring import GroupRingError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BinaryField", "FieldTower", "FieldError", "InternalCheckError",
     "NonPrimitiveModulusError", "ReducibleModulusError", "build_field",
-    "build_tower", "cyclotomic_polynomial",
-    "gauss_periods", "CyclotomicPartition", "compute_D",
+    "build_tower", "gauss_periods", "CyclotomicPartition", "compute_D",
     "get_partition", "appendix_matrix", "reconcile", "table_row",
     "CheckResult", "Report", "FusionPattern", "SchemeError", "SchemeRecord",
     "bannai_muzychuk_verify", "build_dual_scheme", "build_scheme",

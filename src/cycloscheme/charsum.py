@@ -3,7 +3,8 @@
 A Gauss sum G(phi^ell) = sum_j eta_j zeta^(j ell) lives in Z[zeta_M], but
 none is formed here: the identities between Gauss sums are verified for
 every ell at once, by comparing number-theoretic DFT tables of the periods
-modulo enough primes p = 1 (mod M) to make the comparison exact.
+modulo primes p = 1 (mod M) whose product exceeds an L1 bound on the
+difference of the two sides; a norm argument makes that comparison exact.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .binfield import (WALK_DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
                        _is_prime, _prime_factors, parities, power_table)
 from .cycpart import _psi_route, get_partition
 from .reporting import Report
-from .zmring import _reduction_tail
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +134,21 @@ def period_array(tower: FieldTower, label: str) -> np.ndarray:
 # Gauss-sum identities, evaluated in DFT tables
 # ---------------------------------------------------------------------------
 #
-# Let p = 1 (mod M) be prime and r of order M mod p.  Phi_M splits mod p
-# into the distinct factors x - r^k, k prime to M, so a remainder modulo
-# Phi_M vanishes mod p exactly when its element vanishes at every r^k.
-# G(phi^ell) at r^k is V[ell*k], V = DFT_p(eta), and the ell*k are the m
-# with gcd(m, M) = gcd(ell, M).  So an identity holds mod p for every
-# nonprincipal ell exactly when two tables agree at every m in [1, M), and
+# Let p = 1 (mod M) be prime and r of order M mod p.  A check's two tables
+# differ at m by X(r^m) mod p, X in Z[Z_M] the difference of the identity's
+# two sides, and its ``bound`` B is an L1 bound sum |X_j|: |eta_F| + q |T1|
+# for T1, |eta_K| + |eta_F|^deg for Hasse-Davenport, |eta|^2 + |K| for the
+# modulus, 2 |eta| for conjugation.  For d | M, d > 1, the phi(d) maps
+# zeta_d -> r^m with gcd(m, M) = M/d are all the maps Z[zeta_d] -> F_p; p
+# splits completely in Q(zeta_d), so their kernels are the primes above p
+# and their product is (p) (Washington, Cyclotomic Fields, ch. 2).  Tables
+# that agree at every m in [1, M) thus put X(zeta_d) in pZ[zeta_d] for each
+# prime used.  A nonzero X(zeta_d) would have a norm divisible by
+# (prod p)^phi(d), yet at most B^phi(d), as no conjugate exceeds B; so
+# prod p > B makes X(zeta_d) = 0 for every d at once.  The identity at ell
+# is X(zeta_M^ell) = 0, a conjugate of X(zeta_d) for d = M/gcd(ell, M), so
 # the first failing ell is the least gcd(m, M) over the failing m.  The
-# remainder of an element of Z[Z_M] with coefficients at most B is at most
-# growth * B (``_reduction_tail``); primes whose product exceeds twice that
-# make "zero mod every prime" mean zero (CRT).
+# period expansion keeps its bound 2 M |eta| under the same rule.
 
 # Rows per block of a DFT matrix: a block is this many rows of length M.
 _DFT_ROWS = 64
@@ -166,11 +171,9 @@ def _dft_prime(M: int, index: int) -> tuple[int, int]:
 
 
 def _primes(M: int, bound: int) -> list[tuple[int, int]]:
-    """The leading DFT primes whose product exceeds twice the remainder
-    bound of an unreduced difference with coefficients at most ``bound``."""
-    limit = 2 * _reduction_tail(M)[1] * bound
+    """The leading DFT primes whose product exceeds ``bound``."""
     primes, product = [], 1
-    while product <= limit:
+    while product <= bound:
         primes.append(_dft_prime(M, len(primes)))
         product *= primes[-1][0]
     return primes

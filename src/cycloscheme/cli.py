@@ -11,8 +11,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import charsum, paperbook, schemecore, zmring
-from .binfield import (WALK_DEGREE_LIMIT, FieldError, _prime_factors, build_tower,
-                       modulus_from_hex)
+from .binfield import FieldError, _prime_factors, build_tower, modulus_from_hex
 from .cycpart import d_class_check, get_partition
 from .reporting import Report
 
@@ -87,14 +86,6 @@ def _target_lemma2(tower, config):
 
 def _streams_h(config) -> bool:
     return config.s < 3 or config.big
-
-
-def _walked_degree(config) -> int:
-    """The largest degree of a field whose Gauss periods the targets walk;
-    F, G and H have degrees 3s, 6s and 9s."""
-    per_s = {"thm1": 3, "im10": 3, "thm2i": 6, "duals": 6, "thm2ii": 9,
-             "gauss": 9 if _streams_h(config) else 6}
-    return config.s * max((per_s.get(t, 0) for t in config.targets), default=0)
 
 
 def _target_gauss(tower, config):
@@ -197,11 +188,6 @@ def run(config: RunConfig, out=None) -> int:
         print(f"error: im10 verifies GF(2^{3 * config.s}) element by element, "
               f"which is limited to {schemecore._ORACLE_SIZE_LIMIT} elements",
               file=out)
-        return USAGE_ERROR
-    degree = _walked_degree(config)
-    if degree > WALK_DEGREE_LIMIT:
-        print(f"error: the targets walk GF(2^{degree}); the Gauss-period walk "
-              f"is limited to degree {WALK_DEGREE_LIMIT}", file=out)
         return USAGE_ERROR
     try:
         tower = build_tower(config.s, config.poly_f, config.poly_g, config.poly_h)

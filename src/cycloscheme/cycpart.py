@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binfield import BinaryField, FieldError, FieldTower, InternalCheckError, parities
+from .binfield import BinaryField, FieldTower, InternalCheckError, parities
 from .reporting import Report
 
 
@@ -128,12 +128,6 @@ def _psi_route(tower: FieldTower) -> tuple[tuple[int, ...], CyclotomicPartition]
     R = np.flatnonzero(_class_indicators(tower).D[:tower.M])
     values = tuple(cyclic_sums(_class_psi_sums(tower), [R])[0])
     return values, _split(tower, values, (-1, q - 1, -q - 1), "psi(omega^{} D)")
-
-
-def psi_omega_a_D(tower: FieldTower, a: int) -> int:
-    if not (0 <= a < tower.M):
-        raise FieldError(f"a = {a} out of range [0, {tower.M})")
-    return _psi_route(tower)[0][a]
 
 
 def partition_by_psiD(tower: FieldTower) -> CyclotomicPartition:

@@ -1,15 +1,12 @@
-"""The partition identities in Z[Z_M], and the cyclotomic polynomials
-that give its quotient Z[zeta_M] = Z[x]/(Phi_M).
+"""The partition identities in Z[Z_M] = Z[x]/(x^M - 1).
 
-An element of Z[Z_M] = Z[x]/(x^M - 1) is its int64 array of M
+An element of Z[Z_M] is its int64 array of M
 coefficients; a set S of residues is the indicator sum_{i in S} [i].  A
 product is refused unless a bound from its operands keeps every partial
 sum below 2^63, so each identity is decided exactly.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 import numpy as np
 
@@ -18,58 +15,6 @@ from .reporting import Report
 
 class GroupRingError(ValueError):
     pass
-
-
-def _divide(num: list[int], den) -> list[int]:
-    """Long division by a monic polynomial (coefficients low degree first).
-    Returns the quotient and leaves the remainder in ``num``: its first
-    len(den) - 1 entries, with zeros above."""
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    dd = len(den) - 1
-    terms = [(j, d) for j, d in enumerate(den) if d]
-    quotient = [0] * max(0, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            quotient[i - dd] = c
-            for j, d in terms:
-                num[i - dd + j] -= c * d
-    return quotient
-
-
-@cache
-def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
-    """Coefficients of Phi_M, low degree first: x^M - 1 divided exactly by
-    Phi_d for every proper divisor d of M."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    poly = [-1] + [0] * (M - 1) + [1]
-    for d in range(1, M):
-        if M % d == 0:
-            quotient = _divide(poly, cyclotomic_polynomial(d))
-            if any(poly):
-                raise ValueError("division not exact")
-            poly = quotient
-    return tuple(poly)
-
-
-@cache
-def _reduction_tail(M: int) -> tuple[np.ndarray, int]:
-    """The int64 matrix whose row k is x^(phi(M) + k) mod Phi_M, and the
-    growth factor 1 + (its largest column abs-sum): a reduction's
-    coefficients are at most that factor times the largest input one."""
-    phi_poly = cyclotomic_polynomial(M)
-    phi = len(phi_poly) - 1
-    low = phi_poly[:phi]
-    row = [-c for c in low]
-    rows = []
-    for _ in range(M - phi):
-        rows.append(row)
-        # x * row, with its x^phi term rewritten as -top * (Phi_M - x^phi)
-        row = [shifted - row[-1] * c for shifted, c in zip([0] + row[:-1], low)]
-    tail = np.array(rows, dtype=np.int64).reshape(M - phi, phi)
-    return tail, 1 + int(np.abs(tail).sum(axis=0).max(initial=0))
 
 
 def _cyclic_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,30 +1,59 @@
 """Pure-Python reference for the group ring Z[Z_M] and its quotient
 Z[zeta_M], kept to cross-check the package's int64 arrays.
 
-Reduction is long division by Phi_M and the product is a schoolbook sum
+Phi_M comes from dividing x^M - 1 by Phi_d for each proper divisor d,
+reduction is long division by Phi_M, and the product is a schoolbook sum
 over nonzero pairs folded modulo x^M - 1.  Coefficients are Python ints.
-``GroupRingElement`` wraps the two for the per-character Gauss-sum oracle
+``GroupRingElement`` wraps reduction and product for the per-character Gauss-sum oracle
 and for ``partition_identities``, the ten identities of Lemma 2 and the
 difference-set remarks computed element by element.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
-from cycloscheme.zmring import GroupRingError, cyclotomic_polynomial
+from cycloscheme.zmring import GroupRingError
+
+
+def _divide(num, den):
+    """Long division by a monic polynomial (coefficients low degree first).
+    Returns the quotient and leaves the remainder in ``num``: its first
+    len(den) - 1 entries, with zeros above."""
+    if den[-1] != 1:
+        raise ValueError("divisor must be monic")
+    dd = len(den) - 1
+    terms = [(j, d) for j, d in enumerate(den) if d]
+    quotient = [0] * max(0, len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c:
+            quotient[i - dd] = c
+            for j, d in terms:
+                num[i - dd + j] -= c * d
+    return quotient
+
+
+@cache
+def cyclotomic_polynomial(M):
+    """Coefficients of Phi_M, low degree first: x^M - 1 divided exactly by
+    Phi_d for every proper divisor d of M."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    poly = [-1] + [0] * (M - 1) + [1]
+    for d in range(1, M):
+        if M % d == 0:
+            quotient = _divide(poly, cyclotomic_polynomial(d))
+            if any(poly):
+                raise ValueError("division not exact")
+            poly = quotient
+    return tuple(poly)
 
 
 def reduce_reference(M, coeffs):
     """The remainder of ``coeffs`` (low degree first) modulo Phi_M, as a
     length-M tuple with zeros from index phi(M) upward."""
-    phi_poly = cyclotomic_polynomial(M)
-    dd = len(phi_poly) - 1
-    terms = [(j, d) for j, d in enumerate(phi_poly) if d]
     work = list(coeffs)
-    for i in range(len(work) - 1, dd - 1, -1):
-        c = work[i]
-        if c:
-            for j, d in terms:
-                work[i - dd + j] -= c * d
+    _divide(work, cyclotomic_polynomial(M))
     return tuple(work)
 
 

@@ -6,10 +6,9 @@ import json
 
 import pytest
 
-from cycloscheme import cli, schemecore
+from cycloscheme import binfield, cli, schemecore
 from cycloscheme.binfield import build_tower
-from cycloscheme.cli import (RunConfig, TARGETS, _target_fields, _walked_degree,
-                             main, run)
+from cycloscheme.cli import RunConfig, TARGETS, _target_fields, main, run
 from cycloscheme.schemecore import _ORACLE_SIZE_LIMIT, _mat_mul
 
 
@@ -67,13 +66,14 @@ def test_im10_s5_is_usage_error():
     RunConfig(s=11, targets=("thm2i",)),            # G = GF(2^66)
 ], ids=["H-s8", "G-s11"])
 def test_walk_above_degree_64_is_refused_up_front(monkeypatch, config):
-    def no_tower(*args):
-        raise AssertionError("the tower must not be built")
+    # build_tower refuses 9s > 64 before it builds any field
+    def no_field(*args):
+        raise AssertionError("no field may be built")
 
-    monkeypatch.setattr(cli, "build_tower", no_tower)
+    monkeypatch.setattr(binfield, "build_field", no_field)
     code, text = run_quiet(config)
     assert code == 2
-    assert "limited to degree 64" in text
+    assert "does not fit the uint64 power tables" in text
 
 
 def test_tower_beyond_the_word_size_is_usage_error(capsys):
@@ -87,14 +87,6 @@ def test_unwritable_catalog_path_is_usage_error(tmp_path, capsys):
     assert main(["--s", "1", "--targets", "fields", "--json", str(path)]) == 2
     assert "error: cannot write the catalog" in capsys.readouterr().out
     assert not path.exists()
-
-
-def test_walked_degree_follows_the_targets():
-    assert _walked_degree(RunConfig(s=7, targets=("thm2ii",), big=True)) == 63
-    # gauss walks H only when it streams it
-    assert _walked_degree(RunConfig(s=8, targets=("gauss",))) == 48
-    assert _walked_degree(RunConfig(s=8, targets=("gauss",), big=True)) == 72
-    assert _walked_degree(RunConfig(s=8, targets=("partition", "lemma2"))) == 0
 
 
 def test_skipped_check_is_not_a_pass(tmp_path):
@@ -148,6 +140,27 @@ def test_catalog_matches_reference(tmp_path, s):
     schemes_sha, expected_checks, file_sha = CATALOG_REFERENCES[s]
     assert (hashlib.sha256(schemes.encode()).hexdigest(), checks) == \
         (schemes_sha, expected_checks)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+
+
+# Whole-file SHA-256 of two catalogs outside the references: s = 3 with
+# --big, which adds thm2ii and the degree-3 Hasse-Davenport check over H, and
+# the gauss target at s = 5, the one size here where the modulus, expansion
+# and degree-2 checks would take a second DFT prime under a looser bound.
+WHOLE_CATALOGS = {
+    "s3-all-big": (RunConfig(s=3, big=True),
+                   "d2429a649d6d20ff662cdc53fa57a80a89e4651afba564641d674f8ca63f6501"),
+    "s5-gauss": (RunConfig(s=5, targets=("gauss",)),
+                 "71da8a4cc875b058c1f5bfa6689a49a6074c6392272aee1e0847d50bd9d2b490"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_CATALOGS))
+def test_whole_catalog_matches_reference(tmp_path, name):
+    config, file_sha = WHOLE_CATALOGS[name]
+    path = tmp_path / "catalog.json"
+    code, _ = run_quiet(dataclasses.replace(config, json_path=str(path)))
+    assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
 
 

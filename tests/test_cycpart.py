@@ -4,9 +4,8 @@ import pytest
 from cycloscheme import cycpart
 from cycloscheme.binfield import InternalCheckError, build_tower
 from cycloscheme.charsum import gauss_periods
-from cycloscheme.cycpart import (CyclotomicPartition, compute_D, d_class_check,
-                                 get_partition, partition_by_psiD,
-                                 partition_by_trace, psi_omega_a_D)
+from cycloscheme.cycpart import (CyclotomicPartition, _psi_route, compute_D, d_class_check,
+                                 get_partition, partition_by_psiD, partition_by_trace)
 
 from gf_oracle import gf_mul, gf_pow, gf_trace
 from partition_oracle import (compute_D_reference, partition_by_trace_reference,
@@ -51,7 +50,7 @@ def test_D_size():
 
 def test_psi_omega_a_D_values_s1():
     tower = build_tower(1)
-    values = [psi_omega_a_D(tower, a) for a in range(7)]
+    values = list(_psi_route(tower)[0])
     assert sorted(set(values)) == [-3, -1, 1]
     assert values.count(-1) == 3 and values.count(1) == 3 and values.count(-3) == 1
 
@@ -115,8 +114,7 @@ def test_trace_zero_abs_values_oracle_s1():
 def test_class_folds_match_the_element_walk(s, poly_f):
     tower = build_tower(s, poly_f)
     assert compute_D(tower) == compute_D_reference(tower)
-    assert [psi_omega_a_D(tower, a) for a in range(tower.M)] == \
-        psi_omega_D_reference(tower)
+    assert list(_psi_route(tower)[0]) == psi_omega_D_reference(tower)
     part = partition_by_trace(tower)
     assert (part.T1, part.T2, part.T3) == partition_by_trace_reference(tower)
 

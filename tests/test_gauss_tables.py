@@ -92,13 +92,8 @@ def test_true_periods_pass_and_perturbations_bite():
     assert oracle.conjugation(eta["F"]) is None and oracle.expansion(eta["F"]) is None
 
 
-def test_change_by_the_first_prime_is_caught(monkeypatch):
-    # eta_F[2] + p1 leaves every table mod p1 unchanged; the coefficient
-    # bound grows with the periods and must pull in a second prime
-    tower = TOWERS[1]
-    p1 = charsum._dft_prime(tower.M, 0)[0]
-    eta, part = _inputs(tower, None)
-    eta["F"][2] += p1
+def _count_primes(monkeypatch):
+    """The list that collects the prime of every DFT table built."""
     used = []
     dft = charsum._dft
 
@@ -107,6 +102,17 @@ def test_change_by_the_first_prime_is_caught(monkeypatch):
         return dft(values, M, p, r)
 
     monkeypatch.setattr(charsum, "_dft", counted)
+    return used
+
+
+def test_change_by_the_first_prime_is_caught(monkeypatch):
+    # eta_F[2] + p1 leaves every table mod p1 unchanged; the coefficient
+    # bound grows with the periods and must pull in a second prime
+    tower = TOWERS[1]
+    p1 = charsum._dft_prime(tower.M, 0)[0]
+    eta, part = _inputs(tower, None)
+    eta["F"][2] += p1
+    used = _count_primes(monkeypatch)
     for check in ("t1", "modulus", "hd2"):
         used.clear()
         expected = CHECKS[check][1](eta, part.T1, tower)
@@ -114,6 +120,30 @@ def test_change_by_the_first_prime_is_caught(monkeypatch):
         result = _table_report(monkeypatch, check, tower, eta, part)
         assert not result.passed and result.detail == f"ell={expected}"
         assert len(set(used)) >= 2
+
+
+@pytest.mark.parametrize("change,ell", [("one", 1), ("subgroup", 7)])
+def test_one_prime_is_exact_below_the_norm_bound(monkeypatch, change, ell):
+    # at M = 21, eta_F[1] + p1//4 or the multiples of 3 raised by p1//40 put
+    # the T1 bound between p1/12 and p1: one prime is enough, since a nonzero
+    # X(zeta_d) in p1 Z[zeta_d] would need a norm of at least p1^phi(d)
+    tower = TOWERS[2]
+    p1 = charsum._dft_prime(tower.M, 0)[0]
+    eta, part = _inputs(tower, None)
+    if change == "one":
+        eta["F"][1] += p1 // 4
+    else:
+        eta["F"][::3] += p1 // 40
+    assert p1 // 12 < charsum._l1(eta["F"]) + 4 * len(part.T1) < p1
+    used = _count_primes(monkeypatch)
+    for check in ("t1", "hd2"):
+        used.clear()
+        expected = CHECKS[check][1](eta, part.T1, tower)
+        assert expected == ell
+        result = _table_report(monkeypatch, check, tower, eta, part)
+        assert not result.passed and result.detail == f"ell={ell}"
+        if check == "t1":
+            assert set(used) == {p1}
 
 
 def test_table_faults_fail_the_code_checks(monkeypatch):
@@ -164,11 +194,9 @@ def test_dft_prime_search_refuses_when_no_prime_fits():
 
 def test_primes_cover_the_crt_bound():
     M = TOWERS[2].M
-    growth = charsum._reduction_tail(M)[1]
     for bound in (1, 10 ** 9, 10 ** 20, 10 ** 40):
         primes = [p for p, _ in charsum._primes(M, bound)]
-        assert prod(primes) > 2 * growth * bound
-        assert prod(primes[:-1]) <= 2 * growth * bound
+        assert prod(primes) > bound >= prod(primes[:-1])
 
 
 def test_miller_rabin_matches_division():

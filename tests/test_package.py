@@ -9,8 +9,8 @@ def test_every_export_resolves():
 
 
 def test_test_oracles_are_not_exported():
-    # the group-ring element type and the per-character Gauss sum are test
-    # references (tests/ring_oracle.py, tests/gauss_ring_oracle.py)
-    for name in ("GroupRingElement", "gauss_sum"):
+    # the group-ring element type, Phi_M and the per-character Gauss sum are
+    # test references (tests/ring_oracle.py, tests/gauss_ring_oracle.py)
+    for name in ("GroupRingElement", "cyclotomic_polynomial", "gauss_sum"):
         assert name not in cycloscheme.__all__
         assert not hasattr(cycloscheme, name)

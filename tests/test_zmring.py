@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from cycloscheme.binfield import build_tower
 from cycloscheme.cycpart import CyclotomicPartition, get_partition
-from cycloscheme.zmring import (GroupRingError, _cyclic_product, _reduction_tail,
-                                cyclotomic_polynomial, delta_square_check,
+from cycloscheme.zmring import (GroupRingError, _cyclic_product, delta_square_check,
                                 doubling_check, verify_lemma2, verify_remark_eqs)
-from ring_oracle import (GroupRingElement, convolve_reference, from_set, involute,
-                         partition_identities, reduce_reference)
+from ring_oracle import (GroupRingElement, convolve_reference, cyclotomic_polynomial,
+                         from_set, involute, partition_identities)
 
 PART_S1 = CyclotomicPartition(1, 7, (1, 2, 4), (3, 5, 6), (0,))
 
@@ -274,22 +273,3 @@ def test_convolve_either_side_of_the_int64_bound(M):
     with pytest.raises(GroupRingError, match="int64"):
         _cyclic_product(a, np.full(M, B + 1))
 
-
-@pytest.mark.parametrize("M", ORACLE_MODULI)
-def test_reduction_tail_matches_reference(M):
-    # row k is x^(phi + k) mod Phi_M by long division; an input whose high
-    # coefficients carry the signs of the column with the largest abs-sum
-    # makes a reduction reach the growth factor times the input
-    phi = _phi(M)
-    tail = [reduce_reference(M, [0] * (phi + k) + [1] + [0] * (M - phi - k - 1))[:phi]
-            for k in range(M - phi)]
-    rows, growth = _reduction_tail(M)
-    assert rows.dtype == np.int64
-    assert rows.tolist() == [list(row) for row in tail]
-    col = max(range(phi), key=lambda j: sum(abs(row[j]) for row in tail))
-    assert growth == 1 + sum(abs(row[col]) for row in tail)
-    coeffs = [0] * M
-    coeffs[col] = 1
-    for k, row in enumerate(tail):
-        coeffs[phi + k] = 1 if row[col] >= 0 else -1
-    assert reduce_reference(M, coeffs)[col] == growth
