@@ -363,9 +363,9 @@ def modulus_from_hex(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 class FieldTower:
-    """Nested binary fields E, F, G, H of degrees s, 3s, 6s, 9s with
-    primitive elements omega, gamma, beta normalized so that
-    Norm(gamma) = Norm(beta) = omega under the embeddings of F."""
+    """Nested binary fields E, F, G, H of degrees s, 3s, 6s, 9s; F embeds
+    into G and H, and the order-M classes of G and H are the classes of F
+    pulled back by the norm."""
 
     def __init__(self, s: int, E: BinaryField, F: BinaryField,
                  G: BinaryField, H: BinaryField):
@@ -376,15 +376,9 @@ class FieldTower:
         self.H = H
         self.M = (1 << (2 * s)) + (1 << s) + 1
         self.omega = F.generator
-
-        self._root_powers_G, self.norm_dlog_G, self.gamma_exponent, self.gamma = \
-            self._normalize_primitive(G)
-        self._root_powers_H, self.norm_dlog_H, self.beta_exponent, self.beta = \
-            self._normalize_primitive(H)
-
-        for K, prim in ((G, self.gamma), (H, self.beta)):
-            if K.pow(prim, K.order // F.order) != self.embed_F(K, self.omega):
-                raise InternalCheckError("norm normalization failed")
+        self._root_powers_G, step_G = self._embedding(G)
+        self._root_powers_H, step_H = self._embedding(H)
+        self._steps = {"F": 1, "G": step_G, "H": step_H}
 
     # -- construction helpers -------------------------------------------------
 
@@ -403,23 +397,22 @@ class FieldTower:
             raise InternalCheckError("no root of F's modulus in the subfield")
         return int(roots[0])
 
-    def _normalize_primitive(self, K: BinaryField) -> tuple[list[int], int, int, int]:
-        """Embed F into K by x -> z**k, the first root of F's modulus in
-        powers of z = Norm(g) = g**(|K*|/|F*|), and pick the smallest
-        exponent j with gcd(j, |K*|) = 1 and Norm(g**j) equal to the
-        embedded omega.  omega = x embeds as z**k, so z is its t0-th power
-        for t0 = k^-1 mod |F*|, and j = k mod |F*|.  Returns the powers of
-        the root, t0, j and g**j."""
+    def _embedding(self, K: BinaryField) -> tuple[list[int], int]:
+        """Embed F into K by omega = x -> z**k, the first root of F's modulus
+        among the powers of z = Norm(g) = g**(|K*|/|F*|); f(z**k) = 0 is
+        rechecked by Horner's rule.  Then z is omega**(k^-1), so Norm(g**n)
+        lies in class n * k^-1 mod M.  Returns the powers of the root and
+        that class step."""
         F = self.F
         table = power_table(K, K.pow(K.generator, K.order // F.order), F.order)
         k = self._find_subfield_root(table)
         root_powers = table[k * np.arange(F.degree) % F.order].tolist()
-        j = k
-        while j <= K.order:
-            if math.gcd(j, K.order) == 1:
-                return root_powers, pow(k, -1, F.order), j, K.pow(K.generator, j)
-            j += F.order
-        raise InternalCheckError("no coprime norm-compatible exponent found")
+        root = int(table[k])
+        value = reduce(lambda acc, i: K.mul(acc, root) ^ (F.modulus >> i & 1),
+                       reversed(range(F.modulus.bit_length())), 0)
+        if value:
+            raise InternalCheckError("the embedded omega is not a root of F's modulus")
+        return root_powers, pow(k, -1, self.M)
 
     @staticmethod
     def _embed(root_powers: list[int], u: int) -> int:
@@ -447,13 +440,9 @@ class FieldTower:
 
     def class_step(self, label: str) -> int:
         """c with cyclotomic class of generator**k equal to k*c mod M."""
-        if label == "F":
-            return 1
-        if label == "G":
-            return pow(self.gamma_exponent % self.M, -1, self.M)
-        if label == "H":
-            return pow(self.beta_exponent % self.M, -1, self.M)
-        raise FieldError(f"no cyclotomic classes for label {label!r}")
+        if label not in self._steps:
+            raise FieldError(f"no cyclotomic classes for label {label!r}")
+        return self._steps[label]
 
     def moduli_hex(self) -> dict[str, str]:
         return {lbl: modulus_to_hex(self.field(lbl).modulus)

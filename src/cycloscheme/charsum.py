@@ -84,12 +84,15 @@ def _trace_one_counts(K: BinaryField, M: int) -> list[int]:
 
 
 @cache
-def gauss_periods(tower: FieldTower, label: str) -> list[int]:
-    """eta_a = sum of psi over the a-th order-M cyclotomic class, for all a.
+def gauss_periods(tower: FieldTower, label: str) -> np.ndarray:
+    """eta_a = sum of psi over the a-th order-M cyclotomic class, for all a,
+    as a read-only int64 array.
 
     The class of g^k is k*step mod M, and each residue class of exponents
     holds |K*|/M elements, so eta at class r*step is |K*|/M minus twice the
-    number of trace-one elements among the exponents k = r mod M.
+    number of trace-one elements among the exponents k = r mod M.  sum |eta|
+    bounds any sum of distinct periods, and it is at most |K*|, below 2^63
+    for every field the walk accepts; the guard keeps that a checked fact.
     """
     K = tower.field(label)
     M = tower.M
@@ -102,12 +105,16 @@ def gauss_periods(tower: FieldTower, label: str) -> list[int]:
         eta[r * step % M] = per_class - 2 * count
     if sum(eta) != -1:
         raise InternalCheckError("Gauss periods do not sum to -1")
+    if sum(map(abs, eta)) >= 1 << 63:
+        raise InternalCheckError(f"periods over {label} do not fit int64")
+    eta = np.array(eta, dtype=np.int64)
+    eta.flags.writeable = False
     return eta
 
 
 def eta_prime_law_check(tower: FieldTower) -> Report:
     """eta'_a over G must equal -2^s * psi(omega^a D) - 1 for every a."""
-    eta_g = period_array(tower, "G")
+    eta_g = gauss_periods(tower, "G")
     law = -(1 << tower.s) * np.array(_psi_route(tower)[0]) - 1
     bad = np.flatnonzero(eta_g != law)
     report = Report(f"G-period law (s={tower.s})")
@@ -115,19 +122,6 @@ def eta_prime_law_check(tower: FieldTower) -> Report:
                f"first mismatch at a={bad[0]}: {eta_g[bad[0]]} != {law[bad[0]]}"
                if len(bad) else "")
     return report
-
-
-@cache
-def period_array(tower: FieldTower, label: str) -> np.ndarray:
-    """``gauss_periods`` as a read-only int64 array.  sum |eta| bounds any
-    sum of distinct periods, and it is at most |K*|, below 2^63 for every
-    field the walk accepts; the guard keeps that a checked fact."""
-    eta = gauss_periods(tower, label)
-    if sum(map(abs, eta)) >= 1 << 63:
-        raise InternalCheckError(f"periods over {label} do not fit int64")
-    eta = np.array(eta, dtype=np.int64)
-    eta.flags.writeable = False
-    return eta
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +206,11 @@ def _table_check(report: Report, name: str, bound: int, vectors, agree) -> Repor
 def verify_t1_gauss_identity(tower: FieldTower) -> Report:
     """G_F(chi^ell) = 2^s * sum over x in T1 of zeta^(ell*x), for every
     nonprincipal ell: V_F = 2^s DFT(1_T1).  chi is evaluated at powers of
-    omega; since the norm-lifted character takes the same value at the
-    matching powers of gamma, the gamma reading of the identity is
-    verified by the same equality."""
+    omega; the norm-lifted character of G or H reads the classes of F
+    pulled back by the norm, so this equality covers it too."""
     q = 1 << tower.s
     T1 = get_partition(tower).T1
-    eta = period_array(tower, "F")
+    eta = gauss_periods(tower, "F")
     return _table_check(Report(f"Gauss sum vs T1 identity (s={tower.s})"),
                         "G_F(chi^ell) == 2^s sum_{x in T1} zeta^(ell x), all ell",
                         _l1(eta) + q * len(T1), [eta, np.bincount(T1, minlength=tower.M)],
@@ -230,7 +223,7 @@ def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
     if lift_degree not in (2, 3):
         raise FieldError("lift degree must be 2 or 3")
     label, sign = ("G", -1) if lift_degree == 2 else ("H", 1)
-    eta_f, eta = period_array(tower, "F"), period_array(tower, label)
+    eta_f, eta = gauss_periods(tower, "F"), gauss_periods(tower, label)
     return _table_check(
         Report(f"Hasse-Davenport lift degree {lift_degree} (s={tower.s})"),
         f"G_{label}(chi'^ell) == {'-' if sign < 0 else ''}(G_F(chi^ell))^{lift_degree}",
@@ -241,7 +234,7 @@ def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
 def gauss_sum_modulus_check(tower: FieldTower, label: str) -> Report:
     """|G(chi^ell)|^2 = |K| for nonprincipal ell: V[m] V[-m] = |K|."""
     size = tower.field(label).size
-    eta = period_array(tower, label)
+    eta = gauss_periods(tower, label)
     neg = -np.arange(tower.M) % tower.M
     return _table_check(Report(f"Gauss sum modulus over {label} (s={tower.s})"),
                         f"G * conj(G) == {size}", _l1(eta) ** 2 + size, [eta],
@@ -253,7 +246,7 @@ def period_expansion_check(tower: FieldTower, label: str) -> Report:
     direct period: the inverse DFT of V is M eta.  This holds for every
     integer vector eta, so it checks the tables, not the periods."""
     M = tower.M
-    eta = period_array(tower, label)
+    eta = gauss_periods(tower, label)
     failing = np.zeros(M, dtype=bool)
     for p, r in _primes(M, 2 * M * _l1(eta)):
         failing |= _dft(_dft(eta, M, p, r), M, p, r)[-np.arange(M) % M] != eta % p * M % p
@@ -268,7 +261,7 @@ def conjugation_symmetry_check(tower: FieldTower, label: str) -> Report:
     """conj(G(chi^ell)) == G(chi^(M-ell)); psi(-1) = +1 in characteristic 2.
     The table of eta read backwards must be V[-m]; this holds for every
     integer vector eta, so it checks the tables, not the periods."""
-    eta = period_array(tower, label)
+    eta = gauss_periods(tower, label)
     neg = -np.arange(tower.M) % tower.M
     return _table_check(Report(f"conjugation symmetry over {label} (s={tower.s})"),
                         "conj(G(ell)) == G(M-ell)", 2 * _l1(eta), [eta[neg], eta],

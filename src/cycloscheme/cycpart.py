@@ -5,8 +5,9 @@ psi(omega^a D), and the tangent/secant point counts |S_a| on the
 trace quadric.  They must agree.
 
 D, the quadric Q = {u : tr(u^(q+1)) = 0} and Z = ker tr_{F/E} are
-unions of the order-M classes C_r = omega^r E*, so both routes are folds
-of M-periodic indicators over the exponents k of g^k = omega^k.
+unions of the order-M classes C_r = omega^r E*, so both routes are
+products in Z[Z_M] of M-periodic indicators over the exponents k of
+g^k = omega^k.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .binfield import BinaryField, FieldTower, InternalCheckError, parities
 from .reporting import Report
+from .zmring import _cyclic_product, _inverse
 
 
 @dataclass(frozen=True)
@@ -96,20 +98,6 @@ def _class_psi_sums(tower: FieldTower) -> np.ndarray:
     return F.order // M - 2 * ones
 
 
-def cyclic_sums(values: np.ndarray, index_sets) -> list[list[int]]:
-    """Column S, entry a: the sum over i in S of values[(a + i) mod n], as
-    Python ints; one exact cyclic correlation of the integer values with
-    the indicator of each set."""
-    n = len(values)
-    wrapped = np.concatenate([values, values[:-1]])
-    columns = []
-    for S in index_sets:
-        indicator = np.zeros(n, dtype=values.dtype)
-        indicator[list(S)] = 1
-        columns.append(np.correlate(wrapped, indicator, "valid").tolist())
-    return columns
-
-
 def _split(tower: FieldTower, values, keys, name: str) -> CyclotomicPartition:
     """T1, T2, T3: the a whose value is keys[0], keys[1], keys[2]."""
     blocks = {key: [] for key in keys}
@@ -125,8 +113,8 @@ def _psi_route(tower: FieldTower) -> tuple[tuple[int, ...], CyclotomicPartition]
     """psi(omega^a D) = sum over r in dlog D mod M of c[(a + r) mod M] for
     every a, and the partition by its three values -1, q - 1, -q - 1."""
     q = 1 << tower.s
-    R = np.flatnonzero(_class_indicators(tower).D[:tower.M])
-    values = tuple(cyclic_sums(_class_psi_sums(tower), [R])[0])
+    D = _class_indicators(tower).D[:tower.M].astype(np.int64)
+    values = tuple(_cyclic_product(_class_psi_sums(tower), _inverse(D)).tolist())
     return values, _split(tower, values, (-1, q - 1, -q - 1), "psi(omega^{} D)")
 
 
@@ -141,8 +129,8 @@ def partition_by_trace(tower: FieldTower) -> CyclotomicPartition:
     q, M = 1 << tower.s, tower.M
     ind = _class_indicators(tower)
     zero_row = ind.Z[:M]
-    counts = cyclic_sums(zero_row.astype(np.int64), [np.flatnonzero(ind.Q[:M])])[0]
-    sizes = (q - 1) * np.array(counts)
+    counts = _cyclic_product(zero_row.astype(np.int64), _inverse(ind.Q[:M].astype(np.int64)))
+    sizes = (q - 1) * counts
     part = _split(tower, sizes.tolist(), (q - 1, 2 * (q - 1), 0), "|S_{}|")
     if not np.array_equal(zero_row, sizes == q - 1):
         raise InternalCheckError("tangent-count T1 disagrees with trace-zero T1")
@@ -163,8 +151,7 @@ def d_class_check(tower: FieldTower) -> Report:
     E*-invariant, so its first row of exponents decides that."""
     part = get_partition(tower)
     M = tower.M
-    neg_t1 = np.zeros(M, dtype=bool)
-    neg_t1[[(-i) % M for i in part.T1]] = True
+    neg_t1 = _inverse(np.bincount(part.T1, minlength=M))
     report = Report(f"D as a class union (s={tower.s})")
     report.add("D == union of C_i, i in -T1",
                np.array_equal(_class_indicators(tower).D[:M], neg_t1))

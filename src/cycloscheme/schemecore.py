@@ -17,9 +17,10 @@ from functools import cache
 import numpy as np
 
 from .binfield import BinaryField, FieldTower, InternalCheckError, parities, power_table
-from .charsum import period_array
-from .cycpart import cyclic_sums, d_class_check, get_partition
+from .charsum import gauss_periods
+from .cycpart import d_class_check, get_partition
 from .reporting import Report
+from .zmring import _cyclic_product, _inverse
 
 _ORACLE_SIZE_LIMIT = 1 << 12
 _JSON_INT_LIMIT = 1 << 53
@@ -250,17 +251,19 @@ def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
     """Census, P, Q, multiplicities, B and flags of one fusion.
 
     An index fusion fuses the order-M cyclotomic classes, and the census
-    folds the Gauss periods by cyclic correlation.  An element fusion is
-    the same census with every element of K* its own class: M = |K*|,
-    blocks the discrete logs of the sets, members named by g^k, and the
-    columns read off the Walsh-Hadamard transforms of the sets.  The
-    fusion is a d-class scheme iff exactly d distinct rows occur, none
-    equal to the degree row."""
+    column of block b is eta * (1_b)^-1 in Z[Z_M], eta the Gauss periods.
+    An element fusion is the same census with every element of K* its own
+    class: M = |K*|, blocks the discrete logs of the sets, members named by
+    g^k, and the columns read off the Walsh-Hadamard transforms of the
+    sets.  The fusion is a d-class scheme iff exactly d distinct rows
+    occur, none equal to the degree row."""
     K = tower.field(field_label)
     names = range(pattern.M) if domain == "index" else K.powers
     pattern_sets = tuple(frozenset(names[i] for i in b) for b in pattern.blocks)
-    census = _census(cyclic_sums(period_array(tower, field_label), pattern.blocks)
-                     if domain == "index" else _element_columns(K, pattern_sets))
+    census = _census([_cyclic_product(gauss_periods(tower, field_label),
+                                      _inverse(np.bincount(b, minlength=pattern.M))).tolist()
+                      for b in pattern.blocks] if domain == "index" else
+                     _element_columns(K, pattern_sets))
     per_class = K.order // pattern.M
     degrees = [1] + [len(b) * per_class for b in pattern.blocks]
     d = len(pattern.blocks)

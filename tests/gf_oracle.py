@@ -4,8 +4,6 @@ Deliberately naive: element = tuple of bits, multiplication by schoolbook
 polynomial product followed by remainder.  Shares no code with the package.
 """
 
-from math import gcd
-
 
 def poly_from_int(n):
     bits = []
@@ -72,10 +70,10 @@ def gf_trace(a_int, modulus_int, m):
 
 def norm_exponents(f_modulus, k_modulus, k_generator, k_order, f_order,
                    mul=None):
-    """The tower's former normalisation by two scans of the order-|F*|
-    subgroup <z> of K, z = g^(|K*|/|F*|): the first z^k that is a root r of
-    F's modulus, then the t0 with r^t0 = z, then the smallest j = t0^-1
-    mod |F*| (plus multiples of |F*|) coprime to |K*|.  Returns (t0, j).
+    """The discrete log of the norm by two scans of the order-|F*| subgroup
+    <z> of K, z = g^(|K*|/|F*|): the first z^k that is a root r of F's
+    modulus, then the t0 with r^t0 = z.  The embedding of F sends omega to
+    r, so Norm(g) = z is the embedded omega^t0.  Returns t0.
     ``mul`` multiplies in K; it defaults to the schoolbook ``gf_mul``."""
     mul = mul or (lambda a, b: gf_mul(a, b, k_modulus))
     z = 1
@@ -101,7 +99,4 @@ def norm_exponents(f_modulus, k_modulus, k_generator, k_order, f_order,
             t0 = k
             break
         t = mul(t, root)
-    j = pow(t0, -1, f_order)
-    while gcd(j, k_order) != 1:
-        j += f_order
-    return t0, j
+    return t0

@@ -1,12 +1,13 @@
 """Pure-Python reference for the group ring Z[Z_M] and its quotient
 Z[zeta_M], kept to cross-check the package's int64 arrays.
 
-Phi_M comes from dividing x^M - 1 by Phi_d for each proper divisor d,
-reduction is long division by Phi_M, and the product is a schoolbook sum
-over nonzero pairs folded modulo x^M - 1.  Coefficients are Python ints.
-``GroupRingElement`` wraps reduction and product for the per-character Gauss-sum oracle
-and for ``partition_identities``, the ten identities of Lemma 2 and the
-difference-set remarks computed element by element.
+Phi_M comes from dividing x^M - 1 by Phi_d for each proper divisor d.
+A product is one Kronecker-substituted integer product: the product in
+Z[Z_M] folds it modulo x^M - 1, and reduction modulo Phi_M takes two,
+through the cofactor (x^M - 1) / Phi_M.  Coefficients are Python ints.
+``GroupRingElement`` wraps reduction and product for the per-character
+Gauss-sum oracle and for ``partition_identities``, the ten identities of
+Lemma 2 and the difference-set remarks computed element by element.
 """
 
 from dataclasses import dataclass
@@ -49,23 +50,57 @@ def cyclotomic_polynomial(M):
     return tuple(poly)
 
 
+@cache
+def _cofactor(M):
+    """(x^M - 1) / Phi_M, low degree first."""
+    return tuple(_divide([-1] + [0] * (M - 1) + [1], cyclotomic_polynomial(M)))
+
+
 def reduce_reference(M, coeffs):
-    """The remainder of ``coeffs`` (low degree first) modulo Phi_M, as a
-    length-M tuple with zeros from index phi(M) upward."""
-    work = list(coeffs)
-    _divide(work, cyclotomic_polynomial(M))
-    return tuple(work)
+    """The remainder of the M coefficients ``coeffs`` (low degree first)
+    modulo Phi_M, as a length-M tuple with zeros from index phi(M) upward.
+    With P = (x^M - 1) / Phi_M and N = Q Phi_M + R, N P = Q x^M + (R P - Q),
+    where R P and Q have degree below M; so Q is N P without its M lowest
+    terms, and R = N - Q Phi_M takes two products, not a long division."""
+    if len(coeffs) != M:
+        raise ValueError(f"{len(coeffs)} coefficients, expected {M}")
+    phi = cyclotomic_polynomial(M)
+    Q = _product(coeffs, _cofactor(M))[M:]
+    R = tuple(n - c for n, c in zip(coeffs, _product(Q, phi) if Q else [0] * M))
+    if any(R[len(phi) - 1:]):
+        raise ValueError("the remainder modulo Phi_M is not reduced")
+    return R
+
+
+def _product(a, b):
+    """The plain product of two coefficient sequences, by Kronecker
+    substitution: each sequence is packed into one integer, its value at
+    x = 2^w, and one integer product is the product's value there, read
+    back as len(a) + len(b) - 1 balanced base-2^w digits.  No coefficient
+    of a, b or the product reaches (sum |a| + 1)(max |b| + 1), so w bits
+    above that bound keep the digits apart."""
+    bound = (sum(abs(c) for c in a) + 1) * (max(abs(c) for c in b) + 1)
+    width = bound.bit_length() // 8 + 1  # bytes per digit, so half > bound
+    half = 1 << (8 * width - 1)
+
+    def biased(n):  # the packing of n zeros: every digit is half
+        return int.from_bytes(half.to_bytes(width, "little") * n, "little")
+
+    def pack(seq):
+        digits = b"".join((int(c) + half).to_bytes(width, "little") for c in seq)
+        return int.from_bytes(digits, "little") - biased(len(seq))
+
+    n = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b) + biased(n)).to_bytes(n * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, len(raw), width)]
 
 
 def convolve_reference(M, a, b):
-    """The product of two length-M coefficient sequences in Z[x]/(x^M - 1)."""
-    acc = [0] * (2 * M)
-    b_terms = [(j, cb) for j, cb in enumerate(b) if cb]
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in b_terms:
-                acc[i + j] += ca * cb
-    return tuple(x + y for x, y in zip(acc, acc[M:]))
+    """The product of two length-M coefficient sequences in Z[x]/(x^M - 1):
+    the plain product folded modulo x^M - 1."""
+    full = _product(a, b)
+    return tuple(x + y for x, y in zip(full, full[M:] + [0]))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ census and intersection numbers.
 
 ``character_row`` sums Gauss periods one row at a time, ``element_columns``
 is the element census as the package computed it before the Walsh-Hadamard
-transform (one cyclic correlation of length |K*| per set), and
+transform (one product in Z[Z_|K*|] per set), and
 ``brute_force_intersection_oracle`` counts pairs over the whole field.
 """
 
@@ -11,9 +11,9 @@ import numpy as np
 
 from cycloscheme.binfield import parities
 from cycloscheme.charsum import gauss_periods
-from cycloscheme.cycpart import cyclic_sums
 from cycloscheme.reporting import Report
 from cycloscheme.schemecore import _ORACLE_SIZE_LIMIT, SchemeError
+from cycloscheme.zmring import _cyclic_product, _inverse
 
 
 def character_row(tower, field_label, pattern, a):
@@ -29,11 +29,14 @@ def character_row(tower, field_label, pattern, a):
 
 
 def element_columns(K, sets):
-    """Column S, entry a: sum over x in S of psi(g^a x), as the cyclic
-    correlation of psi(g^k) with the indicator of the discrete logs of S."""
+    """Column S, entry a: sum over x in S of psi(g^a x), the coefficient at
+    a of psi(g^k) * (1_S)^-1 in Z[Z_|K*|], 1_S the indicator of the
+    discrete logs of S."""
     dlog = {u: e for e, u in enumerate(K.powers)}
     values = 1 - 2 * parities(K.powers, [K.trace_mask])[0].astype(np.int64)
-    return cyclic_sums(values, [[dlog[x] for x in S] for S in sets])
+    return [_cyclic_product(values, _inverse(np.bincount([dlog[x] for x in S],
+                                                         minlength=K.order))).tolist()
+            for S in sets]
 
 
 def class_elements(tower, field_label, pattern):

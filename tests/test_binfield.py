@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloscheme import binfield
-from cycloscheme.binfield import (BinaryField, FieldError, NonPrimitiveModulusError,
-                                  ReducibleModulusError, build_field, build_tower,
-                                  irreducibility_certificate, modulus_from_hex,
-                                  modulus_to_hex, power_table)
+from cycloscheme.binfield import (BinaryField, FieldError, InternalCheckError,
+                                  NonPrimitiveModulusError, ReducibleModulusError,
+                                  build_field, build_tower, irreducibility_certificate,
+                                  modulus_from_hex, modulus_to_hex, power_table)
 
 from character_oracle import abs_trace, psi
 from gf_oracle import gf_mul, gf_pow, gf_trace, norm_exponents
@@ -108,14 +108,6 @@ def test_tower_shape_s1():
     assert tower.M == 7
 
 
-def test_tower_norm_normalization():
-    for s in (1, 2):
-        tower = build_tower(s)
-        for K, prim in ((tower.G, tower.gamma), (tower.H, tower.beta)):
-            norm = gf_pow(prim, K.order // tower.F.order, K.modulus)
-            assert norm == tower.embed_F(K, tower.omega)
-
-
 def test_embedding_is_a_field_homomorphism():
     tower = build_tower(2)
     F, G = tower.F, tower.G
@@ -126,17 +118,38 @@ def test_embedding_is_a_field_homomorphism():
             assert tower.embed_F(G, a ^ b) == tower.embed_F(G, a) ^ tower.embed_F(G, b)
 
 
-def test_class_step_consistency():
-    # the normalized primitive element is g^j; g^k is its (k/j)-th power,
-    # so the class of g^k is k*step mod M exactly when j*step = 1 mod M
-    for s in (1, 2):
-        tower = build_tower(s)
-        assert tower.class_step("F") == 1
-        for label, j, prim in (("G", tower.gamma_exponent, tower.gamma),
-                               ("H", tower.beta_exponent, tower.beta)):
-            K = tower.field(label)
-            assert K.pow(K.generator, j) == prim
-            assert j * tower.class_step(label) % tower.M == 1
+# (s, G modulus, H modulus); None keeps the default
+CLASS_STEP_TOWERS = [(1, None, None), (2, None, None), (1, 0x61, 0x221),
+                     (2, 0x107b, 0x4004d)]
+
+
+@pytest.mark.parametrize("s,mod_g,mod_h", CLASS_STEP_TOWERS)
+def test_class_step_follows_the_norm(s, mod_g, mod_h):
+    # Norm(g^n) = g^(n |K*|/|F*|) is the embedded omega^t; its class is t
+    # mod M, which must be n * class_step for every n < |F*|
+    tower = build_tower(s, None, mod_g, mod_h)
+    F, M = tower.F, tower.M
+    assert tower.class_step("F") == 1
+    for label in "GH":
+        K = tower.field(label)
+        dlog = {tower.embed_F(K, gf_pow(tower.omega, t, F.modulus)): t
+                for t in range(F.order)}
+        z = gf_pow(K.generator, K.order // F.order, K.modulus)
+        norm = 1
+        for n in range(F.order):
+            assert n * tower.class_step(label) % M == dlog[norm] % M
+            norm = gf_mul(norm, z, K.modulus)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_an_embedding_by_a_non_root_is_refused(monkeypatch, s):
+    # z^-k is omega^-1, no conjugate of omega: -1 is no power of 2 modulo
+    # |F*| = 2^(3s) - 1, so F's modulus does not vanish there
+    find = binfield.FieldTower._find_subfield_root
+    monkeypatch.setattr(binfield.FieldTower, "_find_subfield_root",
+                        lambda self, table: -find(self, table) % len(table))
+    with pytest.raises(InternalCheckError, match="not a root"):
+        build_tower(s)
 
 
 # moduli_hex() of the default towers: E, F, G, H
@@ -151,12 +164,12 @@ def _assert_tower_matches_scans(tower, s, moduli):
     expected.update((label, modulus_to_hex(m)) for label, m in moduli.items() if m)
     assert tower.moduli_hex() == expected
     F = tower.F
-    for K, t0, j in ((tower.G, tower.norm_dlog_G, tower.gamma_exponent),
-                     (tower.H, tower.norm_dlog_H, tower.beta_exponent)):
+    for label in "GH":
+        K = tower.field(label)
         # the schoolbook product would take over a second from s = 4 on
         mul = K.mul if s >= 4 else None
-        assert norm_exponents(F.modulus, K.modulus, K.generator, K.order,
-                              F.order, mul) == (t0, j)
+        t0 = norm_exponents(F.modulus, K.modulus, K.generator, K.order, F.order, mul)
+        assert tower.class_step(label) == t0 % tower.M
 
 
 @pytest.mark.parametrize("s,poly_f", [(1, None), (2, None), (3, None), (4, None),

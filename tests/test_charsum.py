@@ -53,7 +53,7 @@ def test_gauss_periods_f_s1():
     tower = build_tower(1)
     eta = gauss_periods(tower, "F")
     # eta_a = q-1 on T1, -1 elsewhere for the base field
-    assert eta == [-1, 1, 1, -1, 1, -1, -1]
+    assert eta.tolist() == [-1, 1, 1, -1, 1, -1, -1]
     assert sum(eta) == -1
 
 
@@ -77,7 +77,7 @@ def test_gauss_periods_h_s1_frozen_values():
 def _assert_walk_matches_oracle(tower, label):
     expected = gauss_periods_reference(tower.field(label), tower.M,
                                        tower.class_step(label))
-    assert gauss_periods(tower, label) == expected
+    assert gauss_periods(tower, label).tolist() == expected
 
 
 @pytest.mark.parametrize("other_moduli", [False, True])
@@ -124,27 +124,39 @@ def test_gauss_periods_degree_guard():
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
-def test_period_array_is_int64(s):
+def test_gauss_periods_are_read_only_int64(s):
     tower = build_tower(s)
     for label in "FGH":
-        eta = charsum.period_array(tower, label)
+        eta = gauss_periods(tower, label)
         assert eta.dtype == np.int64 and not eta.flags.writeable
-        assert eta.tolist() == gauss_periods(tower, label)
 
 
-# sum |eta| just below 2^63 fits int64; at 2^63, or with a period that is
-# itself past int64, the guard refuses
-@pytest.mark.parametrize("periods,fits", [([1 << 62, (1 << 62) - 1], True),
-                                          ([1 << 62, -(1 << 62)], False),
-                                          ([1 << 70, -1], False)])
-def test_period_array_guard(monkeypatch, periods, fits):
-    monkeypatch.setattr(charsum, "gauss_periods", lambda tower, label: periods)
-    tower = _StubTower()  # a new cache key, so the stub is called
+class _TinyStubTower(_StubTower):
+    """A stub with M = |K*| = 7, so each class holds one exponent."""
+    M = 7
+
+    def field(self, label):
+        return SimpleNamespace(degree=3, order=7)
+
+
+# sum |eta| just below 2^63 fits int64; past 2^63, or with a period that is
+# itself past int64, the guard refuses.  Seven odd periods summing to -1
+# have an odd sum |eta|, so 2^63 - 1 is the largest that fits.
+@pytest.mark.parametrize("counts,fits", [
+    ([2 - (1 << 61), (1 << 61) - 1, 0, 0, 1, 1, 1], True),
+    ([1 << 61, -(1 << 61), 1, 1, 1, 1, 0], False),
+    ([1 << 70, -(1 << 70), 0, 1, 1, 1, 1], False)])
+def test_gauss_periods_int64_guard(monkeypatch, counts, fits):
+    monkeypatch.setattr(charsum, "_trace_one_counts", lambda K, M: counts)
+    tower = _TinyStubTower()  # a new cache key, so the stub is called
+    periods = [1 - 2 * c for c in counts]
+    assert sum(periods) == -1
+    assert (sum(map(abs, periods)) < 1 << 63) == fits
     if fits:
-        assert charsum.period_array(tower, "F").tolist() == periods
+        assert gauss_periods(tower, "F").tolist() == periods
     else:
         with pytest.raises(InternalCheckError, match="int64"):
-            charsum.period_array(tower, "F")
+            gauss_periods(tower, "F")
 
 
 def test_gauss_sum_f_s1_value():
@@ -205,9 +217,9 @@ def test_eta_prime_law():
 
 def test_eta_prime_law_names_the_first_mismatch(monkeypatch):
     tower = build_tower(2)
-    eta_g = np.array(charsum.period_array(tower, "G"))
+    eta_g = np.array(charsum.gauss_periods(tower, "G"))
     eta_g[[5, 9]] += 1
-    monkeypatch.setattr(charsum, "period_array", lambda tw, label: eta_g)
+    monkeypatch.setattr(charsum, "gauss_periods", lambda tw, label: eta_g)
     (result,) = eta_prime_law_check(tower).checks
     assert result.name == "eta'_a == -2^s psi(omega^a D) - 1 for all a"
     assert not result.passed
@@ -232,7 +244,7 @@ def test_period_expansion_exact_beyond_int64():
     # scaled by 2^70 the sums no longer fit int64; the reference expansion
     # runs on Python ints and must still recover the scaled periods exactly
     tower = build_tower(1)
-    eta = gauss_periods(tower, "F")
+    eta = gauss_periods(tower, "F").tolist()
     vectors = [[c << 70 for c in gauss_sum_power_vector(eta, ell)]
                for ell in range(7)]
     assert [recover_period_from_sums(7, vectors, a) for a in range(7)] == \

@@ -143,11 +143,15 @@ def test_catalog_matches_reference(tmp_path, s):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
 
 
-# Whole-file SHA-256 of two catalogs outside the references: s = 3 with
-# --big, which adds thm2ii and the degree-3 Hasse-Davenport check over H, and
-# the gauss target at s = 5, the one size here where the modulus, expansion
-# and degree-2 checks would take a second DFT prime under a looser bound.
+# Whole-file SHA-256 of three catalogs outside the references: s = 2 under
+# non-default G and H moduli, where the tower finds its embeddings of F and
+# its class steps from other generators; s = 3 with --big, which adds
+# thm2ii and the degree-3 Hasse-Davenport check over H; and the gauss
+# target at s = 5, the one size here where the modulus, expansion and
+# degree-2 checks would take a second DFT prime under a looser bound.
 WHOLE_CATALOGS = {
+    "s2-all-gh": (RunConfig(s=2, poly_g=0x107b, poly_h=0x4004d),
+                  "ca010e26023d9c918a720c047aa53e798cdd4d6679a61aae2c4b2c9ed44b02bf"),
     "s3-all-big": (RunConfig(s=3, big=True),
                    "d2429a649d6d20ff662cdc53fa57a80a89e4651afba564641d674f8ca63f6501"),
     "s5-gauss": (RunConfig(s=5, targets=("gauss",)),

@@ -43,7 +43,7 @@ CASES = [(s, check) for s in (1, 2, 3) for check in CHECKS] + \
 
 def _inputs(tower, perturbation):
     labels = "FGH" if tower.s < 4 else "FG"
-    eta = {label: np.array(charsum.period_array(tower, label)) for label in labels}
+    eta = {label: np.array(charsum.gauss_periods(tower, label)) for label in labels}
     part = get_partition(tower)
     if perturbation == "swap":
         T1, T2 = list(part.T1), list(part.T2)
@@ -58,7 +58,7 @@ def _inputs(tower, perturbation):
 
 
 def _table_report(monkeypatch, check, tower, eta, part):
-    monkeypatch.setattr(charsum, "period_array", lambda tw, label: eta[label])
+    monkeypatch.setattr(charsum, "gauss_periods", lambda tw, label: eta[label])
     monkeypatch.setattr(charsum, "get_partition", lambda tw: part)
     (result,) = CHECKS[check][0](tower).checks
     return result

@@ -10,8 +10,9 @@ from cycloscheme.binfield import build_tower
 from cycloscheme.cycpart import CyclotomicPartition, get_partition
 from cycloscheme.zmring import (GroupRingError, _cyclic_product, delta_square_check,
                                 doubling_check, verify_lemma2, verify_remark_eqs)
-from ring_oracle import (GroupRingElement, convolve_reference, cyclotomic_polynomial,
-                         from_set, involute, partition_identities)
+from ring_oracle import (GroupRingElement, _divide, convolve_reference,
+                         cyclotomic_polynomial, from_set, involute, partition_identities,
+                         reduce_reference)
 
 PART_S1 = CyclotomicPartition(1, 7, (1, 2, 4), (3, 5, 6), (0,))
 
@@ -257,6 +258,39 @@ def test_cyclic_product_matches_reference(M):
         product = _cyclic_product(np.array(a), np.array(b))
         assert product.dtype == np.int64
         assert tuple(product.tolist()) == convolve_reference(M, a, b)
+
+
+def _schoolbook(M, a, b):
+    """The product in Z[x]/(x^M - 1) as a sum over all pairs of terms."""
+    acc = [0] * (2 * M)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            acc[i + j] += ca * cb
+    return tuple(x + y for x, y in zip(acc, acc[M:]))
+
+
+@pytest.mark.parametrize("M", [7, 21, 73])
+def test_kronecker_product_matches_the_schoolbook_loop(M):
+    # small and huge signed coefficients, zeros, constant sequences whose
+    # product coefficients sit next to the digit bound, and a zero factor
+    rng = random.Random(M)
+    small, huge = ([rng.randint(-r, r) for _ in range(M)] for r in (50, 1 << 80))
+    sparse = [0] * (M - 1) + [-(1 << 64)]
+    pairs = [(small, huge), (huge, small), (huge, huge), (sparse, small),
+             (small, sparse), ((-(1 << 40),) * M, (1 << 40,) * M),
+             ((-1,) * M, (-1,) * M), (small, (0,) * M), ((0,) * M, huge)]
+    for a, b in pairs:
+        assert convolve_reference(M, a, b) == _schoolbook(M, a, b)
+
+
+@pytest.mark.parametrize("M", [7, 21, 73])
+def test_reduction_matches_the_long_division(M):
+    rng = random.Random(M)
+    for r in (1, 50, 1 << 80):
+        coeffs = [rng.randint(-r, r) for _ in range(M)]
+        remainder = list(coeffs)
+        _divide(remainder, cyclotomic_polynomial(M))
+        assert reduce_reference(M, coeffs) == tuple(remainder)
 
 
 @pytest.mark.parametrize("M", ORACLE_MODULI)
