@@ -3,7 +3,10 @@
 Field elements are plain ints: bit i is the coefficient of x**i of the
 polynomial-basis representative.  A modulus bit mask includes the leading
 coefficient, so x**3 + x + 1 is 0b1011.  Everything here is exact integer
-work; there is no floating point anywhere in the package.
+work; there is no floating point anywhere in the package.  Squaring reads
+a per-field table of the linear map u -> u**2, and a power of x is a chain
+of squarings and shifts, so the modulus search and its certificates never
+run the bit-serial product.
 
 Every walk over a cyclic group of field elements reads one power table:
 ``power_table`` returns base**i for i < count as uint64 words, built by
@@ -81,9 +84,10 @@ def poly_gcd(a: int, b: int) -> int:
 def irreducibility_certificate(f: int) -> int | None:
     """None if f is irreducible over GF(2), else the failing divisor degree.
 
-    The certificate is the smallest proper d (d | deg f or d = deg f for the
-    final Frobenius-fixed-point test) at which the standard gcd criterion
-    fails.
+    The gcd criterion: gcd(x^(2^d) - x, f) = 1 for every d = deg f / p, p
+    a prime factor of deg f (tried in increasing p; the first failing d is
+    the certificate), and x^(2^deg f) = x, else the certificate is deg f.
+    The powers x^(2^d) come from one chain of table squarings.
     """
     m = poly_degree(f)
     if m < 1:
@@ -92,18 +96,20 @@ def irreducibility_certificate(f: int) -> int | None:
         return None
     if not (f & 1):
         return 1  # x divides f
-    ring = BinaryField(m, f, 0b10)  # mul is arithmetic mod f, a field or not
-
-    def x_to_the_2_to(d: int) -> int:
-        return reduce(lambda t, _: ring.mul(t, t), range(d), 0b10)
-
-    for p in sorted(_prime_factors(m)):
-        d = m // p
-        if poly_gcd(x_to_the_2_to(d) ^ 0b10, f) != 1:
+    divisors = [m // p for p in sorted(_prime_factors(m))]
+    if not f.bit_count() & 1:
+        return divisors[0]  # x + 1 divides f and every x^(2^d) - x
+    ring = BinaryField(m, f, 0b10)  # squaring is arithmetic mod f, a field or not
+    frobenius = [0b10]  # frobenius[d] = x^(2^d)
+    while len(frobenius) <= divisors[0]:
+        frobenius.append(ring.square(frobenius[-1]))
+    for d in divisors:
+        if poly_gcd(frobenius[d] ^ 0b10, f) != 1:
             return d
-    if x_to_the_2_to(m) != 0b10:
-        return m
-    return None
+    t = frobenius[-1]
+    for _ in range(m - divisors[0]):
+        t = ring.square(t)
+    return None if t == 0b10 else m
 
 
 # Deterministic Miller-Rabin bases: they decide every n below 3.3e24.
@@ -202,18 +208,54 @@ class BinaryField:
                 a ^= f
         return r
 
+    def times_x(self, a: int) -> int:
+        """a * x: a shift and at most one reduction."""
+        a <<= 1
+        return a ^ self.modulus if a & self._top else a
+
+    def x_multiples(self, c: int, count: int) -> list[int]:
+        """c * x**i for 0 <= i < count, by repeated shift-and-reduce."""
+        out = [c]
+        for _ in range(count - 1):
+            out.append(self.times_x(out[-1]))
+        return out
+
+    @cached_property
+    def _square_rows(self) -> list[list[int]]:
+        """Lookup tables of the GF(2)-linear map u -> u**2 mod f: row k takes
+        nibble k of u (bits 4k to 4k + 3) to the XOR of x**(2i) mod f over
+        its set bits i, so one lookup per nibble both spreads the bits and
+        reduces the high half.  Sixteen entries a row keep a table cheap to
+        build for every candidate modulus that the search squares with."""
+        rows = []
+        images = self.x_multiples(1, 2 * self.degree - 1)[::2]
+        for k in range(0, self.degree, 4):
+            row = [0]
+            for image in images[k:k + 4]:
+                row += [v ^ image for v in row]
+            rows.append(row)
+        return rows
+
+    def square(self, a: int) -> int:
+        r = 0
+        for row in self._square_rows:
+            r ^= row[a & 15]
+            a >>= 4
+        return r
+
     def pow(self, a: int, e: int) -> int:
+        """a**e by left-to-right square-and-multiply with table squaring;
+        for a = x each multiplication is a shift (square-and-shift)."""
         if a == 0:
             if e < 0:
                 raise FieldError("negative power of 0")
             return 1 if e == 0 else 0
         e %= self.order or 1
         r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
+        for bit in bin(e)[2:]:
+            r = self.square(r)
+            if bit == "1":
+                r = self.times_x(r) if a == 0b10 else self.mul(r, a)
         return r
 
     # -- traces -----------------------------------------------------------------
@@ -235,10 +277,10 @@ class BinaryField:
         for _ in range(self.degree // sub_degree):
             r ^= t
             for _ in range(sub_degree):
-                t = self.mul(t, t)
+                t = self.square(t)
         check = r
         for _ in range(sub_degree):
-            check = self.mul(check, check)
+            check = self.square(check)
         if check != r:
             raise InternalCheckError("relative trace left the subfield")
         return r
@@ -300,17 +342,17 @@ def _apply(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def _mul_tables(K: BinaryField, c: int) -> np.ndarray:
-    """Byte tables of u -> c*u in K."""
-    return _byte_tables([K.mul(c, 1 << i) for i in range(K.degree)])
+    """Byte tables of u -> c*u in K: bit i of u maps to c * x**i."""
+    return _byte_tables(K.x_multiples(c, K.degree))
 
 
 def power_table(K: BinaryField, base: int, count: int) -> np.ndarray:
     """base**i for 0 <= i < count as uint64 words (degree <= 64): the table
     doubles by appending itself times base**len, one lookup per word."""
-    table = np.ones(1, dtype=_U64)
+    table, step = np.ones(1, dtype=_U64), base  # step = base**len(table)
     while len(table) < count:
-        step = _mul_tables(K, K.pow(base, len(table)))
-        table = np.concatenate([table, _apply(step, table)])
+        table = np.concatenate([table, _apply(_mul_tables(K, step), table)])
+        step = K.square(step)
     return table[:count]
 
 
@@ -319,6 +361,20 @@ def parities(words, masks) -> np.ndarray:
     functional with that mask, read along a power table."""
     words = np.asarray(words, dtype=_U64)
     return np.array([np.bitwise_count(words & np.uint64(mask)) & 1 for mask in masks])
+
+
+def trace_forms(K: BinaryField, elements) -> np.ndarray:
+    """m[a], the mask of the functional u -> Tr(a*u), for every a in
+    ``elements`` as uint64 words: bit j of m[a] is Tr(a x^j), the parity of
+    a & L_j, where bit i of the Hankel mask L_j is Tr(x^(i+j))."""
+    n = K.degree
+    trace = [(u & K.trace_mask).bit_count() & 1 for u in K.x_multiples(1, 2 * n - 1)]
+    words = np.asarray(elements, dtype=_U64)
+    masks = np.zeros(len(words), dtype=_U64)
+    for j in range(n):  # one bit at a time keeps the working set at a few words each
+        hankel = sum(bit << i for i, bit in enumerate(trace[j:j + n]))
+        masks |= (np.bitwise_count(words & np.uint64(hankel)) & 1).astype(_U64) << np.uint64(j)
+    return masks
 
 
 def build_field(m: int, modulus: int | None = None) -> BinaryField:

@@ -15,8 +15,8 @@ from math import isqrt
 import numpy as np
 
 from .binfield import (WALK_DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
-                       InternalCheckError, _apply, _byte_tables, _mul_tables,
-                       _is_prime, _prime_factors, parities, power_table)
+                       InternalCheckError, _apply, _is_prime, _mul_tables,
+                       _prime_factors, power_table, trace_forms)
 from .cycpart import _psi_route, get_partition
 from .reporting import Report
 
@@ -25,62 +25,88 @@ from .reporting import Report
 # Gauss periods
 # ---------------------------------------------------------------------------
 
-# Exponents per chunk of the period walk, rounded to a multiple of 64*M; it
-# bounds the walk's working set (one uint8 per exponent, 1 MB).  Fields
-# smaller than a chunk get one chunk of about |K*| exponents.
-_CHUNK_BITS = 1 << 20
+# Words per chunk of the strided power table walked by the period kernel;
+# it bounds the kernel's working set (the words, one AND and its parities,
+# about 0.3 MB).  Fields with fewer strided exponents get one chunk.
+_CHUNK_WORDS = 1 << 14
 
 
-def _trace_word_tables(K: BinaryField) -> np.ndarray:
-    """u -> the 64-bit word whose bit j is Tr(u * g^j).  The generator is
-    x, so the basis element 2^i is g^i and its word is the 64 bits of the
-    trace sequence Tr(g^n) from n = i, the parities of one power table."""
-    table = power_table(K, K.generator, K.degree + 63)
-    if table[:K.degree].tolist() != [1 << i for i in range(K.degree)]:
-        raise InternalCheckError("the basis is not the first powers of g")
-    bits = parities(table, [K.trace_mask])[0]
-    windows = np.lib.stride_tricks.sliding_window_view(bits, 64)
-    words = np.packbits(windows, axis=1, bitorder="little").view("<u8")[:, 0]
-    return _byte_tables(words.tolist())
+def _doubling_orbits(M: int) -> list[list[int]]:
+    """The orbits r, 2r, 4r, ... of doubling on Z_M, by least member."""
+    orbits, seen = [], set()
+    for r in range(M):
+        if r not in seen:
+            orbit = [r]
+            while 2 * orbit[-1] % M != r:
+                orbit.append(2 * orbit[-1] % M)
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
 
 
-def _trace_one_counts(K: BinaryField, M: int) -> list[int]:
-    """ones[r] = #{0 <= k < |K*| : k = r mod M and Tr(g^k) = 1}, g the
-    generator of K.
+def _even_against_every_mask(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Entry j: the number of words with even parity against every mask of
+    row j.  Bit 0 of an OR of popcounts is the OR of their parities."""
+    counts = np.empty(len(masks), dtype=np.int64)
+    for j, row in enumerate(masks):
+        odd = np.bitwise_count(words & row[0])
+        for mask in row[1:]:
+            odd |= np.bitwise_count(words & mask)
+        counts[j] = len(words) - np.count_nonzero(odd & 1)
+    return counts
 
-    Tr(g^k) is the m-sequence of the primitive modulus, walked in chunks of
-    L = 64*M*c exponents.  A chunk is held as M*c states g^(k0 + 64 i);
-    one table lookup turns every state into its next 64 trace bits and one
-    more (multiplication by g^L) moves it to the next chunk.  L is a
-    multiple of M, so a bit's position in the chunk gives its residue.
-    Integer arrays only; the states are uint64, hence the degree bound.
+
+def _trace_zero_counts(K: BinaryField, M: int, s: int) -> list[int]:
+    """Z[r] = #{0 <= n < P : n = r mod M and Tr_{K/E}(g^n) = 0}, with g the
+    generator of K, E = GF(2^s) and P = |K*|/(2^s - 1), a multiple of M.
+
+    Tr_{K/E}(u) = 0 iff Tr(beta^i u) = 0 for every i < s, beta = g^P a
+    generator of E*.  So n = r + M t is counted when the word g^(M t) has
+    even parity against the s trace-form masks of beta^i g^r.  The words
+    are a power table of g^M, walked in chunks of L and moved on by g^(M L).
+    u -> u^2 sends g^n to g^(2n) and keeps the relative trace zero, so Z
+    is constant on each orbit of doubling on Z_M: the walk counts two
+    members, r and 2r, of every orbit, which must agree.  Integer arrays
+    only; the words are uint64, hence the degree bound.
     """
     if K.degree > WALK_DEGREE_LIMIT:
         raise FieldError(f"the Gauss-period walk needs degree <= "
                          f"{WALK_DEGREE_LIMIT}, not {K.degree}")
-    g = K.generator
-    n_words = M * max(1, min(_CHUNK_BITS, K.order) // (64 * M))
-    L = 64 * n_words
-    start = power_table(K, K.pow(g, 64), n_words)
-    to_words = _trace_word_tables(K)
-    advance = _mul_tables(K, K.pow(g, L))
-    ones = np.zeros(M, dtype=np.int64)
-    states = start
-    walked = 0
-    while walked < K.order:
-        bits = np.unpackbits(_apply(to_words, states).view(np.uint8),
-                             bitorder="little")
-        bits[K.order - walked:] = 0
-        ones += bits.reshape(-1, M).sum(axis=0, dtype=np.int64)
-        states = _apply(advance, states)
-        walked += L
-    # g^|K*| = 1: rewinding by |K*| - walked steps must restore every start
-    rewind = _mul_tables(K, K.pow(g, K.order - walked))
-    if not np.array_equal(_apply(rewind, states), start):
+    g, q = K.generator, 1 << s
+    P = K.order // (q - 1)
+    N = P // M  # strided exponents per residue
+    orbits = _doubling_orbits(M)
+    walked = [r for orbit in orbits for r in orbit[:2]]
+    starts = power_table(K, g, M)[walked]
+    beta = K.pow(g, P)
+    masks = trace_forms(K, np.concatenate(
+        [_apply(_mul_tables(K, K.pow(beta, i)), starts) for i in range(s)]))
+    masks = masks.reshape(s, -1).T  # row j: the s masks of residue walked[j]
+    L = min(N, _CHUNK_WORDS)
+    start = power_table(K, K.pow(g, M), L)
+    advance = _mul_tables(K, K.pow(g, M * L))
+    counts = np.zeros(len(walked), dtype=np.int64)
+    words, done = start, 0
+    while done < N:
+        counts += _even_against_every_mask(words[:N - done], masks)
+        words = _apply(advance, words)
+        done += L
+    # g^|K*| = 1: multiplying by g^(-M*done) must restore the start
+    rewind = _mul_tables(K, K.pow(g, -M * done % K.order))
+    if not np.array_equal(_apply(rewind, words), start):
         raise InternalCheckError("period walk did not return to its start")
-    if int(ones.sum()) != 1 << (K.degree - 1):
-        raise InternalCheckError("trace-one count is not 2^(n-1)")
-    return ones.tolist()
+    count = dict(zip(walked, counts.tolist()))
+    zeros = [0] * M
+    for orbit in orbits:
+        if count[orbit[0]] != count[orbit[1 % len(orbit)]]:
+            raise InternalCheckError(f"trace-zero counts differ on the doubling "
+                                     f"orbit of {orbit[0]}")
+        for r in orbit:
+            zeros[r] = count[orbit[0]]
+    # the E-hyperplane ker Tr_{K/E} holds (q^(d-1) - 1)/(q - 1) orbits u E*
+    if sum(zeros) != (q ** (K.degree // s - 1) - 1) // (q - 1):
+        raise InternalCheckError("the trace-zero counts do not fill a hyperplane")
+    return zeros
 
 
 @cache
@@ -88,21 +114,23 @@ def gauss_periods(tower: FieldTower, label: str) -> np.ndarray:
     """eta_a = sum of psi over the a-th order-M cyclotomic class, for all a,
     as a read-only int64 array.
 
-    The class of g^k is k*step mod M, and each residue class of exponents
-    holds |K*|/M elements, so eta at class r*step is |K*|/M minus twice the
-    number of trace-one elements among the exponents k = r mod M.  sum |eta|
-    bounds any sum of distinct periods, and it is at most |K*|, below 2^63
-    for every field the walk accepts; the guard keeps that a checked fact.
+    The class of g^n is n*step mod M.  E* = <g^P> lies in the class of 1,
+    as M divides P = |K*|/(q - 1), so the class r*step is the union of the
+    orbits u E*, u = g^n with n < P and n = r mod M.  On one orbit psi sums
+    to q - 1 if Tr_{K/E}(u) = 0 and to -1 otherwise, so eta at class r*step
+    is q Z[r] - P/M, Z the trace-zero counts.  sum |eta| bounds any sum of
+    distinct periods, and it is at most |K*|, below 2^63 for every field
+    the walk accepts; the guard keeps that a checked fact.
     """
     K = tower.field(label)
-    M = tower.M
+    M, q = tower.M, 1 << tower.s
     if K.order % M:
         raise FieldError(f"M = {M} does not divide |{label}*| = {K.order}")
     step = tower.class_step(label)
-    per_class = K.order // M
+    per_class = K.order // (q - 1) // M
     eta = [0] * M
-    for r, count in enumerate(_trace_one_counts(K, M)):
-        eta[r * step % M] = per_class - 2 * count
+    for r, zeros in enumerate(_trace_zero_counts(K, M, tower.s)):
+        eta[r * step % M] = q * zeros - per_class
     if sum(eta) != -1:
         raise InternalCheckError("Gauss periods do not sum to -1")
     if sum(map(abs, eta)) >= 1 << 63:

@@ -189,11 +189,14 @@ def run(config: RunConfig, out=None) -> int:
               f"which is limited to {schemecore._ORACLE_SIZE_LIMIT} elements",
               file=out)
         return USAGE_ERROR
+    start = time.perf_counter()
     try:
         tower = build_tower(config.s, config.poly_f, config.poly_g, config.poly_h)
     except FieldError as exc:
         print(f"error: {exc}", file=out)
         return USAGE_ERROR
+    if config.verbose:
+        print(f"tower: {time.perf_counter() - start:.3f} s", file=sys.stderr)
 
     ordered = [t for t in TARGETS if t in config.targets]
     reports: list[Report] = []
@@ -268,7 +271,7 @@ def _parse_args(argv) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized spot-checks")
     parser.add_argument("-v", "--verbose", action="store_true",
-                        help="print each target's wall time on stderr")
+                        help="print the tower's and each target's wall time on stderr")
     return parser.parse_args(argv)
 
 

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .binfield import BinaryField, FieldTower, InternalCheckError, parities, power_table
+from .binfield import BinaryField, FieldTower, InternalCheckError, trace_forms
 from .charsum import gauss_periods
 from .cycpart import d_class_check, get_partition
 from .reporting import Report
@@ -131,16 +131,11 @@ def _census(columns) -> dict:
 
 
 def _trace_form_masks(K: BinaryField) -> np.ndarray:
-    """m[a], the mask of the functional x -> Tr(g^a x), for every a.  Bit j
-    of m[a] is Tr(g^a x^j), the parity of g^a & L_j, where bit i of the
-    Hankel mask L_j is Tr(x^(i+j)); the generator g need not be x.
-    u -> m_u is a linear bijection, so the masks must be nonzero and
-    distinct, and m[0] = m_1 is the trace mask."""
-    n = K.degree
-    trace = parities(power_table(K, 0b10, 2 * n - 1), [K.trace_mask])[0].tolist()
-    hankel = [sum(bit << i for i, bit in enumerate(trace[j:j + n])) for j in range(n)]
-    bits = parities(K.powers, hankel).astype(np.int64)
-    masks = (bits << np.arange(n)[:, None]).sum(axis=0)
+    """m[a], the mask of the functional x -> Tr(g^a x), for every a (see
+    ``trace_forms``; the generator g need not be x).  u -> m_u is a linear
+    bijection, so the masks must be nonzero and distinct, and m[0] = m_1
+    is the trace mask."""
+    masks = trace_forms(K, K.powers).astype(np.int64)
     if masks[0] != K.trace_mask:
         raise InternalCheckError("the trace-form mask of 1 is not the trace mask")
     if not (np.bincount(masks, minlength=K.size)[1:] == 1).all():

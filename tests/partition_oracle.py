@@ -1,29 +1,35 @@
 """Pure-Python reference for the partition, kept to cross-check the
 package's class folds.
 
-Each function walks F* element by element, exactly as the package
-computed D, psi(omega^a D) and the tangent/secant route before they
-became folds of M-periodic indicators.
+Each function walks F* element by element, as the package computed D,
+psi(omega^a D) and the tangent/secant route before they became folds of
+M-periodic indicators.  Every element's relative trace and character is
+read once, by ``rel_trace`` and the trace mask; a product omega^a * u
+with u = omega^k is looked up as omega^(a + k).
 """
 
 from character_oracle import psi
 
 
+def _logs_of_D(tower):
+    """The k with tr_{F/E}(1/omega^k) = 0; the inverse of omega^k is
+    omega^(-k)."""
+    F, s = tower.F, tower.s
+    return [k for k in range(F.order) if F.rel_trace(s, F.powers[-k % F.order]) == 0]
+
+
 def compute_D_reference(tower):
     """The nonzero u in F with tr_{F/E}(1/u) = 0."""
-    F, s = tower.F, tower.s
-    powers = F.powers
-    # the inverse of omega^k is omega^(-k)
-    return {u for k, u in enumerate(powers)
-            if F.rel_trace(s, powers[-k % F.order]) == 0}
+    return {tower.F.powers[k] for k in _logs_of_D(tower)}
 
 
 def psi_omega_D_reference(tower):
-    """psi(omega^a D) for every a in Z_M, one field product per element of D."""
+    """psi(omega^a D) for every a in Z_M, one character value per element
+    omega^a u of omega^a D."""
     F = tower.F
-    D = compute_D_reference(tower)
-    return [sum(psi(F, F.mul(wa, u)) for u in D)
-            for wa in (F.pow(tower.omega, a) for a in range(tower.M))]
+    values = [psi(F, u) for u in F.powers]
+    logs = _logs_of_D(tower)
+    return [sum(values[(a + k) % F.order] for k in logs) for a in range(tower.M)]
 
 
 def partition_by_trace_reference(tower):
@@ -32,11 +38,9 @@ def partition_by_trace_reference(tower):
     F, s, M = tower.F, tower.s, tower.M
     q = 1 << s
     powers = F.powers
-    quadric = [u for u in powers if F.rel_trace(s, F.mul(F.pow(u, q), u)) == 0]
+    zero = [F.rel_trace(s, u) == 0 for u in powers]
+    quadric = [k for k, u in enumerate(powers) if F.rel_trace(s, F.mul(F.pow(u, q), u)) == 0]
     blocks = {q - 1: [], 2 * (q - 1): [], 0: []}
     for a in range(M):
-        wa = powers[a]
-        size = sum(1 for u in quadric if F.rel_trace(s, F.mul(wa, u)) == 0)
-        blocks[size].append(a)
+        blocks[sum(zero[(a + k) % F.order] for k in quadric)].append(a)
     return tuple(tuple(block) for block in blocks.values())
-

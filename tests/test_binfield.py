@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 from cycloscheme import binfield
 from cycloscheme.binfield import (BinaryField, FieldError, InternalCheckError,
                                   NonPrimitiveModulusError, ReducibleModulusError,
-                                  build_field, build_tower, irreducibility_certificate,
-                                  modulus_from_hex, modulus_to_hex, power_table)
+                                  _prime_factors, build_field, build_tower,
+                                  irreducibility_certificate, modulus_from_hex,
+                                  modulus_to_hex, poly_gcd, power_table)
 
 from character_oracle import abs_trace, psi
 from gf_oracle import gf_mul, gf_pow, gf_trace, norm_exponents
@@ -41,6 +44,60 @@ def test_pow_and_inverse():
         assert K.mul(a, K.pow(a, K.order - 1)) == 1
         assert K.pow(a, K.order) == 1
         assert K.pow(a, 3) == gf_pow(a, 3, K.modulus)
+
+
+def _plain_pow(K, a, e):
+    """a^e by right-to-left square-and-multiply with the bit-serial mul."""
+    r = 1
+    while e:
+        if e & 1:
+            r = K.mul(r, a)
+        a = K.mul(a, a)
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize("m", range(2, 65))
+def test_square_and_pow_match_the_oracle(m):
+    # squaring and pow are arithmetic modulo any f of degree m (the
+    # certificate squares modulo candidates that may factor), so the moduli
+    # are x^m and random ones, mostly reducible.  pow reduces exponents
+    # modulo 2^m - 1, which is the group order only in a field, so the
+    # exponents stay below it.
+    rng = random.Random(m)
+    order = (1 << m) - 1
+    for f in (1 << m, (1 << m) | rng.getrandbits(m), (1 << m) | rng.getrandbits(m) | 1):
+        K = BinaryField(m, f, 0b10)
+        for a in (0, 1, 0b10, order, rng.getrandbits(m), rng.getrandbits(m)):
+            assert K.square(a) == gf_mul(a, a, f)
+            assert K.pow(a, e := rng.randrange(min(1 << 10, order))) == gf_pow(a, e, f)
+            assert K.pow(a, e := rng.randrange(order)) == _plain_pow(K, a, e)
+            assert K.times_x(a) == gf_mul(a, 0b10, f)
+        e = rng.randrange(min(1 << 16, order))
+        assert K.pow(0b10, e) == gf_pow(0b10, e, f)
+
+
+def _reference_search(m):
+    """The lexicographically first primitive modulus of degree m: the gcd
+    criterion and the order of x, squaring and multiplying with the
+    bit-serial mul only."""
+    order = (1 << m) - 1
+    for f in range((1 << m) | 1, 1 << (m + 1), 2):
+        ring = BinaryField(m, f, 0b10)
+        if any(poly_gcd(_plain_pow(ring, 0b10, 1 << (m // p)) ^ 0b10, f) != 1
+               for p in _prime_factors(m)):
+            continue
+        frobenius = 0b10
+        for _ in range(m):
+            frobenius = ring.mul(frobenius, frobenius)
+        if frobenius == 0b10 and all(_plain_pow(ring, 0b10, order // p) != 1
+                                     for p in _prime_factors(order)):
+            return f
+
+
+@pytest.mark.parametrize("m", sorted({k * s for k in (3, 6, 9) for s in range(1, 8)}))
+def test_search_matches_the_unaccelerated_search(m):
+    assert build_field(m).modulus == _reference_search(m)
 
 
 def test_generator_is_primitive():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cycloscheme import charsum
-from cycloscheme.binfield import (FieldError, InternalCheckError, _byte_tables, build_field,
+from cycloscheme.binfield import (FieldError, InternalCheckError, _apply, _mul_tables,
                                   build_tower)
 from cycloscheme.charsum import (conjugation_symmetry_check, eta_prime_law_check,
                                  gauss_periods, gauss_sum_modulus_check,
@@ -13,7 +13,7 @@ from cycloscheme.charsum import (conjugation_symmetry_check, eta_prime_law_check
 from cycloscheme.cycpart import _psi_route
 from cycloscheme.zmring import GroupRingError
 from gauss_ring_oracle import gauss_sum, gauss_sum_power_vector, recover_period_from_sums
-from period_oracle import gauss_periods_reference, trace_word_images_reference
+from period_oracle import gauss_periods_reference, gauss_periods_walk
 from ring_oracle import GroupRingElement, cyclotomic_polynomial
 
 # every (s, field) with |K*| <= 2^18
@@ -89,31 +89,128 @@ def test_gauss_periods_match_oracle(s, label, other_moduli):
     _assert_walk_matches_oracle(tower, label)
 
 
+# the numpy walk over every element of K* stands in for the pure-Python
+# reference, which would take minutes over the 2^30 - 1 elements of G at
+# s = 5
+KERNEL_FIELDS = [(s, label) for s in range(1, 6) for label in "FG"] + \
+    [(s, "H") for s in range(1, 4)]
+
+
+@pytest.mark.parametrize("s,label", KERNEL_FIELDS)
+def test_gauss_periods_match_the_element_walk(s, label):
+    tower = build_tower(s)
+    K = tower.field(label)
+    assert gauss_periods(tower, label).tolist() == \
+        gauss_periods_walk(K, tower.M, tower.class_step(label))
+
+
+@pytest.mark.parametrize("label", "FGH")
+def test_gauss_periods_match_the_element_walk_under_other_moduli(label):
+    tower = build_tower(2, None, 0x107b, 0x4004d)
+    K = tower.field(label)
+    expected = gauss_periods_walk(K, tower.M, tower.class_step(label))
+    assert expected == gauss_periods_reference(K, tower.M, tower.class_step(label))
+    assert gauss_periods(tower, label).tolist() == expected
+
+
 @pytest.mark.parametrize("chunk_bits", [1, 3 * 64 * 21])
 @pytest.mark.parametrize("s,label", [(1, "H"), (2, "G"), (2, "H"), (3, "F")])
 def test_gauss_periods_multi_chunk(monkeypatch, chunk_bits, s, label):
-    # chunks of one or a few 64*M blocks: many full chunks, then a ragged
-    # tail (|K*| is odd, so never a multiple of 64)
-    monkeypatch.setattr(charsum, "_CHUNK_BITS", chunk_bits)
+    # chunks of one word: many full chunks; of 4032 words: one full chunk
+    # and a ragged tail of 129 for H at s = 2 (4,161 strided exponents),
+    # a single short chunk elsewhere
+    monkeypatch.setattr(charsum, "_CHUNK_WORDS", chunk_bits)
     _assert_walk_matches_oracle(build_tower(s), label)
+
+
+def _zero_counts_under(monkeypatch, s, label, patch):
+    """The kernel's trace-zero counts with ``patch(monkeypatch, K, tower)``
+    applied; the tower is built first, so only the kernel sees the patch."""
+    tower = build_tower(s)
+    K = tower.field(label)
+    patch(monkeypatch, K, tower)
+    return charsum._trace_zero_counts(K, tower.M, s)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("s,label", [(2, "F"), (2, "G"), (2, "H"), (3, "H"), (4, "G")])
+def test_beta_one_power_off_is_caught(monkeypatch, s, label, delta):
+    # beta = g^(P + delta): the masks read beta^i g^r times g^(delta i), and
+    # the s masks no longer span a relative-trace kernel (at s = 1 there is
+    # only beta^0, so the case needs s >= 2)
+    def patch(mp, K, tower):
+        forms = charsum.trace_forms
+        shift = [_mul_tables(K, K.pow(K.generator, delta * i)) for i in range(s)]
+        mp.setattr(charsum, "trace_forms", lambda K_, elements: forms(K_, np.concatenate(
+            [_apply(t, block) for t, block in zip(shift, np.split(elements, s))])))
+
+    with pytest.raises(InternalCheckError, match="differ on the doubling orbit"):
+        _zero_counts_under(monkeypatch, s, label, patch)
+
+
+@pytest.mark.parametrize("s,label", [(1, "G"), (1, "H"), (2, "G"), (2, "H"), (3, "G"),
+                                     (3, "H"), (4, "G")])
+def test_a_stride_table_for_M_plus_one_is_caught(monkeypatch, s, label):
+    # the words are g^((M + 1) t): residues drift from r; F has one word
+    # per residue (P = M), so only G and H can show it
+    def patch(mp, K, tower):
+        table, stride = charsum.power_table, K.pow(K.generator, tower.M)
+        mp.setattr(charsum, "power_table", lambda K_, base, count: table(
+            K_, K.times_x(base) if base == stride else base, count))
+
+    with pytest.raises(InternalCheckError, match="differ on the doubling orbit"):
+        _zero_counts_under(monkeypatch, s, label, patch)
+
+
+def _bump(walked_indices):
+    def patch(mp, K, tower):
+        count = charsum._even_against_every_mask
+
+        def bumped(words, masks):
+            out = count(words, masks)
+            out[walked_indices] += 1
+            return out
+
+        mp.setattr(charsum, "_even_against_every_mask", bumped)
+    return patch
+
+
+@pytest.mark.parametrize("s,label", [(1, "F"), (2, "G"), (3, "H"), (4, "G")])
+def test_one_orbit_members_count_changed_is_caught(monkeypatch, s, label):
+    # walked residues are 0, then 1 and 2, the two members of 1's orbit
+    with pytest.raises(InternalCheckError, match="differ on the doubling orbit of 1"):
+        _zero_counts_under(monkeypatch, s, label, _bump([2]))
+
+
+@pytest.mark.parametrize("s,label", [(1, "F"), (2, "G"), (3, "H"), (4, "G")])
+def test_counts_off_the_hyperplane_size_are_caught(monkeypatch, s, label):
+    # both members of one orbit changed alike pass the Frobenius check
+    with pytest.raises(InternalCheckError, match="fill a hyperplane"):
+        _zero_counts_under(monkeypatch, s, label, _bump([1, 2]))
+
+
+@pytest.mark.parametrize("s,label", [(1, "F"), (2, "G"), (2, "H")])
+def test_a_walk_that_does_not_return_is_caught(monkeypatch, s, label):
+    # one-word chunks move on by g^M; here by g^(M + 1)
+    def patch(mp, K, tower):
+        mp.setattr(charsum, "_CHUNK_WORDS", 1)
+        power = K.pow
+        mp.setattr(K, "pow", lambda a, e: power(a, e + (e == tower.M)))
+
+    with pytest.raises(InternalCheckError, match="did not return to its start"):
+        _zero_counts_under(monkeypatch, s, label, patch)
 
 
 class _StubTower:
     """Just enough of a tower for gauss_periods; hashable, as its cache needs."""
     M = 65793
+    s = 8
 
     def field(self, label):
         return SimpleNamespace(degree=72, order=(1 << 72) - 1)
 
     def class_step(self, label):
         return 1
-
-
-def test_trace_word_tables_match_the_product_loop():
-    for m in range(3, 64):
-        K = build_field(m)
-        assert np.array_equal(charsum._trace_word_tables(K),
-                              _byte_tables(trace_word_images_reference(K))), m
 
 
 def test_gauss_periods_degree_guard():
@@ -132,8 +229,10 @@ def test_gauss_periods_are_read_only_int64(s):
 
 
 class _TinyStubTower(_StubTower):
-    """A stub with M = |K*| = 7, so each class holds one exponent."""
+    """A stub with M = |K*| = 7 and s = 1, so each class is one exponent
+    and its period is 2 Z - 1, Z its trace-zero count."""
     M = 7
+    s = 1
 
     def field(self, label):
         return SimpleNamespace(degree=3, order=7)
@@ -143,13 +242,13 @@ class _TinyStubTower(_StubTower):
 # itself past int64, the guard refuses.  Seven odd periods summing to -1
 # have an odd sum |eta|, so 2^63 - 1 is the largest that fits.
 @pytest.mark.parametrize("counts,fits", [
-    ([2 - (1 << 61), (1 << 61) - 1, 0, 0, 1, 1, 1], True),
-    ([1 << 61, -(1 << 61), 1, 1, 1, 1, 0], False),
-    ([1 << 70, -(1 << 70), 0, 1, 1, 1, 1], False)])
+    ([(1 << 61) - 1, 2 - (1 << 61), 1, 1, 0, 0, 0], True),
+    ([1 - (1 << 61), 1 + (1 << 61), 0, 0, 0, 0, 1], False),
+    ([1 - (1 << 70), 1 + (1 << 70), 1, 0, 0, 0, 0], False)])
 def test_gauss_periods_int64_guard(monkeypatch, counts, fits):
-    monkeypatch.setattr(charsum, "_trace_one_counts", lambda K, M: counts)
+    monkeypatch.setattr(charsum, "_trace_zero_counts", lambda K, M, s: counts)
     tower = _TinyStubTower()  # a new cache key, so the stub is called
-    periods = [1 - 2 * c for c in counts]
+    periods = [2 * z - 1 for z in counts]
     assert sum(periods) == -1
     assert (sum(map(abs, periods)) < 1 << 63) == fits
     if fits:

@@ -243,7 +243,7 @@ def test_verbose_times_each_target_on_stderr_only(tmp_path, capsys):
     assert verbose_catalog == catalog
     assert quiet.out == quiet.err == loud.out == ""
     lines = loud.err.splitlines()
-    assert [line.split(":")[0] for line in lines] == list(TARGETS)
+    assert [line.split(":")[0] for line in lines] == ["tower", *TARGETS]
     assert all(line.endswith(" s") for line in lines)
 
 

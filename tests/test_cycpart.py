@@ -121,7 +121,7 @@ def test_class_folds_match_the_element_walk(s, poly_f):
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_class_psi_sums_are_the_F_periods(s):
-    # route 1 reads the power table, the periods come from the m-sequence walk
+    # route 1 reads the power table, the periods come from the trace-zero kernel
     tower = build_tower(s)
     assert np.array_equal(cycpart._class_psi_sums(tower), gauss_periods(tower, "F"))
 

@@ -123,9 +123,9 @@ def test_a_generator_other_than_x():
 def test_trace_form_masks_off_by_one_power_are_caught(monkeypatch):
     # L_j read from Tr(x^(i+j+1)): the mask of 1 is no longer the trace mask
     K = tower(2).F
-    table = schemecore.power_table
-    monkeypatch.setattr(schemecore, "power_table",
-                        lambda K, base, count: table(K, base, count + 1)[1:])
+    multiples = K.x_multiples
+    monkeypatch.setattr(K, "x_multiples",
+                        lambda c, count: multiples(c, count + 1)[1:])
     with pytest.raises(InternalCheckError, match="mask of 1"):
         schemecore._element_columns(K, [K.powers])
 
