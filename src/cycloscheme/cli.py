@@ -167,6 +167,13 @@ _RUNNERS = {
 }
 
 
+def _progress(step: str, start: float) -> None:
+    """A ``-v`` line on stderr: wall time since ``start``, peak RSS so far."""
+    import resource  # only under -v, so a plain run loads no extra module
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"{step}: {time.perf_counter() - start:.3f} s, peak RSS {peak:.1f} MB", file=sys.stderr)
+
+
 def run(config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     if config.s < 1:
@@ -196,7 +203,7 @@ def run(config: RunConfig, out=None) -> int:
         print(f"error: {exc}", file=out)
         return USAGE_ERROR
     if config.verbose:
-        print(f"tower: {time.perf_counter() - start:.3f} s", file=sys.stderr)
+        _progress("tower", start)
 
     ordered = [t for t in TARGETS if t in config.targets]
     reports: list[Report] = []
@@ -205,7 +212,7 @@ def run(config: RunConfig, out=None) -> int:
         start = time.perf_counter()
         target_reports, target_records = _RUNNERS[target](tower, config)
         if config.verbose:
-            print(f"{target}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
+            _progress(target, start)
         reports.extend(target_reports)
         records.extend(target_records)
     for report in reports:
@@ -271,7 +278,7 @@ def _parse_args(argv) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized spot-checks")
     parser.add_argument("-v", "--verbose", action="store_true",
-                        help="print the tower's and each target's wall time on stderr")
+                        help="print each step's wall time and the peak RSS on stderr")
     return parser.parse_args(argv)
 
 

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .binfield import BinaryField, FieldTower, InternalCheckError, trace_forms
+from .binfield import BinaryField, FieldTower, InternalCheckError, parities, trace_forms
 from .charsum import gauss_periods
 from .cycpart import d_class_check, get_partition
 from .reporting import Report
@@ -73,15 +73,16 @@ class SchemeRecord:
     size: int
     d: int
     is_scheme: bool
-    pattern_sets: tuple  # frozensets; indices in Z_M or field elements
+    pattern_sets: tuple  # the pattern's sorted exponent tuples
     domain: str  # "index" or "element"
-    row_census: dict  # row -> sorted members giving it
+    names: range | list  # name of exponent k: k in Z_M, or g^k in K*
+    row_census: dict  # row -> exponents giving it, ascending
     flags: dict
     degrees: list = field(default_factory=list)  # (1, n_1, ..., n_d)
     multiplicities: list = field(default_factory=list)
     P: list = field(default_factory=list)
     Q: list = field(default_factory=list)
-    dual_sets: tuple = ()  # canonical order, matching P rows 1..d
+    dual_sets: tuple = ()  # sorted exponent tuples, matching P rows 1..d
     B: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -98,7 +99,7 @@ class SchemeRecord:
             "P": [[_jint(v) for v in row] for row in self.P],
             "Q": [[_jint(v) for v in row] for row in self.Q],
             "B": [[[_jint(v) for v in row] for row in b] for b in self.B],
-            "dual_blocks": [sorted(g) for g in self.dual_sets],
+            "dual_blocks": [sorted(self.names[k] for k in g) for g in self.dual_sets],
             "domain": self.domain,
             "flags": dict(self.flags),
         }
@@ -143,18 +144,18 @@ def _trace_form_masks(K: BinaryField) -> np.ndarray:
     return masks
 
 
-def _element_columns(K: BinaryField, sets) -> list[list[int]]:
-    """Column S, entry a: sum over x in S of psi(g^a x) = W_S[m[a]], where
-    W_S[m] = sum over x in S of (-1)^parity(x & m) is the Walsh-Hadamard
-    transform of the indicator of S over (K, +), done in deg K butterfly
-    stages of int64 adds; |W_S| <= |S|, so it is exact."""
-    W = np.zeros((len(sets), K.size), dtype=np.int64)
-    for row, S in zip(W, sets):
-        row[list(S)] = 1
+def _element_columns(K: BinaryField, blocks) -> list[list[int]]:
+    """Column b, entry a: sum over x in S = {g^k : k in b} of psi(g^a x) =
+    W_S[m[a]], where W_S[m] = sum over x in S of (-1)^parity(x & m) is the
+    Walsh-Hadamard transform of the indicator of S over (K, +), done in
+    deg K butterfly stages of int64 adds; |W_S| <= |S|, so it is exact."""
+    W = np.zeros((len(blocks), K.size), dtype=np.int64)
+    for row, b in zip(W, blocks):
+        row[[K.powers[k] for k in b]] = 1
     for j in range(K.degree):
-        pairs = W.reshape(len(sets), -1, 2, 1 << j)
+        pairs = W.reshape(len(blocks), -1, 2, 1 << j)
         low, high = pairs[:, :, 0], pairs[:, :, 1]
-        W = np.stack([low + high, low - high], axis=2).reshape(len(sets), -1)
+        W = np.stack([low + high, low - high], axis=2).reshape(len(blocks), -1)
     return W[:, _trace_form_masks(K)].tolist()
 
 
@@ -248,17 +249,16 @@ def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
     An index fusion fuses the order-M cyclotomic classes, and the census
     column of block b is eta * (1_b)^-1 in Z[Z_M], eta the Gauss periods.
     An element fusion is the same census with every element of K* its own
-    class: M = |K*|, blocks the discrete logs of the sets, members named by
-    g^k, and the columns read off the Walsh-Hadamard transforms of the
-    sets.  The fusion is a d-class scheme iff exactly d distinct rows
-    occur, none equal to the degree row."""
+    class: M = |K*|, exponent k standing for g^k, and the columns read off
+    the Walsh-Hadamard transforms of the blocks.  Blocks, census groups and
+    dual classes stay exponents; only the catalog reads their ``names``.
+    The fusion is a d-class scheme iff exactly d distinct rows occur, none
+    equal to the degree row."""
     K = tower.field(field_label)
-    names = range(pattern.M) if domain == "index" else K.powers
-    pattern_sets = tuple(frozenset(names[i] for i in b) for b in pattern.blocks)
     census = _census([_cyclic_product(gauss_periods(tower, field_label),
                                       _inverse(np.bincount(b, minlength=pattern.M))).tolist()
                       for b in pattern.blocks] if domain == "index" else
-                     _element_columns(K, pattern_sets))
+                     _element_columns(K, pattern.blocks))
     per_class = K.order // pattern.M
     degrees = [1] + [len(b) * per_class for b in pattern.blocks]
     d = len(pattern.blocks)
@@ -271,19 +271,18 @@ def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
         multiplicities = [1] + [len(g) * per_class for _, g in items]
         if Q[0] != multiplicities:
             raise InternalCheckError("Q row 0 disagrees with dual-class multiplicities")
-        dual_sets = tuple(frozenset(names[i] for i in g) for _, g in items)
+        dual_sets = tuple(tuple(g) for _, g in items)
         spectrum = {
             "degrees": degrees, "multiplicities": multiplicities, "P": P, "Q": Q,
             "dual_sets": dual_sets,
             "B": intersection_numbers(degrees, multiplicities, P, K.size),
-            "flags": _flags(P, Q, pattern_sets, dual_sets, K.size),
+            "flags": _flags(P, Q, pattern.blocks, dual_sets, K.size),
         }
     return SchemeRecord(
         scheme_id=scheme_id, field_label=field_label, s=tower.s, M=tower.M,
-        size=K.size, d=d, is_scheme=is_scheme, pattern_sets=pattern_sets,
-        domain=domain,
-        row_census={row: sorted(names[i] for i in g) for row, g in census.items()},
-        **spectrum)
+        size=K.size, d=d, is_scheme=is_scheme, pattern_sets=pattern.blocks,
+        domain=domain, names=range(pattern.M) if domain == "index" else K.powers,
+        row_census=census, **spectrum)
 
 
 def bannai_muzychuk_verify(tower: FieldTower, field_label: str,
@@ -327,17 +326,14 @@ def build_dual_scheme(tower: FieldTower, primal: SchemeRecord) -> SchemeRecord:
     return build_scheme(tower, _scheme(primal.scheme_id)[1], pattern)
 
 
-def build_element_scheme(tower: FieldTower, field_label: str, sets,
+def build_element_scheme(tower: FieldTower, field_label: str, blocks,
                          scheme_id: str) -> SchemeRecord:
-    """Verify a partition of X* given by explicit element sets (plus {0})
-    as a translation scheme, with dual classes read off from the census
-    under the pairing b -> psi(b.)."""
+    """Verify a partition of X* (plus {0}) into the sets {g^k : k in b} as a
+    translation scheme, with dual classes read off from the census under
+    the pairing b -> psi(b.); the blocks b must partition Z_|K*|."""
     K = tower.field(field_label)
     if K.size > _ORACLE_SIZE_LIMIT:
         raise SchemeError("element-level verification limited to small fields")
-    dlog = {u: e for e, u in enumerate(K.powers)}
-    # 0 has no discrete log: -1 makes the pattern reject a set holding it
-    blocks = tuple(tuple(dlog.get(x, -1) for x in frozenset(S)) for S in sets)
     return _assemble(tower, scheme_id, field_label,
                      FusionPattern(K.order, blocks), "element")
 
@@ -348,11 +344,10 @@ def build_element_scheme(tower: FieldTower, field_label: str, sets,
 
 def two_class_scheme(tower: FieldTower) -> SchemeRecord:
     """The two-class translation scheme on F from the trace-zero hyperplane:
-    R_1 = ker(tr) \\ {0}, R_2 = the rest (a strongly regular Cayley graph)."""
-    K = tower.F
-    R1 = frozenset(u for u in range(1, K.size) if not ((u & K.trace_mask).bit_count() & 1))
-    R2 = frozenset(range(1, K.size)) - R1
-    return build_element_scheme(tower, "F", (R1, R2), "trace2")
+    R_1, R_2 = the g^k of trace 0, 1 (a strongly regular Cayley graph)."""
+    trace = parities(tower.F.powers, [tower.F.trace_mask])[0]
+    blocks = [np.flatnonzero(trace == t).tolist() for t in (0, 1)]
+    return build_element_scheme(tower, "F", blocks, "trace2")
 
 
 def im10_construct(tower: FieldTower, two_class: SchemeRecord | None = None) -> SchemeRecord:
@@ -364,17 +359,13 @@ def im10_construct(tower: FieldTower, two_class: SchemeRecord | None = None) -> 
         raise SchemeError("input must be a verified element-level 2-class scheme")
     # the construction assumes R_1 lies inside a dual class; which block is
     # labelled R_1 is a free choice, so take whichever one satisfies it
-    R1 = D1 = None
-    for cand in two_class.pattern_sets:
-        D1 = next((g for g in two_class.dual_sets if cand <= g), None)
-        if D1 is not None:
-            R1 = cand
-            break
+    R1, D1 = next(((R, D) for R in two_class.pattern_sets for D in two_class.dual_sets
+                   if set(R).issubset(D)), (None, None))
     if D1 is None:
         raise SchemeError("neither class is contained in a dual class")
     D2 = next(g for g in two_class.dual_sets if g != D1)
     record = build_element_scheme(tower, two_class.field_label,
-                                  (R1, D1 - R1, D2), "im10")
+                                  (R1, set(D1).difference(R1), D2), "im10")
     if not record.is_scheme:
         raise InternalCheckError("two-class refinement failed to verify as a scheme")
     return record
@@ -390,12 +381,12 @@ def expected_dual_groups(tower: FieldTower, scheme_id: str) -> list:
     (thm2i); T1, T2, T3 (the self-dual thm2ii)."""
     part = get_partition(tower)
     if scheme_id == "thm2ii":
-        return [frozenset(b) for b in (part.T1, part.T2, part.T3)]
+        return list(FusionPattern.from_partition(part).blocks)
     if scheme_id not in _DUAL_BLOCKS:
         raise SchemeError(f"unknown scheme id {scheme_id!r}")
     sign = _DUAL_BLOCKS[scheme_id][0]
-    first = frozenset(sign * i % tower.M for i in part.T1)
-    return [frozenset({0}), first, frozenset(range(tower.M)) - first - {0}]
+    first = {sign * i % tower.M for i in part.T1}
+    return [(0,), tuple(sorted(first)), tuple(sorted(set(range(1, tower.M)) - first))]
 
 
 def dual_scheme_tables_check(tower: FieldTower, which: str) -> Report:

@@ -143,12 +143,14 @@ def test_catalog_matches_reference(tmp_path, s):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
 
 
-# Whole-file SHA-256 of three catalogs outside the references: s = 2 under
+# Whole-file SHA-256 of four catalogs outside the references: s = 2 under
 # non-default G and H moduli, where the tower finds its embeddings of F and
 # its class steps from other generators; s = 3 with --big, which adds
-# thm2ii and the degree-3 Hasse-Davenport check over H; and the gauss
-# target at s = 5, the one size here where the modulus, expansion and
-# degree-2 checks would take a second DFT prime under a looser bound.
+# thm2ii and the degree-3 Hasse-Davenport check over H; the gauss target at
+# s = 5, the one size here where the modulus, expansion and degree-2 checks
+# would take a second DFT prime under a looser bound; and im10 at s = 3
+# under the F modulus 0x221, whose generator gives each exponent k another
+# name g^k than the default modulus does; the dual blocks print the names.
 WHOLE_CATALOGS = {
     "s2-all-gh": (RunConfig(s=2, poly_g=0x107b, poly_h=0x4004d),
                   "ca010e26023d9c918a720c047aa53e798cdd4d6679a61aae2c4b2c9ed44b02bf"),
@@ -156,6 +158,8 @@ WHOLE_CATALOGS = {
                    "d2429a649d6d20ff662cdc53fa57a80a89e4651afba564641d674f8ca63f6501"),
     "s5-gauss": (RunConfig(s=5, targets=("gauss",)),
                  "71da8a4cc875b058c1f5bfa6689a49a6074c6392272aee1e0847d50bd9d2b490"),
+    "s3-im10-f221": (RunConfig(s=3, targets=("im10",), poly_f=0x221),
+                     "082d9716fa4c3f36ac95b0bda692331c02cc555a1e4b18661f6a9c2d42817473"),
 }
 
 
@@ -244,7 +248,12 @@ def test_verbose_times_each_target_on_stderr_only(tmp_path, capsys):
     assert quiet.out == quiet.err == loud.out == ""
     lines = loud.err.splitlines()
     assert [line.split(":")[0] for line in lines] == ["tower", *TARGETS]
-    assert all(line.endswith(" s") for line in lines)
+    # "<step>: <wall> s, peak RSS <MB> MB", the peak never falling
+    times, peaks = zip(*(line.split(": ")[1].split(", peak RSS ") for line in lines))
+    assert all(t.endswith(" s") and float(t[:-2]) >= 0 for t in times)
+    assert all(p.endswith(" MB") for p in peaks)
+    peaks = [float(p[:-3]) for p in peaks]
+    assert 0 < peaks[0] and peaks == sorted(peaks)
 
 
 def test_each_fusion_is_censused_once(monkeypatch):

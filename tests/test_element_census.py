@@ -16,7 +16,7 @@ from cycloscheme.schemecore import (FusionPattern, build_element_scheme, im10_co
                                     two_class_scheme)
 
 from character_oracle import psi
-from scheme_oracle import character_row, class_elements, element_columns
+from scheme_oracle import character_row, element_columns
 
 _TOWERS = {}
 
@@ -39,12 +39,15 @@ class _OneFieldTower:
         return self.K
 
 
+def _names(K, blocks):
+    """The element sets {g^k : k in b} of exponent blocks."""
+    return [{K.powers[k] for k in b} for b in blocks]
+
+
 def _assert_census_matches_oracle(record, K):
     columns = schemecore._element_columns(K, record.pattern_sets)
-    assert columns == element_columns(K, record.pattern_sets)
-    named = {row: sorted(K.powers[a] for a in group)
-             for row, group in schemecore._census(columns).items()}
-    assert record.row_census == named
+    assert columns == element_columns(K, _names(K, record.pattern_sets))
+    assert record.row_census == schemecore._census(columns)
     return columns
 
 
@@ -63,22 +66,24 @@ def test_trace2_and_im10_columns_match_the_oracles(s, mod_f):
         # direct character sums: every b for s <= 2, the first 8 powers beyond
         exponents = range(K.order) if s <= 2 else range(8)
         for a in exponents:
-            assert _direct_row(K, record.pattern_sets, K.powers[a]) == \
+            assert _direct_row(K, _names(K, record.pattern_sets), K.powers[a]) == \
                 tuple(col[a] for col in columns)
 
 
 @pytest.mark.parametrize("s", [1, 2])
 @pytest.mark.parametrize("label", ["F", "G"])
 def test_cyclotomic_element_partitions_give_the_character_rows(s, label):
-    # the element census of T1, T2, T3 as element sets: the row of
-    # b = g^a is the Gauss-period row of the class of g^a
+    # the element census of T1, T2, T3 as exponent blocks: g^k lies in
+    # the class of k * step, and the row of b = g^a is the Gauss-period
+    # row of the class of g^a
     tw = tower(s)
     K = tw.field(label)
     pattern = FusionPattern.from_partition(get_partition(tw))
-    sets = class_elements(tw, label, pattern)[1:]
-    record = build_element_scheme(tw, label, sets, "cyclotomic")
-    columns = _assert_census_matches_oracle(record, K)
     step = tw.class_step(label)
+    blocks = [[k for k in range(K.order) if k * step % tw.M in members]
+              for members in map(set, pattern.blocks)]
+    record = build_element_scheme(tw, label, blocks, "cyclotomic")
+    columns = _assert_census_matches_oracle(record, K)
     for a in range(K.order):
         assert (1,) + tuple(col[a] for col in columns) == \
             character_row(tw, label, pattern, a * step % tw.M)
@@ -92,11 +97,10 @@ def test_random_partitions_match_the_oracle(data):
     parts = data.draw(st.integers(min_value=2, max_value=4), label="parts")
     labels = data.draw(st.lists(st.integers(0, parts - 1), min_size=K.order,
                                 max_size=K.order), label="labels")
-    sets = [frozenset(u for u, lab in zip(K.powers, labels) if lab == k)
-            for k in range(parts)]
-    assert schemecore._element_columns(K, sets) == element_columns(K, sets)
-    if all(sets):
-        record = build_element_scheme(_OneFieldTower(K), "K", sets, "random")
+    blocks = [[k for k, lab in enumerate(labels) if lab == part] for part in range(parts)]
+    assert schemecore._element_columns(K, blocks) == element_columns(K, _names(K, blocks))
+    if all(blocks):
+        record = build_element_scheme(_OneFieldTower(K), "K", blocks, "random")
         _assert_census_matches_oracle(record, K)
 
 
@@ -105,16 +109,17 @@ def test_a_generator_other_than_x():
     base = build_field(12)
     K = BinaryField(12, base.modulus, base.pow(0b10, 11))
     assert K.powers[1] != 0b10 and len(set(K.powers)) == K.order
-    hyperplane = frozenset(u for u in K.powers if not (u & K.trace_mask).bit_count() & 1)
+    trace = [(u & K.trace_mask).bit_count() & 1 for u in K.powers]
     rng = np.random.default_rng(11)
     labels = rng.integers(0, 3, K.order)
     verdicts = []
-    for sets in ((hyperplane, frozenset(K.powers) - hyperplane),
-                 [frozenset(np.array(K.powers)[labels == k].tolist()) for k in range(3)]):
-        record = build_element_scheme(_OneFieldTower(K), "K", sets, "stub")
+    for blocks in ([[k for k, t in enumerate(trace) if t == part] for part in (0, 1)],
+                   [np.flatnonzero(labels == part).tolist() for part in range(3)]):
+        record = build_element_scheme(_OneFieldTower(K), "K", blocks, "stub")
         columns = _assert_census_matches_oracle(record, K)
         for a in (0, 1, 2, 4094):
-            assert _direct_row(K, sets, K.powers[a]) == tuple(col[a] for col in columns)
+            assert _direct_row(K, _names(K, blocks), K.powers[a]) == \
+                tuple(col[a] for col in columns)
         verdicts.append(record.is_scheme)
     # the trace hyperplane is the two-class scheme; a random split is not
     assert verdicts == [True, False]
@@ -127,7 +132,7 @@ def test_trace_form_masks_off_by_one_power_are_caught(monkeypatch):
     monkeypatch.setattr(K, "x_multiples",
                         lambda c, count: multiples(c, count + 1)[1:])
     with pytest.raises(InternalCheckError, match="mask of 1"):
-        schemecore._element_columns(K, [K.powers])
+        schemecore._element_columns(K, [range(K.order)])
 
 
 def test_repeated_masks_are_caught(monkeypatch):
@@ -135,7 +140,7 @@ def test_repeated_masks_are_caught(monkeypatch):
     K = build_field(6)
     monkeypatch.setitem(vars(K), "powers", K.powers[:1] + K.powers[:-1])
     with pytest.raises(InternalCheckError, match="nonzero and distinct"):
-        schemecore._element_columns(K, [K.powers])
+        schemecore._element_columns(K, [range(K.order)])
 
 
 def test_im10_at_s4_correlates_nothing_longer_than_M(monkeypatch):

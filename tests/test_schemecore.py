@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from cycloscheme.binfield import InternalCheckError, build_tower
@@ -198,14 +200,32 @@ def test_two_class_scheme_s1(tower1):
 
 
 def test_element_sets_must_partition_nonzero_elements(tower1):
+    # blocks are exponents k of g^k, which must partition Z_|F*| = Z_7
     R1, R2 = two_class_scheme(tower1).pattern_sets
-    with pytest.raises(SchemeError):
-        build_element_scheme(tower1, "F", (R1 | {0}, R2), "bad")  # holds 0
-    with pytest.raises(SchemeError):
-        build_element_scheme(tower1, "F", (R1, R2 | {min(R1)}), "bad")  # overlap
-    # an element repeated within one set counts once
-    record = build_element_scheme(tower1, "F", (list(R1) * 2, R2), "trace2")
-    assert record.is_scheme and record.pattern_sets == (R1, R2)
+    assert build_element_scheme(tower1, "F", (R1, R2), "trace2").is_scheme
+    for bad in ((R1 + R1[:1], R2),     # an exponent repeated within a block
+                (R1, R2 + R1[:1]),     # an exponent in two blocks
+                (R1, R2[1:]),          # an exponent in no block
+                (R1, R2[1:] + (7,))):  # an exponent beyond |F*|
+        with pytest.raises(SchemeError):
+            build_element_scheme(tower1, "F", bad, "bad")
+
+
+@pytest.mark.parametrize("construct", [two_class_scheme, im10_construct])
+def test_element_fusions_hold_no_element_sets_at_s4(construct):
+    # blocks stay exponent tuples from input to record: the two calls peak
+    # at about 0.5 and 1.0 MB at s = 4, and element sets, name lists or a
+    # discrete-log table over the 4,095 elements of F* beside the transform
+    # take them past 1.2 MB
+    tower = build_tower(4)
+    construct(tower)  # fills the field's cached tables
+    tracemalloc.start()
+    try:
+        construct(tower)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_200_000
 
 
 def test_im10_scheme_s1(tower1):
