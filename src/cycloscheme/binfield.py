@@ -92,11 +92,18 @@ def irreducibility_certificate(f: int) -> int | None:
     m = poly_degree(f)
     if m < 1:
         raise FieldError("modulus must have positive degree")
+    return _certificate(f, _prime_factors(m))
+
+
+def _certificate(f: int, degree_primes) -> int | None:
+    """:func:`irreducibility_certificate` of f, of degree m >= 1, given the
+    prime factors of m, which every candidate of one degree shares."""
+    m = poly_degree(f)
     if m == 1:
         return None
     if not (f & 1):
         return 1  # x divides f
-    divisors = [m // p for p in sorted(_prime_factors(m))]
+    divisors = [m // p for p in sorted(degree_primes)]
     if not f.bit_count() & 1:
         return divisors[0]  # x + 1 divides f and every x^(2^d) - x
     ring = BinaryField(m, f, 0b10)  # squaring is arithmetic mod f, a field or not
@@ -302,10 +309,11 @@ class BinaryField:
         return power_table(self, self.generator, self.order).tolist()
 
 
-def _order_of_x(K: BinaryField) -> int:
-    """Multiplicative order of x in K, whose modulus is irreducible."""
+def _order_of_x(K: BinaryField, order_primes) -> int:
+    """Multiplicative order of x in K, whose modulus is irreducible, given
+    the prime factors of |K*|."""
     order = K.order
-    for p in _prime_factors(K.order):
+    for p in order_primes:
         while order % p == 0 and K.pow(0b10, order // p) == 1:
             order //= p
     return order
@@ -386,22 +394,24 @@ def build_field(m: int, modulus: int | None = None) -> BinaryField:
         if modulus is not None and modulus != 0b11:
             raise FieldError("degree-1 modulus must be x + 1")
         return BinaryField(1, 0b11, 1)
+    degree_primes = _prime_factors(m)
+    order_primes = _prime_factors((1 << m) - 1)
     if modulus is not None:
         if poly_degree(modulus) != m:
             raise FieldError(f"modulus {modulus:#x} does not have degree {m}")
-        d = irreducibility_certificate(modulus)
+        d = _certificate(modulus, degree_primes)
         if d is not None:
             raise ReducibleModulusError(modulus, d)
         K = BinaryField(m, modulus, 0b10)
-        order = _order_of_x(K)
+        order = _order_of_x(K, order_primes)
         if order != K.order:
             raise NonPrimitiveModulusError(modulus, order)
         return K
     for candidate in range((1 << m) | 1, 1 << (m + 1), 2):
-        if irreducibility_certificate(candidate) is not None:
+        if _certificate(candidate, degree_primes) is not None:
             continue
         K = BinaryField(m, candidate, 0b10)
-        if _order_of_x(K) == K.order:
+        if _order_of_x(K, order_primes) == K.order:
             return K
     raise InternalCheckError(f"no primitive polynomial of degree {m} found")
 

@@ -184,8 +184,9 @@ def _dft_prime(M: int, index: int) -> tuple[int, int]:
     top = _dft_prime(M, index - 1)[0] if index else \
         (isqrt(((1 << 63) - 1) // M) // M + 1) * M + 1
     p = next((p for p in range(top - M, M, -M) if _is_prime(p)), 1)
+    cofactors = [M // f for f in _prime_factors(M)]
     roots = (pow(x, (p - 1) // M, p) for x in range(2, p))
-    r = next((r for r in roots if all(pow(r, M // f, p) != 1 for f in _prime_factors(M))), 0)
+    r = next((r for r in roots if all(pow(r, c, p) != 1 for c in cofactors)), 0)
     if not (r and _is_prime(p) and p % M == 1 and M * (p - 1) ** 2 < 1 << 63
             and pow(r, M, p) == 1):
         raise InternalCheckError(f"no DFT prime for M = {M} at index {index}")

@@ -53,12 +53,12 @@ def _target_fields(tower, config) -> tuple[list, list]:
             ok = False
     report.add("random multiplication associativity/distributivity spot-check", ok)
     order = tower.F.order
+    cofactors = [order // p for p in _prime_factors(order)]
     for label in ("G", "H"):
         K = tower.field(label)
         w = tower.embed_F(K, tower.omega)
         report.add(f"embedded omega keeps its order in {label}",
-                   K.pow(w, order) == 1 and
-                   all(K.pow(w, order // p) != 1 for p in _prime_factors(order)))
+                   K.pow(w, order) == 1 and all(K.pow(w, c) != 1 for c in cofactors))
     return [report], []
 
 
@@ -299,7 +299,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return run(config)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,0 +1,61 @@
+"""The process entry: ``python -m cycloscheme`` and the console script run
+the CLI through one function, which freezes the collector at exit."""
+
+import gc
+import importlib
+import os
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
+
+import cycloscheme
+from cycloscheme.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(cycloscheme.__file__).resolve().parents[1]
+
+
+def python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=ROOT, timeout=120)
+
+
+def test_module_entry_matches_in_process_main(tmp_path, capsys):
+    proc = python("-m", "cycloscheme", "--s", "1", "--all",
+                  "--json", str(tmp_path / "sub.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["--s", "1", "--all", "--json", str(tmp_path / "in.json")]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert (tmp_path / "sub.json").read_bytes() == (tmp_path / "in.json").read_bytes()
+
+
+def test_module_entry_freezes_the_collector_at_exit():
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            "sys.argv = ['cycloscheme', '--s', '1', '--targets', 'fields']\n"
+            "runpy.run_module('cycloscheme', run_name='__main__', alter_sys=True)\n")
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in proc.stdout
+    assert int(proc.stdout.split("frozen ")[-1]) > 0
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert main(["--s", "1", "--targets", "fields"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_importing_the_entry_module_runs_nothing():
+    proc = python("-c", "import cycloscheme.__main__")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_console_script_is_the_module_entry():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["cycloscheme"]
+    module, _, name = target.partition(":")
+    entry_module = importlib.import_module("cycloscheme.__main__")
+    assert getattr(importlib.import_module(module), name) is entry_module.entry
