@@ -9,9 +9,12 @@ of squarings and shifts, so the modulus search and its certificates never
 run the bit-serial product.
 
 Every walk over a cyclic group of field elements reads one power table:
-``power_table`` returns base**i for i < count as uint64 words, built by
-doubling with byte lookup tables of GF(2)-linear maps, so fields of degree
-at most 64 (and towers with s <= 7).
+``power_table`` returns base**i for i < count bit-sliced, as deg K Python
+ints whose bit i is the matching bit of base**i.  It is built by doubling,
+each step one GF(2)-linear map (multiplication by a constant) applied to
+whole slices, and a linear functional along the table is the XOR of the
+slices its mask selects (``parities``).  Towers are supported up to s = 7
+(degree 63).
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from __future__ import annotations
 import math
 from functools import cached_property, reduce
 from operator import xor
-
-import numpy as np
 
 
 class FieldError(ValueError):
@@ -306,7 +307,12 @@ class BinaryField:
         """generator**k for 0 <= k < |K*| as Python ints, for the class and
         set computations that index and hash them; meant for fields small
         enough to enumerate."""
-        return power_table(self, self.generator, self.order).tolist()
+        g = self.generator
+        step = self.times_x if g == 0b10 else lambda u: self.mul(u, g)
+        out = [1]
+        for _ in range(self.order - 1):
+            out.append(step(out[-1]))
+        return out
 
 
 def _order_of_x(K: BinaryField, order_primes) -> int:
@@ -323,66 +329,87 @@ def _order_of_x(K: BinaryField, order_primes) -> int:
 # the power-table kernel
 # ---------------------------------------------------------------------------
 
-# Power tables hold field elements in uint64 words.
-WALK_DEGREE_LIMIT = 64
-
-_U64 = np.dtype("<u8")
-
-
-def _byte_tables(images: list[int]) -> np.ndarray:
-    """Lookup tables of the GF(2)-linear map sending bit i to images[i]:
-    row b takes byte b of the input to its share of the image, filled by
-    XOR-doubling so that row[v | 2^j] = row[v] ^ image of bit j."""
-    tables = np.zeros(((len(images) + 7) // 8, 256), dtype=_U64)
-    for i, image in enumerate(images):
-        row, bit = tables[i // 8], i % 8
-        row[1 << bit:2 << bit] = row[:1 << bit] ^ np.uint64(image)
-    return tables
+# The supported tower range: H = GF(2^(9s)) of degree at most 64, so
+# s <= 7, until a cost model of each target replaces this size limit.
+DEGREE_LIMIT = 64
 
 
-def _apply(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """The linear map encoded by ``tables`` applied to every word."""
-    octets = words.view(np.uint8).reshape(-1, 8)
-    out = tables[0][octets[:, 0]]
-    for b in range(1, len(tables)):
-        out ^= tables[b][octets[:, b]]
+def _apply(images: list[int], table: list[int]) -> list[int]:
+    """The slices of a bit-sliced table under the GF(2)-linear map sending
+    x**i to images[i]: each slice i is XORed into the output slice of
+    every set bit of its image."""
+    out = [0] * len(table)
+    for image, word in zip(images, table):
+        j = 0
+        while image:
+            if image & 1:
+                out[j] ^= word
+            image >>= 1
+            j += 1
     return out
 
 
-def _mul_tables(K: BinaryField, c: int) -> np.ndarray:
-    """Byte tables of u -> c*u in K: bit i of u maps to c * x**i."""
-    return _byte_tables(K.x_multiples(c, K.degree))
+def power_table(K: BinaryField, base: int, count: int) -> list[int]:
+    """base**i for 0 <= i < count, bit-sliced: deg K ints, bit i of int t
+    being bit t of base**i.  The table doubles by appending itself times
+    step = base**len, the linear map of the images step * x**t."""
+    table, length, step = [1] + [0] * (K.degree - 1), 1, base
+    while length < count:
+        table = [word | image << length for word, image
+                 in zip(table, _apply(K.x_multiples(step, K.degree), table))]
+        length, step = 2 * length, K.square(step)
+    keep = (1 << count) - 1
+    return [word & keep for word in table]
 
 
-def power_table(K: BinaryField, base: int, count: int) -> np.ndarray:
-    """base**i for 0 <= i < count as uint64 words (degree <= 64): the table
-    doubles by appending itself times base**len, one lookup per word."""
-    table, step = np.ones(1, dtype=_U64), base  # step = base**len(table)
-    while len(table) < count:
-        table = np.concatenate([table, _apply(_mul_tables(K, step), table)])
-        step = K.square(step)
-    return table[:count]
+def parities(table: list[int], masks) -> list[int]:
+    """For each mask, the int whose bit i is the parity of u_i & mask along
+    a bit-sliced table of the u_i: the XOR of the slices the mask selects,
+    the GF(2)-linear functional with that mask read along the table."""
+    out = []
+    for mask in masks:
+        word, t = 0, 0
+        while mask:
+            if mask & 1:
+                word ^= table[t]
+            mask >>= 1
+            t += 1
+        out.append(word)
+    return out
 
 
-def parities(words, masks) -> np.ndarray:
-    """Row i is the parity of w & masks[i] for every word w: the GF(2)-linear
-    functional with that mask, read along a power table."""
-    words = np.asarray(words, dtype=_U64)
-    return np.array([np.bitwise_count(words & np.uint64(mask)) & 1 for mask in masks])
+def parity_string(K: BinaryField, masks) -> str:
+    """Character k is '1' when generator**k has odd parity against some
+    mask: the OR of the masks' parity words along the power table of K*,
+    as a string whose strided slices and counts read the exponent classes."""
+    odd = 0
+    for word in parities(power_table(K, K.generator, K.order), masks):
+        odd |= word
+    return format(odd, f"0{K.order}b")[::-1]
 
 
-def trace_forms(K: BinaryField, elements) -> np.ndarray:
+def trace_forms(K: BinaryField, elements) -> list[int]:
     """m[a], the mask of the functional u -> Tr(a*u), for every a in
-    ``elements`` as uint64 words: bit j of m[a] is Tr(a x^j), the parity of
-    a & L_j, where bit i of the Hankel mask L_j is Tr(x^(i+j))."""
+    ``elements``: bit j of m[a] is Tr(a x^j).  a -> m[a] is GF(2)-linear,
+    x^i mapping to the Hankel row whose bit j is Tr(x^(i+j)); it is read
+    from lookup tables, one per byte of a, filled by XOR-doubling."""
     n = K.degree
     trace = [(u & K.trace_mask).bit_count() & 1 for u in K.x_multiples(1, 2 * n - 1)]
-    words = np.asarray(elements, dtype=_U64)
-    masks = np.zeros(len(words), dtype=_U64)
-    for j in range(n):  # one bit at a time keeps the working set at a few words each
-        hankel = sum(bit << i for i, bit in enumerate(trace[j:j + n]))
-        masks |= (np.bitwise_count(words & np.uint64(hankel)) & 1).astype(_U64) << np.uint64(j)
-    return masks
+    rows = []
+    for k in range(0, n, 8):
+        row = [0]
+        for i in range(k, min(k + 8, n)):
+            image = sum(bit << j for j, bit in enumerate(trace[i:i + n]))
+            row += [v ^ image for v in row]
+        rows.append(row)
+    out = []
+    for a in elements:
+        m = 0
+        for row in rows:
+            m ^= row[a & 255]
+            a >>= 8
+        out.append(m)
+    return out
 
 
 def build_field(m: int, modulus: int | None = None) -> BinaryField:
@@ -428,6 +455,11 @@ def modulus_from_hex(text: str) -> int:
 # the field tower
 # ---------------------------------------------------------------------------
 
+# The largest block of exponents that the subfield-root search tables at
+# once: at s = 4 the roots in G and H (k = 397 and 467) appear at 512.
+_ROOT_BLOCK = 1 << 16
+
+
 class FieldTower:
     """Nested binary fields E, F, G, H of degrees s, 3s, 6s, 9s; F embeds
     into G and H, and the order-M classes of G and H are the classes of F
@@ -448,20 +480,32 @@ class FieldTower:
 
     # -- construction helpers -------------------------------------------------
 
-    def _find_subfield_root(self, table: np.ndarray) -> int:
-        """The smallest k with z**k a root of F's modulus f, given the table
-        of z**i over the order-|F*| subgroup of K generated by z: f(z**k) is
-        the XOR of z**(i*k mod |F*|) over the terms x**i of f."""
-        f, n = self.F.modulus, len(table)
-        k = np.arange(n)
-        value = np.zeros(n, dtype=table.dtype)
-        for i in range(f.bit_length()):
-            if f >> i & 1:
-                value ^= table[i * k % n]
-        roots = np.flatnonzero(value == 0)
-        if not len(roots):
-            raise InternalCheckError("no root of F's modulus in the subfield")
-        return int(roots[0])
+    def _find_subfield_root(self, K: BinaryField, z: int) -> int:
+        """The smallest k with z**k a root of F's modulus f, z of order
+        |F*| in K: f(z**k) is the XOR of (z**i)**k over the terms x**i of
+        f.  Bit-sliced tables of those powers over a block of k double, as
+        in ``power_table``, up to ``_ROOT_BLOCK`` exponents and then move on
+        block by block; the first block where the OR of the value's slices
+        has a zero bit holds the root."""
+        f, order = self.F.modulus, self.F.order
+        steps = [K.pow(z, i) for i in range(f.bit_length()) if f >> i & 1]
+        tables = [[1] + [0] * (K.degree - 1) for _ in steps]  # k in [k0, k0 + length)
+        k0, length = 0, 1
+        while k0 < order:
+            nonzero = reduce(lambda acc, word: acc | word,
+                             (reduce(xor, words) for words in zip(*tables)), 0)
+            zeros = ~nonzero & ((1 << min(length, order - k0)) - 1)
+            if zeros:
+                return k0 + (zeros & -zeros).bit_length() - 1
+            moved = [_apply(K.x_multiples(step, K.degree), table)  # times (z**i)**length
+                     for step, table in zip(steps, tables)]
+            if length < _ROOT_BLOCK:
+                tables = [[word | image << length for word, image in zip(table, images)]
+                          for table, images in zip(tables, moved)]
+                steps, length = [K.square(step) for step in steps], 2 * length
+            else:
+                tables, k0 = moved, k0 + length
+        raise InternalCheckError("no root of F's modulus in the subfield")
 
     def _embedding(self, K: BinaryField) -> tuple[list[int], int]:
         """Embed F into K by omega = x -> z**k, the first root of F's modulus
@@ -470,10 +514,12 @@ class FieldTower:
         lies in class n * k^-1 mod M.  Returns the powers of the root and
         that class step."""
         F = self.F
-        table = power_table(K, K.pow(K.generator, K.order // F.order), F.order)
-        k = self._find_subfield_root(table)
-        root_powers = table[k * np.arange(F.degree) % F.order].tolist()
-        root = int(table[k])
+        z = K.pow(K.generator, K.order // F.order)
+        k = self._find_subfield_root(K, z)
+        root = K.pow(z, k)
+        root_powers = [1]
+        for _ in range(F.degree - 1):
+            root_powers.append(K.mul(root_powers[-1], root))
         value = reduce(lambda acc, i: K.mul(acc, root) ^ (F.modulus >> i & 1),
                        reversed(range(F.modulus.bit_length())), 0)
         if value:
@@ -519,10 +565,10 @@ def build_tower(s: int, mod_f: int | None = None, mod_g: int | None = None,
                 mod_h: int | None = None) -> FieldTower:
     if s < 1:
         raise FieldError("s must be >= 1")
-    if 9 * s > WALK_DEGREE_LIMIT:
-        raise FieldError(f"H = GF(2^{9 * s}) does not fit the uint64 power "
-                         f"tables (degree <= {WALK_DEGREE_LIMIT}, so s <= "
-                         f"{WALK_DEGREE_LIMIT // 9})")
+    if 9 * s > DEGREE_LIMIT:
+        raise FieldError(f"H = GF(2^{9 * s}) is outside the supported range "
+                         f"(degree <= {DEGREE_LIMIT}, so s <= {DEGREE_LIMIT // 9}) "
+                         "until a cost model of each target replaces this limit")
     E = build_field(s)
     F = build_field(3 * s, mod_f)
     G = build_field(6 * s, mod_g)

@@ -1,34 +1,36 @@
 """Exact Gauss periods, and the identities between their Gauss sums.
 
-A Gauss sum G(phi^ell) = sum_j eta_j zeta^(j ell) lives in Z[zeta_M], but
-none is formed here: the identities between Gauss sums are verified for
-every ell at once, by comparing number-theoretic DFT tables of the periods
-modulo primes p = 1 (mod M) whose product exceeds an L1 bound on the
-difference of the two sides; a norm argument makes that comparison exact.
+The periods are trace-zero counts over E*-orbits, read from bit-sliced
+power tables, and come back as a tuple of Python ints.  A Gauss sum
+G(phi^ell) = sum_j eta_j zeta^(j ell) lives in Z[zeta_M], but none is
+formed here: the identities between Gauss sums are verified for every ell
+at once, by comparing number-theoretic DFT tables of the periods modulo
+primes p = 1 (mod M) whose product exceeds an L1 bound on the difference
+of the two sides; a norm argument makes that comparison exact.  Each table
+is a Bluestein transform, one Kronecker product in Z[Z_M].
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt
 
-import numpy as np
-
-from .binfield import (WALK_DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
-                       InternalCheckError, _apply, _is_prime, _mul_tables,
-                       _prime_factors, power_table, trace_forms)
+from .binfield import (DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
+                       InternalCheckError, _apply, _is_prime, _prime_factors,
+                       parities, power_table, trace_forms)
 from .cycpart import _psi_route, get_partition
 from .reporting import Report
+from .zmring import _cyclic_product, _indicator, _inverse
 
 
 # ---------------------------------------------------------------------------
 # Gauss periods
 # ---------------------------------------------------------------------------
 
-# Words per chunk of the strided power table walked by the period kernel;
-# it bounds the kernel's working set (the words, one AND and its parities,
-# about 0.3 MB).  Fields with fewer strided exponents get one chunk.
-_CHUNK_WORDS = 1 << 14
+# Exponents per chunk of the strided power table walked by the period
+# kernel: each of its deg K slices is an int of this many bits, about 0.3 MB
+# of slices at degree 36.  Fields with fewer strided exponents get one chunk.
+_CHUNK_EXPONENTS = 1 << 16
 
 
 def _doubling_orbits(M: int) -> list[list[int]]:
@@ -44,15 +46,18 @@ def _doubling_orbits(M: int) -> list[list[int]]:
     return orbits
 
 
-def _even_against_every_mask(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Entry j: the number of words with even parity against every mask of
-    row j.  Bit 0 of an OR of popcounts is the OR of their parities."""
-    counts = np.empty(len(masks), dtype=np.int64)
-    for j, row in enumerate(masks):
-        odd = np.bitwise_count(words & row[0])
-        for mask in row[1:]:
-            odd |= np.bitwise_count(words & mask)
-        counts[j] = len(words) - np.count_nonzero(odd & 1)
+def _even_against_every_mask(table: list[int], masks: list[list[int]],
+                             width: int) -> list[int]:
+    """Entry j: the number of the first ``width`` exponents of a bit-sliced
+    table whose element has even parity against every mask of masks[j]:
+    ``width`` less the popcount of the OR of the masks' parity words."""
+    keep = (1 << width) - 1
+    counts = []
+    for row in masks:
+        odd = 0
+        for word in parities(table, row):
+            odd |= word
+        counts.append(width - (odd & keep).bit_count())
     return counts
 
 
@@ -61,41 +66,40 @@ def _trace_zero_counts(K: BinaryField, M: int, s: int) -> list[int]:
     generator of K, E = GF(2^s) and P = |K*|/(2^s - 1), a multiple of M.
 
     Tr_{K/E}(u) = 0 iff Tr(beta^i u) = 0 for every i < s, beta = g^P a
-    generator of E*.  So n = r + M t is counted when the word g^(M t) has
-    even parity against the s trace-form masks of beta^i g^r.  The words
-    are a power table of g^M, walked in chunks of L and moved on by g^(M L).
-    u -> u^2 sends g^n to g^(2n) and keeps the relative trace zero, so Z
-    is constant on each orbit of doubling on Z_M: the walk counts two
-    members, r and 2r, of every orbit, which must agree.  Integer arrays
-    only; the words are uint64, hence the degree bound.
+    generator of E*.  So n = r + M t is counted when g^(M t) has even
+    parity against the s trace-form masks of beta^i g^r.  The g^(M t) are a
+    bit-sliced power table of g^M, walked in chunks of L exponents and
+    moved on by g^(M L).  u -> u^2 sends g^n to g^(2n) and keeps the
+    relative trace zero, so Z is constant on each orbit of doubling on Z_M:
+    the walk counts two members, r and 2r, of every orbit, which must agree.
     """
-    if K.degree > WALK_DEGREE_LIMIT:
-        raise FieldError(f"the Gauss-period walk needs degree <= "
-                         f"{WALK_DEGREE_LIMIT}, not {K.degree}")
+    if K.degree > DEGREE_LIMIT:
+        raise FieldError(f"the Gauss-period walk supports degree <= "
+                         f"{DEGREE_LIMIT}, not {K.degree}")
     g, q = K.generator, 1 << s
     P = K.order // (q - 1)
     N = P // M  # strided exponents per residue
     orbits = _doubling_orbits(M)
     walked = [r for orbit in orbits for r in orbit[:2]]
-    starts = power_table(K, g, M)[walked]
     beta = K.pow(g, P)
-    masks = trace_forms(K, np.concatenate(
-        [_apply(_mul_tables(K, K.pow(beta, i)), starts) for i in range(s)]))
-    masks = masks.reshape(s, -1).T  # row j: the s masks of residue walked[j]
-    L = min(N, _CHUNK_WORDS)
+    betas = [K.pow(beta, i) for i in range(s)]
+    starts = [K.pow(g, r) for r in walked]
+    forms = trace_forms(K, [K.mul(b, u) for b in betas for u in starts])
+    masks = [forms[j::len(walked)] for j in range(len(walked))]  # the s masks of walked[j]
+    L = min(N, _CHUNK_EXPONENTS)
     start = power_table(K, K.pow(g, M), L)
-    advance = _mul_tables(K, K.pow(g, M * L))
-    counts = np.zeros(len(walked), dtype=np.int64)
-    words, done = start, 0
+    advance = K.x_multiples(K.pow(g, M * L), K.degree)
+    counts = [0] * len(walked)
+    table, done = start, 0
     while done < N:
-        counts += _even_against_every_mask(words[:N - done], masks)
-        words = _apply(advance, words)
+        counts = [c + e for c, e in zip(counts, _even_against_every_mask(
+            table, masks, min(L, N - done)))]
+        table = _apply(advance, table)
         done += L
     # g^|K*| = 1: multiplying by g^(-M*done) must restore the start
-    rewind = _mul_tables(K, K.pow(g, -M * done % K.order))
-    if not np.array_equal(_apply(rewind, words), start):
+    if _apply(K.x_multiples(K.pow(g, -M * done % K.order), K.degree), table) != start:
         raise InternalCheckError("period walk did not return to its start")
-    count = dict(zip(walked, counts.tolist()))
+    count = dict(zip(walked, counts))
     zeros = [0] * M
     for orbit in orbits:
         if count[orbit[0]] != count[orbit[1 % len(orbit)]]:
@@ -110,17 +114,15 @@ def _trace_zero_counts(K: BinaryField, M: int, s: int) -> list[int]:
 
 
 @cache
-def gauss_periods(tower: FieldTower, label: str) -> np.ndarray:
+def gauss_periods(tower: FieldTower, label: str) -> tuple[int, ...]:
     """eta_a = sum of psi over the a-th order-M cyclotomic class, for all a,
-    as a read-only int64 array.
+    as an immutable tuple of Python ints.
 
     The class of g^n is n*step mod M.  E* = <g^P> lies in the class of 1,
     as M divides P = |K*|/(q - 1), so the class r*step is the union of the
     orbits u E*, u = g^n with n < P and n = r mod M.  On one orbit psi sums
     to q - 1 if Tr_{K/E}(u) = 0 and to -1 otherwise, so eta at class r*step
-    is q Z[r] - P/M, Z the trace-zero counts.  sum |eta| bounds any sum of
-    distinct periods, and it is at most |K*|, below 2^63 for every field
-    the walk accepts; the guard keeps that a checked fact.
+    is q Z[r] - P/M, Z the trace-zero counts.
     """
     K = tower.field(label)
     M, q = tower.M, 1 << tower.s
@@ -133,22 +135,17 @@ def gauss_periods(tower: FieldTower, label: str) -> np.ndarray:
         eta[r * step % M] = q * zeros - per_class
     if sum(eta) != -1:
         raise InternalCheckError("Gauss periods do not sum to -1")
-    if sum(map(abs, eta)) >= 1 << 63:
-        raise InternalCheckError(f"periods over {label} do not fit int64")
-    eta = np.array(eta, dtype=np.int64)
-    eta.flags.writeable = False
-    return eta
+    return tuple(eta)
 
 
 def eta_prime_law_check(tower: FieldTower) -> Report:
     """eta'_a over G must equal -2^s * psi(omega^a D) - 1 for every a."""
     eta_g = gauss_periods(tower, "G")
-    law = -(1 << tower.s) * np.array(_psi_route(tower)[0]) - 1
-    bad = np.flatnonzero(eta_g != law)
+    law = [-(1 << tower.s) * v - 1 for v in _psi_route(tower)[0]]
+    bad = next((a for a, (e, v) in enumerate(zip(eta_g, law)) if e != v), None)
     report = Report(f"G-period law (s={tower.s})")
-    report.add("eta'_a == -2^s psi(omega^a D) - 1 for all a", not len(bad),
-               f"first mismatch at a={bad[0]}: {eta_g[bad[0]]} != {law[bad[0]]}"
-               if len(bad) else "")
+    report.add("eta'_a == -2^s psi(omega^a D) - 1 for all a", bad is None,
+               "" if bad is None else f"first mismatch at a={bad}: {eta_g[bad]} != {law[bad]}")
     return report
 
 
@@ -172,15 +169,12 @@ def eta_prime_law_check(tower: FieldTower) -> Report:
 # the first failing ell is the least gcd(m, M) over the failing m.  The
 # period expansion keeps its bound 2 M |eta| under the same rule.
 
-# Rows per block of a DFT matrix: a block is this many rows of length M.
-_DFT_ROWS = 64
-
-
 @cache
 def _dft_prime(M: int, index: int) -> tuple[int, int]:
     """(p, r): the index-th largest prime p = 1 (mod M) with
-    M (p-1)^2 < 2^63, so that a sum of M products of residues fits int64,
-    and r = x^((p-1)/M) of exact order M for the least such x >= 2."""
+    M (p-1)^2 < 2^63, and r = x^((p-1)/M) of exact order M for the least
+    such x >= 2.  A sum of M products of residues stays below 2^63, so the
+    digits of a Bluestein product are at most 8 bytes wide."""
     top = _dft_prime(M, index - 1)[0] if index else \
         (isqrt(((1 << 63) - 1) // M) // M + 1) * M + 1
     p = next((p for p in range(top - M, M, -M) if _is_prime(p)), 1)
@@ -202,33 +196,44 @@ def _primes(M: int, bound: int) -> list[tuple[int, int]]:
     return primes
 
 
-def _dft(values, M: int, p: int, r: int) -> np.ndarray:
-    """out[m] = sum_j values[j] r^(j m) mod p: one int64 matrix-vector
-    product, the matrix gathered in blocks of rows from the powers of r.
-    Both factors are residues below p, so no sum reaches M (p-1)^2."""
-    powers = np.array([pow(r, k, p) for k in range(M)], dtype=np.int64)
-    x = (np.asarray(values) % p).astype(np.int64)
-    out = np.empty(M, dtype=np.int64)
-    for start in range(0, M, _DFT_ROWS):
-        m = np.arange(start, min(start + _DFT_ROWS, M))[:, None]
-        out[start:start + len(m)] = powers[m * np.arange(M) % M] @ x % p
-    return out
+@cache
+def _chirp(M: int, p: int, r: int) -> tuple[list[int], list[int]]:
+    """(c, d): c[k] = w^(k^2) and d[k] = w^(-k^2) mod p for k < M, with
+    w = r^h and h = 2^-1 mod M (M is odd), so that w^(k^2) has period M."""
+    w = pow(r, pow(2, -1, M), p)
+    powers = [1] * M
+    for k in range(1, M):
+        powers[k] = powers[k - 1] * w % p
+    return ([powers[k * k % M] for k in range(M)],
+            [powers[-k * k % M] for k in range(M)])
 
 
-def _l1(eta: np.ndarray) -> int:
-    return int(np.abs(eta).sum())
+@cache
+def _dft(values: tuple, M: int, p: int, r: int) -> tuple[int, ...]:
+    """out[m] = sum_j values[j] r^(j m) mod p, built once per table and
+    prime.  Bluestein: jm = h((j+m)^2 - j^2 - m^2) mod M, so out[m] is
+    d[m] sum_j (values[j] d[j]) c[j + m], the chirp c read cyclically: one
+    cyclic correlation, the Kronecker product c * (values d)^-1 in Z[Z_M]."""
+    c, d = _chirp(M, p, r)
+    weighted = [v * x % p for v, x in zip(values, d)]
+    return tuple(y * x % p for y, x in zip(_cyclic_product(c, _inverse(weighted)), d))
+
+
+def _l1(eta) -> int:
+    return sum(map(abs, eta))
 
 
 def _table_check(report: Report, name: str, bound: int, vectors, agree) -> Report:
-    """Add the check that ``agree(p, *tables)``, the tables DFT_p of
+    """Add the check that ``agree(p, m, *tables)``, the tables DFT_p of
     ``vectors``, holds at every m in [1, M) for each prime the coefficient
     bound needs; the detail names the first failing ell."""
     M = len(vectors[0])
-    failing = np.zeros(M, dtype=bool)
+    failing = set()
     for p, r in _primes(M, bound):
-        failing |= ~agree(p, *(_dft(v, M, p, r) for v in vectors))
-    m = np.flatnonzero(failing[1:]) + 1
-    report.add(name, not len(m), f"ell={np.gcd(m, M).min()}" if len(m) else "")
+        tables = [_dft(tuple(v), M, p, r) for v in vectors]
+        failing.update(m for m in range(1, M) if not agree(p, m, *tables))
+    report.add(name, not failing,
+               f"ell={min(gcd(m, M) for m in failing)}" if failing else "")
     return report
 
 
@@ -242,8 +247,8 @@ def verify_t1_gauss_identity(tower: FieldTower) -> Report:
     eta = gauss_periods(tower, "F")
     return _table_check(Report(f"Gauss sum vs T1 identity (s={tower.s})"),
                         "G_F(chi^ell) == 2^s sum_{x in T1} zeta^(ell x), all ell",
-                        _l1(eta) + q * len(T1), [eta, np.bincount(T1, minlength=tower.M)],
-                        lambda p, v, w: v == q * w % p)
+                        _l1(eta) + q * len(T1), [eta, _indicator(T1, tower.M)],
+                        lambda p, m, v, w: v[m] == q * w[m] % p)
 
 
 def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
@@ -257,17 +262,16 @@ def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
         Report(f"Hasse-Davenport lift degree {lift_degree} (s={tower.s})"),
         f"G_{label}(chi'^ell) == {'-' if sign < 0 else ''}(G_F(chi^ell))^{lift_degree}",
         _l1(eta) + _l1(eta_f) ** lift_degree, [eta_f, eta],
-        lambda p, v_f, v: v == sign * (v_f * v_f % p * v_f ** (lift_degree - 2)) % p)
+        lambda p, m, v_f, v: v[m] == sign * pow(v_f[m], lift_degree, p) % p)
 
 
 def gauss_sum_modulus_check(tower: FieldTower, label: str) -> Report:
     """|G(chi^ell)|^2 = |K| for nonprincipal ell: V[m] V[-m] = |K|."""
     size = tower.field(label).size
     eta = gauss_periods(tower, label)
-    neg = -np.arange(tower.M) % tower.M
     return _table_check(Report(f"Gauss sum modulus over {label} (s={tower.s})"),
                         f"G * conj(G) == {size}", _l1(eta) ** 2 + size, [eta],
-                        lambda p, v: v * v[neg] % p == size % p)
+                        lambda p, m, v: v[m] * v[-m] % p == size % p)
 
 
 def period_expansion_check(tower: FieldTower, label: str) -> Report:
@@ -276,13 +280,14 @@ def period_expansion_check(tower: FieldTower, label: str) -> Report:
     integer vector eta, so it checks the tables, not the periods."""
     M = tower.M
     eta = gauss_periods(tower, label)
-    failing = np.zeros(M, dtype=bool)
+    failing = set()
     for p, r in _primes(M, 2 * M * _l1(eta)):
-        failing |= _dft(_dft(eta, M, p, r), M, p, r)[-np.arange(M) % M] != eta % p * M % p
-    bad = np.flatnonzero(failing)
+        twice = _dft(_dft(tuple(eta), M, p, r), M, p, r)
+        failing.update(a for a in range(M) if twice[-a] != eta[a] % p * M % p)
+    bad = min(failing, default=None)
     report = Report(f"period-from-sums expansion over {label} (s={tower.s})")
-    report.add("expansion reproduces all periods", not len(bad),
-               f"a={bad[0]}: inverse DFT is not M*eta_a" if len(bad) else "")
+    report.add("expansion reproduces all periods", bad is None,
+               "" if bad is None else f"a={bad}: inverse DFT is not M*eta_a")
     return report
 
 
@@ -291,7 +296,6 @@ def conjugation_symmetry_check(tower: FieldTower, label: str) -> Report:
     The table of eta read backwards must be V[-m]; this holds for every
     integer vector eta, so it checks the tables, not the periods."""
     eta = gauss_periods(tower, label)
-    neg = -np.arange(tower.M) % tower.M
     return _table_check(Report(f"conjugation symmetry over {label} (s={tower.s})"),
-                        "conj(G(ell)) == G(M-ell)", 2 * _l1(eta), [eta[neg], eta],
-                        lambda p, back, v: back == v[neg])
+                        "conj(G(ell)) == G(M-ell)", 2 * _l1(eta), [_inverse(eta), eta],
+                        lambda p, m, back, v: back[m] == v[-m])

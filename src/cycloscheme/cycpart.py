@@ -7,7 +7,8 @@ trace quadric.  They must agree.
 D, the quadric Q = {u : tr(u^(q+1)) = 0} and Z = ker tr_{F/E} are
 unions of the order-M classes C_r = omega^r E*, so both routes are
 products in Z[Z_M] of M-periodic indicators over the exponents k of
-g^k = omega^k.
+g^k = omega^k.  The indicators are bit strings read off the bit-sliced
+power table of F, so strided slices and counts do the class arithmetic.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
-import numpy as np
-
-from .binfield import BinaryField, FieldTower, InternalCheckError, parities
+from .binfield import BinaryField, FieldTower, InternalCheckError, parity_string
 from .reporting import Report
-from .zmring import _cyclic_product, _inverse
+from .zmring import _cyclic_product, _indicator, _inverse
 
 
 @dataclass(frozen=True)
@@ -47,55 +46,73 @@ class CyclotomicPartition:
 
 
 class _ClassIndicators(NamedTuple):
-    """Read-only boolean arrays over the exponents k in [0, |F*|)."""
-    Z: np.ndarray  # tr_{F/E}(g^k) = 0
-    D: np.ndarray  # g^k in D: tr_{F/E}(g^-k) = 0
-    Q: np.ndarray  # g^k on the quadric: tr_{F/E}(g^(k(q+1))) = 0
+    """Bit strings over the exponents k in [0, |F*|): character k is '1'
+    when g^k lies in the set."""
+    Z: str  # tr_{F/E}(g^k) = 0
+    D: str  # g^k in D: tr_{F/E}(g^-k) = 0
+    Q: str  # g^k on the quadric: tr_{F/E}(g^(k(q+1))) = 0
 
 
-def _trace_zero_indicator(F: BinaryField, s: int) -> np.ndarray:
-    """Z[k] is True when tr_{F/E}(g^k) = 0, i.e. when g^k has even parity
-    against every mask of ``subfield_zero_masks``."""
-    return ~parities(F.powers, F.subfield_zero_masks(s)).any(axis=0)
+_FLIP = str.maketrans("01", "10")
+
+
+def _trace_zero_indicator(F: BinaryField, s: int) -> str:
+    """Character k is '1' when tr_{F/E}(g^k) = 0, i.e. when g^k has even
+    parity against every mask of ``subfield_zero_masks``."""
+    return parity_string(F, F.subfield_zero_masks(s)).translate(_FLIP)
+
+
+def _gather(bits: str, step: int) -> str:
+    """Character k is bits[k * step mod n], n = len(bits): the strided
+    slices bits[o::step], each pass starting where the last one wrapped."""
+    n, passes, o, total = len(bits), [], 0, 0
+    while total < n:
+        passes.append(bits[o::step])
+        total += len(passes[-1])
+        o = (o - n) % step
+    return "".join(passes)[:n]
 
 
 @cache
 def _class_indicators(tower: FieldTower) -> _ClassIndicators:
     """Z, D and Q as index maps of one trace-zero indicator, checked before
     any route folds them: |D| = q^2 - 1, D equals Q (the quadratic-form
-    description of D), and all three are E*-invariant, i.e. reshaped to
-    (q - 1, M) their rows are equal."""
+    description of D), and all three are E*-invariant, i.e. cut into q - 1
+    rows of length M their rows are equal."""
     F, M = tower.F, tower.M
     q = 1 << tower.s
     zero = _trace_zero_indicator(F, tower.s)
-    k = np.arange(F.order)
     # gcd(q + 1, q^3 - 1) = 1, so k -> k(q + 1) permutes the exponents
-    ind = _ClassIndicators(zero, zero[-k % F.order], zero[k * (q + 1) % F.order])
-    size = int(ind.D.sum())
+    ind = _ClassIndicators(zero, zero[:1] + zero[:0:-1], _gather(zero, q + 1))
+    size = ind.D.count("1")
     if size != q * q - 1:
         raise InternalCheckError(f"|D| = {size}, expected {q * q - 1}")
-    if not np.array_equal(ind.D, ind.Q):
+    if ind.D != ind.Q:
         raise InternalCheckError("quadratic-form description of D failed")
-    for name, arr in ind._asdict().items():
-        if not (arr.reshape(q - 1, M) == arr[:M]).all():
+    for name, bits in ind._asdict().items():
+        if bits != bits[:M] * (q - 1):
             raise InternalCheckError(f"{name} is not E*-invariant")
-        arr.flags.writeable = False
     return ind
+
+
+def _row(bits: str, M: int) -> list[int]:
+    """The first M characters of a bit string as 0/1 coefficients."""
+    return [int(c) for c in bits[:M]]
 
 
 @cache
 def compute_D(tower: FieldTower) -> frozenset[int]:
     """Nonzero u in F with tr_{F/E}(1/u) = 0; invariant under E* scaling."""
     D = _class_indicators(tower).D
-    return frozenset(np.array(tower.F.powers)[D].tolist())
+    return frozenset(u for u, bit in zip(tower.F.powers, D) if bit == "1")
 
 
-def _class_psi_sums(tower: FieldTower) -> np.ndarray:
+def _class_psi_sums(tower: FieldTower) -> list[int]:
     """c[r] = sum over j of psi(omega^(r + jM)): the psi-sum over the class
     C_r, read from the power table, independent of the period walk."""
     F, M = tower.F, tower.M
-    ones = parities(F.powers, [F.trace_mask]).reshape(-1, M).sum(axis=0, dtype=np.int64)
-    return F.order // M - 2 * ones
+    ones = parity_string(F, [F.trace_mask])
+    return [F.order // M - 2 * ones[r::M].count("1") for r in range(M)]
 
 
 def _split(tower: FieldTower, values, keys, name: str) -> CyclotomicPartition:
@@ -113,8 +130,8 @@ def _psi_route(tower: FieldTower) -> tuple[tuple[int, ...], CyclotomicPartition]
     """psi(omega^a D) = sum over r in dlog D mod M of c[(a + r) mod M] for
     every a, and the partition by its three values -1, q - 1, -q - 1."""
     q = 1 << tower.s
-    D = _class_indicators(tower).D[:tower.M].astype(np.int64)
-    values = tuple(_cyclic_product(_class_psi_sums(tower), _inverse(D)).tolist())
+    D = _row(_class_indicators(tower).D, tower.M)
+    values = tuple(_cyclic_product(_class_psi_sums(tower), _inverse(D)))
     return values, _split(tower, values, (-1, q - 1, -q - 1), "psi(omega^{} D)")
 
 
@@ -128,11 +145,10 @@ def partition_by_trace(tower: FieldTower) -> CyclotomicPartition:
     |S_a| = (q - 1) * #{r in dlog Q mod M : (a + r) mod M in dlog Z mod M}."""
     q, M = 1 << tower.s, tower.M
     ind = _class_indicators(tower)
-    zero_row = ind.Z[:M]
-    counts = _cyclic_product(zero_row.astype(np.int64), _inverse(ind.Q[:M].astype(np.int64)))
-    sizes = (q - 1) * counts
-    part = _split(tower, sizes.tolist(), (q - 1, 2 * (q - 1), 0), "|S_{}|")
-    if not np.array_equal(zero_row, sizes == q - 1):
+    zero_row = _row(ind.Z, M)
+    sizes = [(q - 1) * c for c in _cyclic_product(zero_row, _inverse(_row(ind.Q, M)))]
+    part = _split(tower, sizes, (q - 1, 2 * (q - 1), 0), "|S_{}|")
+    if zero_row != [int(size == q - 1) for size in sizes]:
         raise InternalCheckError("tangent-count T1 disagrees with trace-zero T1")
     return part
 
@@ -151,8 +167,8 @@ def d_class_check(tower: FieldTower) -> Report:
     E*-invariant, so its first row of exponents decides that."""
     part = get_partition(tower)
     M = tower.M
-    neg_t1 = _inverse(np.bincount(part.T1, minlength=M))
+    neg_t1 = _inverse(_indicator(part.T1, M))
     report = Report(f"D as a class union (s={tower.s})")
     report.add("D == union of C_i, i in -T1",
-               np.array_equal(_class_indicators(tower).D[:M], neg_t1))
+               _row(_class_indicators(tower).D, M) == neg_t1)
     return report

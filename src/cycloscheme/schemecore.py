@@ -5,7 +5,9 @@ criterion: a fusion of the order-M cyclotomic classes is a 3-class
 translation scheme exactly when the fused character-value rows take 3
 distinct nonprincipal values.  Everything downstream (P, Q, intersection
 numbers) is exact integer/rational arithmetic on 4x4 matrices; adjacency
-matrices are never materialized.
+matrices are never materialized.  Index census columns are products in
+Z[Z_M]; element census columns are Walsh-Hadamard transforms run on one
+packed Python int.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
-from .binfield import BinaryField, FieldTower, InternalCheckError, parities, trace_forms
+from .binfield import (BinaryField, FieldTower, InternalCheckError, parity_string,
+                       trace_forms)
 from .charsum import gauss_periods
 from .cycpart import d_class_check, get_partition
 from .reporting import Report
-from .zmring import _cyclic_product, _inverse
+from .zmring import _cyclic_product, _halves, _indicator, _inverse, _pack, _unpack
 
 _ORACLE_SIZE_LIMIT = 1 << 12
 _JSON_INT_LIMIT = 1 << 53
@@ -131,15 +132,15 @@ def _census(columns) -> dict:
     return census
 
 
-def _trace_form_masks(K: BinaryField) -> np.ndarray:
+def _trace_form_masks(K: BinaryField) -> list[int]:
     """m[a], the mask of the functional x -> Tr(g^a x), for every a (see
     ``trace_forms``; the generator g need not be x).  u -> m_u is a linear
     bijection, so the masks must be nonzero and distinct, and m[0] = m_1
     is the trace mask."""
-    masks = trace_forms(K, K.powers).astype(np.int64)
+    masks = trace_forms(K, K.powers)
     if masks[0] != K.trace_mask:
         raise InternalCheckError("the trace-form mask of 1 is not the trace mask")
-    if not (np.bincount(masks, minlength=K.size)[1:] == 1).all():
+    if 0 in masks or len(set(masks)) != len(masks):
         raise InternalCheckError("the trace-form masks of K* are not nonzero and distinct")
     return masks
 
@@ -147,16 +148,32 @@ def _trace_form_masks(K: BinaryField) -> np.ndarray:
 def _element_columns(K: BinaryField, blocks) -> list[list[int]]:
     """Column b, entry a: sum over x in S = {g^k : k in b} of psi(g^a x) =
     W_S[m[a]], where W_S[m] = sum over x in S of (-1)^parity(x & m) is the
-    Walsh-Hadamard transform of the indicator of S over (K, +), done in
-    deg K butterfly stages of int64 adds; |W_S| <= |S|, so it is exact."""
-    W = np.zeros((len(blocks), K.size), dtype=np.int64)
-    for row, b in zip(W, blocks):
-        row[[K.powers[k] for k in b]] = 1
-    for j in range(K.degree):
-        pairs = W.reshape(len(blocks), -1, 2, 1 << j)
-        low, high = pairs[:, :, 0], pairs[:, :, 1]
-        W = np.stack([low + high, low - high], axis=2).reshape(len(blocks), -1)
-    return W[:, _trace_form_masks(K)].tolist()
+    Walsh-Hadamard transform of the indicator of S over (K, +).  It runs on
+    one int whose digit u, biased by half its base, is entry u: stage j
+    adds and subtracts the digits whose indices differ in bit j, selected
+    by a lane mask.  |W_S| <= |S| < 2^deg K stays below the bias, so every
+    digit stays in range and the transform is exact."""
+    n, size = K.degree, K.size
+    width = 1
+    while 8 * width <= n + 1:
+        width *= 2
+    halves = _halves(size, width)
+    lanes = [int.from_bytes((b"\xff" * (width << j) + bytes(width << j)) * (size >> (j + 1)),
+                            "little") for j in range(n)]  # digits with index bit j clear
+    masks = _trace_form_masks(K)
+    columns = []
+    for b in blocks:
+        indicator = [0] * size
+        for k in b:
+            indicator[K.powers[k]] = 1
+        W = _pack(indicator, width) + halves
+        for j, low in enumerate(lanes):
+            shift = 8 * width << j
+            lo, hi, bias = W & low, W >> shift & low, halves & low
+            W = (lo + hi - bias) | (lo - hi + bias) << shift
+        values = _unpack(W - halves, size, width)
+        columns.append([values[m] for m in masks])
+    return columns
 
 
 def second_eigenmatrix(P: list, size: int) -> list:
@@ -256,7 +273,7 @@ def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
     equal to the degree row."""
     K = tower.field(field_label)
     census = _census([_cyclic_product(gauss_periods(tower, field_label),
-                                      _inverse(np.bincount(b, minlength=pattern.M))).tolist()
+                                      _inverse(_indicator(b, pattern.M)))
                       for b in pattern.blocks] if domain == "index" else
                      _element_columns(K, pattern.blocks))
     per_class = K.order // pattern.M
@@ -345,8 +362,8 @@ def build_element_scheme(tower: FieldTower, field_label: str, blocks,
 def two_class_scheme(tower: FieldTower) -> SchemeRecord:
     """The two-class translation scheme on F from the trace-zero hyperplane:
     R_1, R_2 = the g^k of trace 0, 1 (a strongly regular Cayley graph)."""
-    trace = parities(tower.F.powers, [tower.F.trace_mask])[0]
-    blocks = [np.flatnonzero(trace == t).tolist() for t in (0, 1)]
+    trace = parity_string(tower.F, [tower.F.trace_mask])
+    blocks = [[k for k, t in enumerate(trace) if t == bit] for bit in "01"]
     return build_element_scheme(tower, "F", blocks, "trace2")
 
 

@@ -12,7 +12,7 @@ time from byte tables of the trace sequence Tr(x^k).
 import numpy as np
 
 from character_oracle import abs_trace
-from cycloscheme.binfield import _apply, _byte_tables, _mul_tables, power_table
+from numpy_oracle import apply_tables, byte_tables, mul_tables, power_table
 
 
 def gauss_periods_reference(K, M, step):
@@ -49,7 +49,7 @@ def _trace_word_tables(K):
         u <<= 1
         if u >> K.degree:
             u ^= K.modulus
-    return _byte_tables([sum(bit << j for j, bit in enumerate(sequence[i:i + 64]))
+    return byte_tables([sum(bit << j for j, bit in enumerate(sequence[i:i + 64]))
                          for i in range(K.degree)])
 
 
@@ -63,15 +63,15 @@ def gauss_periods_walk(K, M, step, chunk_words=1 << 14):
     n_words = M * max(1, min(chunk_words, K.order // 64) // M)
     L = 64 * n_words
     to_words = _trace_word_tables(K)
-    advance = _mul_tables(K, K.pow(g, L))
+    advance = mul_tables(K, K.pow(g, L))
     states = start = power_table(K, K.pow(g, 64), n_words)
     ones = np.zeros(M, dtype=np.int64)
     for walked in range(0, K.order, L):
-        bits = np.unpackbits(_apply(to_words, states).view(np.uint8), bitorder="little")
+        bits = np.unpackbits(apply_tables(to_words, states).view(np.uint8), bitorder="little")
         bits[K.order - walked:] = 0
         ones += bits.reshape(-1, M).sum(axis=0, dtype=np.int64)
-        states = _apply(advance, states)
-    assert np.array_equal(_apply(_mul_tables(K, K.pow(g, -(walked + L))), states), start)
+        states = apply_tables(advance, states)
+    assert np.array_equal(apply_tables(mul_tables(K, K.pow(g, -(walked + L))), states), start)
     assert int(ones.sum()) == 1 << (K.degree - 1)
     eta = [0] * M
     for r, count in enumerate(ones.tolist()):

@@ -3,17 +3,16 @@ census and intersection numbers.
 
 ``character_row`` sums Gauss periods one row at a time, ``element_columns``
 is the element census as the package computed it before the Walsh-Hadamard
-transform (one product in Z[Z_|K*|] per set), and
+transform (one product in Z[Z_|K*|] per set, ``np.convolve`` folded), and
 ``brute_force_intersection_oracle`` counts pairs over the whole field.
 """
 
 import numpy as np
 
-from cycloscheme.binfield import parities
 from cycloscheme.charsum import gauss_periods
 from cycloscheme.reporting import Report
 from cycloscheme.schemecore import _ORACLE_SIZE_LIMIT, SchemeError
-from cycloscheme.zmring import _cyclic_product, _inverse
+from numpy_oracle import convolve_folded
 
 
 def character_row(tower, field_label, pattern, a):
@@ -33,10 +32,14 @@ def element_columns(K, sets):
     a of psi(g^k) * (1_S)^-1 in Z[Z_|K*|], 1_S the indicator of the
     discrete logs of S."""
     dlog = {u: e for e, u in enumerate(K.powers)}
-    values = 1 - 2 * parities(K.powers, [K.trace_mask])[0].astype(np.int64)
-    return [_cyclic_product(values, _inverse(np.bincount([dlog[x] for x in S],
-                                                         minlength=K.order))).tolist()
-            for S in sets]
+    values = [1 - 2 * ((u & K.trace_mask).bit_count() & 1) for u in K.powers]
+    columns = []
+    for S in sets:
+        indicator = [0] * K.order
+        for x in S:
+            indicator[dlog[x]] += 1
+        columns.append(convolve_folded(values, indicator[:1] + indicator[:0:-1]))
+    return columns
 
 
 def class_elements(tower, field_label, pattern):

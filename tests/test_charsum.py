@@ -1,18 +1,20 @@
+import io
+import random
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from cycloscheme import charsum
-from cycloscheme.binfield import (FieldError, InternalCheckError, _apply, _mul_tables,
-                                  build_tower)
+from cycloscheme.binfield import FieldError, InternalCheckError, build_tower
 from cycloscheme.charsum import (conjugation_symmetry_check, eta_prime_law_check,
                                  gauss_periods, gauss_sum_modulus_check,
                                  period_expansion_check, verify_hasse_davenport,
                                  verify_t1_gauss_identity)
+from cycloscheme.cli import RunConfig, run
 from cycloscheme.cycpart import _psi_route
 from cycloscheme.zmring import GroupRingError
 from gauss_ring_oracle import gauss_sum, gauss_sum_power_vector, recover_period_from_sums
+from numpy_oracle import dft_matrix
 from period_oracle import gauss_periods_reference, gauss_periods_walk
 from ring_oracle import GroupRingElement, cyclotomic_polynomial
 
@@ -53,7 +55,7 @@ def test_gauss_periods_f_s1():
     tower = build_tower(1)
     eta = gauss_periods(tower, "F")
     # eta_a = q-1 on T1, -1 elsewhere for the base field
-    assert eta.tolist() == [-1, 1, 1, -1, 1, -1, -1]
+    assert list(eta) == [-1, 1, 1, -1, 1, -1, -1]
     assert sum(eta) == -1
 
 
@@ -77,7 +79,7 @@ def test_gauss_periods_h_s1_frozen_values():
 def _assert_walk_matches_oracle(tower, label):
     expected = gauss_periods_reference(tower.field(label), tower.M,
                                        tower.class_step(label))
-    assert gauss_periods(tower, label).tolist() == expected
+    assert list(gauss_periods(tower, label)) == expected
 
 
 @pytest.mark.parametrize("other_moduli", [False, True])
@@ -100,7 +102,7 @@ KERNEL_FIELDS = [(s, label) for s in range(1, 6) for label in "FG"] + \
 def test_gauss_periods_match_the_element_walk(s, label):
     tower = build_tower(s)
     K = tower.field(label)
-    assert gauss_periods(tower, label).tolist() == \
+    assert list(gauss_periods(tower, label)) == \
         gauss_periods_walk(K, tower.M, tower.class_step(label))
 
 
@@ -110,16 +112,16 @@ def test_gauss_periods_match_the_element_walk_under_other_moduli(label):
     K = tower.field(label)
     expected = gauss_periods_walk(K, tower.M, tower.class_step(label))
     assert expected == gauss_periods_reference(K, tower.M, tower.class_step(label))
-    assert gauss_periods(tower, label).tolist() == expected
+    assert list(gauss_periods(tower, label)) == expected
 
 
 @pytest.mark.parametrize("chunk_bits", [1, 3 * 64 * 21])
 @pytest.mark.parametrize("s,label", [(1, "H"), (2, "G"), (2, "H"), (3, "F")])
 def test_gauss_periods_multi_chunk(monkeypatch, chunk_bits, s, label):
-    # chunks of one word: many full chunks; of 4032 words: one full chunk
-    # and a ragged tail of 129 for H at s = 2 (4,161 strided exponents),
-    # a single short chunk elsewhere
-    monkeypatch.setattr(charsum, "_CHUNK_WORDS", chunk_bits)
+    # chunks of one exponent: many full chunks; of 4032 exponents: one full
+    # chunk and a ragged tail of 129 for H at s = 2 (4,161 strided
+    # exponents), a single short chunk elsewhere
+    monkeypatch.setattr(charsum, "_CHUNK_EXPONENTS", chunk_bits)
     _assert_walk_matches_oracle(build_tower(s), label)
 
 
@@ -140,9 +142,13 @@ def test_beta_one_power_off_is_caught(monkeypatch, s, label, delta):
     # only beta^0, so the case needs s >= 2)
     def patch(mp, K, tower):
         forms = charsum.trace_forms
-        shift = [_mul_tables(K, K.pow(K.generator, delta * i)) for i in range(s)]
-        mp.setattr(charsum, "trace_forms", lambda K_, elements: forms(K_, np.concatenate(
-            [_apply(t, block) for t, block in zip(shift, np.split(elements, s))])))
+
+        def shifted(K_, elements):  # block i holds the elements beta^i g^r
+            per_block = len(elements) // s
+            return forms(K_, [K.mul(K.pow(K.generator, delta * (j // per_block)), u)
+                              for j, u in enumerate(elements)])
+
+        mp.setattr(charsum, "trace_forms", shifted)
 
     with pytest.raises(InternalCheckError, match="differ on the doubling orbit"):
         _zero_counts_under(monkeypatch, s, label, patch)
@@ -166,9 +172,10 @@ def _bump(walked_indices):
     def patch(mp, K, tower):
         count = charsum._even_against_every_mask
 
-        def bumped(words, masks):
-            out = count(words, masks)
-            out[walked_indices] += 1
+        def bumped(table, masks, width):
+            out = count(table, masks, width)
+            for j in walked_indices:
+                out[j] += 1
             return out
 
         mp.setattr(charsum, "_even_against_every_mask", bumped)
@@ -193,7 +200,7 @@ def test_counts_off_the_hyperplane_size_are_caught(monkeypatch, s, label):
 def test_a_walk_that_does_not_return_is_caught(monkeypatch, s, label):
     # one-word chunks move on by g^M; here by g^(M + 1)
     def patch(mp, K, tower):
-        mp.setattr(charsum, "_CHUNK_WORDS", 1)
+        mp.setattr(charsum, "_CHUNK_EXPONENTS", 1)
         power = K.pow
         mp.setattr(K, "pow", lambda a, e: power(a, e + (e == tower.M)))
 
@@ -214,18 +221,19 @@ class _StubTower:
 
 
 def test_gauss_periods_degree_guard():
-    # GF(2^72) at s = 8: a uint64 state would wrap, so the walk must refuse
-    # before it builds a table or touches an element
+    # GF(2^72) at s = 8 is outside the supported range, so the walk must
+    # refuse before it builds a table or touches an element
     with pytest.raises(FieldError, match="degree <= 64"):
         gauss_periods(_StubTower(), "H")
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
-def test_gauss_periods_are_read_only_int64(s):
+def test_gauss_periods_are_immutable_tuples_of_ints(s):
     tower = build_tower(s)
     for label in "FGH":
         eta = gauss_periods(tower, label)
-        assert eta.dtype == np.int64 and not eta.flags.writeable
+        assert type(eta) is tuple and all(type(v) is int for v in eta)
+        assert gauss_periods(tower, label) is eta
 
 
 class _TinyStubTower(_StubTower):
@@ -238,24 +246,21 @@ class _TinyStubTower(_StubTower):
         return SimpleNamespace(degree=3, order=7)
 
 
-# sum |eta| just below 2^63 fits int64; past 2^63, or with a period that is
-# itself past int64, the guard refuses.  Seven odd periods summing to -1
-# have an odd sum |eta|, so 2^63 - 1 is the largest that fits.
+# sum |eta| just below 2^63, just past it, and with a period itself past
+# 2^63: the periods are Python ints, exact on every side of the old int64
+# bound.  Seven odd periods summing to -1 have an odd sum |eta|, so 2^63 - 1
+# is the largest below it.
 @pytest.mark.parametrize("counts,fits", [
     ([(1 << 61) - 1, 2 - (1 << 61), 1, 1, 0, 0, 0], True),
     ([1 - (1 << 61), 1 + (1 << 61), 0, 0, 0, 0, 1], False),
     ([1 - (1 << 70), 1 + (1 << 70), 1, 0, 0, 0, 0], False)])
-def test_gauss_periods_int64_guard(monkeypatch, counts, fits):
+def test_gauss_periods_exact_past_int64(monkeypatch, counts, fits):
     monkeypatch.setattr(charsum, "_trace_zero_counts", lambda K, M, s: counts)
     tower = _TinyStubTower()  # a new cache key, so the stub is called
     periods = [2 * z - 1 for z in counts]
     assert sum(periods) == -1
     assert (sum(map(abs, periods)) < 1 << 63) == fits
-    if fits:
-        assert gauss_periods(tower, "F").tolist() == periods
-    else:
-        with pytest.raises(InternalCheckError, match="int64"):
-            gauss_periods(tower, "F")
+    assert gauss_periods(tower, "F") == tuple(periods)
 
 
 def test_gauss_sum_f_s1_value():
@@ -289,8 +294,8 @@ def test_hasse_davenport_square_and_cube(s):
 
 @pytest.mark.parametrize("lift_degree", [2, 3])
 def test_hasse_davenport_products_per_character(monkeypatch, lift_degree):
-    # no ring product per character: one forward DFT (a matrix-vector
-    # product) per prime and per period vector, F and the lifted field
+    # no ring product per character: one forward DFT (a Bluestein product)
+    # per prime and per period vector, F and the lifted field
     primes = []
     dft = charsum._dft
 
@@ -316,9 +321,10 @@ def test_eta_prime_law():
 
 def test_eta_prime_law_names_the_first_mismatch(monkeypatch):
     tower = build_tower(2)
-    eta_g = np.array(charsum.gauss_periods(tower, "G"))
-    eta_g[[5, 9]] += 1
-    monkeypatch.setattr(charsum, "gauss_periods", lambda tw, label: eta_g)
+    eta_g = list(charsum.gauss_periods(tower, "G"))
+    eta_g[5] += 1
+    eta_g[9] += 1
+    monkeypatch.setattr(charsum, "gauss_periods", lambda tw, label: tuple(eta_g))
     (result,) = eta_prime_law_check(tower).checks
     assert result.name == "eta'_a == -2^s psi(omega^a D) - 1 for all a"
     assert not result.passed
@@ -343,7 +349,7 @@ def test_period_expansion_exact_beyond_int64():
     # scaled by 2^70 the sums no longer fit int64; the reference expansion
     # runs on Python ints and must still recover the scaled periods exactly
     tower = build_tower(1)
-    eta = gauss_periods(tower, "F").tolist()
+    eta = list(gauss_periods(tower, "F"))
     vectors = [[c << 70 for c in gauss_sum_power_vector(eta, ell)]
                for ell in range(7)]
     assert [recover_period_from_sums(7, vectors, a) for a in range(7)] == \
@@ -368,3 +374,24 @@ def test_perturbed_gauss_sums_rejected():
 def test_mixed_cyclotomic_orders_rejected():
     with pytest.raises(GroupRingError):
         GroupRingElement.identity(7) + GroupRingElement.identity(21)
+
+
+@pytest.mark.parametrize("M", [7, 21, 73, 273])
+def test_dft_matches_the_matrix_dft(M):
+    # every DFT prime a check can reach at these M: the first three
+    rng = random.Random(M)
+    for index in range(3):
+        p, r = charsum._dft_prime(M, index)
+        for values in ([rng.randint(-(1 << 40), 1 << 40) for _ in range(M)],
+                       [rng.randint(0, 1) for _ in range(M)], [p - 1] * M, [0] * M):
+            assert list(charsum._dft(tuple(values), M, p, r)) == dft_matrix(values, M, p, r)
+
+
+def test_a_gauss_run_builds_each_table_once():
+    # eta_F, 1_T1, eta_G, eta_F read backwards and the expansion's second
+    # transform: five tables and one chirp, as every check needs one prime
+    charsum._dft.cache_clear()
+    charsum._chirp.cache_clear()
+    assert run(RunConfig(s=4, targets=("gauss",)), out=io.StringIO()) == 0
+    assert charsum._dft.cache_info().misses == 5
+    assert charsum._chirp.cache_info().misses == 1

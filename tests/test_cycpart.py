@@ -1,4 +1,5 @@
-import numpy as np
+import random
+
 import pytest
 
 from cycloscheme import cycpart
@@ -123,7 +124,7 @@ def test_class_folds_match_the_element_walk(s, poly_f):
 def test_class_psi_sums_are_the_F_periods(s):
     # route 1 reads the power table, the periods come from the trace-zero kernel
     tower = build_tower(s)
-    assert np.array_equal(cycpart._class_psi_sums(tower), gauss_periods(tower, "F"))
+    assert cycpart._class_psi_sums(tower) == list(gauss_periods(tower, "F"))
 
 
 def flip_class_zero(tower, zero):
@@ -174,9 +175,10 @@ def test_corrupted_trace_zero_indicator_is_caught(monkeypatch, s, flip, message)
     indicator = cycpart._trace_zero_indicator
 
     def corrupted(F, sub_degree):
-        zero = indicator(F, sub_degree)
-        zero[list(flip(tower, zero))] ^= True
-        return zero
+        zero = [bit == "1" for bit in indicator(F, sub_degree)]
+        for k in flip(tower, zero):
+            zero[k] = not zero[k]
+        return "".join("1" if bit else "0" for bit in zero)
 
     monkeypatch.setattr(cycpart, "_trace_zero_indicator", corrupted)
     with pytest.raises(InternalCheckError, match=message):
@@ -186,7 +188,7 @@ def test_corrupted_trace_zero_indicator_is_caught(monkeypatch, s, flip, message)
 def test_psi_sum_outside_the_three_values_is_caught(monkeypatch):
     tower = build_tower(2)
     sums = cycpart._class_psi_sums
-    monkeypatch.setattr(cycpart, "_class_psi_sums", lambda tw: sums(tw) + 2)
+    monkeypatch.setattr(cycpart, "_class_psi_sums", lambda tw: [c + 2 for c in sums(tw)])
     with pytest.raises(InternalCheckError, match=r"psi\(omega\^0 D\) = -?\d+ outside"):
         get_partition(tower)
 
@@ -197,13 +199,24 @@ def test_tangent_count_T1_must_be_the_trace_zero_classes(monkeypatch):
     tower = build_tower(2)
     ind = cycpart._class_indicators(tower)
     monkeypatch.setattr(cycpart, "_class_indicators",
-                        lambda tw: ind._replace(Q=np.roll(ind.Q, 1)))
+                        lambda tw: ind._replace(Q=ind.Q[-1:] + ind.Q[:-1]))
     with pytest.raises(InternalCheckError, match="tangent-count T1"):
         partition_by_trace(tower)
 
 
 def test_indicators_are_read_only():
-    indicators = cycpart._class_indicators(build_tower(2))
-    for arr in indicators:
-        with pytest.raises(ValueError):
-            arr[0] = not arr[0]
+    # immutable bit strings over the exponents of F*
+    tower = build_tower(2)
+    for bits in cycpart._class_indicators(tower):
+        assert type(bits) is str and len(bits) == tower.F.order
+        assert set(bits) == {"0", "1"}
+        with pytest.raises(TypeError):
+            bits[0] = "1"
+
+
+@pytest.mark.parametrize("n,step", [(7, 3), (63, 5), (4095, 17), (32767, 33), (511, 2)])
+def test_gather_reads_the_exponent_multiples(n, step):
+    # k -> k * step mod n, the permutation that carries Z to Q, as strided slices
+    rng = random.Random(n)
+    bits = "".join(rng.choice("01") for _ in range(n))
+    assert cycpart._gather(bits, step) == "".join(bits[k * step % n] for k in range(n))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloscheme import schemecore
+from cycloscheme import charsum, cycpart, schemecore, zmring
 from cycloscheme.binfield import BinaryField, InternalCheckError, build_field, build_tower
 from cycloscheme.cli import RunConfig, run
 from cycloscheme.cycpart import get_partition
@@ -16,6 +16,7 @@ from cycloscheme.schemecore import (FusionPattern, build_element_scheme, im10_co
                                     two_class_scheme)
 
 from character_oracle import psi
+from numpy_oracle import walsh_hadamard_columns
 from scheme_oracle import character_row, element_columns
 
 _TOWERS = {}
@@ -46,7 +47,8 @@ def _names(K, blocks):
 
 def _assert_census_matches_oracle(record, K):
     columns = schemecore._element_columns(K, record.pattern_sets)
-    assert columns == element_columns(K, _names(K, record.pattern_sets))
+    assert columns == element_columns(K, _names(K, record.pattern_sets)) == \
+        walsh_hadamard_columns(K, record.pattern_sets)
     assert record.row_census == schemecore._census(columns)
     return columns
 
@@ -147,12 +149,13 @@ def test_im10_at_s4_correlates_nothing_longer_than_M(monkeypatch):
     # the element census is a transform; only index folds of length M
     # (and the partition's) may still correlate, as zmring products
     lengths = []
-    convolve = np.convolve
+    product = zmring._cyclic_product
 
-    def recording(a, v):
-        lengths.append(max(len(a), len(v)))
-        return convolve(a, v)
+    def recording(a, b):
+        lengths.append(max(len(a), len(b)))
+        return product(a, b)
 
-    monkeypatch.setattr(np, "convolve", recording)
+    for module in (zmring, cycpart, charsum, schemecore):
+        monkeypatch.setattr(module, "_cyclic_product", recording)
     assert run(RunConfig(s=4, targets=("im10",)), out=io.StringIO()) == 0
     assert lengths and max(lengths) <= tower(4).M

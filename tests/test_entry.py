@@ -1,5 +1,6 @@
 """The process entry: ``python -m cycloscheme`` and the console script run
-the CLI through one function, which freezes the collector at exit."""
+the CLI through one function, which freezes the collector at exit, and the
+process never imports numpy."""
 
 import gc
 import importlib
@@ -9,8 +10,10 @@ import sys
 import tomllib
 from pathlib import Path
 
+import pytest
+
 import cycloscheme
-from cycloscheme.cli import main
+from cycloscheme.cli import TARGETS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(cycloscheme.__file__).resolve().parents[1]
@@ -59,3 +62,22 @@ def test_console_script_is_the_module_entry():
     module, _, name = target.partition(":")
     entry_module = importlib.import_module("cycloscheme.__main__")
     assert getattr(importlib.import_module(module), name) is entry_module.entry
+
+
+# runs the module entry with numpy made unimportable: an import of it raises
+NO_NUMPY = ("import runpy, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "sys.argv = ['cycloscheme', *sys.argv[1:]]\n"
+            "runpy.run_module('cycloscheme', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["--s", "1", "--all"], ["--s", "2", "--all"],
+    ["--s", "3", "--targets", ",".join(t for t in TARGETS if t != "thm2ii")]],
+    ids=["s1", "s2", "s3"])
+def test_the_process_never_imports_numpy(tmp_path, capsys, args):
+    proc = python("-c", NO_NUMPY, *args, "--json", str(tmp_path / "sub.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert main([*args, "--json", str(tmp_path / "in.json")]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert (tmp_path / "sub.json").read_bytes() == (tmp_path / "in.json").read_bytes()

@@ -1,6 +1,11 @@
-"""The package's public names."""
+"""The package's public names and its dependencies."""
+
+import tomllib
+from pathlib import Path
 
 import cycloscheme
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_export_resolves():
@@ -14,3 +19,18 @@ def test_test_oracles_are_not_exported():
     for name in ("GroupRingElement", "cyclotomic_polynomial", "gauss_sum"):
         assert name not in cycloscheme.__all__
         assert not hasattr(cycloscheme, name)
+
+
+def test_runtime_dependencies_are_empty():
+    # numpy is a test dependency only: it is the reference for the kernels
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    assert any(req.startswith("numpy") for req in project["optional-dependencies"]["test"])
+
+
+def test_no_module_of_the_package_names_numpy():
+    sources = sorted(Path(cycloscheme.__file__).parent.rglob("*.py"))
+    assert sources
+    for path in sources:
+        assert "numpy" not in path.read_text(), path.name

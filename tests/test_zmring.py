@@ -1,15 +1,16 @@
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloscheme.binfield import build_tower
 from cycloscheme.cycpart import CyclotomicPartition, get_partition
+from cycloscheme import zmring
 from cycloscheme.zmring import (GroupRingError, _cyclic_product, delta_square_check,
                                 doubling_check, verify_lemma2, verify_remark_eqs)
+from numpy_oracle import convolve_folded
 from ring_oracle import (GroupRingElement, _divide, convolve_reference,
                          cyclotomic_polynomial, from_set, involute, partition_identities,
                          reduce_reference)
@@ -217,7 +218,7 @@ def test_zeta_basics(M):
     assert x.involute() == from_set(M, {M - 1})
 
 
-# -- the int64 identities and kernels against the pure-Python reference ------
+# -- the identities and the product kernel against the references ------------
 
 # (s, swap, checked s): the true partitions at s = 1..4, T2 and T3 trading
 # one element at s = 2, and true partitions checked at the wrong s
@@ -250,14 +251,23 @@ ORACLE_MODULI = [7, 21, 73, 273]
 INT64_MAX = (1 << 63) - 1
 
 
-@pytest.mark.parametrize("M", ORACLE_MODULI)
+@pytest.mark.parametrize("M", ORACLE_MODULI + [4161])
 def test_cyclic_product_matches_reference(M):
+    # small operands against np.convolve folded; operands past 2^63 against
+    # the pure-Python reference, and the schoolbook loop where it is quick
     rng = random.Random(M)
-    for _ in range(3):
-        a, b = ([rng.randint(-50, 50) for _ in range(M)] for _ in range(2))
-        product = _cyclic_product(np.array(a), np.array(b))
-        assert product.dtype == np.int64
-        assert tuple(product.tolist()) == convolve_reference(M, a, b)
+    for r, small in ((50, True), (1 << 80, False), (1 << 200, False)):
+        a, b = ([rng.randint(-r, r) for _ in range(M)] for _ in range(2))
+        product = _cyclic_product(a, b)
+        assert all(type(c) is int for c in product)
+        assert tuple(product) == convolve_reference(M, a, b)
+        if small:
+            assert product == convolve_folded(a, b)
+        if M <= 73:
+            assert tuple(product) == _schoolbook(M, a, b)
+    ones = [rng.randint(0, 1) for _ in range(M)]
+    assert _cyclic_product(ones, [0] * M) == _cyclic_product([0] * M, ones) == [0] * M
+    assert _cyclic_product(ones, [-1] * M) == [-sum(ones)] * M
 
 
 def _schoolbook(M, a, b):
@@ -295,15 +305,27 @@ def test_reduction_matches_the_long_division(M):
 
 @pytest.mark.parametrize("M", ORACLE_MODULI)
 def test_convolve_either_side_of_the_int64_bound(M):
-    # for constants A and B the guard's bound sum |a| * max |b| is M*A*B,
-    # which is also every cyclic coefficient of the product: just below 2^63
-    # the product is exact, at 2^63 or above it is refused
+    # for constants A and B every cyclic coefficient of the product is
+    # M*A*B: just below 2^63, just above it and far past it the product is
+    # exact, as the digits widen with the operands' bound
     A = 1 << 31
     B = INT64_MAX // (M * A)
-    a = np.full(M, A)
-    product = _cyclic_product(a, np.full(M, B))
-    assert tuple(product.tolist()) == convolve_reference(M, (A,) * M, (B,) * M) == \
-        (M * A * B,) * M
-    with pytest.raises(GroupRingError, match="int64"):
-        _cyclic_product(a, np.full(M, B + 1))
+    assert M * A * B < 1 << 63 <= M * A * (B + 1)
+    for b in (B, B + 1, B << 70):
+        product = _cyclic_product([A] * M, [b] * M)
+        assert product == [M * A * b] * M
+        assert tuple(product) == convolve_reference(M, (A,) * M, (b,) * M)
 
+
+@pytest.mark.parametrize("M", [7, 273])
+def test_a_digit_read_back_wrong_fails_the_augmentation(monkeypatch, M):
+    unpack = zmring._unpack
+
+    def off_by_one(value, n, width):
+        digits = unpack(value, n, width)
+        digits[n // 2] += 1
+        return digits
+
+    monkeypatch.setattr(zmring, "_unpack", off_by_one)
+    with pytest.raises(GroupRingError, match="augmentation"):
+        _cyclic_product([1] * M, [2] * M)
