@@ -13,8 +13,8 @@ Every walk over a cyclic group of field elements reads one power table:
 ints whose bit i is the matching bit of base**i.  It is built by doubling,
 each step one GF(2)-linear map (multiplication by a constant) applied to
 whole slices, and a linear functional along the table is the XOR of the
-slices its mask selects (``parities``).  Towers are supported up to s = 7
-(degree 63).
+slices its mask selects (ORed over masks by ``odd_parities``).  Towers
+are supported up to s = 7 (degree 63).
 """
 
 from __future__ import annotations
@@ -176,6 +176,18 @@ def _prime_factors(n: int) -> dict[int, int]:
 # fields
 # ---------------------------------------------------------------------------
 
+def _lookup_rows(images: list[int], width: int) -> list[list[int]]:
+    """Lookup tables of the GF(2)-linear map bit i -> images[i]: row k takes
+    ``width``-bit chunk k of an input to the XOR of its bits' images."""
+    rows = []
+    for k in range(0, len(images), width):
+        row = [0]
+        for image in images[k:k + width]:
+            row += [v ^ image for v in row]
+        rows.append(row)
+    return rows
+
+
 class BinaryField:
     """GF(2**degree) with a fixed modulus; elements are int bit masks.
 
@@ -199,9 +211,6 @@ class BinaryField:
             raise FieldError(f"element {u!r} out of range for {self!r}")
 
     # -- ring operations ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         f = self.modulus
@@ -230,19 +239,10 @@ class BinaryField:
 
     @cached_property
     def _square_rows(self) -> list[list[int]]:
-        """Lookup tables of the GF(2)-linear map u -> u**2 mod f: row k takes
-        nibble k of u (bits 4k to 4k + 3) to the XOR of x**(2i) mod f over
-        its set bits i, so one lookup per nibble both spreads the bits and
-        reduces the high half.  Sixteen entries a row keep a table cheap to
-        build for every candidate modulus that the search squares with."""
-        rows = []
-        images = self.x_multiples(1, 2 * self.degree - 1)[::2]
-        for k in range(0, self.degree, 4):
-            row = [0]
-            for image in images[k:k + 4]:
-                row += [v ^ image for v in row]
-            rows.append(row)
-        return rows
+        """``_lookup_rows`` of u -> u**2 mod f, bit i to x**(2i): a lookup per
+        nibble both spreads the bits and reduces the high half, and 16-entry
+        rows are cheap to build for every modulus the search squares with."""
+        return _lookup_rows(self.x_multiples(1, 2 * self.degree - 1)[::2], 4)
 
     def square(self, a: int) -> int:
         r = 0
@@ -362,11 +362,11 @@ def power_table(K: BinaryField, base: int, count: int) -> list[int]:
     return [word & keep for word in table]
 
 
-def parities(table: list[int], masks) -> list[int]:
-    """For each mask, the int whose bit i is the parity of u_i & mask along
-    a bit-sliced table of the u_i: the XOR of the slices the mask selects,
-    the GF(2)-linear functional with that mask read along the table."""
-    out = []
+def odd_parities(table: list[int], masks) -> int:
+    """Bit i is set when u_i has odd parity against some mask, along a
+    bit-sliced table of the u_i: the OR of the masks' parity words, each the
+    XOR of the slices its mask selects (its functional along the table)."""
+    odd = 0
     for mask in masks:
         word, t = 0, 0
         while mask:
@@ -374,17 +374,15 @@ def parities(table: list[int], masks) -> list[int]:
                 word ^= table[t]
             mask >>= 1
             t += 1
-        out.append(word)
-    return out
+        odd |= word
+    return odd
 
 
 def parity_string(K: BinaryField, masks) -> str:
     """Character k is '1' when generator**k has odd parity against some
-    mask: the OR of the masks' parity words along the power table of K*,
-    as a string whose strided slices and counts read the exponent classes."""
-    odd = 0
-    for word in parities(power_table(K, K.generator, K.order), masks):
-        odd |= word
+    mask, read along the power table of K*, as a string whose strided
+    slices and counts read the exponent classes."""
+    odd = odd_parities(power_table(K, K.generator, K.order), masks)
     return format(odd, f"0{K.order}b")[::-1]
 
 
@@ -392,16 +390,11 @@ def trace_forms(K: BinaryField, elements) -> list[int]:
     """m[a], the mask of the functional u -> Tr(a*u), for every a in
     ``elements``: bit j of m[a] is Tr(a x^j).  a -> m[a] is GF(2)-linear,
     x^i mapping to the Hankel row whose bit j is Tr(x^(i+j)); it is read
-    from lookup tables, one per byte of a, filled by XOR-doubling."""
+    from the ``_lookup_rows`` of that map, one per byte of a."""
     n = K.degree
     trace = [(u & K.trace_mask).bit_count() & 1 for u in K.x_multiples(1, 2 * n - 1)]
-    rows = []
-    for k in range(0, n, 8):
-        row = [0]
-        for i in range(k, min(k + 8, n)):
-            image = sum(bit << j for j, bit in enumerate(trace[i:i + n]))
-            row += [v ^ image for v in row]
-        rows.append(row)
+    rows = _lookup_rows([sum(bit << j for j, bit in enumerate(trace[i:i + n]))
+                        for i in range(n)], 8)
     out = []
     for a in elements:
         m = 0

@@ -17,7 +17,7 @@ from math import gcd, isqrt
 
 from .binfield import (DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
                        InternalCheckError, _apply, _is_prime, _prime_factors,
-                       parities, power_table, trace_forms)
+                       odd_parities, power_table, trace_forms)
 from .cycpart import _psi_route, get_partition
 from .reporting import Report
 from .zmring import _cyclic_product, _indicator, _inverse
@@ -52,13 +52,7 @@ def _even_against_every_mask(table: list[int], masks: list[list[int]],
     table whose element has even parity against every mask of masks[j]:
     ``width`` less the popcount of the OR of the masks' parity words."""
     keep = (1 << width) - 1
-    counts = []
-    for row in masks:
-        odd = 0
-        for word in parities(table, row):
-            odd |= word
-        counts.append(width - (odd & keep).bit_count())
-    return counts
+    return [width - (odd_parities(table, row) & keep).bit_count() for row in masks]
 
 
 def _trace_zero_counts(K: BinaryField, M: int, s: int) -> list[int]:

@@ -48,8 +48,7 @@ def _target_fields(tower, config) -> tuple[list, list]:
         c = rng.randrange(tower.F.size)
         if tower.F.mul(a, tower.F.mul(b, c)) != tower.F.mul(tower.F.mul(a, b), c):
             ok = False
-        if tower.F.mul(a, tower.F.add(b, c)) != \
-                tower.F.add(tower.F.mul(a, b), tower.F.mul(a, c)):
+        if tower.F.mul(a, b ^ c) != tower.F.mul(a, b) ^ tower.F.mul(a, c):
             ok = False
     report.add("random multiplication associativity/distributivity spot-check", ok)
     order = tower.F.order
@@ -190,8 +189,9 @@ def run(config: RunConfig, out=None) -> int:
         print("error: thm2ii at s >= 3 streams a 2^(9s)-element field; "
               "pass --big to opt in", file=out)
         return USAGE_ERROR
+    # |F| = 2^(3s) > limit, compared by exponent so that no s sizes an int
     if "im10" in config.targets and \
-            1 << (3 * config.s) > schemecore._ORACLE_SIZE_LIMIT:
+            3 * config.s >= schemecore._ORACLE_SIZE_LIMIT.bit_length():
         print(f"error: im10 verifies GF(2^{3 * config.s}) element by element, "
               f"which is limited to {schemecore._ORACLE_SIZE_LIMIT} elements",
               file=out)

@@ -100,13 +100,6 @@ def _row(bits: str, M: int) -> list[int]:
     return [int(c) for c in bits[:M]]
 
 
-@cache
-def compute_D(tower: FieldTower) -> frozenset[int]:
-    """Nonzero u in F with tr_{F/E}(1/u) = 0; invariant under E* scaling."""
-    D = _class_indicators(tower).D
-    return frozenset(u for u, bit in zip(tower.F.powers, D) if bit == "1")
-
-
 def _class_psi_sums(tower: FieldTower) -> list[int]:
     """c[r] = sum over j of psi(omega^(r + jM)): the psi-sum over the class
     C_r, read from the power table, independent of the period walk."""

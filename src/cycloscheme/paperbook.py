@@ -24,7 +24,6 @@ from .schemecore import (SCHEMES, THEOREMS, build_dual_scheme, build_scheme,
                          expected_dual_groups)
 
 TABLE_IDS = tuple(SCHEMES)
-_ROMAN = dict(zip(("I", "II", "III", "IV", "V"), TABLE_IDS))
 
 
 def _checked(node, expr: str) -> tuple[int, ast.expr]:
@@ -91,23 +90,20 @@ def _load_data() -> dict:
 
 
 def _table(table_id: str) -> dict:
-    tid = _ROMAN.get(table_id, table_id)
     tables = _load_data()["tables"]
-    if tid not in tables:
+    if table_id not in tables:
         raise KeyError(f"unknown table {table_id!r}")
-    return tables[tid]
+    return tables[table_id]
 
 
 def table_row(table_id: str, row_label, q_value: int) -> list[int]:
     """One table row evaluated at q = 2^s.  ``row_label`` is a row key
-    ('degree', 'T1', ...), a printed label, or a row index."""
+    ('degree', 'T1', ...) or a row index."""
     table = _table(table_id)
     if isinstance(row_label, int):
         idx = row_label
     elif row_label in table["row_keys"]:
         idx = table["row_keys"].index(row_label)
-    elif row_label in table["row_labels"]:
-        idx = table["row_labels"].index(row_label)
     else:
         raise KeyError(f"unknown row {row_label!r}")
     return [eval_int(e, q_value) for e in table["rows"][idx]]

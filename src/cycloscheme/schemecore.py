@@ -132,11 +132,12 @@ def _census(columns) -> dict:
     return census
 
 
+@cache
 def _trace_form_masks(K: BinaryField) -> list[int]:
     """m[a], the mask of the functional x -> Tr(g^a x), for every a (see
     ``trace_forms``; the generator g need not be x).  u -> m_u is a linear
     bijection, so the masks must be nonzero and distinct, and m[0] = m_1
-    is the trace mask."""
+    is the trace mask.  Built once per field, as ``K.powers`` is."""
     masks = trace_forms(K, K.powers)
     if masks[0] != K.trace_mask:
         raise InternalCheckError("the trace-form mask of 1 is not the trace mask")

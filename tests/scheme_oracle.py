@@ -11,8 +11,11 @@ import numpy as np
 
 from cycloscheme.charsum import gauss_periods
 from cycloscheme.reporting import Report
-from cycloscheme.schemecore import _ORACLE_SIZE_LIMIT, SchemeError
+from cycloscheme.schemecore import SchemeError
 from numpy_oracle import convolve_folded
+
+# the cost bound of pair counting, which builds |R_i| x |R_j| arrays
+_SIZE_LIMIT = 1 << 12
 
 
 def character_row(tower, field_label, pattern, a):
@@ -58,8 +61,8 @@ def brute_force_intersection_oracle(tower, field_label, pattern):
     count pairs x in R_i, y in R_j with x + y = z, and certify the count is
     constant on each class.  Returns (B, report)."""
     K = tower.field(field_label)
-    if K.size > _ORACLE_SIZE_LIMIT:
-        raise SchemeError(f"oracle limited to fields of size <= {_ORACLE_SIZE_LIMIT}")
+    if K.size > _SIZE_LIMIT:
+        raise SchemeError(f"oracle limited to fields of size <= {_SIZE_LIMIT}")
     elems = [np.array(sorted(c), dtype=np.int64)
              for c in class_elements(tower, field_label, pattern)]
     n = len(elems)

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import or_, xor
 
 import pytest
 from hypothesis import given, settings
@@ -284,8 +286,38 @@ def test_parities_read_each_functional_along_the_table(m):
     table = power_table(K, K.generator, count)
     elements = unslice(table, count)
     masks = [0, 1, K.trace_mask, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(4)]
-    for mask, word in zip(masks, binfield.parities(table, masks)):
-        assert word == sum(((u & mask).bit_count() & 1) << i for i, u in enumerate(elements))
+    words = [sum(((u & mask).bit_count() & 1) << i for i, u in enumerate(elements))
+             for mask in masks]
+    # one mask gives its parity word, several the OR of their words
+    for mask, word in zip(masks, words):
+        assert binfield.odd_parities(table, [mask]) == word
+    for j in range(len(masks) + 1):
+        assert binfield.odd_parities(table, masks[:j]) == reduce(or_, words[:j], 0)
+
+
+@pytest.mark.parametrize("width, m", [(4, 7), (4, 63), (8, 13), (8, 36), (8, 63)])
+def test_lookup_rows_match_the_schoolbook_map(width, m):
+    # degrees that are not multiples of the chunk end in a short row
+    rng = random.Random(width * m)
+    images = [rng.getrandbits(m) for _ in range(m)]
+    rows = binfield._lookup_rows(images, width)
+    assert [len(row) for row in rows] == \
+        [1 << min(width, m - k) for k in range(0, m, width)]
+    for u in [0, 1, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(40)]:
+        expected = reduce(xor, (image for i, image in enumerate(images) if u >> i & 1), 0)
+        chunks = (u >> (width * k) & ((1 << width) - 1) for k in range(len(rows)))
+        assert reduce(xor, (row[c] for row, c in zip(rows, chunks)), 0) == expected
+
+
+@pytest.mark.parametrize("m", [6, 13])
+def test_trace_forms_match_the_schoolbook_trace(m):
+    # 8-bit rows over a degree that 8 does not divide
+    K = build_field(m)
+    rng = random.Random(m)
+    elements = [0, 1, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(8)]
+    for a, mask in zip(elements, binfield.trace_forms(K, elements)):
+        assert mask == sum(gf_trace(gf_mul(a, 1 << j, K.modulus), K.modulus, m) << j
+                           for j in range(m))
 
 
 def test_powers_is_a_list_of_python_ints():

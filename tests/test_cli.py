@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -59,6 +60,18 @@ def test_im10_beyond_the_element_limit_is_usage_error():
 
 def test_im10_s5_is_usage_error():
     assert run_quiet(RunConfig(s=5, targets=("im10",)))[0] == 2
+
+
+def test_im10_refusal_of_a_huge_s_sizes_nothing():
+    # the limit is compared by exponent: 1 << (3 * 10**8) alone is 37.5 MB
+    tracemalloc.start()
+    try:
+        code, text = run_quiet(RunConfig(s=10**8, targets=("im10",)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "limited to 4096 elements" in text
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("config", [

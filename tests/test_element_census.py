@@ -128,8 +128,9 @@ def test_a_generator_other_than_x():
 
 
 def test_trace_form_masks_off_by_one_power_are_caught(monkeypatch):
-    # L_j read from Tr(x^(i+j+1)): the mask of 1 is no longer the trace mask
-    K = tower(2).F
+    # L_j read from Tr(x^(i+j+1)): the mask of 1 is no longer the trace mask;
+    # a fresh F of s = 2, since the masks are built once per field
+    K = build_field(6)
     multiples = K.x_multiples
     monkeypatch.setattr(K, "x_multiples",
                         lambda c, count: multiples(c, count + 1)[1:])

@@ -1,7 +1,11 @@
 """The package's public names and its dependencies."""
 
-import tomllib
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    import tomli as tomllib
 
 import cycloscheme
 

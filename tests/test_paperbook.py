@@ -56,11 +56,6 @@ def test_table_rows_s1():
     assert table_row("dual1", "degree", 2) == [1, 1, 3, 3]
 
 
-def test_table_roman_aliases():
-    assert table_row("I", "degree", 2) == table_row("thm1", "degree", 2)
-    assert table_row("V", 0, 2) == table_row("thm2ii", "degree", 2)
-
-
 def test_unknown_table_and_row():
     with pytest.raises(KeyError):
         table_row("thm9", "degree", 2)
