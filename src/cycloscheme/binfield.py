@@ -8,20 +8,19 @@ a per-field table of the linear map u -> u**2, and a power of x is a chain
 of squarings and shifts, so the modulus search and its certificates never
 run the bit-serial product.
 
-Every walk over a cyclic group of field elements reads one power table:
-``power_table`` returns base**i for i < count bit-sliced, as deg K Python
-ints whose bit i is the matching bit of base**i.  It is built by doubling,
-each step one GF(2)-linear map (multiplication by a constant) applied to
-whole slices, and a linear functional along the table is the XOR of the
-slices its mask selects (ORed over masks by ``odd_parities``).  Towers
-are supported up to s = 7 (degree 63).
+Every walk over a cyclic group of field elements is ``power_blocks``, a
+loop over bit-sliced tables of base**i: deg K Python ints, bit i of int t
+being bit t of base**i.  ``power_table`` builds one by doubling, each step
+a GF(2)-linear map (multiplication by a constant) applied to the slices;
+a linear functional along a table is the XOR of the slices its mask
+selects (ORed over masks by ``odd_parities``).  Towers: s <= 7 (degree 63).
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, reduce
-from operator import xor
+from operator import or_, xor
 
 
 class FieldError(ValueError):
@@ -362,6 +361,26 @@ def power_table(K: BinaryField, base: int, count: int) -> list[int]:
     return [word & keep for word in table]
 
 
+# Exponents per block of a walk, so bits per slice: 0.3 MB of slices at degree 36
+_BLOCK = 1 << 16
+
+
+def power_blocks(K: BinaryField, base: int, count: int):
+    """base**i for i < count in blocks (start, width, table) of at most
+    L = ``_BLOCK`` exponents: table holds base**(start + i) bit-sliced, for
+    i < width (later bits are spare).  The first is ``power_table``'s and
+    each next one the last times base**L.  Read to the end, the walk moves
+    on once more, and that times base**(-start - L) must be the first."""
+    L = min(count, _BLOCK)
+    first = table = power_table(K, base, L)
+    advance = K.x_multiples(K.pow(base, L), K.degree)
+    for start in range(0, count, L):
+        yield start, min(L, count - start), table
+        table = _apply(advance, table)
+    if _apply(K.x_multiples(K.pow(base, -start - L), K.degree), table) != first:
+        raise InternalCheckError("power walk did not return to its start")
+
+
 def odd_parities(table: list[int], masks) -> int:
     """Bit i is set when u_i has odd parity against some mask, along a
     bit-sliced table of the u_i: the OR of the masks' parity words, each the
@@ -378,12 +397,13 @@ def odd_parities(table: list[int], masks) -> int:
     return odd
 
 
-def parity_string(K: BinaryField, masks) -> str:
+def parity_string(K: BinaryField, masks: list[int]) -> str:
     """Character k is '1' when generator**k has odd parity against some
-    mask, read along the power table of K*, as a string whose strided
-    slices and counts read the exponent classes."""
-    odd = odd_parities(power_table(K, K.generator, K.order), masks)
-    return format(odd, f"0{K.order}b")[::-1]
+    mask, read block by block along the powers of K*, as a string whose
+    strided slices and counts read the exponent classes."""
+    return "".join(format(odd_parities(table, masks) & ((1 << width) - 1),
+                          f"0{width}b")[::-1]
+                   for _, width, table in power_blocks(K, K.generator, K.order))
 
 
 def trace_forms(K: BinaryField, elements) -> list[int]:
@@ -414,11 +434,15 @@ def build_field(m: int, modulus: int | None = None) -> BinaryField:
         if modulus is not None and modulus != 0b11:
             raise FieldError("degree-1 modulus must be x + 1")
         return BinaryField(1, 0b11, 1)
+    if modulus is not None and poly_degree(modulus) != m:
+        raise FieldError(f"modulus {modulus:#x} does not have degree {m}")
+    # a wrong squaring table would refuse every candidate: check it once
+    ring = BinaryField(m, modulus or (1 << m) | 1, 0b10)
+    if any(ring.square(1 << i) != ring.mul(1 << i, 1 << i) for i in range(m)):
+        raise InternalCheckError("table squaring disagrees with the product")
     degree_primes = _prime_factors(m)
     order_primes = _prime_factors((1 << m) - 1)
     if modulus is not None:
-        if poly_degree(modulus) != m:
-            raise FieldError(f"modulus {modulus:#x} does not have degree {m}")
         d = _certificate(modulus, degree_primes)
         if d is not None:
             raise ReducibleModulusError(modulus, d)
@@ -448,11 +472,6 @@ def modulus_from_hex(text: str) -> int:
 # the field tower
 # ---------------------------------------------------------------------------
 
-# The largest block of exponents that the subfield-root search tables at
-# once: at s = 4 the roots in G and H (k = 397 and 467) appear at 512.
-_ROOT_BLOCK = 1 << 16
-
-
 class FieldTower:
     """Nested binary fields E, F, G, H of degrees s, 3s, 6s, 9s; F embeds
     into G and H, and the order-M classes of G and H are the classes of F
@@ -476,28 +495,27 @@ class FieldTower:
     def _find_subfield_root(self, K: BinaryField, z: int) -> int:
         """The smallest k with z**k a root of F's modulus f, z of order
         |F*| in K: f(z**k) is the XOR of (z**i)**k over the terms x**i of
-        f.  Bit-sliced tables of those powers over a block of k double, as
-        in ``power_table``, up to ``_ROOT_BLOCK`` exponents and then move on
-        block by block; the first block where the OR of the value's slices
-        has a zero bit holds the root."""
-        f, order = self.F.modulus, self.F.order
-        steps = [K.pow(z, i) for i in range(f.bit_length()) if f >> i & 1]
-        tables = [[1] + [0] * (K.degree - 1) for _ in steps]  # k in [k0, k0 + length)
-        k0, length = 0, 1
-        while k0 < order:
-            nonzero = reduce(lambda acc, word: acc | word,
-                             (reduce(xor, words) for words in zip(*tables)), 0)
-            zeros = ~nonzero & ((1 << min(length, order - k0)) - 1)
+        f.  With i = o * 2**j, o odd, that is (z**o)**k under the j-th
+        Frobenius map u -> u**(2**j), so only the ``power_blocks`` of the
+        z**o are walked, each term one ``_apply`` of the images x**(t 2**j).
+        The first block where the OR of the value's slices has a zero bit
+        holds the root."""
+        f = self.F.modulus
+        terms = [(i >> j, j) for i in range(1, f.bit_length()) if f >> i & 1
+                 for j in [(i & -i).bit_length() - 1]]
+        odd = sorted({o for o, _ in terms})
+        frobenius = [K.x_multiples(1, K.degree)]  # frobenius[j][t] = x**(t 2**j)
+        while len(frobenius) <= max(j for _, j in terms):
+            frobenius.append([K.square(u) for u in frobenius[-1]])
+        for blocks in zip(*(power_blocks(K, K.pow(z, o), self.F.order) for o in odd)):
+            tables = {o: table for o, (_, _, table) in zip(odd, blocks)}
+            images = [_apply(frobenius[j], tables[o]) if j else tables[o] for o, j in terms]
+            start, width, _ = blocks[0]
+            words = [reduce(xor, slices) for slices in zip(*images)]
+            words[0] ^= (1 << width) - 1  # the term 1: f is irreducible of degree > 1
+            zeros = ~reduce(or_, words) & ((1 << width) - 1)
             if zeros:
-                return k0 + (zeros & -zeros).bit_length() - 1
-            moved = [_apply(K.x_multiples(step, K.degree), table)  # times (z**i)**length
-                     for step, table in zip(steps, tables)]
-            if length < _ROOT_BLOCK:
-                tables = [[word | image << length for word, image in zip(table, images)]
-                          for table, images in zip(tables, moved)]
-                steps, length = [K.square(step) for step in steps], 2 * length
-            else:
-                tables, k0 = moved, k0 + length
+                return start + (zeros & -zeros).bit_length() - 1
         raise InternalCheckError("no root of F's modulus in the subfield")
 
     def _embedding(self, K: BinaryField) -> tuple[list[int], int]:

@@ -16,8 +16,8 @@ from functools import cache
 from math import gcd, isqrt
 
 from .binfield import (DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
-                       InternalCheckError, _apply, _is_prime, _prime_factors,
-                       odd_parities, power_table, trace_forms)
+                       InternalCheckError, _is_prime, _prime_factors,
+                       odd_parities, power_blocks, trace_forms)
 from .cycpart import _psi_route, get_partition
 from .reporting import Report
 from .zmring import _cyclic_product, _indicator, _inverse
@@ -26,12 +26,6 @@ from .zmring import _cyclic_product, _indicator, _inverse
 # ---------------------------------------------------------------------------
 # Gauss periods
 # ---------------------------------------------------------------------------
-
-# Exponents per chunk of the strided power table walked by the period
-# kernel: each of its deg K slices is an int of this many bits, about 0.3 MB
-# of slices at degree 36.  Fields with fewer strided exponents get one chunk.
-_CHUNK_EXPONENTS = 1 << 16
-
 
 def _doubling_orbits(M: int) -> list[list[int]]:
     """The orbits r, 2r, 4r, ... of doubling on Z_M, by least member."""
@@ -61,9 +55,8 @@ def _trace_zero_counts(K: BinaryField, M: int, s: int) -> list[int]:
 
     Tr_{K/E}(u) = 0 iff Tr(beta^i u) = 0 for every i < s, beta = g^P a
     generator of E*.  So n = r + M t is counted when g^(M t) has even
-    parity against the s trace-form masks of beta^i g^r.  The g^(M t) are a
-    bit-sliced power table of g^M, walked in chunks of L exponents and
-    moved on by g^(M L).  u -> u^2 sends g^n to g^(2n) and keeps the
+    parity against the s trace-form masks of beta^i g^r.  The g^(M t) are
+    the ``power_blocks`` of g^M.  u -> u^2 sends g^n to g^(2n) and keeps the
     relative trace zero, so Z is constant on each orbit of doubling on Z_M:
     the walk counts two members, r and 2r, of every orbit, which must agree.
     """
@@ -80,19 +73,9 @@ def _trace_zero_counts(K: BinaryField, M: int, s: int) -> list[int]:
     starts = [K.pow(g, r) for r in walked]
     forms = trace_forms(K, [K.mul(b, u) for b in betas for u in starts])
     masks = [forms[j::len(walked)] for j in range(len(walked))]  # the s masks of walked[j]
-    L = min(N, _CHUNK_EXPONENTS)
-    start = power_table(K, K.pow(g, M), L)
-    advance = K.x_multiples(K.pow(g, M * L), K.degree)
     counts = [0] * len(walked)
-    table, done = start, 0
-    while done < N:
-        counts = [c + e for c, e in zip(counts, _even_against_every_mask(
-            table, masks, min(L, N - done)))]
-        table = _apply(advance, table)
-        done += L
-    # g^|K*| = 1: multiplying by g^(-M*done) must restore the start
-    if _apply(K.x_multiples(K.pow(g, -M * done % K.order), K.degree), table) != start:
-        raise InternalCheckError("period walk did not return to its start")
+    for _, width, table in power_blocks(K, K.pow(g, M), N):
+        counts = [c + e for c, e in zip(counts, _even_against_every_mask(table, masks, width))]
     count = dict(zip(walked, counts))
     zeros = [0] * M
     for orbit in orbits:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .binfield import (BinaryField, FieldTower, InternalCheckError, parity_string,
-                       trace_forms)
+from .binfield import BinaryField, FieldTower, InternalCheckError, trace_forms
 from .charsum import gauss_periods
 from .cycpart import d_class_check, get_partition
 from .reporting import Report
@@ -137,7 +136,10 @@ def _trace_form_masks(K: BinaryField) -> list[int]:
     """m[a], the mask of the functional x -> Tr(g^a x), for every a (see
     ``trace_forms``; the generator g need not be x).  u -> m_u is a linear
     bijection, so the masks must be nonzero and distinct, and m[0] = m_1
-    is the trace mask.  Built once per field, as ``K.powers`` is."""
+    is the trace mask.  Built once per field, as ``K.powers`` is, and
+    refused above the element-level size limit before either is built."""
+    if K.size > _ORACLE_SIZE_LIMIT:
+        raise SchemeError("element-level verification limited to small fields")
     masks = trace_forms(K, K.powers)
     if masks[0] != K.trace_mask:
         raise InternalCheckError("the trace-form mask of 1 is not the trace mask")
@@ -154,6 +156,7 @@ def _element_columns(K: BinaryField, blocks) -> list[list[int]]:
     adds and subtracts the digits whose indices differ in bit j, selected
     by a lane mask.  |W_S| <= |S| < 2^deg K stays below the bias, so every
     digit stays in range and the transform is exact."""
+    masks = _trace_form_masks(K)
     n, size = K.degree, K.size
     width = 1
     while 8 * width <= n + 1:
@@ -161,7 +164,6 @@ def _element_columns(K: BinaryField, blocks) -> list[list[int]]:
     halves = _halves(size, width)
     lanes = [int.from_bytes((b"\xff" * (width << j) + bytes(width << j)) * (size >> (j + 1)),
                             "little") for j in range(n)]  # digits with index bit j clear
-    masks = _trace_form_masks(K)
     columns = []
     for b in blocks:
         indicator = [0] * size
@@ -349,11 +351,8 @@ def build_element_scheme(tower: FieldTower, field_label: str, blocks,
     """Verify a partition of X* (plus {0}) into the sets {g^k : k in b} as a
     translation scheme, with dual classes read off from the census under
     the pairing b -> psi(b.); the blocks b must partition Z_|K*|."""
-    K = tower.field(field_label)
-    if K.size > _ORACLE_SIZE_LIMIT:
-        raise SchemeError("element-level verification limited to small fields")
     return _assemble(tower, scheme_id, field_label,
-                     FusionPattern(K.order, blocks), "element")
+                     FusionPattern(tower.field(field_label).order, blocks), "element")
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +362,8 @@ def build_element_scheme(tower: FieldTower, field_label: str, blocks,
 def two_class_scheme(tower: FieldTower) -> SchemeRecord:
     """The two-class translation scheme on F from the trace-zero hyperplane:
     R_1, R_2 = the g^k of trace 0, 1 (a strongly regular Cayley graph)."""
-    trace = parity_string(tower.F, [tower.F.trace_mask])
-    blocks = [[k for k, t in enumerate(trace) if t == bit] for bit in "01"]
+    masks = _trace_form_masks(tower.F)  # bit 0 of masks[k] is Tr(g^k)
+    blocks = [[k for k, m in enumerate(masks) if m & 1 == bit] for bit in (0, 1)]
     return build_element_scheme(tower, "F", blocks, "trace2")
 
 
@@ -429,7 +428,7 @@ def dual_scheme_tables_check(tower: FieldTower, which: str) -> Report:
         # D_0 u D_1 closes under addition, i.e. the dual is imprimitive:
         # C_0 u {0} is the degree-s subfield, which holds 1 and is fixed by
         # u -> u^q (every other class omega^r C_0 u {0} is closed as well)
-        c0 = set(tower.F.powers[::tower.M]) | {0}
+        c0 = {tower.F.pow(tower.omega, tower.M * t) for t in range((1 << tower.s) - 1)} | {0}
         closed = all((a ^ b) in c0 for a in c0 for b in c0)
         fixed = 1 in c0 and all(tower.F.pow(u, 1 << tower.s) == u for u in c0)
         report.add("zero-indexed dual block plus 0 is additively closed "

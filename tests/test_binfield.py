@@ -103,6 +103,20 @@ def test_search_matches_the_unaccelerated_search(m):
     assert build_field(m).modulus == _reference_search(m)
 
 
+def test_a_wrong_squaring_table_is_refused_at_once(monkeypatch):
+    # row 0 built from the images of bits 1..width: every certificate would
+    # then fail and the search scan every candidate without end
+    rows = binfield._lookup_rows
+
+    def mutant(images, width):
+        return [rows(images[1:width + 1], width)[0]] + rows(images, width)[1:]
+
+    monkeypatch.setattr(binfield, "_lookup_rows", mutant)
+    for m, modulus in ((6, None), (18, None), (6, 0x43)):
+        with pytest.raises(InternalCheckError, match="table squaring"):
+            build_field(m, modulus)
+
+
 def test_generator_is_primitive():
     K = build_field(6)
     seen = set()
@@ -238,6 +252,17 @@ def test_tower_matches_the_scanning_construction(s, poly_f):
     _assert_tower_matches_scans(build_tower(s, poly_f), s, {"F": poly_f})
 
 
+@pytest.mark.parametrize("block", [1, 6])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_root_search_across_blocks_matches_the_scanning_construction(monkeypatch, s, block):
+    # blocks of one exponent, and of 6, which divides none of |F*| = 7,
+    # 63, 511, 4095: the roots (k = 3, 1; 31, 11; 83, 47; 397, 467 in G
+    # and H) lie past the first block from s = 2 on, under 6 off a block's
+    # start
+    monkeypatch.setattr(binfield, "_BLOCK", block)
+    _assert_tower_matches_scans(build_tower(s), s, {})
+
+
 def test_tower_matches_the_scanning_construction_under_other_g_h_moduli():
     moduli = {"G": 0x107b, "H": 0x4004d}
     _assert_tower_matches_scans(build_tower(2, None, *moduli.values()), 2, moduli)
@@ -293,6 +318,18 @@ def test_parities_read_each_functional_along_the_table(m):
         assert binfield.odd_parities(table, [mask]) == word
     for j in range(len(masks) + 1):
         assert binfield.odd_parities(table, masks[:j]) == reduce(or_, words[:j], 0)
+
+
+@pytest.mark.parametrize("block", [1, 6, 100])
+@pytest.mark.parametrize("m", [3, 6, 12])
+def test_parity_string_across_blocks_matches_one_block(monkeypatch, m, block):
+    # 6 and 100 leave a ragged last block against |K*| = 7, 63 and 4095
+    K = build_field(m)
+    masks = [[K.trace_mask], K.subfield_zero_masks(m // 3), [1, (1 << m) - 1]]
+    whole = [binfield.parity_string(K, row) for row in masks]
+    monkeypatch.setattr(binfield, "_BLOCK", block)
+    assert [binfield.parity_string(K, row) for row in masks] == whole
+    assert all(len(bits) == K.order for bits in whole)
 
 
 @pytest.mark.parametrize("width, m", [(4, 7), (4, 63), (8, 13), (8, 36), (8, 63)])

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cycloscheme import charsum
+from cycloscheme import binfield, charsum
 from cycloscheme.binfield import FieldError, InternalCheckError, build_tower
 from cycloscheme.charsum import (conjugation_symmetry_check, eta_prime_law_check,
                                  gauss_periods, gauss_sum_modulus_check,
@@ -118,10 +118,10 @@ def test_gauss_periods_match_the_element_walk_under_other_moduli(label):
 @pytest.mark.parametrize("chunk_bits", [1, 3 * 64 * 21])
 @pytest.mark.parametrize("s,label", [(1, "H"), (2, "G"), (2, "H"), (3, "F")])
 def test_gauss_periods_multi_chunk(monkeypatch, chunk_bits, s, label):
-    # chunks of one exponent: many full chunks; of 4032 exponents: one full
-    # chunk and a ragged tail of 129 for H at s = 2 (4,161 strided
-    # exponents), a single short chunk elsewhere
-    monkeypatch.setattr(charsum, "_CHUNK_EXPONENTS", chunk_bits)
+    # blocks of one exponent: many full blocks; of 4032 exponents: one full
+    # block and a ragged tail of 129 for H at s = 2 (4,161 strided
+    # exponents), a single short block elsewhere
+    monkeypatch.setattr(binfield, "_BLOCK", chunk_bits)
     _assert_walk_matches_oracle(build_tower(s), label)
 
 
@@ -160,8 +160,8 @@ def test_a_stride_table_for_M_plus_one_is_caught(monkeypatch, s, label):
     # the words are g^((M + 1) t): residues drift from r; F has one word
     # per residue (P = M), so only G and H can show it
     def patch(mp, K, tower):
-        table, stride = charsum.power_table, K.pow(K.generator, tower.M)
-        mp.setattr(charsum, "power_table", lambda K_, base, count: table(
+        blocks, stride = charsum.power_blocks, K.pow(K.generator, tower.M)
+        mp.setattr(charsum, "power_blocks", lambda K_, base, count: blocks(
             K_, K.times_x(base) if base == stride else base, count))
 
     with pytest.raises(InternalCheckError, match="differ on the doubling orbit"):
@@ -198,11 +198,19 @@ def test_counts_off_the_hyperplane_size_are_caught(monkeypatch, s, label):
 
 @pytest.mark.parametrize("s,label", [(1, "F"), (2, "G"), (2, "H")])
 def test_a_walk_that_does_not_return_is_caught(monkeypatch, s, label):
-    # one-word chunks move on by g^M; here by g^(M + 1)
+    # one-exponent blocks move on by g^M; the first advance here by g^M x.
+    # G and H at s = 2 walk 65 and 4,161 blocks; F at s = 1 walks one, and
+    # its only advance is the step past the end that the rewind undoes
     def patch(mp, K, tower):
-        mp.setattr(charsum, "_CHUNK_EXPONENTS", 1)
-        power = K.pow
-        mp.setattr(K, "pow", lambda a, e: power(a, e + (e == tower.M)))
+        mp.setattr(binfield, "_BLOCK", 1)
+        apply, times_x, calls = binfield._apply, K.x_multiples(0b10, K.degree), []
+
+        def skewed(images, table):  # power_table makes no call for one exponent
+            calls.append(None)
+            out = apply(images, table)
+            return apply(times_x, out) if len(calls) == 1 else out
+
+        mp.setattr(binfield, "_apply", skewed)
 
     with pytest.raises(InternalCheckError, match="did not return to its start"):
         _zero_counts_under(monkeypatch, s, label, patch)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from cycloscheme.binfield import InternalCheckError, build_tower
+from cycloscheme.binfield import BinaryField, InternalCheckError, build_tower
 from cycloscheme.cycpart import get_partition
 from cycloscheme.schemecore import (FusionPattern, SchemeError, bannai_muzychuk_verify,
                                     build_dual_scheme, build_element_scheme, build_scheme,
@@ -263,17 +263,31 @@ def test_record_json_round_trip(tower1):
 def test_dual_check_needs_the_subfield_block(monkeypatch):
     # every class omega^r C_0 plus 0 is an additive group of size q, so the
     # check must also see that the block is the subfield: it holds 1 and
-    # is fixed by u -> u^q.  Rotating the power table by one hands the
-    # check the block F.powers[1::M] = omega C_0.
+    # is fixed by u -> u^q.  Reading omega^(Mt + 1) for omega^(Mt) hands
+    # the check the block omega C_0.
     tower = build_tower(2)
+    F, M = tower.F, tower.M
     name = "zero-indexed dual block plus 0 is additively closed of size 2^2"
     # the first run fills every cache the check reads, so the patched run
-    # leaves none built from the rotated table
+    # leaves none built from the shifted powers
     checks = {c.name: c for c in dual_scheme_tables_check(tower, "thm1").checks}
     assert checks[name].passed
-    powers = tower.F.powers
-    monkeypatch.setitem(vars(tower.F), "powers", powers[1:] + powers[:1])
-    shifted = set(tower.F.powers[::tower.M]) | {0}
+    power = F.pow
+    monkeypatch.setattr(F, "pow", lambda a, e: power(
+        a, e + (a == tower.omega and e % M == 0)))
+    shifted = {F.pow(tower.omega, M * t) for t in range(3)} | {0}
+    assert shifted != {power(tower.omega, M * t) for t in range(3)} | {0}
     assert all((a ^ b) in shifted for a in shifted for b in shifted)
     checks = {c.name: c for c in dual_scheme_tables_check(tower, "thm1").checks}
     assert checks[name].passed is False
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_dual_check_reads_no_power_list(monkeypatch, s):
+    # the subfield block needs the q - 1 powers of g^M, not the |F*| of F.powers
+    def no_powers(self):
+        raise AssertionError("F.powers was read")
+
+    monkeypatch.setattr(BinaryField, "powers", property(no_powers))
+    report = dual_scheme_tables_check(build_tower(s), "thm1")
+    assert report.passed and len(report.checks) == 5
