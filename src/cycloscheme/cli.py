@@ -8,7 +8,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import charsum, paperbook, schemecore, zmring
 from .binfield import FieldError, _prime_factors, build_tower, modulus_from_hex
@@ -21,8 +21,7 @@ TARGETS = ("fields", "partition", "lemma2", "gauss", "thm1", "thm2i",
 USAGE_ERROR = 2
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     s: int
     targets: tuple = TARGETS
     poly_f: int | None = None
@@ -249,9 +248,9 @@ def export_catalog(config: RunConfig, tower, reports, records, path: str) -> Non
         "reports": [r.to_json() for r in reports],
         "schemes": [rec.to_json() for rec in records],
     }
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _parse_args(argv) -> argparse.Namespace:

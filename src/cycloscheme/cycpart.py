@@ -13,7 +13,7 @@ power table of F, so strided slices and counts do the class arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from typing import NamedTuple
 
@@ -22,27 +22,23 @@ from .reporting import Report
 from .zmring import _cyclic_product, _indicator, _inverse
 
 
-@dataclass(frozen=True)
-class CyclotomicPartition:
-    s: int
-    M: int
-    T1: tuple[int, ...]
-    T2: tuple[int, ...]
-    T3: tuple[int, ...]
+class CyclotomicPartition(namedtuple("CyclotomicPartition", "s M T1 T2 T3")):
+    """The tuples T1, T2, T3 of Z_M; their sizes and their union are checked
+    on every construction, ``_replace`` included."""
 
-    def __post_init__(self):
-        q = 1 << self.s
-        expected = {
-            "T1": q + 1,
-            "T2": (1 << (2 * self.s - 1)) + (1 << (self.s - 1)),
-            "T3": (1 << (2 * self.s - 1)) - (1 << (self.s - 1)),
-        }
-        for name, size in expected.items():
-            got = len(getattr(self, name))
-            if got != size:
-                raise InternalCheckError(f"|{name}| = {got}, expected {size}")
-        if sorted(self.T1 + self.T2 + self.T3) != list(range(self.M)):
+    __slots__ = ()
+
+    def __new__(cls, s: int, M: int, T1: tuple, T2: tuple, T3: tuple):
+        q = 1 << s
+        for name, block, size in zip(cls._fields[2:], (T1, T2, T3),
+                                     (q + 1, (q * q + q) // 2, (q * q - q) // 2)):
+            if len(block) != size:
+                raise InternalCheckError(f"|{name}| = {len(block)}, expected {size}")
+        if sorted(T1 + T2 + T3) != list(range(M)):
             raise InternalCheckError("T1, T2, T3 do not partition Z_M")
+        return super().__new__(cls, s, M, T1, T2, T3)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
 
 class _ClassIndicators(NamedTuple):

@@ -1,22 +1,23 @@
 """Symbolic parameter book: every published table row and intersection
 matrix as a polynomial in q = 2^s, cross-checked against computed results.
 
-The transcription lives in data/tables.json as expression strings.  Each is
-checked against the grammar of integer literals, q, + - *, ** by a
-non-negative integer literal and / by a nonzero integer literal of a
-dividend that holds q (so 1/2 is rejected), which bounds its degree.  It is
-then compiled with every / an exact division and evaluated at the integer
-q.  Entries have degree at most D, so the row-sum identities hold
-identically iff they hold at q = 0..D.
+The transcription lives in data/tables.json as expression strings.  One
+walk over each parse tree checks it against the grammar of integer
+literals, q, + - *, ** by a non-negative integer literal and / by a
+nonzero integer literal of a non-constant dividend (so 1/2 is rejected),
+and turns it into integer coefficients over one denominator.  Values at
+q come by Horner's rule, and the row-sum identities are compared
+coefficient by coefficient; no text from the data file is executed.
 """
 
 from __future__ import annotations
 
 import ast
 import json
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .binfield import FieldTower
 from .reporting import Report
@@ -26,61 +27,85 @@ from .schemecore import (SCHEMES, THEOREMS, build_dual_scheme, build_scheme,
 TABLE_IDS = tuple(SCHEMES)
 
 
-def _checked(node, expr: str) -> tuple[int, ast.expr]:
-    """Degree bound in q of an expression node, and the node with every
-    a / b turned into the exact division _divide(a, b); ValueError for
-    anything outside the grammar."""
-    if isinstance(node, ast.Name) and node.id == "q":
-        return 1, node
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return 0, node
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        degree, node.operand = _checked(node.operand, expr)
-        return degree, node
-    if isinstance(node, ast.BinOp):
-        left, node.left = _checked(node.left, expr)
-        if isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
-            right, node.right = _checked(node.right, expr)
-            return (left + right if isinstance(node.op, ast.Mult) else max(left, right)), node
-        right = node.right
-        literal = right.value if isinstance(right, ast.Constant) \
+def _add(a: tuple, b: tuple, sign: int = 1) -> tuple[list[int], int]:
+    """a + sign * b for (coefficients, denominator) pairs."""
+    den = lcm(a[1], b[1])
+    return [x * (den // a[1]) + sign * y * (den // b[1])
+            for x, y in zip_longest(a[0], b[0], fillvalue=0)], den
+
+
+def _mul(a: tuple, b: tuple) -> tuple[list[int], int]:
+    coeffs = [0] * (len(a[0]) + len(b[0]) - 1)
+    for i, u in enumerate(a[0]):
+        for j, v in enumerate(b[0]):
+            coeffs[i + j] += u * v
+    return coeffs, a[1] * b[1]
+
+
+_SIGNS = {ast.UAdd: 1, ast.USub: -1, ast.Add: 1, ast.Sub: -1}
+
+
+def _terms(node, expr: str) -> tuple[list[int], int]:
+    """Coefficients (constant term first) and positive denominator of an
+    expression node; ValueError for anything outside the grammar."""
+    kind, op = type(node), type(getattr(node, "op", None))
+    if kind is ast.Name and node.id == "q":
+        return [0, 1], 1
+    if kind is ast.Constant and type(node.value) is int:
+        return [node.value], 1
+    if kind is ast.UnaryOp and op in _SIGNS:
+        return _mul(([_SIGNS[op]], 1), _terms(node.operand, expr))
+    if kind is ast.BinOp:
+        left, right = _terms(node.left, expr), node.right
+        if op in _SIGNS:
+            return _add(left, _terms(right, expr), _SIGNS[op])
+        if op is ast.Mult:
+            return _mul(left, _terms(right, expr))
+        literal = right.value if type(right) is ast.Constant \
             and type(right.value) is int else None
-        if isinstance(node.op, ast.Pow) and literal is not None:
-            return left * literal, node
-        if isinstance(node.op, ast.Div) and literal and \
-                any(isinstance(n, ast.Name) and n.id == "q" for n in ast.walk(node.left)):
-            name = ast.copy_location(ast.Name("_divide", ast.Load()), node)
-            return left, ast.copy_location(ast.Call(name, [node.left, right], []), node)
+        if op is ast.Pow and literal is not None:
+            power = [1], 1
+            for _ in range(literal):
+                power = _mul(power, left)
+            return power
+        if op is ast.Div and literal and any(left[0][1:]):  # not constant
+            return left[0], left[1] * literal
     raise ValueError(f"expression {expr!r} is not a polynomial in q")
 
 
-def _divide(a, b: int):
-    """a / b as an int when b divides a, else as a Fraction."""
-    if type(a) is int and a % b == 0:
-        return a // b
-    return Fraction(a, b)
-
-
 @lru_cache(maxsize=None)
-def _parse(expr: str) -> tuple:
-    """Code object and degree bound of a grammar-checked expression."""
-    tree = ast.parse(expr, mode="eval")
-    degree, tree.body = _checked(tree.body, expr)
-    return compile(tree, "<tables.json>", "eval"), degree
+def polynomial(expr: str) -> tuple[tuple[int, ...], int]:
+    """(c_0, ..., c_n) and d > 0 in lowest terms with expr equal to
+    (c_0 + c_1 q + ... + c_n q^n) / d and c_n != 0 (no coefficient for 0);
+    ValueError for anything outside the grammar."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError:
+        raise ValueError(f"expression {expr!r} does not parse") from None
+    coeffs, den = _terms(tree.body, expr)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    g = gcd(den, *coeffs)
+    return tuple(c // g for c in coeffs), den // g
 
 
-@lru_cache(maxsize=None)
-def evaluate(expr: str, q_value: int) -> int | Fraction:
-    """Exact value of an expression at the integer q."""
-    return eval(_parse(expr)[0], {"__builtins__": {}, "_divide": _divide},  # noqa: S307
-                {"q": q_value})
+def _divmod(expr: str, q_value: int) -> tuple[int, int]:
+    """Quotient and remainder of an expression's numerator at the integer
+    q, by Horner's rule, over its denominator."""
+    coeffs, den = polynomial(expr)
+    value = 0
+    for c in reversed(coeffs):
+        value = value * q_value + c
+    return divmod(value, den)
 
 
-def eval_int(expr: str, q_value: int) -> int:
-    v = evaluate(expr, q_value)
-    if v.denominator != 1:
-        raise ValueError(f"non-integer value {v} at q={q_value}")
-    return int(v)
+def evaluate(expr: str, q_value: int) -> int:
+    """Exact value of an expression at the integer q; ValueError when it
+    is not an integer."""
+    value, rest = _divmod(expr, q_value)
+    if rest:
+        raise ValueError(f"{expr!r} is not an integer at q={q_value}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +131,7 @@ def table_row(table_id: str, row_label, q_value: int) -> list[int]:
         idx = table["row_keys"].index(row_label)
     else:
         raise KeyError(f"unknown row {row_label!r}")
-    return [eval_int(e, q_value) for e in table["rows"][idx]]
+    return [evaluate(e, q_value) for e in table["rows"][idx]]
 
 
 def appendix_matrix(scheme_id: str, which: str, q_value: int) -> list:
@@ -120,7 +145,7 @@ def appendix_matrix(scheme_id: str, which: str, q_value: int) -> list:
     mats = data[scheme_id]
     if which not in mats:
         raise KeyError(f"no matrix {which!r} for {scheme_id}")
-    return [[eval_int(e, q_value) for e in row] for row in mats[which]]
+    return [[evaluate(e, q_value) for e in row] for row in mats[which]]
 
 
 def _all_expressions():
@@ -141,7 +166,7 @@ def integrality_check() -> Report:
     q_values = (2, 4, 8, 16)
     report = Report("integrality of transcribed entries")
     bad = [f"{where} at q={q}" for where, expr in _all_expressions()
-           for q in q_values if evaluate(expr, q).denominator != 1]
+           for q in q_values if _divmod(expr, q)[1]]
     report.add(f"all entries integral at q in {q_values}", not bad,
                "; ".join(bad[:3]))
     return report
@@ -150,14 +175,14 @@ def integrality_check() -> Report:
 def row_sum_identity_check() -> Report:
     """Polynomial identities: nonprincipal table rows sum to 0, and every
     row of B_i (resp. L_i) sums to the degree n_i of the matching scheme.
-    Every entry has degree at most D, the largest degree bound in the book,
-    so a row sum equals its target identically iff it does at q = 0..D."""
+    Each sum is compared with its target coefficient by coefficient."""
     report = Report("row-sum polynomial identities")
-    points = range(max(_parse(e)[1] for _, e in _all_expressions()) + 1)
 
     def sums_to(row, target: str) -> bool:
-        return all(sum(evaluate(e, q) for e in row) == evaluate(target, q)
-                   for q in points)
+        rest = polynomial(target)
+        for e in row:
+            rest = _add(rest, polynomial(e), -1)
+        return not any(rest[0])
 
     bad = [f"table {tid} row {r}" for tid in TABLE_IDS
            for r, row in enumerate(_table(tid)["rows"][1:], 1) if not sums_to(row, "0")]

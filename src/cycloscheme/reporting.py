@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check; ``passed`` is None when the check was skipped."""
 
     name: str
@@ -18,10 +17,10 @@ class CheckResult:
         return f"[{tag}] {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, title: str):
+        self.title = title
+        self.checks: list[CheckResult] = []
 
     def add(self, name: str, passed: bool | None, detail: str = "") -> CheckResult:
         result = CheckResult(name, None if passed is None else bool(passed), detail)

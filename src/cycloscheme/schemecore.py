@@ -4,17 +4,18 @@ Scheme-ness is decided by the row-census form of the Bannai-Muzychuk
 criterion: a fusion of the order-M cyclotomic classes is a 3-class
 translation scheme exactly when the fused character-value rows take 3
 distinct nonprincipal values.  Everything downstream (P, Q, intersection
-numbers) is exact integer/rational arithmetic on 4x4 matrices; adjacency
-matrices are never materialized.  Index census columns are products in
+numbers) is exact integer arithmetic on 4x4 matrices; adjacency matrices
+are never materialized.  Index census columns are products in
 Z[Z_M]; element census columns are Walsh-Hadamard transforms run on one
 packed Python int.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 from functools import cache
+from math import lcm
+from typing import NamedTuple
 
 from .binfield import BinaryField, FieldTower, InternalCheckError, trace_forms
 from .charsum import gauss_periods
@@ -42,27 +43,27 @@ class SchemeError(ValueError):
     """Invalid fusion pattern or violated scheme precondition."""
 
 
-@dataclass(frozen=True)
-class FusionPattern:
-    """Disjoint index sets covering Z_M; block k fuses the classes C_i, i in block k."""
+class FusionPattern(namedtuple("FusionPattern", "M blocks")):
+    """Disjoint index sets covering Z_M; block k fuses the classes C_i, i in
+    block k.  The blocks are sorted tuples, checked on every construction,
+    ``_replace`` included."""
 
-    M: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        seen = [i for b in blocks for i in b]
-        if sorted(seen) != list(range(self.M)):
+    def __new__(cls, M: int, blocks):
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
+        if sorted(i for b in blocks for i in b) != list(range(M)):
             raise SchemeError("blocks do not partition Z_M")
+        return super().__new__(cls, M, blocks)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
     @classmethod
     def from_partition(cls, part) -> "FusionPattern":
         return cls(part.M, (part.T1, part.T2, part.T3))
 
 
-@dataclass(frozen=True)
-class SchemeRecord:
+class SchemeRecord(NamedTuple):
     """One verified (or refuted) fusion, built whole by ``_assemble``; the
     spectral fields stay empty when the census refutes the fusion."""
 
@@ -78,12 +79,12 @@ class SchemeRecord:
     names: range | list  # name of exponent k: k in Z_M, or g^k in K*
     row_census: dict  # row -> exponents giving it, ascending
     flags: dict
-    degrees: list = field(default_factory=list)  # (1, n_1, ..., n_d)
-    multiplicities: list = field(default_factory=list)
-    P: list = field(default_factory=list)
-    Q: list = field(default_factory=list)
+    degrees: list = ()  # (1, n_1, ..., n_d)
+    multiplicities: list = ()
+    P: list = ()
+    Q: list = ()
     dual_sets: tuple = ()  # sorted exponent tuples, matching P rows 1..d
-    B: list = field(default_factory=list)
+    B: list = ()
 
     def to_json(self) -> dict:
         return {
@@ -182,19 +183,21 @@ def _element_columns(K: BinaryField, blocks) -> list[list[int]]:
 def second_eigenmatrix(P: list, size: int) -> list:
     """Q = |X| * P^(-1) by orthogonality: with n_i = P[0][i], the dual
     multiplicity is m_l = |X| / sum_i P[l][i]^2 / n_i and
-    Q[i][l] = m_l P[l][i] / n_i.  Both divisions must be exact, and
-    P*Q = |X|*I is rechecked."""
+    Q[i][l] = m_l P[l][i] / n_i.  The sum is taken over L = lcm(n_i), so
+    m_l = |X| L / sum_i P[l][i]^2 (L / n_i); both divisions must be exact,
+    and P*Q = |X|*I is rechecked."""
     n = len(P)
+    L = lcm(*P[0])
     Q = [[0] * n for _ in range(n)]
     for l, row in enumerate(P):
-        m = size / sum(Fraction(v * v, k) for v, k in zip(row, P[0]))
-        if m.denominator != 1:
-            raise InternalCheckError(f"multiplicity m_{l} = {m} is not an integer")
+        norm = sum(v * v * (L // k) for v, k in zip(row, P[0]))
+        if size * L % norm:
+            raise InternalCheckError(f"multiplicity m_{l} = {size * L}/{norm} is not an integer")
+        m = size * L // norm
         for i, (v, k) in enumerate(zip(row, P[0])):
-            if m.numerator * v % k:
-                raise InternalCheckError(f"Q[{i}][{l}] = {m.numerator * v}/{k} "
-                                         "is not an integer")
-            Q[i][l] = m.numerator * v // k
+            if m * v % k:
+                raise InternalCheckError(f"Q[{i}][{l}] = {m * v}/{k} is not an integer")
+            Q[i][l] = m * v // k
     if _mat_mul(P, Q) != [[size if i == j else 0 for j in range(n)] for i in range(n)]:
         raise InternalCheckError("P*Q != |X|*I")
     return Q

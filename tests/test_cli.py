@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -181,7 +180,7 @@ WHOLE_CATALOGS = {
 def test_whole_catalog_matches_reference(tmp_path, name):
     config, file_sha = WHOLE_CATALOGS[name]
     path = tmp_path / "catalog.json"
-    code, _ = run_quiet(dataclasses.replace(config, json_path=str(path)))
+    code, _ = run_quiet(config._replace(json_path=str(path)))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
 
@@ -293,5 +292,10 @@ def test_each_fusion_is_censused_once(monkeypatch):
 
 def test_scheme_records_are_frozen():
     record = schemecore.build_scheme(build_tower(1), "thm1")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         record.scheme_id = "dual1"
+    refuted = schemecore.bannai_muzychuk_verify(
+        build_tower(1), "F", schemecore.FusionPattern(7, ((1, 2, 3), (4, 5), (0, 6))))
+    assert not refuted.is_scheme
+    # a refuted fusion leaves its spectral fields empty, and immutable
+    assert (refuted.degrees, refuted.P, refuted.Q, refuted.B) == ((), (), (), ())

@@ -103,6 +103,17 @@ def test_partition_invariant_enforced():
         CyclotomicPartition(1, 7, (1, 2), (3, 5, 6, 4), (0,))
 
 
+def test_partition_replace_is_validated():
+    part = CyclotomicPartition(1, 7, (1, 2, 4), (3, 5, 6), (0,))
+    assert part._replace(T2=(3, 6, 5)).T2 == (3, 6, 5)
+    with pytest.raises(InternalCheckError):
+        part._replace(T1=(1, 2, 3))  # sizes hold, the union does not
+    with pytest.raises(InternalCheckError):
+        part._replace(T2=(3, 5))
+    with pytest.raises(AttributeError):
+        part.T1 = (0, 1, 2)
+
+
 def test_trace_zero_abs_values_oracle_s1():
     # T1 = classes a with tr_{F/E}(omega^a) = 0, cross-checked naively
     tower = build_tower(1)

@@ -2,7 +2,6 @@
 ring oracle, on the true periods and on perturbed ones, and the primes
 that make the tables exact."""
 
-from dataclasses import replace
 from math import prod
 
 import pytest
@@ -47,7 +46,7 @@ def _inputs(tower, perturbation):
     if perturbation == "swap":
         T1, T2 = list(part.T1), list(part.T2)
         T1[0], T2[0] = T2[0], T1[0]
-        part = replace(part, T1=tuple(T1), T2=tuple(T2))
+        part = part._replace(T1=tuple(T1), T2=tuple(T2))
     elif perturbation == "subgroup":
         for j in range(0, tower.M, min(_prime_factors(tower.M))):
             eta["F"][j] += 1

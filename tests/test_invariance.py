@@ -33,7 +33,7 @@ def primitive_moduli(draw, degree):
 def scheme_invariants(config):
     """Every check must pass; returns each scheme's invariants by id."""
     with tempfile.TemporaryDirectory() as tmp:
-        config.json_path = str(Path(tmp) / "catalog.json")
+        config = config._replace(json_path=str(Path(tmp) / "catalog.json"))
         assert run(config, out=io.StringIO()) == 0
         schemes = json.loads(Path(config.json_path).read_text())["schemes"]
     return {rec["scheme"]: {key: rec[key] for key in INVARIANTS} for rec in schemes}

@@ -1,3 +1,4 @@
+import ast
 import copy
 from fractions import Fraction
 
@@ -5,34 +6,72 @@ import pytest
 
 from cycloscheme import paperbook
 from cycloscheme.binfield import build_tower
-from cycloscheme.paperbook import (appendix_matrix, eval_int, evaluate, integrality_check,
+from cycloscheme.paperbook import (appendix_matrix, evaluate, integrality_check, polynomial,
                                    reconcile, row_sum_identity_check, table_row)
 
 
 def test_qpoly_eval():
     expr = "q*(q**2+q-2)/4"
-    assert evaluate(expr, 2) == Fraction(2)
-    assert evaluate(expr, 4) == Fraction(18)
-    assert eval_int(expr, 4) == 18
+    assert evaluate(expr, 2) == 2
+    assert evaluate(expr, 4) == 18
 
 
 def test_qpoly_rejects_non_integral():
     with pytest.raises(ValueError):
-        eval_int("q/2", 3)
+        evaluate("q/2", 3)
 
 
 @pytest.mark.parametrize("expr", [
     "1.5*q", "1/2", "q+1/2", "q**q", "q/q", "q**-1", "__import__('os')",
-    "q.numerator", "(lambda: 1)()", "[q][0]", "q//2", "q%2", "True*q", "x"])
+    "q.numerator", "(lambda: 1)()", "[q][0]", "q//2", "q%2", "True*q", "x",
+    "q**2**3", "2q", "q(1)", "q/0", "(q", "", "(q-q+1)/2", "q**0/2"])
 def test_expressions_outside_the_grammar_are_rejected(expr):
     with pytest.raises(ValueError):
         evaluate(expr, 2)
 
 
 def test_degree_bound():
-    assert [paperbook._parse(e)[1] for e in
+    assert [len(polynomial(e)[0]) - 1 for e in
             ("7", "q", "-q/2", "q*(q-1)**2/2", "(q**2-1)*(q**3+1)", "q**0")] == \
         [0, 1, 1, 3, 5, 0]
+
+
+@pytest.mark.parametrize("expr,expected", [
+    ("q*(q**2+q-2)/4", ((0, -2, 1, 1), 4)),
+    ("-q/2", ((0, -1), 2)),
+    ("(2*q+4)/6", ((2, 1), 3)),
+    ("q*(q-1)**2/2", ((0, 1, -2, 1), 2)),
+    ("(q**2-1)*(q**3+1)", ((-1, 0, 1, -1, 0, 1), 1)),
+    ("q-q", ((), 1)),
+    ("0", ((), 1)),
+    ("+7", ((7,), 1))])
+def test_polynomial_coefficients(expr, expected):
+    assert polynomial(expr) == expected
+
+
+def _fraction_value(node, q):
+    """The test's own evaluation of a book expression, in Fractions."""
+    if isinstance(node, ast.Name):
+        return Fraction(q)
+    if isinstance(node, ast.Constant):
+        return Fraction(node.value)
+    if isinstance(node, ast.UnaryOp):
+        value = _fraction_value(node.operand, q)
+        return -value if isinstance(node.op, ast.USub) else value
+    left, right = _fraction_value(node.left, q), _fraction_value(node.right, q)
+    return {ast.Add: left.__add__, ast.Sub: left.__sub__, ast.Mult: left.__mul__,
+            ast.Div: left.__truediv__, ast.Pow: left.__pow__}[type(node.op)](right)
+
+
+def test_every_book_polynomial_matches_a_fraction_evaluation():
+    exprs = sorted({expr for _, expr in paperbook._all_expressions()})
+    assert len(exprs) > 100
+    for expr in exprs:
+        coeffs, den = polynomial(expr)
+        body = ast.parse(expr, mode="eval").body
+        for q in range(-5, 21):
+            assert Fraction(sum(c * q ** i for i, c in enumerate(coeffs)), den) == \
+                _fraction_value(body, q), (expr, q)
 
 
 def test_row_sums_are_checked_past_the_largest_degree(monkeypatch):

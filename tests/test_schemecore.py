@@ -33,6 +33,21 @@ def test_fusion_pattern_validates():
         FusionPattern(7, ((0, 1, 2), (2, 3), (4, 5, 6)))  # overlap
 
 
+def test_fusion_pattern_is_a_checked_value():
+    # build_scheme's cache keys on the pattern, so equal blocks must hash equal
+    pattern = FusionPattern(7, ((2, 1, 4), (6, 5, 3), (0,)))
+    assert pattern.blocks == ((1, 2, 4), (3, 5, 6), (0,))
+    same = FusionPattern(7, [[1, 2, 4], [3, 5, 6], [0]])
+    assert pattern == same and hash(pattern) == hash(same)
+    assert pattern != FusionPattern(7, ((0,), (1, 2, 4), (3, 5, 6)))
+    with pytest.raises(SchemeError):
+        pattern._replace(blocks=((1, 2, 4), (3, 5, 6)))
+    assert pattern._replace(blocks=((0,), (4, 2, 1), (6, 3, 5))).blocks == \
+        ((0,), (1, 2, 4), (3, 5, 6))
+    with pytest.raises(AttributeError):
+        pattern.M = 8
+
+
 def test_character_rows_f_s1(tower1):
     pat = pattern_for(tower1)
     assert character_row(tower1, "F", pat, 0) == (1, 3, -3, -1)

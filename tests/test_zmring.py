@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -63,12 +62,8 @@ def test_lemma2_eq3_value_s1():
 
 
 def test_lemma2_corrupted_partition_fails():
-    bad = CyclotomicPartition.__new__(CyclotomicPartition)
-    object.__setattr__(bad, "s", 1)
-    object.__setattr__(bad, "M", 7)
-    object.__setattr__(bad, "T1", (1, 2, 3))
-    object.__setattr__(bad, "T2", (4, 5, 6))
-    object.__setattr__(bad, "T3", (0,))
+    # tuple.__new__ skips the partition's own validation
+    bad = tuple.__new__(CyclotomicPartition, (1, 7, (1, 2, 3), (4, 5, 6), (0,)))
     report = verify_lemma2(bad, 1)
     assert not report.passed
     assert any("index" in c.detail for c in report.failures())
@@ -103,12 +98,7 @@ def test_delta_square_s1():
 
 
 def test_delta_square_degenerate_modulus():
-    tiny = CyclotomicPartition.__new__(CyclotomicPartition)
-    object.__setattr__(tiny, "s", 0)
-    object.__setattr__(tiny, "M", 1)
-    object.__setattr__(tiny, "T1", (0,))
-    object.__setattr__(tiny, "T2", ())
-    object.__setattr__(tiny, "T3", ())
+    tiny = tuple.__new__(CyclotomicPartition, (0, 1, (0,), (), ()))
     with pytest.raises(GroupRingError):
         delta_square_check(tiny, 0)
 
@@ -232,7 +222,7 @@ def test_identities_agree_with_ring_oracle(s, swap, checked_s):
     if swap:
         T2, T3 = list(part.T2), list(part.T3)
         T2[0], T3[0] = T3[0], T2[0]
-        part = replace(part, T2=tuple(T2), T3=tuple(T3))
+        part = part._replace(T2=tuple(T2), T3=tuple(T3))
     expected = partition_identities(part, checked_s)
     checks = [c for verify in (verify_lemma2, verify_remark_eqs, delta_square_check)
               for c in verify(part, checked_s).checks]
