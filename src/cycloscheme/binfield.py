@@ -119,8 +119,10 @@ def _certificate(f: int, degree_primes) -> int | None:
     return None if t == 0b10 else m
 
 
-# Deterministic Miller-Rabin bases: they decide every n below 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin bases, the first 13 primes: they decide every n
+# below psi_13 = 3317044064679887385961981 (> 3.3e24), the least strong
+# pseudoprime to all 13 (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 def _is_prime(n: int) -> bool:
     if n < 2 or any(n % b == 0 for b in _MR_BASES):
@@ -204,10 +206,6 @@ class BinaryField:
 
     def __repr__(self) -> str:
         return f"BinaryField(degree={self.degree}, modulus={self.modulus:#x})"
-
-    def check(self, u: int) -> None:
-        if not isinstance(u, int) or u < 0 or u >= self.size:
-            raise FieldError(f"element {u!r} out of range for {self!r}")
 
     # -- ring operations ----------------------------------------------------
 
@@ -474,8 +472,8 @@ def modulus_from_hex(text: str) -> int:
 
 class FieldTower:
     """Nested binary fields E, F, G, H of degrees s, 3s, 6s, 9s; F embeds
-    into G and H, and the order-M classes of G and H are the classes of F
-    pulled back by the norm."""
+    into G and H by omega -> ``roots[label]``, and the order-M classes of G
+    and H are the classes of F pulled back by the norm."""
 
     def __init__(self, s: int, E: BinaryField, F: BinaryField,
                  G: BinaryField, H: BinaryField):
@@ -486,8 +484,8 @@ class FieldTower:
         self.H = H
         self.M = (1 << (2 * s)) + (1 << s) + 1
         self.omega = F.generator
-        self._root_powers_G, step_G = self._embedding(G)
-        self._root_powers_H, step_H = self._embedding(H)
+        (root_G, step_G), (root_H, step_H) = map(self._root_and_step, (G, H))
+        self.roots = {"G": root_G, "H": root_H}
         self._steps = {"F": 1, "G": step_G, "H": step_H}
 
     # -- construction helpers -------------------------------------------------
@@ -518,28 +516,21 @@ class FieldTower:
                 return start + (zeros & -zeros).bit_length() - 1
         raise InternalCheckError("no root of F's modulus in the subfield")
 
-    def _embedding(self, K: BinaryField) -> tuple[list[int], int]:
+    def _root_and_step(self, K: BinaryField) -> tuple[int, int]:
         """Embed F into K by omega = x -> z**k, the first root of F's modulus
         among the powers of z = Norm(g) = g**(|K*|/|F*|); f(z**k) = 0 is
         rechecked by Horner's rule.  Then z is omega**(k^-1), so Norm(g**n)
-        lies in class n * k^-1 mod M.  Returns the powers of the root and
-        that class step."""
+        lies in class n * k^-1 mod M.  Returns the root, the image of omega,
+        and that class step."""
         F = self.F
         z = K.pow(K.generator, K.order // F.order)
         k = self._find_subfield_root(K, z)
         root = K.pow(z, k)
-        root_powers = [1]
-        for _ in range(F.degree - 1):
-            root_powers.append(K.mul(root_powers[-1], root))
         value = reduce(lambda acc, i: K.mul(acc, root) ^ (F.modulus >> i & 1),
                        reversed(range(F.modulus.bit_length())), 0)
         if value:
             raise InternalCheckError("the embedded omega is not a root of F's modulus")
-        return root_powers, pow(k, -1, self.M)
-
-    @staticmethod
-    def _embed(root_powers: list[int], u: int) -> int:
-        return reduce(xor, (w for i, w in enumerate(root_powers) if u >> i & 1), 0)
+        return root, pow(k, -1, self.M)
 
     # -- public surface --------------------------------------------------------
 
@@ -548,18 +539,6 @@ class FieldTower:
             return {"E": self.E, "F": self.F, "G": self.G, "H": self.H}[label]
         except KeyError:
             raise FieldError(f"unknown field label {label!r}") from None
-
-    def embed_F(self, K: BinaryField, u: int) -> int:
-        """The image of u, an element of F, under the fixed embedding of F
-        into K (F itself, G or H)."""
-        if K is self.F:
-            return u
-        self.F.check(u)
-        if K is self.G:
-            return self._embed(self._root_powers_G, u)
-        if K is self.H:
-            return self._embed(self._root_powers_H, u)
-        raise FieldError("embedding only defined into F, G, H")
 
     def class_step(self, label: str) -> int:
         """c with cyclotomic class of generator**k equal to k*c mod M."""

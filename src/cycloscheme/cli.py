@@ -52,9 +52,8 @@ def _target_fields(tower, config) -> tuple[list, list]:
     report.add("random multiplication associativity/distributivity spot-check", ok)
     order = tower.F.order
     cofactors = [order // p for p in _prime_factors(order)]
-    for label in ("G", "H"):
+    for label, w in tower.roots.items():
         K = tower.field(label)
-        w = tower.embed_F(K, tower.omega)
         report.add(f"embedded omega keeps its order in {label}",
                    K.pow(w, order) == 1 and all(K.pow(w, c) != 1 for c in cofactors))
     return [report], []

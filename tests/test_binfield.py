@@ -103,6 +103,28 @@ def test_search_matches_the_unaccelerated_search(m):
     assert build_field(m).modulus == _reference_search(m)
 
 
+def _strong_probable_prime(n, b):
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    x = pow(b, odd, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1 for i in range(1, twos))
+
+
+def test_the_least_strong_pseudoprime_to_the_first_12_primes_is_factored():
+    # psi_12, the least composite that passes Miller-Rabin to every base
+    # 2..37; base 41 refutes it
+    p, q = 399165290221, 798330580441
+    n = p * q
+    assert n == 318665857834031151167461
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert all(_strong_probable_prime(n, b) for b in bases)
+    assert not _strong_probable_prime(n, 41)
+    assert not binfield._is_prime(n)
+    assert _prime_factors(n) == {p: 1, q: 1}
+    assert binfield._is_prime(p) and binfield._is_prime(q)
+
+
 def test_a_wrong_squaring_table_is_refused_at_once(monkeypatch):
     # row 0 built from the images of bits 1..width: every certificate would
     # then fail and the search scan every candidate without end
@@ -182,19 +204,24 @@ def test_tower_shape_s1():
     assert tower.M == 7
 
 
-def test_embedding_is_a_field_homomorphism():
-    tower = build_tower(2)
-    F, G = tower.F, tower.G
-    for a in (1, 7, 33, 60):
-        for b in (2, 9, 41):
-            assert tower.embed_F(G, F.mul(a, b)) == G.mul(tower.embed_F(G, a),
-                                                          tower.embed_F(G, b))
-            assert tower.embed_F(G, a ^ b) == tower.embed_F(G, a) ^ tower.embed_F(G, b)
-
-
 # (s, G modulus, H modulus); None keeps the default
 CLASS_STEP_TOWERS = [(1, None, None), (2, None, None), (1, 0x61, 0x221),
                      (2, 0x107b, 0x4004d)]
+
+
+def test_embedding_is_a_field_homomorphism():
+    # x -> root extends to a ring map GF(2)[x] -> K whose kernel holds F's
+    # modulus exactly when the modulus vanishes at the root, so the map
+    # factors through F; the schoolbook oracle evaluates it term by term
+    for s, mod_g, mod_h in CLASS_STEP_TOWERS:
+        tower = build_tower(s, None, mod_g, mod_h)
+        f = tower.F.modulus
+        assert set(tower.roots) == {"G", "H"}
+        for label, root in tower.roots.items():
+            K = tower.field(label)
+            value = reduce(xor, (gf_pow(root, i, K.modulus)
+                                 for i in range(f.bit_length()) if f >> i & 1))
+            assert value == 0
 
 
 @pytest.mark.parametrize("s,mod_g,mod_h", CLASS_STEP_TOWERS)
@@ -206,8 +233,7 @@ def test_class_step_follows_the_norm(s, mod_g, mod_h):
     assert tower.class_step("F") == 1
     for label in "GH":
         K = tower.field(label)
-        dlog = {tower.embed_F(K, gf_pow(tower.omega, t, F.modulus)): t
-                for t in range(F.order)}
+        dlog = {gf_pow(tower.roots[label], t, K.modulus): t for t in range(F.order)}
         z = gf_pow(K.generator, K.order // F.order, K.modulus)
         norm = 1
         for n in range(F.order):
