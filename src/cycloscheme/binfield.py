@@ -63,6 +63,8 @@ class InternalCheckError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def poly_degree(f: int) -> int:
+    if f < 0:  # every loop on a negative bit mask would run forever
+        raise FieldError(f"modulus {f:#x} is negative")
     return f.bit_length() - 1
 
 
@@ -267,37 +269,17 @@ class BinaryField:
 
     @cached_property
     def trace_mask(self) -> int:
-        """Bit i is the absolute trace of x**i, so Tr(u) is the parity of
-        u & trace_mask."""
-        return sum(self.rel_trace(1, 1 << i) << i for i in range(self.degree))
-
-    def rel_trace(self, sub_degree: int, u: int) -> int:
-        """Trace down to the subfield GF(2**sub_degree)."""
-        if sub_degree <= 0 or self.degree % sub_degree:
-            raise FieldError(
-                f"sub_degree {sub_degree} does not divide degree {self.degree}"
-            )
-        r = 0
-        t = u
-        for _ in range(self.degree // sub_degree):
-            r ^= t
-            for _ in range(sub_degree):
-                t = self.square(t)
-        check = r
-        for _ in range(sub_degree):
-            check = self.square(check)
-        if check != r:
-            raise InternalCheckError("relative trace left the subfield")
-        return r
-
-    def subfield_zero_masks(self, sub_degree: int) -> list[int]:
-        """Masks m_t with rel_trace(sub_degree, u) == 0 iff every
-        (u & m_t) has even parity.  The trace is GF(2)-linear, so its
-        coordinate t (in this field's basis) at u is the parity of
-        u & m_t; zero masks are dropped."""
-        vals = [self.rel_trace(sub_degree, 1 << i) for i in range(self.degree)]
-        masks = (sum((v >> t & 1) << i for i, v in enumerate(vals)) for t in range(self.degree))
-        return [mask for mask in masks if mask]
+        """Bit i is the absolute trace of x**i, the sum of its conjugates
+        (x**i)**(2**j), so Tr(u) is the parity of u & trace_mask."""
+        mask = 0
+        for i, u in enumerate(self.x_multiples(1, self.degree)):
+            t = 0
+            for _ in range(self.degree):
+                t, u = t ^ u, self.square(u)
+            if t > 1:
+                raise InternalCheckError(f"Tr(x**{i}) = {t:#x} is not in GF(2)")
+            mask |= t << i
+        return mask
 
     @cached_property
     def powers(self) -> list[int]:
@@ -421,6 +403,19 @@ def trace_forms(K: BinaryField, elements) -> list[int]:
             a >>= 8
         out.append(m)
     return out
+
+
+def relative_trace_forms(K: BinaryField, sub_degree: int,
+                         elements: list[int]) -> list[list[int]]:
+    """For every a in ``elements``, the ``trace_forms`` masks of
+    u -> Tr(beta^i a u), i < sub_degree, beta = g^(|K*|/(2^sub_degree - 1))
+    a generator of E* = GF(2^sub_degree)*.  The beta^i span E over GF(2)
+    and E's trace form is nondegenerate, so Tr_{K/E}(a u) = 0 iff u has
+    even parity against every one of the masks of a."""
+    beta = K.pow(K.generator, K.order // ((1 << sub_degree) - 1))
+    betas = [K.pow(beta, i) for i in range(sub_degree)]
+    forms = trace_forms(K, [K.mul(b, a) for b in betas for a in elements])
+    return [forms[j::len(elements)] for j in range(len(elements))]
 
 
 def build_field(m: int, modulus: int | None = None) -> BinaryField:

@@ -17,7 +17,7 @@ from math import gcd, isqrt
 
 from .binfield import (DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
                        InternalCheckError, _is_prime, _prime_factors,
-                       odd_parities, power_blocks, trace_forms)
+                       odd_parities, power_blocks, relative_trace_forms)
 from .cycpart import _psi_route, get_partition
 from .reporting import Report
 from .zmring import _cyclic_product, _indicator, _inverse
@@ -53,12 +53,12 @@ def _trace_zero_counts(K: BinaryField, M: int, s: int) -> list[int]:
     """Z[r] = #{0 <= n < P : n = r mod M and Tr_{K/E}(g^n) = 0}, with g the
     generator of K, E = GF(2^s) and P = |K*|/(2^s - 1), a multiple of M.
 
-    Tr_{K/E}(u) = 0 iff Tr(beta^i u) = 0 for every i < s, beta = g^P a
-    generator of E*.  So n = r + M t is counted when g^(M t) has even
-    parity against the s trace-form masks of beta^i g^r.  The g^(M t) are
-    the ``power_blocks`` of g^M.  u -> u^2 sends g^n to g^(2n) and keeps the
-    relative trace zero, so Z is constant on each orbit of doubling on Z_M:
-    the walk counts two members, r and 2r, of every orbit, which must agree.
+    n = r + M t is counted when g^(M t) has even parity against the s
+    ``relative_trace_forms`` masks of g^r (those of Tr(beta^i g^r u),
+    beta = g^P).  The g^(M t) are the ``power_blocks`` of g^M.  u -> u^2
+    sends g^n to g^(2n) and keeps the relative trace zero, so Z is constant
+    on each orbit of doubling on Z_M: the walk counts two members, r and 2r,
+    of every orbit, which must agree.
     """
     if K.degree > DEGREE_LIMIT:
         raise FieldError(f"the Gauss-period walk supports degree <= "
@@ -68,11 +68,7 @@ def _trace_zero_counts(K: BinaryField, M: int, s: int) -> list[int]:
     N = P // M  # strided exponents per residue
     orbits = _doubling_orbits(M)
     walked = [r for orbit in orbits for r in orbit[:2]]
-    beta = K.pow(g, P)
-    betas = [K.pow(beta, i) for i in range(s)]
-    starts = [K.pow(g, r) for r in walked]
-    forms = trace_forms(K, [K.mul(b, u) for b in betas for u in starts])
-    masks = [forms[j::len(walked)] for j in range(len(walked))]  # the s masks of walked[j]
+    masks = relative_trace_forms(K, s, [K.pow(g, r) for r in walked])
     counts = [0] * len(walked)
     for _, width, table in power_blocks(K, K.pow(g, M), N):
         counts = [c + e for c, e in zip(counts, _even_against_every_mask(table, masks, width))]

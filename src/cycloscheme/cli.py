@@ -288,9 +288,9 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(
             s=args.s, targets=targets,
-            poly_f=modulus_from_hex(args.poly_f) if args.poly_f else None,
-            poly_g=modulus_from_hex(args.poly_g) if args.poly_g else None,
-            poly_h=modulus_from_hex(args.poly_h) if args.poly_h else None,
+            poly_f=modulus_from_hex(args.poly_f) if args.poly_f is not None else None,
+            poly_g=modulus_from_hex(args.poly_g) if args.poly_g is not None else None,
+            poly_h=modulus_from_hex(args.poly_h) if args.poly_h is not None else None,
             json_path=args.json, big=args.big, seed=args.seed,
             verbose=args.verbose)
     except ValueError as exc:

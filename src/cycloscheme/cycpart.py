@@ -17,7 +17,8 @@ from collections import namedtuple
 from functools import cache
 from typing import NamedTuple
 
-from .binfield import BinaryField, FieldTower, InternalCheckError, parity_string
+from .binfield import (BinaryField, FieldTower, InternalCheckError, parity_string,
+                       relative_trace_forms)
 from .reporting import Report
 from .zmring import _cyclic_product, _indicator, _inverse
 
@@ -54,8 +55,8 @@ _FLIP = str.maketrans("01", "10")
 
 def _trace_zero_indicator(F: BinaryField, s: int) -> str:
     """Character k is '1' when tr_{F/E}(g^k) = 0, i.e. when g^k has even
-    parity against every mask of ``subfield_zero_masks``."""
-    return parity_string(F, F.subfield_zero_masks(s)).translate(_FLIP)
+    parity against every ``relative_trace_forms`` mask of 1."""
+    return parity_string(F, relative_trace_forms(F, s, [1])[0]).translate(_FLIP)
 
 
 def _gather(bits: str, step: int) -> str:

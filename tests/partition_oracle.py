@@ -4,18 +4,18 @@ package's class folds.
 Each function walks F* element by element, as the package computed D,
 psi(omega^a D) and the tangent/secant route before they became folds of
 M-periodic indicators.  Every element's relative trace and character is
-read once, by ``rel_trace`` and the trace mask; a product omega^a * u
-with u = omega^k is looked up as omega^(a + k).
+read once, by the schoolbook ``rel_trace`` and the trace mask; a product
+omega^a * u with u = omega^k is looked up as omega^(a + k).
 """
 
-from character_oracle import psi
+from character_oracle import psi, rel_trace
 
 
 def _logs_of_D(tower):
     """The k with tr_{F/E}(1/omega^k) = 0; the inverse of omega^k is
     omega^(-k)."""
     F, s = tower.F, tower.s
-    return [k for k in range(F.order) if F.rel_trace(s, F.powers[-k % F.order]) == 0]
+    return [k for k in range(F.order) if rel_trace(F, s, F.powers[-k % F.order]) == 0]
 
 
 def compute_D_reference(tower):
@@ -38,8 +38,8 @@ def partition_by_trace_reference(tower):
     F, s, M = tower.F, tower.s, tower.M
     q = 1 << s
     powers = F.powers
-    zero = [F.rel_trace(s, u) == 0 for u in powers]
-    quadric = [k for k, u in enumerate(powers) if F.rel_trace(s, F.mul(F.pow(u, q), u)) == 0]
+    zero = [rel_trace(F, s, u) == 0 for u in powers]
+    quadric = [k for k, u in enumerate(powers) if rel_trace(F, s, F.mul(F.pow(u, q), u)) == 0]
     blocks = {q - 1: [], 2 * (q - 1): [], 0: []}
     for a in range(M):
         blocks[sum(zero[(a + k) % F.order] for k in quadric)].append(a)

@@ -14,7 +14,7 @@ from cycloscheme.binfield import (BinaryField, FieldError, InternalCheckError,
                                   modulus_to_hex, poly_gcd, power_table)
 
 import numpy_oracle
-from character_oracle import abs_trace, psi
+from character_oracle import abs_trace, psi, rel_trace
 from gf_oracle import gf_mul, gf_pow, gf_trace, norm_exponents
 from numpy_oracle import unslice
 
@@ -163,13 +163,20 @@ def test_trace_mask_consistent_with_psi():
 
 
 def test_rel_trace_lands_in_subfield_and_is_linear():
+    # relative_trace_forms against the schoolbook trace (which asserts that
+    # it lands in GF(8)): Tr_{K/E}(a u) = 0 iff u is even against every
+    # mask of a
     K = build_field(9)
-    for u in range(0, 512, 17):
-        for v in range(0, 512, 23):
-            t = K.rel_trace(3, u ^ v)
-            assert t == K.rel_trace(3, u) ^ K.rel_trace(3, v)
-    # the kernel is a GF(8)-hyperplane
-    assert sum(K.rel_trace(3, u) == 0 for u in range(512)) == 64
+    elements = [1, 0b10, 0b101101, 511]
+    for a, masks in zip(elements, binfield.relative_trace_forms(K, 3, elements)):
+        assert len(masks) == 3
+        traces = [rel_trace(K, 3, K.mul(a, u)) for u in range(512)]
+        assert all(traces[u ^ v] == traces[u] ^ traces[v]
+                   for u in range(0, 512, 17) for v in range(0, 512, 23))
+        assert [t == 0 for t in traces] == \
+            [not any((u & m).bit_count() & 1 for m in masks) for u in range(512)]
+        # the kernel is a GF(8)-hyperplane
+        assert traces.count(0) == 64
 
 
 def test_reducible_modulus_rejected_with_certificate():
@@ -351,7 +358,8 @@ def test_parities_read_each_functional_along_the_table(m):
 def test_parity_string_across_blocks_matches_one_block(monkeypatch, m, block):
     # 6 and 100 leave a ragged last block against |K*| = 7, 63 and 4095
     K = build_field(m)
-    masks = [[K.trace_mask], K.subfield_zero_masks(m // 3), [1, (1 << m) - 1]]
+    masks = [[K.trace_mask], binfield.relative_trace_forms(K, m // 3, [1])[0],
+             [1, (1 << m) - 1]]
     whole = [binfield.parity_string(K, row) for row in masks]
     monkeypatch.setattr(binfield, "_BLOCK", block)
     assert [binfield.parity_string(K, row) for row in masks] == whole

@@ -141,14 +141,14 @@ def test_beta_one_power_off_is_caught(monkeypatch, s, label, delta):
     # the s masks no longer span a relative-trace kernel (at s = 1 there is
     # only beta^0, so the case needs s >= 2)
     def patch(mp, K, tower):
-        forms = charsum.trace_forms
+        forms = binfield.trace_forms
 
         def shifted(K_, elements):  # block i holds the elements beta^i g^r
             per_block = len(elements) // s
             return forms(K_, [K.mul(K.pow(K.generator, delta * (j // per_block)), u)
                               for j, u in enumerate(elements)])
 
-        mp.setattr(charsum, "trace_forms", shifted)
+        mp.setattr(binfield, "trace_forms", shifted)
 
     with pytest.raises(InternalCheckError, match="differ on the doubling orbit"):
         _zero_counts_under(monkeypatch, s, label, patch)

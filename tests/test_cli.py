@@ -6,8 +6,8 @@ import tracemalloc
 
 import pytest
 
-from cycloscheme import binfield, cli, schemecore
-from cycloscheme.binfield import build_tower
+from cycloscheme import binfield, charsum, cli, schemecore
+from cycloscheme.binfield import InternalCheckError, build_tower
 from cycloscheme.cli import RunConfig, TARGETS, _target_fields, main, run
 from cycloscheme.schemecore import _ORACLE_SIZE_LIMIT, _mat_mul
 
@@ -192,6 +192,39 @@ def test_explicit_modulus_flag():
 def test_bad_modulus_is_usage_error():
     # x^3 + x^2 + x + 1 is reducible
     assert main(["--s", "1", "--targets", "fields", "--poly-f", "f"]) == 2
+
+
+def _forms_of_x_times(monkeypatch):
+    """A mutant of the one trace-form primitive: the forms of x*a in place
+    of those of a, for every module that reads it."""
+    forms = binfield.trace_forms
+    for module in (binfield, schemecore):
+        monkeypatch.setattr(module, "trace_forms",
+                            lambda K, elements: forms(K, [K.times_x(a) for a in elements]))
+
+
+@pytest.mark.parametrize("targets", [("partition",), ("gauss",),
+                                     tuple(t for t in TARGETS if t != "thm2ii")],
+                         ids=["partition", "gauss", "all-but-thm2ii"])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_a_trace_forms_mutant_never_passes(monkeypatch, s, targets):
+    _forms_of_x_times(monkeypatch)
+    try:
+        code, text = run_quiet(RunConfig(s=s, targets=targets))
+    except InternalCheckError as exc:
+        assert "quadratic-form description of D failed" in str(exc)
+    else:
+        assert code != 0 and "all checks passed" not in text
+
+
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_a_trace_forms_mutant_fails_the_period_kernel(monkeypatch, s, label):
+    tower = build_tower(s)
+    _forms_of_x_times(monkeypatch)
+    with pytest.raises(InternalCheckError,
+                       match="differ on the doubling orbit|do not fill a hyperplane"):
+        charsum.gauss_periods(tower, label)
 
 
 def test_catalog_round_trip(tmp_path):

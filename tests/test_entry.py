@@ -1,6 +1,7 @@
 """The process entry: ``python -m cycloscheme`` and the console script run
 the CLI through one function, which freezes the collector at exit, and the
-process never imports numpy, dataclasses or fractions."""
+process never imports numpy, dataclasses or fractions.  A bad modulus is
+refused before any loop runs on it."""
 
 import gc
 import importlib
@@ -23,10 +24,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(cycloscheme.__file__).resolve().parents[1]
 
 
-def python(*args):
+def python(*args, timeout=120):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, cwd=ROOT, timeout=120)
+                          text=True, env=env, cwd=ROOT, timeout=timeout)
 
 
 def test_module_entry_matches_in_process_main(tmp_path, capsys):
@@ -95,3 +96,29 @@ def test_the_process_never_imports_numpy(tmp_path, capsys, args):
     # of every process), nor fractions with decimal (about 4 ms more)
     run_without(["numpy", "dataclasses", "inspect", "fractions", "decimal"],
                 args, tmp_path, capsys)
+
+
+# Every GF(2)[x] loop on a negative bit mask runs forever, so these run in a
+# fresh process stopped after 10 s: a hang fails the test.
+
+@pytest.mark.parametrize("call", ["build_field(3, -11)", "irreducibility_certificate(-11)"])
+def test_negative_modulus_is_refused_at_once(call):
+    proc = python("-c", f"from cycloscheme.binfield import *\ntry:\n    {call}\n"
+                  "except FieldError as exc:\n    print(exc)", timeout=10)
+    assert proc.stdout == "modulus -0xb is negative\n", proc.stderr
+
+
+@pytest.mark.parametrize("args", [["--s", "1", "--poly-f=-b"], ["--s", "2", "--poly-f=-43"]],
+                         ids=["s1", "s2"])
+def test_negative_modulus_is_usage_error(args):
+    proc = python("-m", "cycloscheme", *args, "--targets", "fields", timeout=10)
+    assert proc.returncode == 2
+    assert "is negative" in proc.stdout
+
+
+def test_empty_modulus_is_usage_error():
+    # an empty --poly-f is not the default modulus
+    proc = python("-m", "cycloscheme", "--s", "2", "--poly-f=", "--targets", "fields",
+                  timeout=10)
+    assert proc.returncode == 2
+    assert "error: invalid literal" in proc.stderr

@@ -38,3 +38,11 @@ def test_no_module_of_the_package_names_numpy():
     assert sources
     for path in sources:
         assert "numpy" not in path.read_text(), path.name
+
+
+def test_the_readme_library_example_runs(capsys):
+    # the public example at s = 2, so that it cannot drift from the API
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
