@@ -5,17 +5,19 @@ psi(omega^a D), and the tangent/secant point counts |S_a| on the
 trace quadric.  They must agree.
 
 D, the quadric Q = {u : tr(u^(q+1)) = 0} and Z = ker tr_{F/E} are
-unions of the order-M classes C_r = omega^r E*, so both routes are
-products in Z[Z_M] of M-periodic indicators over the exponents k of
-g^k = omega^k.  The indicators are bit strings read off the bit-sliced
-power table of F, so strided slices and counts do the class arithmetic.
+unions of the order-M classes C_r = omega^r E*, so each is a 0/1 row
+over Z_M and both routes are products of rows in Z[Z_M].  The rows come
+from one bit string over the exponents k of g^k = omega^k, the trace-zero
+indicator read off the bit-sliced power table of F: once it is checked
+to be E*-invariant, Z is its first M characters, D is Z read at -k and
+Q is Z read at k(q + 1).  The psi-sums over the classes are counts in
+strided slices of the trace string, which is not M-periodic.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from typing import NamedTuple
 
 from .binfield import (BinaryField, FieldTower, InternalCheckError, parity_string,
                        relative_trace_forms)
@@ -42,14 +44,6 @@ class CyclotomicPartition(namedtuple("CyclotomicPartition", "s M T1 T2 T3")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
 
-class _ClassIndicators(NamedTuple):
-    """Bit strings over the exponents k in [0, |F*|): character k is '1'
-    when g^k lies in the set."""
-    Z: str  # tr_{F/E}(g^k) = 0
-    D: str  # g^k in D: tr_{F/E}(g^-k) = 0
-    Q: str  # g^k on the quadric: tr_{F/E}(g^(k(q+1))) = 0
-
-
 _FLIP = str.maketrans("01", "10")
 
 
@@ -59,42 +53,29 @@ def _trace_zero_indicator(F: BinaryField, s: int) -> str:
     return parity_string(F, relative_trace_forms(F, s, [1])[0]).translate(_FLIP)
 
 
-def _gather(bits: str, step: int) -> str:
-    """Character k is bits[k * step mod n], n = len(bits): the strided
-    slices bits[o::step], each pass starting where the last one wrapped."""
-    n, passes, o, total = len(bits), [], 0, 0
-    while total < n:
-        passes.append(bits[o::step])
-        total += len(passes[-1])
-        o = (o - n) % step
-    return "".join(passes)[:n]
-
-
 @cache
-def _class_indicators(tower: FieldTower) -> _ClassIndicators:
-    """Z, D and Q as index maps of one trace-zero indicator, checked before
-    any route folds them: |D| = q^2 - 1, D equals Q (the quadratic-form
-    description of D), and all three are E*-invariant, i.e. cut into q - 1
-    rows of length M their rows are equal."""
+def _class_rows(tower: FieldTower) -> tuple[tuple[int, ...], ...]:
+    """The rows Z, D, Q over Z_M: entry r is 1 when the class C_r lies in
+    the set.  The trace-zero string must be E*-invariant, its first M
+    characters repeated q - 1 times.  -1 and q + 1 are units mod |F*| that
+    map multiples of M to multiples of M, so D (k -> -k) and Q
+    (k -> k(q + 1)) are then invariant too, and M | |F*| makes both maps
+    exact on Z_M.  |D| = q^2 - 1 and D equals Q (the quadratic-form
+    description of D) are checked next."""
     F, M = tower.F, tower.M
     q = 1 << tower.s
     zero = _trace_zero_indicator(F, tower.s)
-    # gcd(q + 1, q^3 - 1) = 1, so k -> k(q + 1) permutes the exponents
-    ind = _ClassIndicators(zero, zero[:1] + zero[:0:-1], _gather(zero, q + 1))
-    size = ind.D.count("1")
+    if zero != zero[:M] * (q - 1):
+        raise InternalCheckError("Z is not E*-invariant")
+    Z = tuple(map(int, zero[:M]))
+    D = _inverse(Z)
+    size = (q - 1) * sum(D)
     if size != q * q - 1:
         raise InternalCheckError(f"|D| = {size}, expected {q * q - 1}")
-    if ind.D != ind.Q:
+    Q = tuple(Z[k * (q + 1) % M] for k in range(M))
+    if D != Q:
         raise InternalCheckError("quadratic-form description of D failed")
-    for name, bits in ind._asdict().items():
-        if bits != bits[:M] * (q - 1):
-            raise InternalCheckError(f"{name} is not E*-invariant")
-    return ind
-
-
-def _row(bits: str, M: int) -> list[int]:
-    """The first M characters of a bit string as 0/1 coefficients."""
-    return [int(c) for c in bits[:M]]
+    return Z, D, Q
 
 
 def _class_psi_sums(tower: FieldTower) -> list[int]:
@@ -120,7 +101,7 @@ def _psi_route(tower: FieldTower) -> tuple[tuple[int, ...], CyclotomicPartition]
     """psi(omega^a D) = sum over r in dlog D mod M of c[(a + r) mod M] for
     every a, and the partition by its three values -1, q - 1, -q - 1."""
     q = 1 << tower.s
-    D = _row(_class_indicators(tower).D, tower.M)
+    D = _class_rows(tower)[1]
     values = tuple(_cyclic_product(_class_psi_sums(tower), _inverse(D)))
     return values, _split(tower, values, (-1, q - 1, -q - 1), "psi(omega^{} D)")
 
@@ -133,12 +114,11 @@ def partition_by_trace(tower: FieldTower) -> CyclotomicPartition:
     """Independent route: T1 from trace zeros of omega^i, the T2/T3 split
     from the sizes of S_a = {u : tr(u^(q+1)) = 0, tr(omega^a u) = 0},
     |S_a| = (q - 1) * #{r in dlog Q mod M : (a + r) mod M in dlog Z mod M}."""
-    q, M = 1 << tower.s, tower.M
-    ind = _class_indicators(tower)
-    zero_row = _row(ind.Z, M)
-    sizes = [(q - 1) * c for c in _cyclic_product(zero_row, _inverse(_row(ind.Q, M)))]
+    q = 1 << tower.s
+    Z, _, Q = _class_rows(tower)
+    sizes = [(q - 1) * c for c in _cyclic_product(Z, _inverse(Q))]
     part = _split(tower, sizes, (q - 1, 2 * (q - 1), 0), "|S_{}|")
-    if zero_row != [int(size == q - 1) for size in sizes]:
+    if Z != tuple(int(size == q - 1) for size in sizes):
         raise InternalCheckError("tangent-count T1 disagrees with trace-zero T1")
     return part
 
@@ -153,12 +133,9 @@ def get_partition(tower: FieldTower) -> CyclotomicPartition:
 
 
 def d_class_check(tower: FieldTower) -> Report:
-    """D must be the union of the cyclotomic classes indexed by -T1; D is
-    E*-invariant, so its first row of exponents decides that."""
-    part = get_partition(tower)
-    M = tower.M
-    neg_t1 = _inverse(_indicator(part.T1, M))
+    """D must be the union of the cyclotomic classes indexed by -T1: its
+    row over Z_M is the indicator of -T1."""
+    neg_t1 = _inverse(_indicator(get_partition(tower).T1, tower.M))
     report = Report(f"D as a class union (s={tower.s})")
-    report.add("D == union of C_i, i in -T1",
-               _row(_class_indicators(tower).D, M) == neg_t1)
+    report.add("D == union of C_i, i in -T1", list(_class_rows(tower)[1]) == neg_t1)
     return report

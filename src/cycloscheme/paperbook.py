@@ -123,9 +123,10 @@ def _table(table_id: str) -> dict:
 
 def table_row(table_id: str, row_label, q_value: int) -> list[int]:
     """One table row evaluated at q = 2^s.  ``row_label`` is a row key
-    ('degree', 'T1', ...) or a row index."""
+    ('degree', 'T1', ...) or a row index in range(number of rows); a bool
+    is neither."""
     table = _table(table_id)
-    if isinstance(row_label, int):
+    if type(row_label) is int and row_label in range(len(table["rows"])):
         idx = row_label
     elif row_label in table["row_keys"]:
         idx = table["row_keys"].index(row_label)
@@ -140,12 +141,11 @@ def appendix_matrix(scheme_id: str, which: str, q_value: int) -> list:
     data = _load_data()["intersection_matrices"]
     if scheme_id not in data:
         raise KeyError(f"unknown scheme {scheme_id!r}")
-    if scheme_id == "thm2ii" and which.startswith("L"):
-        which = "B" + which[1:]
+    key = "B" + which[1:] if scheme_id == "thm2ii" and which.startswith("L") else which
     mats = data[scheme_id]
-    if which not in mats:
+    if key not in mats:
         raise KeyError(f"no matrix {which!r} for {scheme_id}")
-    return [[evaluate(e, q_value) for e in row] for row in mats[which]]
+    return [[evaluate(e, q_value) for e in row] for row in mats[key]]
 
 
 def _all_expressions():

@@ -2,7 +2,9 @@ import hashlib
 import io
 import itertools
 import json
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -114,46 +116,45 @@ def test_skipped_check_is_not_a_pass(tmp_path):
     assert all(c["passed"] is True for c in checks if c["passed"] is not None)
 
 
-# SHA-256 of the catalog's schemes section and the number of checks, as
-# recorded in perfbench/references.json: the whole-catalog behaviour oracle.
-# From s = 3 on the references leave out thm2ii, which needs --big there; at
-# s = 5 they keep the targets that walk no field beyond F.  The third value
-# pins the SHA-256 of the whole catalog file, reports included.
-CATALOG_REFERENCES = {
-    1: ("42d1839c5c663e0fbb026fae0bc4c28e42a83a36bc32fd0f992afdd5d6a37cfa", 75,
-        "82c704d6ac3c5cb28547c377f9ab96a48db4e85f69282a772cdeaed04d8c693f"),
-    2: ("34ddcb3c0662b2934d3a46830f3ec95286184b37e1c0df8d01c02b62b457f7f3", 75,
-        "12a9210eda3dce81ae7ffb9bbdfb37e0f8073802203273d1bde6e17e5517ca2f"),
-    3: ("d155fb97348d55463caafe486c7ec94f75e8cb23e0b91f9f96fddc93d1da43cb", 63,
-        "daf8f0f1b309de38d449947fcf0346f9513f812fcc530bb76d10b8fb4cecdfb3"),
-    4: ("2dfbd4f3ba99c5f894f13e65c5292bbc2dea9aa68120825b9c55f3c36785e3f1", 63,
-        "aa184992996207516398600d34a11ad7b886a642b13ace0abbe01531c096e89f"),
-    5: ("4af4537d5d5a8cd7cfe1e8b6898e7943efd0c012714c20919ed4436896c9a1f0", 33,
-        "ebe188620fede6596cd146166eab6576b689696028b4a79dcca1c14e0b454cdd"),
+# The benchmark's reference file pins, for each of its invocations, the
+# SHA-256 of the catalog's schemes section and the number of checks: the
+# whole-catalog behaviour oracle.  From s = 3 on the references leave out
+# thm2ii unless --big is given; at s = 5 they keep the targets that walk no
+# field beyond F.  FILE_SHA256 pins the SHA-256 of each whole catalog file,
+# reports included, under the id "<s>" or "<s>-big".
+REFERENCES = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                         / "references.json").read_text())["invocations"]
+FILE_SHA256 = {
+    "1": "82c704d6ac3c5cb28547c377f9ab96a48db4e85f69282a772cdeaed04d8c693f",
+    "2": "12a9210eda3dce81ae7ffb9bbdfb37e0f8073802203273d1bde6e17e5517ca2f",
+    "3": "daf8f0f1b309de38d449947fcf0346f9513f812fcc530bb76d10b8fb4cecdfb3",
+    "3-big": "d2429a649d6d20ff662cdc53fa57a80a89e4651afba564641d674f8ca63f6501",
+    "4": "aa184992996207516398600d34a11ad7b886a642b13ace0abbe01531c096e89f",
+    "5": "ebe188620fede6596cd146166eab6576b689696028b4a79dcca1c14e0b454cdd",
 }
 
 
-def reference_targets(s):
-    if s < 3:
-        return TARGETS
-    if s < 5:
-        return tuple(t for t in TARGETS if t != "thm2ii")
-    return ("fields", "partition", "lemma2", "thm1", "appendix")
+def _reference_id(invocation):
+    args = shlex.split(invocation)
+    return args[args.index("--s") + 1] + ("-big" if "--big" in args else "")
 
 
-@pytest.mark.parametrize("s", sorted(CATALOG_REFERENCES))
-def test_catalog_matches_reference(tmp_path, s):
+def test_every_reference_invocation_has_a_file_pin():
+    assert sorted(map(_reference_id, REFERENCES)) == sorted(FILE_SHA256)
+
+
+@pytest.mark.parametrize("invocation", sorted(REFERENCES), ids=_reference_id)
+def test_catalog_matches_reference(tmp_path, invocation):
     path = tmp_path / "catalog.json"
-    code, _ = run_quiet(RunConfig(s=s, targets=reference_targets(s),
-                                  json_path=str(path)))
-    assert code == 0
+    assert main(shlex.split(invocation) + ["--json", str(path)]) == 0
     payload = json.loads(path.read_text())
     schemes = json.dumps(payload["schemes"], sort_keys=True, separators=(",", ":"))
     checks = sum(len(r["checks"]) for r in payload["reports"])
-    schemes_sha, expected_checks, file_sha = CATALOG_REFERENCES[s]
+    reference = REFERENCES[invocation]
     assert (hashlib.sha256(schemes.encode()).hexdigest(), checks) == \
-        (schemes_sha, expected_checks)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+        (reference["schemes_sha256"], reference["checks"])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        FILE_SHA256[_reference_id(invocation)]
 
 
 # Whole-file SHA-256 of four catalogs outside the references: s = 2 under

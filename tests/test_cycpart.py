@@ -1,11 +1,11 @@
-import random
+import io
 
 import pytest
 
-from cycloscheme import cycpart
+from cycloscheme import cli, cycpart
 from cycloscheme.binfield import InternalCheckError, build_tower
 from cycloscheme.charsum import gauss_periods
-from cycloscheme.cycpart import (CyclotomicPartition, _class_indicators, _psi_route,
+from cycloscheme.cycpart import (CyclotomicPartition, _class_rows, _psi_route,
                                  d_class_check, get_partition, partition_by_psiD,
                                  partition_by_trace)
 
@@ -33,9 +33,9 @@ def brute_force_D(tower):
 
 
 def production_D(tower):
-    """The g^k whose character in the partition's D indicator is '1'."""
-    D = _class_indicators(tower).D
-    return {u for u, bit in zip(tower.F.powers, D) if bit == "1"}
+    """The g^k whose class C_(k mod M) has a 1 in the partition's D row."""
+    D, M = _class_rows(tower)[1], tower.M
+    return {u for k, u in enumerate(tower.F.powers) if D[k % M]}
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -215,26 +215,50 @@ def test_tangent_count_T1_must_be_the_trace_zero_classes(monkeypatch):
     # dlog Q shifted by one class keeps |S_a| in {0, q - 1, 2(q - 1)} with
     # the right counts, but moves T1 off the trace-zero classes
     tower = build_tower(2)
-    ind = cycpart._class_indicators(tower)
-    monkeypatch.setattr(cycpart, "_class_indicators",
-                        lambda tw: ind._replace(Q=ind.Q[-1:] + ind.Q[:-1]))
+    Z, D, Q = cycpart._class_rows(tower)
+    monkeypatch.setattr(cycpart, "_class_rows", lambda tw: (Z, D, Q[-1:] + Q[:-1]))
     with pytest.raises(InternalCheckError, match="tangent-count T1"):
         partition_by_trace(tower)
 
 
 def test_indicators_are_read_only():
-    # immutable bit strings over the exponents of F*
+    # the cached rows Z, D, Q over Z_M are immutable tuples of 0/1 ints
     tower = build_tower(2)
-    for bits in cycpart._class_indicators(tower):
-        assert type(bits) is str and len(bits) == tower.F.order
-        assert set(bits) == {"0", "1"}
+    for row in cycpart._class_rows(tower):
+        assert type(row) is tuple and len(row) == tower.M
+        assert {type(c) for c in row} == {int} and set(row) == {0, 1}
         with pytest.raises(TypeError):
-            bits[0] = "1"
+            row[0] = 1
 
 
-@pytest.mark.parametrize("n,step", [(7, 3), (63, 5), (4095, 17), (32767, 33), (511, 2)])
-def test_gather_reads_the_exponent_multiples(n, step):
-    # k -> k * step mod n, the permutation that carries Z to Q, as strided slices
-    rng = random.Random(n)
-    bits = "".join(rng.choice("01") for _ in range(n))
-    assert cycpart._gather(bits, step) == "".join(bits[k * step % n] for k in range(n))
+def _with_bit_flipped(bits, k):
+    return bits[:k] + "10"[int(bits[k])] + bits[k + 1:]
+
+
+@pytest.mark.parametrize("s, message", [(1, r"\|D\| = "),  # q - 1 = 1: a single row
+                                        (2, r"is not E\*-invariant"),
+                                        (3, r"is not E\*-invariant")])
+def test_every_single_bit_flip_of_the_trace_zero_string_is_caught(monkeypatch, s,
+                                                                  message):
+    # one invariance check on the whole string guards all of its q - 1 rows;
+    # every call raises, so no cache keeps a result for the tower
+    tower = build_tower(s)
+    zero = cycpart._trace_zero_indicator(tower.F, s)
+    for k in range(tower.F.order):
+        flipped = _with_bit_flipped(zero, k)
+        monkeypatch.setattr(cycpart, "_trace_zero_indicator", lambda F, sub_degree: flipped)
+        with pytest.raises(InternalCheckError, match=message):
+            get_partition(tower)
+
+
+def test_a_flip_in_the_second_row_never_passes_the_partition_target(monkeypatch):
+    tower = build_tower(2)
+    flipped = _with_bit_flipped(cycpart._trace_zero_indicator(tower.F, 2), tower.M)
+    monkeypatch.setattr(cycpart, "_trace_zero_indicator", lambda F, sub_degree: flipped)
+    out = io.StringIO()
+    try:
+        code = cli.run(cli.RunConfig(s=2, targets=("partition",)), out=out)
+    except InternalCheckError as exc:
+        assert "is not E*-invariant" in str(exc)
+    else:
+        assert code != 0 and "all checks passed" not in out.getvalue()

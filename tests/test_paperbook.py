@@ -135,3 +135,56 @@ def test_row_sum_identities():
 def test_reconcile(s, scheme_id):
     report = reconcile(build_tower(s), scheme_id)
     assert report.passed, str(report)
+
+
+def test_table_row_refuses_indices_outside_the_rows():
+    # -1 would wrap to the last row and True would read as row 1
+    for label in (-1, True, False, 4, 1.0):
+        with pytest.raises(KeyError, match="unknown row"):
+            table_row("thm1", label, 2)
+    assert table_row("thm1", 3, 2) == table_row("thm1", "rest", 2)
+
+
+def test_missing_l_matrix_of_the_self_dual_scheme_is_named_as_asked():
+    with pytest.raises(KeyError, match="no matrix 'Lx' for thm2ii"):
+        appendix_matrix("thm2ii", "Lx", 2)
+
+
+def _book_with(monkeypatch, *path):
+    """The parameter book with the expression at ``path`` raised by one."""
+    data = copy.deepcopy(paperbook._load_data())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = f"({node[path[-1]]})+1"
+    monkeypatch.setattr(paperbook, "_load_data", lambda: data)
+
+
+@pytest.mark.parametrize("path, name, detail", [
+    (("tables", "thm1", "rows", 0, 1), "degree row matches the table",
+     "computed [1, 3, 3, 1]"),
+    (("tables", "thm1", "rows", 2, 1),
+     "nonprincipal P rows match the table (table row -> computed row [1, 3])",
+     "row 2: computed [1, -1, 1, -1], table [1, 0, 1, -1]"),
+    (("intersection_matrices", "thm1", "B2", 0, 0), "intersection matrices B1..B3 match",
+     "B2: computed [[0, 0, 3, 0], [0, 0, 2, 1], [1, 2, 0, 0], [0, 3, 0, 0]]"),
+    (("tables", "dual1", "rows", 0, 1), "dual degree row matches the table",
+     "computed [1, 1, 3, 3], table [1, 2, 3, 3]"),
+    (("tables", "dual1", "rows", 1, 1), "dual table rows match",
+     "row a in T1: computed [1, 1, -1, -1], table [1, 2, -1, -1]"),
+    (("intersection_matrices", "thm1", "L3", 0, 0), "intersection matrices L1..L3 match",
+     "L3: computed [[0, 0, 0, 3], [0, 0, 3, 0], [0, 1, 2, 0], [1, 0, 0, 2]]"),
+], ids=["degree", "row2", "B2", "dual-degree", "dual-row1", "L3"])
+def test_reconcile_fails_exactly_the_perturbed_row(monkeypatch, path, name, detail):
+    _book_with(monkeypatch, *path)
+    report = reconcile(build_tower(1), "thm1")
+    assert [(c.name, c.detail) for c in report.failures()] == [(name, detail)]
+
+
+def test_reconcile_reads_the_self_dual_l_matrices_from_b(monkeypatch):
+    _book_with(monkeypatch, "intersection_matrices", "thm2ii", "B1", 0, 0)
+    failures = reconcile(build_tower(1), "thm2ii").failures()
+    assert [c.name for c in failures] == ["intersection matrices B1..B3 match",
+                                          "intersection matrices L1..L3 match"]
+    assert failures[0].detail.startswith("B1: computed [[0, 219, 0, 0]")
+    assert failures[1].detail == "L" + failures[0].detail[1:]
