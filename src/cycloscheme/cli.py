@@ -96,7 +96,7 @@ def _target_gauss(tower, config):
         reports.append(charsum.verify_hasse_davenport(tower, 3))
     else:
         skipped = Report(f"Hasse-Davenport lift degree 3 (s={config.s})")
-        skipped.add("skipped: needs --big to stream the degree-9s field", None)
+        skipped.skip("skipped: needs --big to stream the degree-9s field")
         reports.append(skipped)
     return reports, []
 
@@ -218,7 +218,7 @@ def run(config: RunConfig, out=None) -> int:
         print(file=out)
     failures = [c for r in reports for c in r.failures()]
     skipped = sum(len(r.skipped()) for r in reports)
-    if config.json_path:
+    if config.json_path is not None:
         try:
             export_catalog(config, tower, reports, records, config.json_path)
         except OSError as exc:

@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 from .binfield import FieldTower
 from .reporting import Report
-from .schemecore import (SCHEMES, THEOREMS, build_dual_scheme, build_scheme,
+from .schemecore import (SCHEMES, THEOREMS, _order, build_dual_scheme, build_scheme,
                          expected_dual_groups)
 
 TABLE_IDS = tuple(SCHEMES)
@@ -204,94 +204,66 @@ def row_sum_identity_check() -> Report:
 # reconciliation against computed schemes
 # ---------------------------------------------------------------------------
 
-def _relabel(mats: list, perm: list) -> list:
-    """Intersection matrices under a relabelling of the classes."""
-    return [[[mats[perm[i]][perm[k]][perm[j]] for j in range(len(perm))]
-             for k in range(len(perm))] for i in range(len(perm))]
+def _compare(report: Report, name: str, triples, detail: str = "") -> None:
+    """One check over (label, computed, table) triples: the first pair that
+    differs fails it as "label: computed X, table Y"; else ``detail``."""
+    bad = next(((f"{label}: " if label else "") + f"computed {got}, table {want}"
+                for label, got, want in triples if got != want), "")
+    report.add(name, not bad, bad or detail)
 
 
 def reconcile(tower: FieldTower, scheme_id: str) -> Report:
-    """Compare a computed scheme (and its dual) against the transcribed
-    tables and intersection matrices, reporting the first mismatching
-    coordinate and the row-label correspondence used."""
+    """Compare a computed scheme and its dual with the book in the
+    published class order: table row t is the residue group t of
+    ``expected_dual_groups``, found among the scheme's dual classes (its P
+    rows) and the dual's classes (the dual's columns); the dual table's
+    rows are T1, T2, T3, found among the dual's dual classes.  A missing
+    group fails its check; a failing row or matrix names both values."""
     q = 1 << tower.s
     record = build_scheme(tower, scheme_id)
     report = Report(f"published parameters vs computed, {scheme_id} (s={tower.s})")
     report.add("fusion verified as a 3-class scheme", record.is_scheme)
     if not record.is_scheme:
         return report
-
-    table = _table(scheme_id)
-    report.add("degree row matches the table",
-               record.degrees == table_row(scheme_id, "degree", q),
-               f"computed {record.degrees}")
+    _compare(report, "degree row matches the table",
+             [("", record.degrees, table_row(scheme_id, "degree", q))],
+             f"computed {record.degrees}")
     groups = expected_dual_groups(tower, scheme_id)
-    row_map = []
-    ok = True
-    detail = ""
-    for t, grp in enumerate(groups):
-        try:
-            l = record.dual_sets.index(grp)
-        except ValueError:
-            ok = False
-            detail = f"no dual class matches the row-{t + 1} residue group"
-            break
-        row_map.append(l)
-        expected = table_row(scheme_id, t + 1, q)
-        if record.P[1 + l] != expected:
-            ok = False
-            detail = f"row {t + 1}: computed {record.P[1 + l]}, table {expected}"
-            break
-    report.add("nonprincipal P rows match the table "
-               f"(table row -> computed row {[1 + l for l in row_map]})", ok, detail)
+    rows = _order(record.dual_sets, groups)
+    if rows is None:
+        t = next(t for t, g in enumerate(groups, 1) if g not in record.dual_sets)
+        report.add("nonprincipal P rows match the table", False,
+                   f"no dual class matches the row-{t} residue group")
+    else:
+        _compare(report, "nonprincipal P rows match the table "
+                 f"(table row -> computed row {rows[1:]})",
+                 ((f"row {t}", record.P[rows[t]], table_row(scheme_id, t, q)) for t in (1, 2, 3)))
+    _compare(report, "intersection matrices B1..B3 match",
+             ((f"B{i}", record.B[i], appendix_matrix(scheme_id, f"B{i}", q)) for i in (1, 2, 3)))
 
-    bad = next((f"B{i}: computed {record.B[i]}" for i in (1, 2, 3)
-                if record.B[i] != appendix_matrix(scheme_id, f"B{i}", q)), "")
-    report.add("intersection matrices B1..B3 match", not bad, bad)
-
-    # dual scheme: relabel its classes to the published D_k order before
-    # comparing the dual table and the L matrices
     dual = build_dual_scheme(tower, record)
     report.add("dual fusion verified as a 3-class scheme", dual.is_scheme)
     if not dual.is_scheme:
         return report
-    try:
-        perm = [0] + [1 + dual.pattern_sets.index(g) for g in groups]
-    except ValueError:
-        report.add("dual classes match the published D_k index groups", False,
-                   f"dual classes {sorted(map(sorted, dual.pattern_sets))}")
+    cols = _order(dual.pattern_sets, groups)
+    report.add("dual classes match the published D_k index groups", cols is not None,
+               f"D_k -> computed class {cols[1:]}" if cols else
+               f"dual classes {sorted(map(sorted, dual.pattern_sets))}")
+    if cols is None:
         return report
-    report.add("dual classes match the published D_k index groups", True,
-               f"D_k -> computed class {perm[1:]}")
-
-    dual_table_id = dual.scheme_id
-    exp_deg = table_row(dual_table_id, "degree", q)
-    got_deg = [dual.degrees[perm[c]] for c in range(4)]
-    report.add("dual degree row matches the table", got_deg == exp_deg,
-               f"computed {got_deg}, table {exp_deg}")
-    ok = True
-    detail = ""
-    for t, grp in enumerate(record.pattern_sets):
-        # rows of the dual table are labelled a in T_k, the primal's
-        # blocks; they are the dual-of-dual classes, so they name the
-        # dual's P rows
-        try:
-            l = dual.dual_sets.index(grp)
-        except ValueError:
-            ok, detail = False, f"dual census group != T{t + 1}"
-            break
-        expected = table_row(dual_table_id, t + 1, q)
-        got = [dual.P[1 + l][perm[c]] for c in range(4)]
-        if got != expected:
-            ok, detail = False, f"row a in T{t + 1}: computed {got}, table {expected}"
-            break
-    report.add("dual table rows match", ok, detail)
-
-    relabelled = _relabel(dual.B, perm)
-    bad = next((f"L{i}: computed {relabelled[i]}" for i in (1, 2, 3)
-                if relabelled[i] != appendix_matrix(scheme_id, f"L{i}", q)), "")
-    report.add("intersection matrices L1..L3 match", not bad, bad)
+    got, want = [dual.degrees[c] for c in cols], table_row(dual.scheme_id, "degree", q)
+    report.add("dual degree row matches the table", got == want, f"computed {got}, table {want}")
+    rows = _order(dual.dual_sets, record.pattern_sets)
+    if rows is None:
+        t = next(t for t, g in enumerate(record.pattern_sets, 1) if g not in dual.dual_sets)
+        report.add("dual table rows match", False, f"dual census group != T{t}")
+    else:
+        _compare(report, "dual table rows match",
+                 ((f"row a in T{t}", [dual.P[rows[t]][c] for c in cols],
+                   table_row(dual.scheme_id, t, q)) for t in (1, 2, 3)))
+    L = [[[dual.B[i][k][j] for j in cols] for k in cols] for i in cols]  # in the book's order
+    _compare(report, "intersection matrices L1..L3 match",
+             ((f"L{i}", L[i], appendix_matrix(scheme_id, f"L{i}", q)) for i in (1, 2, 3)))
     if scheme_id == "thm2ii":
-        report.add("self-dual: L_i coincide with B_i",
-                   all(relabelled[i] == record.B[i] for i in range(4)))
+        report.add("self-dual: L_i coincide with B_i", L == record.B)
     return report

@@ -22,10 +22,16 @@ class Report:
         self.title = title
         self.checks: list[CheckResult] = []
 
-    def add(self, name: str, passed: bool | None, detail: str = "") -> CheckResult:
-        result = CheckResult(name, None if passed is None else bool(passed), detail)
-        self.checks.append(result)
-        return result
+    def add(self, name: str, passed: bool, detail: str = "") -> CheckResult:
+        """A check with a verdict, True or False; a skipped one is ``skip``."""
+        if type(passed) is not bool:
+            raise TypeError(f"verdict of {name!r} is {passed!r}, not a bool")
+        self.checks.append(CheckResult(name, passed, detail))
+        return self.checks[-1]
+
+    def skip(self, name: str, detail: str = "") -> CheckResult:
+        self.checks.append(CheckResult(name, None, detail))
+        return self.checks[-1]
 
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)

@@ -229,6 +229,15 @@ def intersection_numbers(degrees: list, multiplicities: list, P: list,
 # classification
 # ---------------------------------------------------------------------------
 
+def _order(sets: tuple, groups) -> list | None:
+    """[0], then 1 + the position in ``sets`` of each of ``groups`` (the
+    class standing for each group); None when a group is not in ``sets``."""
+    try:
+        return [0] + [1 + sets.index(g) for g in groups]
+    except ValueError:
+        return None
+
+
 def _flags(P: list, Q: list, pattern_sets: tuple, dual_sets: tuple,
            size: int) -> dict:
     """Primitivity, self-duality (under the psi(b.)-pairing identification
@@ -240,18 +249,14 @@ def _flags(P: list, Q: list, pattern_sets: tuple, dual_sets: tuple,
     srg = [len({P[l][i] for l in range(1, d + 1)}) == 2 for i in range(1, d + 1)]
 
     is_self_dual = False
-    if set(pattern_sets) == set(dual_sets):
-        # permute dual labels so dual class k is the one equal (as a set)
-        # to class k, then compare the relabeled P with Q
-        perm = [0] + [1 + dual_sets.index(ps) for ps in pattern_sets]
-        n = d + 1
-        P_m = [[P[perm[r]][c] for c in range(n)] for r in range(n)]
-        Q_m = [[Q[r][perm[c]] for c in range(n)] for r in range(n)]
-        if P_m == Q_m:
+    perm = _order(dual_sets, pattern_sets)
+    if perm is not None:
+        # dual class perm[k] is class k as a set: compare the relabelled P, Q
+        P_m = [P[r] for r in perm]
+        if P_m == [[row[c] for c in perm] for row in Q]:
             is_self_dual = True
-            square = _mat_mul(P_m, P_m)
-            ident = [[size if i == j else 0 for j in range(n)] for i in range(n)]
-            if square != ident:
+            ident = [[size if i == j else 0 for j in range(d + 1)] for i in range(d + 1)]
+            if _mat_mul(P_m, P_m) != ident:
                 raise InternalCheckError("self-dual scheme with P^2 != |X|*I")
     return {
         "is_scheme": True,

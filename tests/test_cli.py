@@ -11,6 +11,7 @@ import pytest
 from cycloscheme import binfield, charsum, cli, schemecore
 from cycloscheme.binfield import InternalCheckError, build_tower
 from cycloscheme.cli import RunConfig, TARGETS, _target_fields, main, run
+from cycloscheme.reporting import Report
 from cycloscheme.schemecore import _ORACLE_SIZE_LIMIT, _mat_mul
 
 
@@ -102,6 +103,9 @@ def test_unwritable_catalog_path_is_usage_error(tmp_path, capsys):
     assert main(["--s", "1", "--targets", "fields", "--json", str(path)]) == 2
     assert "error: cannot write the catalog" in capsys.readouterr().out
     assert not path.exists()
+    # an empty path names no file; it must not pass as "no --json"
+    assert main(["--s", "1", "--targets", "fields", "--json", ""]) == 2
+    assert "error: cannot write the catalog" in capsys.readouterr().out
 
 
 def test_skipped_check_is_not_a_pass(tmp_path):
@@ -114,6 +118,17 @@ def test_skipped_check_is_not_a_pass(tmp_path):
     checks = [c for r in json.loads(path.read_text())["reports"] for c in r["checks"]]
     assert [c["passed"] for c in checks].count(None) == 1
     assert all(c["passed"] is True for c in checks if c["passed"] is not None)
+
+
+@pytest.mark.parametrize("verdict", [None, [1], 1], ids=["None", "list", "int"])
+def test_a_verdict_is_a_bool(verdict):
+    # None would read as SKIP and [1] or 1 by its truth; a skip says so
+    report = Report("verdicts")
+    with pytest.raises(TypeError):
+        report.add("x", verdict)
+    assert not report.checks
+    report.skip("y", "not run")
+    assert [(c.passed, str(c)) for c in report.checks] == [(None, "[SKIP] y: not run")]
 
 
 # The benchmark's reference file pins, for each of its invocations, the

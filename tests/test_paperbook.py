@@ -1,13 +1,16 @@
 import ast
 import copy
+import io
 from fractions import Fraction
 
 import pytest
 
-from cycloscheme import paperbook
+from cycloscheme import cli, paperbook
 from cycloscheme.binfield import build_tower
+from cycloscheme.cycpart import get_partition
 from cycloscheme.paperbook import (appendix_matrix, evaluate, integrality_check, polynomial,
                                    reconcile, row_sum_identity_check, table_row)
+from cycloscheme.schemecore import build_dual_scheme
 
 
 def test_qpoly_eval():
@@ -160,25 +163,71 @@ def _book_with(monkeypatch, *path):
     monkeypatch.setattr(paperbook, "_load_data", lambda: data)
 
 
-@pytest.mark.parametrize("path, name, detail", [
-    (("tables", "thm1", "rows", 0, 1), "degree row matches the table",
-     "computed [1, 3, 3, 1]"),
-    (("tables", "thm1", "rows", 2, 1),
-     "nonprincipal P rows match the table (table row -> computed row [1, 3])",
-     "row 2: computed [1, -1, 1, -1], table [1, 0, 1, -1]"),
-    (("intersection_matrices", "thm1", "B2", 0, 0), "intersection matrices B1..B3 match",
-     "B2: computed [[0, 0, 3, 0], [0, 0, 2, 1], [1, 2, 0, 0], [0, 3, 0, 0]]"),
-    (("tables", "dual1", "rows", 0, 1), "dual degree row matches the table",
-     "computed [1, 1, 3, 3], table [1, 2, 3, 3]"),
-    (("tables", "dual1", "rows", 1, 1), "dual table rows match",
-     "row a in T1: computed [1, 1, -1, -1], table [1, 2, -1, -1]"),
-    (("intersection_matrices", "thm1", "L3", 0, 0), "intersection matrices L1..L3 match",
-     "L3: computed [[0, 0, 0, 3], [0, 0, 3, 0], [0, 1, 2, 0], [1, 0, 0, 2]]"),
-], ids=["degree", "row2", "B2", "dual-degree", "dual-row1", "L3"])
-def test_reconcile_fails_exactly_the_perturbed_row(monkeypatch, path, name, detail):
+@pytest.mark.parametrize("scheme_id, path, failures", [
+    ("thm1", ("tables", "thm1", "rows", 0, 1), [
+        ("degree row matches the table", "computed [1, 3, 3, 1], table [1, 4, 3, 1]")]),
+    ("thm1", ("tables", "thm1", "rows", 2, 1), [
+        ("nonprincipal P rows match the table (table row -> computed row [1, 3, 2])",
+         "row 2: computed [1, -1, 1, -1], table [1, 0, 1, -1]")]),
+    ("thm1", ("intersection_matrices", "thm1", "B2", 0, 0), [
+        ("intersection matrices B1..B3 match",
+         "B2: computed [[0, 0, 3, 0], [0, 0, 2, 1], [1, 2, 0, 0], [0, 3, 0, 0]], "
+         "table [[1, 0, 3, 0], [0, 0, 2, 1], [1, 2, 0, 0], [0, 3, 0, 0]]")]),
+    ("thm1", ("tables", "dual1", "rows", 0, 1), [
+        ("dual degree row matches the table", "computed [1, 1, 3, 3], table [1, 2, 3, 3]")]),
+    ("thm1", ("tables", "dual1", "rows", 1, 1), [
+        ("dual table rows match", "row a in T1: computed [1, 1, -1, -1], table [1, 2, -1, -1]")]),
+    ("thm1", ("intersection_matrices", "thm1", "L3", 0, 0), [
+        ("intersection matrices L1..L3 match",
+         "L3: computed [[0, 0, 0, 3], [0, 0, 3, 0], [0, 1, 2, 0], [1, 0, 0, 2]], "
+         "table [[1, 0, 0, 3], [0, 0, 3, 0], [0, 1, 2, 0], [1, 0, 0, 2]]")]),
+    # thm2ii reads table row 1 from computed row 2, and is its own dual
+    ("thm2ii", ("tables", "thm2ii", "rows", 1, 2), [
+        ("nonprincipal P rows match the table (table row -> computed row [2, 3, 1])",
+         "row 1: computed [1, -5, 11, -7], table [1, -5, 12, -7]"),
+        ("dual table rows match", "row a in T1: computed [1, -5, 11, -7], table [1, -5, 12, -7]")]),
+    ("thm2i", ("tables", "dual2i", "rows", 2, 1), [
+        ("dual table rows match", "row a in T2: computed [1, -3, 3, -1], table [1, -2, 3, -1]")]),
+    ("thm2i", ("intersection_matrices", "thm2i", "L2", 1, 1), [
+        ("intersection matrices L1..L3 match",
+         "L2: computed [[0, 0, 27, 0], [0, 6, 12, 9], [1, 4, 10, 12], [0, 3, 12, 12]], "
+         "table [[0, 0, 27, 0], [0, 7, 12, 9], [1, 4, 10, 12], [0, 3, 12, 12]]")]),
+], ids=["degree", "row2", "B2", "dual-degree", "dual-row1", "L3",
+        "thm2ii-row1", "dual2i-row2", "thm2i-L2"])
+def test_reconcile_fails_exactly_the_perturbed_row(monkeypatch, scheme_id, path, failures):
     _book_with(monkeypatch, *path)
+    report = reconcile(build_tower(1), scheme_id)
+    assert [(c.name, c.detail) for c in report.failures()] == failures
+
+
+def test_a_missing_published_group_fails_and_never_skips(monkeypatch):
+    # (1, 2) is no residue group of the F-scheme at s = 1: the row-2 group
+    # is -T1
+    monkeypatch.setattr(paperbook, "expected_dual_groups",
+                        lambda tower, scheme_id: [(0,), (1, 2), (3, 4, 5, 6)])
     report = reconcile(build_tower(1), "thm1")
-    assert [(c.name, c.detail) for c in report.failures()] == [(name, detail)]
+    assert not report.skipped()
+    assert [c.detail for c in report.failures()] == [
+        "no dual class matches the row-2 residue group", "dual classes [[0], [1, 2, 4], [3, 5, 6]]"]
+    assert report.failures()[1].name == "dual classes match the published D_k index groups"
+    out = io.StringIO()
+    assert cli.run(cli.RunConfig(s=1, targets=("thm1",)), out=out) == 1
+    assert "all checks passed" not in out.getvalue()
+
+
+def test_a_dual_census_without_t1_fails_the_dual_rows(monkeypatch):
+    tower = build_tower(1)
+    t1 = get_partition(tower).T1
+
+    def without_t1(tower, record):
+        dual = build_dual_scheme(tower, record)
+        return dual._replace(dual_sets=tuple(() if g == t1 else g for g in dual.dual_sets))
+
+    monkeypatch.setattr(paperbook, "build_dual_scheme", without_t1)
+    report = reconcile(tower, "thm1")
+    assert not report.skipped()
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("dual table rows match", "dual census group != T1")]
 
 
 def test_reconcile_reads_the_self_dual_l_matrices_from_b(monkeypatch):
