@@ -19,7 +19,7 @@ selects (ORed over masks by ``odd_parities``).  Towers: s <= 7 (degree 63).
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import or_, xor
 
 
@@ -89,26 +89,21 @@ def irreducibility_certificate(f: int) -> int | None:
     The gcd criterion: gcd(x^(2^d) - x, f) = 1 for every d = deg f / p, p
     a prime factor of deg f (tried in increasing p; the first failing d is
     the certificate), and x^(2^deg f) = x, else the certificate is deg f.
-    The powers x^(2^d) come from one chain of table squarings.
+    The powers x^(2^d) come from one chain of table squarings, and the
+    primes of deg f from the ``_prime_factors`` cache that every candidate
+    of one degree shares.
     """
     m = poly_degree(f)
     if m < 1:
         raise FieldError("modulus must have positive degree")
-    return _certificate(f, _prime_factors(m))
-
-
-def _certificate(f: int, degree_primes) -> int | None:
-    """:func:`irreducibility_certificate` of f, of degree m >= 1, given the
-    prime factors of m, which every candidate of one degree shares."""
-    m = poly_degree(f)
     if m == 1:
         return None
     if not (f & 1):
         return 1  # x divides f
-    divisors = [m // p for p in sorted(degree_primes)]
+    divisors = [m // p for p in _prime_factors(m)]
     if not f.bit_count() & 1:
         return divisors[0]  # x + 1 divides f and every x^(2^d) - x
-    ring = BinaryField(m, f, 0b10)  # squaring is arithmetic mod f, a field or not
+    ring = BinaryField(m, f)  # squaring is arithmetic mod f, a field or not
     frobenius = [0b10]  # frobenius[d] = x^(2^d)
     while len(frobenius) <= divisors[0]:
         frobenius.append(ring.square(frobenius[-1]))
@@ -154,25 +149,27 @@ def _rho_factor(n: int) -> int:
     raise InternalCheckError(f"Pollard rho found no factor of {n}")
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    """Factorization by trial division below 2^10, then Miller-Rabin and
-    Pollard rho on the cofactor (exact for n < 3.3e24)."""
-    factors: dict[int, int] = {}
+@cache
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes of n, ascending, found once per n: trial division
+    below 2^10, then Miller-Rabin and Pollard rho on the cofactor (exact for
+    n < 3.3e24)."""
+    factors = set()
     d = 2
     while d * d <= n and d < 1 << 10:
         while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
+            factors.add(d)
             n //= d
         d += 1 if d == 2 else 2
     rest = [n] if n > 1 else []
     while rest:
         m = rest.pop()
         if _is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            factors.add(m)
         else:
             d = _rho_factor(m)
             rest += [d, m // d]
-    return factors
+    return tuple(sorted(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +191,16 @@ def _lookup_rows(images: list[int], width: int) -> list[list[int]]:
 class BinaryField:
     """GF(2**degree) with a fixed modulus; elements are int bit masks.
 
-    The generator is the residue of x (primitive by construction for the
-    moduli accepted by :func:`build_field`), or 1 for the degenerate GF(2).
+    The generator is the residue of x, primitive for every modulus that
+    :func:`build_field` accepts; in GF(2), modulus x + 1, that residue is 1.
     """
 
-    def __init__(self, degree: int, modulus: int, generator: int):
+    def __init__(self, degree: int, modulus: int):
         self.degree = degree
         self.modulus = modulus
         self.size = 1 << degree
         self.order = self.size - 1
-        self.generator = generator
-        self._top = 1 << degree
+        self.generator = self.times_x(1)
 
     def __repr__(self) -> str:
         return f"BinaryField(degree={self.degree}, modulus={self.modulus:#x})"
@@ -213,7 +209,7 @@ class BinaryField:
 
     def mul(self, a: int, b: int) -> int:
         f = self.modulus
-        top = self._top
+        top = self.size
         r = 0
         while b:
             if b & 1:
@@ -227,7 +223,7 @@ class BinaryField:
     def times_x(self, a: int) -> int:
         """a * x: a shift and at most one reduction."""
         a <<= 1
-        return a ^ self.modulus if a & self._top else a
+        return a ^ self.modulus if a & self.size else a
 
     def x_multiples(self, c: int, count: int) -> list[int]:
         """c * x**i for 0 <= i < count, by repeated shift-and-reduce."""
@@ -283,22 +279,16 @@ class BinaryField:
 
     @cached_property
     def powers(self) -> list[int]:
-        """generator**k for 0 <= k < |K*| as Python ints, for the class and
-        set computations that index and hash them; meant for fields small
+        """x**k for 0 <= k < |K*| as Python ints, for the class and set
+        computations that index and hash them; meant for fields small
         enough to enumerate."""
-        g = self.generator
-        step = self.times_x if g == 0b10 else lambda u: self.mul(u, g)
-        out = [1]
-        for _ in range(self.order - 1):
-            out.append(step(out[-1]))
-        return out
+        return self.x_multiples(1, self.order)
 
 
-def _order_of_x(K: BinaryField, order_primes) -> int:
-    """Multiplicative order of x in K, whose modulus is irreducible, given
-    the prime factors of |K*|."""
+def _order_of_x(K: BinaryField) -> int:
+    """Multiplicative order of x in K, whose modulus is irreducible."""
     order = K.order
-    for p in order_primes:
+    for p in _prime_factors(K.order):
         while order % p == 0 and K.pow(0b10, order // p) == 1:
             order //= p
     return order
@@ -426,29 +416,27 @@ def build_field(m: int, modulus: int | None = None) -> BinaryField:
     if m == 1:
         if modulus is not None and modulus != 0b11:
             raise FieldError("degree-1 modulus must be x + 1")
-        return BinaryField(1, 0b11, 1)
+        return BinaryField(1, 0b11)
     if modulus is not None and poly_degree(modulus) != m:
         raise FieldError(f"modulus {modulus:#x} does not have degree {m}")
     # a wrong squaring table would refuse every candidate: check it once
-    ring = BinaryField(m, modulus or (1 << m) | 1, 0b10)
+    ring = BinaryField(m, modulus or (1 << m) | 1)
     if any(ring.square(1 << i) != ring.mul(1 << i, 1 << i) for i in range(m)):
         raise InternalCheckError("table squaring disagrees with the product")
-    degree_primes = _prime_factors(m)
-    order_primes = _prime_factors((1 << m) - 1)
     if modulus is not None:
-        d = _certificate(modulus, degree_primes)
+        d = irreducibility_certificate(modulus)
         if d is not None:
             raise ReducibleModulusError(modulus, d)
-        K = BinaryField(m, modulus, 0b10)
-        order = _order_of_x(K, order_primes)
+        K = BinaryField(m, modulus)
+        order = _order_of_x(K)
         if order != K.order:
             raise NonPrimitiveModulusError(modulus, order)
         return K
     for candidate in range((1 << m) | 1, 1 << (m + 1), 2):
-        if _certificate(candidate, degree_primes) is not None:
+        if irreducibility_certificate(candidate) is not None:
             continue
-        K = BinaryField(m, candidate, 0b10)
-        if _order_of_x(K, order_primes) == K.order:
+        K = BinaryField(m, candidate)
+        if _order_of_x(K) == K.order:
             return K
     raise InternalCheckError(f"no primitive polynomial of degree {m} found")
 

@@ -133,9 +133,11 @@ def get_partition(tower: FieldTower) -> CyclotomicPartition:
 
 
 def d_class_check(tower: FieldTower) -> Report:
-    """D must be the union of the cyclotomic classes indexed by -T1: its
-    row over Z_M is the indicator of -T1."""
+    """D must be the union of the cyclotomic classes indexed by -T1, its row
+    over Z_M the indicator of -T1; a failure names the first differing r."""
     neg_t1 = _inverse(_indicator(get_partition(tower).T1, tower.M))
+    bad = [f"r={r}: D has {d}, -T1 has {t}"
+           for r, (d, t) in enumerate(zip(_class_rows(tower)[1], neg_t1)) if d != t]
     report = Report(f"D as a class union (s={tower.s})")
-    report.add("D == union of C_i, i in -T1", list(_class_rows(tower)[1]) == neg_t1)
+    report.add("D == union of C_i, i in -T1", not bad, bad[0] if bad else "")
     return report

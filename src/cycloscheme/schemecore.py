@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from math import lcm
 from typing import NamedTuple
 
 from .binfield import BinaryField, FieldTower, InternalCheckError, trace_forms
@@ -44,15 +43,15 @@ class SchemeError(ValueError):
 
 
 class FusionPattern(namedtuple("FusionPattern", "M blocks")):
-    """Disjoint index sets covering Z_M; block k fuses the classes C_i, i in
-    block k.  The blocks are sorted tuples, checked on every construction,
-    ``_replace`` included."""
+    """Nonempty disjoint index sets covering Z_M; block k fuses the classes
+    C_i, i in block k.  The blocks are sorted tuples, checked on every
+    construction, ``_replace`` included."""
 
     __slots__ = ()
 
     def __new__(cls, M: int, blocks):
         blocks = tuple(tuple(sorted(b)) for b in blocks)
-        if sorted(i for b in blocks for i in b) != list(range(M)):
+        if not all(blocks) or sorted(i for b in blocks for i in b) != list(range(M)):
             raise SchemeError("blocks do not partition Z_M")
         return super().__new__(cls, M, blocks)
 
@@ -135,10 +134,10 @@ def _census(columns) -> dict:
 @cache
 def _trace_form_masks(K: BinaryField) -> list[int]:
     """m[a], the mask of the functional x -> Tr(g^a x), for every a (see
-    ``trace_forms``; the generator g need not be x).  u -> m_u is a linear
-    bijection, so the masks must be nonzero and distinct, and m[0] = m_1
-    is the trace mask.  Built once per field, as ``K.powers`` is, and
-    refused above the element-level size limit before either is built."""
+    ``trace_forms``).  u -> m_u is a linear bijection, so the masks must be
+    nonzero and distinct, and m[0] = m_1 is the trace mask.  Built once per
+    field, as ``K.powers`` is, and refused above the element-level size
+    limit before either is built."""
     if K.size > _ORACLE_SIZE_LIMIT:
         raise SchemeError("element-level verification limited to small fields")
     masks = trace_forms(K, K.powers)
@@ -180,20 +179,14 @@ def _element_columns(K: BinaryField, blocks) -> list[list[int]]:
     return columns
 
 
-def second_eigenmatrix(P: list, size: int) -> list:
-    """Q = |X| * P^(-1) by orthogonality: with n_i = P[0][i], the dual
-    multiplicity is m_l = |X| / sum_i P[l][i]^2 / n_i and
-    Q[i][l] = m_l P[l][i] / n_i.  The sum is taken over L = lcm(n_i), so
-    m_l = |X| L / sum_i P[l][i]^2 (L / n_i); both divisions must be exact,
-    and P*Q = |X|*I is rechecked."""
+def second_eigenmatrix(P: list, multiplicities: list, size: int) -> list:
+    """Q = |X| * P^(-1) by orthogonality: with n_i = P[0][i] and the dual
+    multiplicities m_l, Q[i][l] = m_l P[l][i] / n_i, each division exact.
+    P*Q = |X|*I is rechecked; its diagonal, m_l sum_i P[l][i]^2 / n_i = |X|,
+    is the norm relation that fixes every m_l, so a wrong one is refused."""
     n = len(P)
-    L = lcm(*P[0])
     Q = [[0] * n for _ in range(n)]
-    for l, row in enumerate(P):
-        norm = sum(v * v * (L // k) for v, k in zip(row, P[0]))
-        if size * L % norm:
-            raise InternalCheckError(f"multiplicity m_{l} = {size * L}/{norm} is not an integer")
-        m = size * L // norm
+    for l, (row, m) in enumerate(zip(P, multiplicities)):
         for i, (v, k) in enumerate(zip(row, P[0])):
             if m * v % k:
                 raise InternalCheckError(f"Q[{i}][{l}] = {m * v}/{k} is not an integer")
@@ -295,10 +288,8 @@ def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
     if is_scheme:
         items = sorted(census.items(), key=lambda kv: (len(kv[1]), kv[0]))
         P = [degrees] + [list(row) for row, _ in items]
-        Q = second_eigenmatrix(P, K.size)
         multiplicities = [1] + [len(g) * per_class for _, g in items]
-        if Q[0] != multiplicities:
-            raise InternalCheckError("Q row 0 disagrees with dual-class multiplicities")
+        Q = second_eigenmatrix(P, multiplicities, K.size)
         dual_sets = tuple(tuple(g) for _, g in items)
         spectrum = {
             "degrees": degrees, "multiplicities": multiplicities, "P": P, "Q": Q,

@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
 from operator import or_, xor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycloscheme
 from cycloscheme import binfield
 from cycloscheme.binfield import (BinaryField, FieldError, InternalCheckError,
                                   NonPrimitiveModulusError, ReducibleModulusError,
@@ -17,6 +22,8 @@ import numpy_oracle
 from character_oracle import abs_trace, psi, rel_trace
 from gf_oracle import gf_mul, gf_pow, gf_trace, norm_exponents
 from numpy_oracle import unslice
+
+SRC = Path(cycloscheme.__file__).resolve().parents[1]
 
 
 def test_default_moduli_are_lexicographically_first():
@@ -70,7 +77,7 @@ def test_square_and_pow_match_the_oracle(m):
     rng = random.Random(m)
     order = (1 << m) - 1
     for f in (1 << m, (1 << m) | rng.getrandbits(m), (1 << m) | rng.getrandbits(m) | 1):
-        K = BinaryField(m, f, 0b10)
+        K = BinaryField(m, f)
         for a in (0, 1, 0b10, order, rng.getrandbits(m), rng.getrandbits(m)):
             assert K.square(a) == gf_mul(a, a, f)
             assert K.pow(a, e := rng.randrange(min(1 << 10, order))) == gf_pow(a, e, f)
@@ -86,7 +93,7 @@ def _reference_search(m):
     bit-serial mul only."""
     order = (1 << m) - 1
     for f in range((1 << m) | 1, 1 << (m + 1), 2):
-        ring = BinaryField(m, f, 0b10)
+        ring = BinaryField(m, f)
         if any(poly_gcd(_plain_pow(ring, 0b10, 1 << (m // p)) ^ 0b10, f) != 1
                for p in _prime_factors(m)):
             continue
@@ -121,8 +128,36 @@ def test_the_least_strong_pseudoprime_to_the_first_12_primes_is_factored():
     assert all(_strong_probable_prime(n, b) for b in bases)
     assert not _strong_probable_prime(n, 41)
     assert not binfield._is_prime(n)
-    assert _prime_factors(n) == {p: 1, q: 1}
+    assert _prime_factors(n) == (p, q)
     assert binfield._is_prime(p) and binfield._is_prime(q)
+
+
+def test_the_generator_is_x():
+    # every field build_field returns, one under a user modulus among them;
+    # in GF(2) = GF(2)[x]/(x + 1) the residue of x is 1
+    fields = [build_field(m) for m in range(1, 13)] + [build_field(6, 0x61)]
+    for K in fields:
+        assert K.generator == K.times_x(1)
+        assert K.powers == K.x_multiples(1, K.order)
+    assert fields[0].generator == 1 and fields[-1].modulus == 0x61
+    with pytest.raises(TypeError):
+        BinaryField(12, fields[11].modulus, 0b10)
+
+
+def test_prime_factors_are_found_once_per_number():
+    # an s = 4 run without thm2ii factors 4, 12, 24, 36, their 2^m - 1 and
+    # M = 273 once each; every other call hits the cache.  A fresh process,
+    # since the DFT primes, which factor M, are cached too
+    code = ("import io\n"
+            "from cycloscheme import binfield, cli\n"
+            "binfield._prime_factors.cache_clear()\n"
+            "targets = tuple(t for t in cli.TARGETS if t != 'thm2ii')\n"
+            "assert cli.run(cli.RunConfig(s=4, targets=targets), out=io.StringIO()) == 0\n"
+            "print(binfield._prime_factors.cache_info().misses)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 9
 
 
 def test_a_wrong_squaring_table_is_refused_at_once(monkeypatch):

@@ -98,6 +98,21 @@ def test_d_is_union_of_negated_T1_classes():
         assert d_class_check(build_tower(s)).passed
 
 
+@pytest.mark.parametrize("s", [1, 2])
+def test_d_class_check_names_the_first_differing_residue(monkeypatch, s):
+    # T1 and T2 trade one element: the sizes still hold, -T1 does not
+    tower = build_tower(s)
+    part = get_partition(tower)
+    t1, t2 = part.T1[0], part.T2[0]
+    swapped = part._replace(T1=(t2,) + part.T1[1:], T2=(t1,) + part.T2[1:])
+    monkeypatch.setattr(cycpart, "get_partition", lambda _: swapped)
+    check = d_class_check(tower).checks[0]
+    first = min(-t1 % tower.M, -t2 % tower.M)
+    has = int(first == -t1 % tower.M)
+    assert check.passed is False
+    assert check.detail == f"r={first}: D has {has}, -T1 has {1 - has}"
+
+
 def test_partition_invariant_enforced():
     with pytest.raises(InternalCheckError):
         CyclotomicPartition(1, 7, (1, 2), (3, 5, 6, 4), (0,))

@@ -3,13 +3,12 @@ oracle, the Gauss-period character rows and direct character sums."""
 
 import io
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloscheme import charsum, cycpart, schemecore, zmring
-from cycloscheme.binfield import BinaryField, InternalCheckError, build_field, build_tower
+from cycloscheme.binfield import InternalCheckError, build_field, build_tower
 from cycloscheme.cli import RunConfig, run
 from cycloscheme.cycpart import get_partition
 from cycloscheme.schemecore import (FusionPattern, build_element_scheme, im10_construct,
@@ -104,27 +103,6 @@ def test_random_partitions_match_the_oracle(data):
     if all(blocks):
         record = build_element_scheme(_OneFieldTower(K), "K", blocks, "random")
         _assert_census_matches_oracle(record, K)
-
-
-def test_a_generator_other_than_x():
-    # x^11 generates GF(2^12)*, since gcd(11, 4095) = 1
-    base = build_field(12)
-    K = BinaryField(12, base.modulus, base.pow(0b10, 11))
-    assert K.powers[1] != 0b10 and len(set(K.powers)) == K.order
-    trace = [(u & K.trace_mask).bit_count() & 1 for u in K.powers]
-    rng = np.random.default_rng(11)
-    labels = rng.integers(0, 3, K.order)
-    verdicts = []
-    for blocks in ([[k for k, t in enumerate(trace) if t == part] for part in (0, 1)],
-                   [np.flatnonzero(labels == part).tolist() for part in range(3)]):
-        record = build_element_scheme(_OneFieldTower(K), "K", blocks, "stub")
-        columns = _assert_census_matches_oracle(record, K)
-        for a in (0, 1, 2, 4094):
-            assert _direct_row(K, _names(K, blocks), K.powers[a]) == \
-                tuple(col[a] for col in columns)
-        verdicts.append(record.is_scheme)
-    # the trace hyperplane is the two-class scheme; a random split is not
-    assert verdicts == [True, False]
 
 
 def test_trace_form_masks_off_by_one_power_are_caught(monkeypatch):

@@ -1,0 +1,58 @@
+"""The independent routes stay independent: the Gauss periods never read
+the partition or the Gauss-sum tables, Hasse-Davenport never reads the
+partition, and the psi-route partition never reads the periods.  Each
+route's Python calls are recorded with ``sys.setprofile`` on a fresh
+tower, since every route is cached per tower, and with the tables'
+global caches cleared, so that a call the route makes cannot hide behind
+a cache hit."""
+
+import sys
+
+import pytest
+
+from cycloscheme import charsum, cycpart
+from cycloscheme.binfield import build_tower
+
+GAUSS_SUM_CODE = {"_dft", "_chirp", "_dft_prime", "_primes", "_table_check"}
+
+
+def _calls(route, *args) -> set:
+    """(module file, function name) of every Python call ``route`` makes."""
+    for cached in (charsum._dft, charsum._chirp, charsum._dft_prime):
+        cached.cache_clear()
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        route(*args)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def _in(module, calls) -> set:
+    return {name for path, name in calls if path == module.__file__}
+
+
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_gauss_periods_reach_no_partition_and_no_gauss_sum_code(label):
+    calls = _calls(charsum.gauss_periods, build_tower(2), label)
+    assert "_trace_zero_counts" in _in(charsum, calls)  # the recorder sees the route
+    assert _in(cycpart, calls) == set()
+    assert _in(charsum, calls).isdisjoint(GAUSS_SUM_CODE)
+
+
+def test_hasse_davenport_reaches_no_partition():
+    calls = _calls(charsum.verify_hasse_davenport, build_tower(2), 2)
+    assert {"gauss_periods", "_table_check", "_dft"} <= _in(charsum, calls)
+    assert _in(cycpart, calls) == set()
+
+
+def test_the_psi_route_reaches_no_gauss_period():
+    calls = _calls(cycpart._psi_route, build_tower(2))
+    assert {"_class_rows", "_class_psi_sums"} <= _in(cycpart, calls)
+    assert {"gauss_periods", "_trace_zero_counts"}.isdisjoint(_in(charsum, calls))

@@ -31,6 +31,14 @@ def test_fusion_pattern_validates():
         FusionPattern(7, ((1, 2), (3, 4, 5, 6)))  # misses 0
     with pytest.raises(SchemeError):
         FusionPattern(7, ((0, 1, 2), (2, 3), (4, 5, 6)))  # overlap
+    with pytest.raises(SchemeError, match="do not partition"):
+        FusionPattern(7, ((0, 1, 2, 3, 4, 5, 6), ()))  # an empty block
+
+
+def test_an_empty_block_is_refused_before_the_spectral_layer(tower1):
+    # the census of these blocks has 3 rows; an empty one would reach Q
+    with pytest.raises(SchemeError, match="do not partition"):
+        build_element_scheme(tower1, "F", [(0, 1), (2, 3, 4, 5, 6), ()], "x")
 
 
 def test_fusion_pattern_is_a_checked_value():
@@ -107,17 +115,22 @@ def test_schemes_verify_s1(tower1, scheme_id, label):
 def test_second_eigenmatrix_f_s1(tower1):
     record = build_scheme(tower1, "thm1")
     assert record.Q[0] == [1, 1, 3, 3]
-    assert second_eigenmatrix(record.P, record.size) == record.Q
+    assert second_eigenmatrix(record.P, record.multiplicities, record.size) == record.Q
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
-@pytest.mark.parametrize("i", [1, 2, 3])
+@pytest.mark.parametrize("i", [1, 2, 3, "m"])
 def test_second_eigenmatrix_rejects_a_perturbed_entry(tower2, i, l):
+    # P[l][i] raised by 1, or with i = "m" the multiplicity m_l
     record = build_scheme(tower2, "thm1")
     P = [list(row) for row in record.P]
-    P[l][i] += 1
+    multiplicities = list(record.multiplicities)
+    if i == "m":
+        multiplicities[l] += 1
+    else:
+        P[l][i] += 1
     with pytest.raises(InternalCheckError):
-        second_eigenmatrix(P, record.size)
+        second_eigenmatrix(P, multiplicities, record.size)
 
 
 def test_intersection_matrices_f_s1(tower1):
