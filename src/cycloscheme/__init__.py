@@ -1,27 +1,34 @@
 """Exact verification engine for three fused cyclotomic 3-class
-association schemes on binary fields of degrees 3s, 6s and 9s."""
+association schemes on binary fields of degrees 3s, 6s and 9s.
 
-from .binfield import (BinaryField, FieldError, FieldTower, InternalCheckError,
-                       NonPrimitiveModulusError, ReducibleModulusError,
-                       build_field, build_tower)
-from .charsum import gauss_periods
-from .cycpart import CyclotomicPartition, get_partition
-from .paperbook import appendix_matrix, reconcile, table_row
-from .reporting import CheckResult, Report
-from .schemecore import (FusionPattern, SchemeError, SchemeRecord,
-                         bannai_muzychuk_verify, build_dual_scheme, build_scheme,
-                         im10_construct, two_class_scheme)
-from .zmring import GroupRingError
+The public names load on first use (PEP 562): ``import cycloscheme`` reads
+no submodule, and ``cycloscheme.build_tower`` reads only ``binfield``."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryField", "FieldTower", "FieldError", "InternalCheckError",
-    "NonPrimitiveModulusError", "ReducibleModulusError", "build_field",
-    "build_tower", "gauss_periods", "CyclotomicPartition", "get_partition",
-    "appendix_matrix", "reconcile", "table_row",
-    "CheckResult", "Report", "FusionPattern", "SchemeError", "SchemeRecord",
-    "bannai_muzychuk_verify", "build_dual_scheme", "build_scheme",
-    "im10_construct", "two_class_scheme",
-    "GroupRingError",
-]
+# each public name and the submodule it lives in
+_HOMES = {
+    "binfield": ("BinaryField", "FieldTower", "FieldError", "InternalCheckError",
+                 "NonPrimitiveModulusError", "ReducibleModulusError", "build_field",
+                 "build_tower"),
+    "charsum": ("gauss_periods",),
+    "cycpart": ("CyclotomicPartition", "get_partition"),
+    "paperbook": ("appendix_matrix", "reconcile", "table_row"),
+    "reporting": ("CheckResult", "Report"),
+    "schemecore": ("FusionPattern", "SchemeError", "SchemeRecord",
+                   "bannai_muzychuk_verify", "build_dual_scheme", "build_scheme",
+                   "im10_construct", "two_class_scheme"),
+    "zmring": ("GroupRingError",),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value

@@ -16,8 +16,6 @@ a linear functional along a table is the XOR of the slices its mask
 selects (ORed over masks by ``odd_parities``).  Towers: s <= 7 (degree 63).
 """
 
-from __future__ import annotations
-
 import math
 from functools import cache, cached_property, reduce
 from operator import or_, xor
@@ -423,21 +421,16 @@ def build_field(m: int, modulus: int | None = None) -> BinaryField:
     ring = BinaryField(m, modulus or (1 << m) | 1)
     if any(ring.square(1 << i) != ring.mul(1 << i, 1 << i) for i in range(m)):
         raise InternalCheckError("table squaring disagrees with the product")
-    if modulus is not None:
-        d = irreducibility_certificate(modulus)
-        if d is not None:
-            raise ReducibleModulusError(modulus, d)
-        K = BinaryField(m, modulus)
-        order = _order_of_x(K)
-        if order != K.order:
-            raise NonPrimitiveModulusError(modulus, order)
-        return K
-    for candidate in range((1 << m) | 1, 1 << (m + 1), 2):
-        if irreducibility_certificate(candidate) is not None:
-            continue
+    # a user modulus is the one candidate, and its refusal says why
+    for candidate in [modulus] if modulus is not None else range((1 << m) | 1, 1 << (m + 1), 2):
+        d = irreducibility_certificate(candidate)
         K = BinaryField(m, candidate)
-        if _order_of_x(K) == K.order:
+        # x is primitive unless x**(|K*|/p) = 1 for a prime p: stop at the first
+        if d is None and all(K.pow(0b10, K.order // p) != 1 for p in _prime_factors(K.order)):
             return K
+        if modulus is not None:
+            raise (ReducibleModulusError(modulus, d) if d is not None
+                   else NonPrimitiveModulusError(modulus, _order_of_x(K)))
     raise InternalCheckError(f"no primitive polynomial of degree {m} found")
 
 
@@ -447,6 +440,19 @@ def modulus_to_hex(modulus: int) -> str:
 
 def modulus_from_hex(text: str) -> int:
     return int(text, 16)
+
+
+def _minimal_polynomial(K: BinaryField, z: int, degree: int) -> int:
+    """The minimal polynomial over GF(2) of z in K, of the given degree, as
+    a bit mask: the product of y - z**(2**j) over its conjugates, j < degree
+    (Lidl and Niederreiter, Finite Fields, Thm 2.14).  Raises unless the
+    conjugates close up, z**(2**degree) = z, and every coefficient is 0 or 1."""
+    g, c = [1], z  # coefficients over K, constant first
+    for _ in range(degree):
+        g, c = [a ^ K.mul(c, b) for a, b in zip([0] + g, g + [0])], K.square(c)
+    if c != z or any(a > 1 for a in g):
+        raise InternalCheckError(f"z has no minimal polynomial of degree {degree} over GF(2)")
+    return sum(a << i for i, a in enumerate(g))
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +507,16 @@ class FieldTower:
 
     def _root_and_step(self, K: BinaryField) -> tuple[int, int]:
         """Embed F into K by omega = x -> z**k, the first root of F's modulus
-        among the powers of z = Norm(g) = g**(|K*|/|F*|); f(z**k) = 0 is
-        rechecked by Horner's rule.  Then z is omega**(k^-1), so Norm(g**n)
-        lies in class n * k^-1 mod M.  Returns the root, the image of omega,
-        and that class step."""
+        among the powers of z = Norm(g) = g**(|K*|/|F*|).  y -> z maps
+        GF(2)[y]/(minimal polynomial of z) onto F's copy in K, so k is found
+        there, at degree 3s, as the first root among the powers of y;
+        f(z**k) = 0 is rechecked in K by Horner's rule.  Then z is
+        omega**(k^-1), so Norm(g**n) lies in class n * k^-1 mod M.  Returns
+        the root, the image of omega, and that class step."""
         F = self.F
         z = K.pow(K.generator, K.order // F.order)
-        k = self._find_subfield_root(K, z)
+        image = BinaryField(F.degree, _minimal_polynomial(K, z, F.degree))
+        k = self._find_subfield_root(image, 0b10)
         root = K.pow(z, k)
         value = reduce(lambda acc, i: K.mul(acc, root) ^ (F.modulus >> i & 1),
                        reversed(range(F.modulus.bit_length())), 0)

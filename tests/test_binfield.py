@@ -227,10 +227,15 @@ def test_irreducibility_certificate_on_known_factor():
 
 
 def test_nonprimitive_modulus_rejected():
-    # x^6+x^3+1 is irreducible but x has order 9, not 63
-    with pytest.raises(NonPrimitiveModulusError) as exc:
-        build_field(6, modulus=0b1001001)
-    assert exc.value.proper_order == 9
+    # irreducible, but x has a proper order: x^6+x^3+1 order 9 of 63, and
+    # x^12+x^3+1 and x^36+x^5+x^4+x^2+1 orders 45 and 2545165805; the
+    # primitivity test stops at the first prime, the error names the order
+    for m, modulus, order in ((6, 0b1001001, 9), (12, 0x1009, 45),
+                              (36, 0x1000000035, 2_545_165_805)):
+        assert irreducibility_certificate(modulus) is None
+        with pytest.raises(NonPrimitiveModulusError) as exc:
+            build_field(m, modulus=modulus)
+        assert exc.value.proper_order == order
 
 
 def test_modulus_hex_round_trip():
@@ -298,7 +303,9 @@ def test_an_embedding_by_a_non_root_is_refused(monkeypatch, s):
 DEFAULT_MODULI = {1: ("3", "b", "43", "211"), 2: ("7", "43", "1053", "40027"),
                   3: ("b", "211", "40027", "8000027"),
                   4: ("13", "1053", "100001b", "1000000077"),
-                  5: ("25", "8003", "40000053", "20000000001b")}
+                  5: ("25", "8003", "40000053", "20000000001b"),
+                  6: ("43", "40027", "1000000077", "4000000000007d"),
+                  7: ("83", "200005", "4000000003f", "8000000000000003")}
 
 
 def _assert_tower_matches_scans(tower, s, moduli):
@@ -329,6 +336,38 @@ def test_root_search_across_blocks_matches_the_scanning_construction(monkeypatch
     # start
     monkeypatch.setattr(binfield, "_BLOCK", block)
     _assert_tower_matches_scans(build_tower(s), s, {})
+
+
+@pytest.mark.parametrize("s,steps", [(6, (3638, 322)), (7, (2391, 14354))])
+def test_towers_past_s5_keep_their_moduli_and_class_steps(s, steps):
+    # the scanning construction would walk 2^18 and 2^21 exponents here, so
+    # the moduli and the class steps of G and H are pinned values
+    tower = build_tower(s)
+    assert tower.moduli_hex() == dict(zip("EFGH", DEFAULT_MODULI[s]))
+    assert (tower.class_step("G"), tower.class_step("H")) == steps
+
+
+def test_a_search_based_off_the_subfield_is_refused(monkeypatch):
+    # x is primitive in G and H, so outside F's copy, and so is z*x: its
+    # conjugates do not close up after 3s squarings
+    minimal = binfield._minimal_polynomial
+    monkeypatch.setattr(binfield, "_minimal_polynomial",
+                        lambda K, z, degree: minimal(K, K.times_x(z), degree))
+    for s in (1, 2, 3):
+        with pytest.raises(InternalCheckError, match="no minimal polynomial of degree"):
+            build_tower(s)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_a_flipped_coefficient_of_the_minimal_polynomial_is_refused(monkeypatch, s):
+    # the root search then runs modulo some other polynomial of degree 3s;
+    # the tower must fail, and never come back with another class step
+    minimal = binfield._minimal_polynomial
+    for bit in range(3 * s):
+        monkeypatch.setattr(binfield, "_minimal_polynomial",
+                            lambda K, z, degree: minimal(K, z, degree) ^ 1 << bit)
+        with pytest.raises(InternalCheckError):
+            build_tower(s)
 
 
 def test_tower_matches_the_scanning_construction_under_other_g_h_moduli():

@@ -1,7 +1,8 @@
 """The process entry: ``python -m cycloscheme`` and the console script run
 the CLI through one function, which freezes the collector at exit, and the
-process never imports numpy, dataclasses or fractions.  A bad modulus is
-refused before any loop runs on it."""
+process never imports numpy, dataclasses or fractions.  ``import
+cycloscheme`` loads no submodule, and a tower build loads binfield alone.  A
+bad modulus is refused before any loop runs on it."""
 
 import gc
 import importlib
@@ -69,13 +70,14 @@ def test_console_script_is_the_module_entry():
     assert getattr(importlib.import_module(module), name) is entry_module.entry
 
 
-# runs the module entry with the modules in argv[1] made unimportable: an
-# import of any of them raises
-BLOCKED = ("import runpy, sys\n"
-           "for name in sys.argv[1].split(','):\n"
-           "    sys.modules[name] = None\n"
-           "sys.argv = ['cycloscheme', *sys.argv[2:]]\n"
-           "runpy.run_module('cycloscheme', run_name='__main__', alter_sys=True)\n")
+# makes the modules in argv[1] unimportable: an import of any of them raises
+BLOCK = ("import sys\n"
+         "for name in sys.argv[1].split(','):\n"
+         "    sys.modules[name] = None\n")
+# runs the module entry with those modules blocked
+BLOCKED = BLOCK + ("import runpy\n"
+                   "sys.argv = ['cycloscheme', *sys.argv[2:]]\n"
+                   "runpy.run_module('cycloscheme', run_name='__main__', alter_sys=True)\n")
 RUNS = pytest.mark.parametrize("args", [
     ["--s", "1", "--all"], ["--s", "2", "--all"],
     ["--s", "3", "--targets", ",".join(t for t in TARGETS if t != "thm2ii")]],
@@ -122,3 +124,49 @@ def test_empty_modulus_is_usage_error():
                   timeout=10)
     assert proc.returncode == 2
     assert "error: invalid literal" in proc.stderr
+
+
+# The set-up path of a process that only builds towers: the package loads
+# each submodule on first use, so it compiles binfield alone.
+
+def loaded_by(code):
+    """The cycloscheme, json, ast and argparse modules that ``code`` loads,
+    run in a fresh process after ``import sys``."""
+    proc = python("-c", "import sys\nbefore = set(sys.modules)\n" + code +
+                  "\nprint(sorted(m for m in set(sys.modules) - before if m.split('.')[0]"
+                  " in ('cycloscheme', 'json', 'ast', 'argparse')))")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_by("import cycloscheme") == "['cycloscheme']"
+
+
+def test_building_a_tower_loads_only_binfield():
+    assert loaded_by("import cycloscheme\ncycloscheme.build_tower(2)") == \
+        "['cycloscheme', 'cycloscheme.binfield']"
+
+
+def test_the_set_up_code_runs_with_every_other_submodule_blocked():
+    blocked = [f"cycloscheme.{name}" for name in ("charsum", "cli", "cycpart", "paperbook",
+                                                  "reporting", "schemecore", "zmring")]
+    code = (BLOCK + "import cycloscheme\nfor s in (1, 2, 3, 4):\n    cycloscheme.build_tower(s)\n"
+            "print(cycloscheme.build_tower(2).moduli_hex())\n")
+    proc = python("-c", code, ",".join(blocked))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{'E': '7', 'F': '43', 'G': '1053', 'H': '40027'}\n"
+
+
+def test_star_import_binds_each_name_to_its_home_module():
+    namespace = {}
+    exec("from cycloscheme import *", namespace)
+    assert set(cycloscheme.__all__) <= set(namespace)
+    for name in cycloscheme.__all__:
+        home = importlib.import_module(f"cycloscheme.{cycloscheme._HOME[name]}")
+        assert namespace[name] is getattr(home, name) is getattr(cycloscheme, name)
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'build_towers'"):
+        cycloscheme.build_towers
