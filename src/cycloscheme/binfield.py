@@ -276,6 +276,12 @@ class BinaryField:
         return mask
 
     @cached_property
+    def trace_string(self) -> str:
+        """Character k is Tr(g**k), '0' or '1': the ``parity_string`` of the
+        trace mask, walked once per field."""
+        return parity_string(self, [self.trace_mask])
+
+    @cached_property
     def powers(self) -> list[int]:
         """x**k for 0 <= k < |K*| as Python ints, for the class and set
         computations that index and hash them; meant for fields small

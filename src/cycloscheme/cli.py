@@ -135,6 +135,8 @@ def _target_im10(tower, config):
     two = schemecore.two_class_scheme(tower)
     report.add("trace-hyperplane Cayley graph gives a 2-class scheme",
                two.is_scheme)
+    if not two.is_scheme:
+        return [report], []
     record = schemecore.im10_construct(tower, two)
     report.add("refinement verifies as a 3-class scheme", record.is_scheme)
     report.add("refinement is self-dual", record.flags.get("is_self_dual", False))
@@ -259,9 +261,10 @@ def _parse_args(argv) -> argparse.Namespace:
                     "3-class association schemes.")
     parser.add_argument("--s", type=int, required=True,
                         help="tower parameter; fields have degrees 3s, 6s, 9s")
-    parser.add_argument("--targets", type=str, default=None,
+    chosen = parser.add_mutually_exclusive_group()
+    chosen.add_argument("--targets", type=str, default=None,
                         help=f"comma-separated subset of {','.join(TARGETS)}")
-    parser.add_argument("--all", action="store_true",
+    chosen.add_argument("--all", action="store_true",
                         help="run every target (default when --targets is omitted)")
     parser.add_argument("--poly-f", type=str, default=None, metavar="HEX",
                         help="modulus override for the degree-3s field")
@@ -283,7 +286,7 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse_args(argv)
     targets = TARGETS
-    if args.targets is not None and not args.all:
+    if args.targets is not None:
         targets = tuple(t.strip() for t in args.targets.split(",") if t.strip())
     try:
         config = RunConfig(

@@ -82,8 +82,7 @@ def _class_psi_sums(tower: FieldTower) -> list[int]:
     """c[r] = sum over j of psi(omega^(r + jM)): the psi-sum over the class
     C_r, read from the power table, independent of the period walk."""
     F, M = tower.F, tower.M
-    ones = parity_string(F, [F.trace_mask])
-    return [F.order // M - 2 * ones[r::M].count("1") for r in range(M)]
+    return [F.order // M - 2 * F.trace_string[r::M].count("1") for r in range(M)]
 
 
 def _split(tower: FieldTower, values, keys, name: str) -> CyclotomicPartition:

@@ -5,9 +5,9 @@ criterion: a fusion of the order-M cyclotomic classes is a 3-class
 translation scheme exactly when the fused character-value rows take 3
 distinct nonprincipal values.  Everything downstream (P, Q, intersection
 numbers) is exact integer arithmetic on 4x4 matrices; adjacency matrices
-are never materialized.  Index census columns are products in
-Z[Z_M]; element census columns are Walsh-Hadamard transforms run on one
-packed Python int.
+are never materialized.  Every census column is one product in Z[Z_M]:
+the periods times the inverted block indicator, with M = |K*| and
+psi(g^k) the periods of an element fusion.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from collections import namedtuple
 from functools import cache
 from typing import NamedTuple
 
-from .binfield import BinaryField, FieldTower, InternalCheckError, trace_forms
+from .binfield import BinaryField, FieldTower, InternalCheckError
 from .charsum import gauss_periods
 from .cycpart import d_class_check, get_partition
 from .reporting import Report
-from .zmring import _cyclic_product, _halves, _indicator, _inverse, _pack, _unpack
+from .zmring import _cyclic_product, _indicator, _inverse
 
 _ORACLE_SIZE_LIMIT = 1 << 12
 _JSON_INT_LIMIT = 1 << 53
@@ -132,51 +132,16 @@ def _census(columns) -> dict:
 
 
 @cache
-def _trace_form_masks(K: BinaryField) -> list[int]:
-    """m[a], the mask of the functional x -> Tr(g^a x), for every a (see
-    ``trace_forms``).  u -> m_u is a linear bijection, so the masks must be
-    nonzero and distinct, and m[0] = m_1 is the trace mask.  Built once per
-    field, as ``K.powers`` is, and refused above the element-level size
-    limit before either is built."""
+def _psi_row(K: BinaryField) -> tuple[int, ...]:
+    """psi(g^k) = 1 - 2 Tr(g^k) for every k, from ``K.trace_string``: the
+    element census's periods, those of the classes {g^k} of M = |K*|.
+    Refused above the element-level size limit; psi sums to -1 over K*."""
     if K.size > _ORACLE_SIZE_LIMIT:
         raise SchemeError("element-level verification limited to small fields")
-    masks = trace_forms(K, K.powers)
-    if masks[0] != K.trace_mask:
-        raise InternalCheckError("the trace-form mask of 1 is not the trace mask")
-    if 0 in masks or len(set(masks)) != len(masks):
-        raise InternalCheckError("the trace-form masks of K* are not nonzero and distinct")
-    return masks
-
-
-def _element_columns(K: BinaryField, blocks) -> list[list[int]]:
-    """Column b, entry a: sum over x in S = {g^k : k in b} of psi(g^a x) =
-    W_S[m[a]], where W_S[m] = sum over x in S of (-1)^parity(x & m) is the
-    Walsh-Hadamard transform of the indicator of S over (K, +).  It runs on
-    one int whose digit u, biased by half its base, is entry u: stage j
-    adds and subtracts the digits whose indices differ in bit j, selected
-    by a lane mask.  |W_S| <= |S| < 2^deg K stays below the bias, so every
-    digit stays in range and the transform is exact."""
-    masks = _trace_form_masks(K)
-    n, size = K.degree, K.size
-    width = 1
-    while 8 * width <= n + 1:
-        width *= 2
-    halves = _halves(size, width)
-    lanes = [int.from_bytes((b"\xff" * (width << j) + bytes(width << j)) * (size >> (j + 1)),
-                            "little") for j in range(n)]  # digits with index bit j clear
-    columns = []
-    for b in blocks:
-        indicator = [0] * size
-        for k in b:
-            indicator[K.powers[k]] = 1
-        W = _pack(indicator, width) + halves
-        for j, low in enumerate(lanes):
-            shift = 8 * width << j
-            lo, hi, bias = W & low, W >> shift & low, halves & low
-            W = (lo + hi - bias) | (lo - hi + bias) << shift
-        values = _unpack(W - halves, size, width)
-        columns.append([values[m] for m in masks])
-    return columns
+    row = tuple(1 - 2 * int(t) for t in K.trace_string)
+    if sum(row) != -1:
+        raise InternalCheckError("psi over K* does not sum to -1")
+    return row
 
 
 def second_eigenmatrix(P: list, multiplicities: list, size: int) -> list:
@@ -270,16 +235,15 @@ def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
     An index fusion fuses the order-M cyclotomic classes, and the census
     column of block b is eta * (1_b)^-1 in Z[Z_M], eta the Gauss periods.
     An element fusion is the same census with every element of K* its own
-    class: M = |K*|, exponent k standing for g^k, and the columns read off
-    the Walsh-Hadamard transforms of the blocks.  Blocks, census groups and
-    dual classes stay exponents; only the catalog reads their ``names``.
+    class: M = |K*|, exponent k standing for g^k, and eta = ``_psi_row``.
+    Blocks, census groups and dual classes stay exponents; only the
+    catalog reads their ``names``.
     The fusion is a d-class scheme iff exactly d distinct rows occur, none
     equal to the degree row."""
     K = tower.field(field_label)
-    census = _census([_cyclic_product(gauss_periods(tower, field_label),
-                                      _inverse(_indicator(b, pattern.M)))
-                      for b in pattern.blocks] if domain == "index" else
-                     _element_columns(K, pattern.blocks))
+    eta = gauss_periods(tower, field_label) if domain == "index" else _psi_row(K)
+    census = _census([_cyclic_product(eta, _inverse(_indicator(b, pattern.M)))
+                      for b in pattern.blocks])
     per_class = K.order // pattern.M
     degrees = [1] + [len(b) * per_class for b in pattern.blocks]
     d = len(pattern.blocks)
@@ -361,8 +325,8 @@ def build_element_scheme(tower: FieldTower, field_label: str, blocks,
 def two_class_scheme(tower: FieldTower) -> SchemeRecord:
     """The two-class translation scheme on F from the trace-zero hyperplane:
     R_1, R_2 = the g^k of trace 0, 1 (a strongly regular Cayley graph)."""
-    masks = _trace_form_masks(tower.F)  # bit 0 of masks[k] is Tr(g^k)
-    blocks = [[k for k, m in enumerate(masks) if m & 1 == bit] for bit in (0, 1)]
+    psi = _psi_row(tower.F)
+    blocks = [[k for k, v in enumerate(psi) if v == sign] for sign in (1, -1)]
     return build_element_scheme(tower, "F", blocks, "trace2")
 
 

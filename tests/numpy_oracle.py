@@ -9,7 +9,8 @@ ints, kept as references to cross-check the new ones.
 - ``dft_matrix``: the number-theoretic DFT as int64 matrix-vector products
   in blocks of rows.
 - ``walsh_hadamard_columns``: the element census as int64 Walsh-Hadamard
-  butterflies over (K, +), read at the trace-form masks.
+  butterflies over (K, +), read at the trace-form masks (the package now
+  takes it as one product in Z[Z_|K*|]; the transform is a second route).
 """
 
 import numpy as np

@@ -2,9 +2,10 @@
 census and intersection numbers.
 
 ``character_row`` sums Gauss periods one row at a time, ``element_columns``
-is the element census as the package computed it before the Walsh-Hadamard
-transform (one product in Z[Z_|K*|] per set, ``np.convolve`` folded), and
-``brute_force_intersection_oracle`` counts pairs over the whole field.
+is the element census (one product in Z[Z_|K*|] per set, ``np.convolve``
+folded, psi read element by element against the trace mask rather than
+along the power table), and ``brute_force_intersection_oracle`` counts
+pairs over the whole field.
 """
 
 import numpy as np

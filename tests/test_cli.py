@@ -46,6 +46,16 @@ def test_empty_target_list_is_usage_error(monkeypatch, capsys, targets):
     assert "all checks passed" not in capsys.readouterr().out
 
 
+def test_all_with_targets_is_usage_error(monkeypatch, capsys):
+    # --all used to drop --targets silently; the two flags now exclude
+    # each other, so the asked-for thm1 is never run as every target
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("nothing may run"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--s", "3", "--all", "--targets", "thm1"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_thm2ii_s3_requires_big():
     code, text = run_quiet(RunConfig(s=3, targets=("thm2ii",)))
     assert code == 2
@@ -212,11 +222,10 @@ def test_bad_modulus_is_usage_error():
 
 def _forms_of_x_times(monkeypatch):
     """A mutant of the one trace-form primitive: the forms of x*a in place
-    of those of a, for every module that reads it."""
+    of those of a, read by ``relative_trace_forms``."""
     forms = binfield.trace_forms
-    for module in (binfield, schemecore):
-        monkeypatch.setattr(module, "trace_forms",
-                            lambda K, elements: forms(K, [K.times_x(a) for a in elements]))
+    monkeypatch.setattr(binfield, "trace_forms",
+                        lambda K, elements: forms(K, [K.times_x(a) for a in elements]))
 
 
 @pytest.mark.parametrize("targets", [("partition",), ("gauss",),

@@ -1,14 +1,16 @@
-"""The element census: Walsh-Hadamard columns against the correlation
-oracle, the Gauss-period character rows and direct character sums."""
+"""The element census: the product psi(g^k) * (1_b)^-1 in Z[Z_|K*|] against
+the correlation and Walsh-Hadamard oracles, the Gauss-period character
+rows and direct character sums."""
 
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloscheme import charsum, cycpart, schemecore, zmring
-from cycloscheme.binfield import InternalCheckError, build_field, build_tower
+from cycloscheme import binfield, charsum, cycpart, schemecore, zmring
+from cycloscheme.binfield import BinaryField, InternalCheckError, build_field, build_tower
 from cycloscheme.cli import RunConfig, run
 from cycloscheme.cycpart import get_partition
 from cycloscheme.schemecore import (FusionPattern, build_element_scheme, im10_construct,
@@ -44,12 +46,17 @@ def _names(K, blocks):
     return [{K.powers[k] for k in b} for b in blocks]
 
 
-def _assert_census_matches_oracle(record, K):
-    columns = schemecore._element_columns(K, record.pattern_sets)
-    assert columns == element_columns(K, _names(K, record.pattern_sets)) == \
-        walsh_hadamard_columns(K, record.pattern_sets)
+def _assert_census_matches_oracles(record, K):
+    """The record's census against both oracles' columns; returns those."""
+    columns = element_columns(K, _names(K, record.pattern_sets))
+    assert columns == walsh_hadamard_columns(K, record.pattern_sets)
     assert record.row_census == schemecore._census(columns)
     return columns
+
+
+def _run_quiet(config):
+    buf = io.StringIO()
+    return run(config, out=buf), buf.getvalue()
 
 
 def _direct_row(K, sets, b):
@@ -63,7 +70,7 @@ def test_trace2_and_im10_columns_match_the_oracles(s, mod_f):
     K = tw.F
     two = two_class_scheme(tw)
     for record in (two, im10_construct(tw, two)):
-        columns = _assert_census_matches_oracle(record, K)
+        columns = _assert_census_matches_oracles(record, K)
         # direct character sums: every b for s <= 2, the first 8 powers beyond
         exponents = range(K.order) if s <= 2 else range(8)
         for a in exponents:
@@ -84,7 +91,7 @@ def test_cyclotomic_element_partitions_give_the_character_rows(s, label):
     blocks = [[k for k in range(K.order) if k * step % tw.M in members]
               for members in map(set, pattern.blocks)]
     record = build_element_scheme(tw, label, blocks, "cyclotomic")
-    columns = _assert_census_matches_oracle(record, K)
+    columns = _assert_census_matches_oracles(record, K)
     for a in range(K.order):
         assert (1,) + tuple(col[a] for col in columns) == \
             character_row(tw, label, pattern, a * step % tw.M)
@@ -98,35 +105,48 @@ def test_random_partitions_match_the_oracle(data):
     parts = data.draw(st.integers(min_value=2, max_value=4), label="parts")
     labels = data.draw(st.lists(st.integers(0, parts - 1), min_size=K.order,
                                 max_size=K.order), label="labels")
-    blocks = [[k for k, lab in enumerate(labels) if lab == part] for part in range(parts)]
-    assert schemecore._element_columns(K, blocks) == element_columns(K, _names(K, blocks))
-    if all(blocks):
-        record = build_element_scheme(_OneFieldTower(K), "K", blocks, "random")
-        _assert_census_matches_oracle(record, K)
+    blocks = [b for part in range(parts)
+              if (b := [k for k, lab in enumerate(labels) if lab == part])]
+    record = build_element_scheme(_OneFieldTower(K), "K", blocks, "random")
+    _assert_census_matches_oracles(record, K)
 
 
-def test_trace_form_masks_off_by_one_power_are_caught(monkeypatch):
-    # L_j read from Tr(x^(i+j+1)): the mask of 1 is no longer the trace mask;
-    # a fresh F of s = 2, since the masks are built once per field
+def _swap_first_pair(trace: str) -> str:
+    """The trace string with its first '0' and its first '1' swapped: psi
+    still sums to -1, but two elements change sides of the hyperplane."""
+    i, j = sorted((trace.index("0"), trace.index("1")))
+    return trace[:i] + trace[j] + trace[i + 1:j] + trace[i] + trace[j + 1:]
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_a_flipped_trace_character_is_caught(monkeypatch, k):
+    # a fresh F of s = 2, since the psi row is built once per field
     K = build_field(6)
-    multiples = K.x_multiples
-    monkeypatch.setattr(K, "x_multiples",
-                        lambda c, count: multiples(c, count + 1)[1:])
-    with pytest.raises(InternalCheckError, match="mask of 1"):
-        schemecore._element_columns(K, [range(K.order)])
+    trace = K.trace_string
+    monkeypatch.setitem(vars(K), "trace_string",
+                        trace[:k] + "10"[int(trace[k])] + trace[k + 1:])
+    with pytest.raises(InternalCheckError, match="does not sum to -1"):
+        build_element_scheme(_OneFieldTower(K), "K", [range(K.order)], "flipped")
 
 
-def test_repeated_masks_are_caught(monkeypatch):
-    # a power table with g^0 twice gives two equal masks
-    K = build_field(6)
-    monkeypatch.setitem(vars(K), "powers", K.powers[:1] + K.powers[:-1])
-    with pytest.raises(InternalCheckError, match="nonzero and distinct"):
-        schemecore._element_columns(K, [range(K.order)])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_a_swapped_trace_pair_fails_im10_with_a_report_and_a_catalog(monkeypatch, tmp_path, s):
+    # trace2 is refuted, so im10 is never built: the run prints the FAIL
+    # row, writes the catalog and exits 1 instead of raising SchemeError
+    swapped = property(lambda K: _swap_first_pair(binfield.parity_string(K, [K.trace_mask])))
+    monkeypatch.setattr(BinaryField, "trace_string", swapped)
+    path = tmp_path / "catalog.json"
+    code, text = _run_quiet(RunConfig(s=s, targets=("im10",), json_path=str(path)))
+    assert code == 1 and "all checks passed" not in text
+    assert "[FAIL] trace-hyperplane Cayley graph gives a 2-class scheme" in text
+    catalog = json.loads(path.read_text())
+    assert catalog["schemes"] == []
+    assert [c["passed"] for c in catalog["reports"][0]["checks"]] == [False]
 
 
-def test_im10_at_s4_correlates_nothing_longer_than_M(monkeypatch):
-    # the element census is a transform; only index folds of length M
-    # (and the partition's) may still correlate, as zmring products
+def test_im10_at_s4_makes_five_products_of_length_the_order_of_F(monkeypatch):
+    # one product per block: two for trace2, three for im10; every other
+    # product (thm1's census and the partition's) has length M
     lengths = []
     product = zmring._cyclic_product
 
@@ -136,5 +156,6 @@ def test_im10_at_s4_correlates_nothing_longer_than_M(monkeypatch):
 
     for module in (zmring, cycpart, charsum, schemecore):
         monkeypatch.setattr(module, "_cyclic_product", recording)
-    assert run(RunConfig(s=4, targets=("im10",)), out=io.StringIO()) == 0
-    assert lengths and max(lengths) <= tower(4).M
+    assert _run_quiet(RunConfig(s=4, targets=("im10",)))[0] == 0
+    order = tower(4).F.order
+    assert lengths.count(order) == 5 and max(lengths) == order

@@ -1,16 +1,16 @@
 """The independent routes stay independent: the Gauss periods never read
 the partition or the Gauss-sum tables, Hasse-Davenport never reads the
-partition, and the psi-route partition never reads the periods.  Each
-route's Python calls are recorded with ``sys.setprofile`` on a fresh
-tower, since every route is cached per tower, and with the tables'
-global caches cleared, so that a call the route makes cannot hide behind
-a cache hit."""
+partition, and neither the psi-route partition nor the element census
+reads the periods.  Each route's Python calls are recorded with
+``sys.setprofile`` on a fresh tower, since every route is cached per
+tower, and with the tables' global caches cleared, so that a call the
+route makes cannot hide behind a cache hit."""
 
 import sys
 
 import pytest
 
-from cycloscheme import charsum, cycpart
+from cycloscheme import charsum, cycpart, schemecore
 from cycloscheme.binfield import build_tower
 
 GAUSS_SUM_CODE = {"_dft", "_chirp", "_dft_prime", "_primes", "_table_check"}
@@ -56,3 +56,13 @@ def test_the_psi_route_reaches_no_gauss_period():
     calls = _calls(cycpart._psi_route, build_tower(2))
     assert {"_class_rows", "_class_psi_sums"} <= _in(cycpart, calls)
     assert {"gauss_periods", "_trace_zero_counts"}.isdisjoint(_in(charsum, calls))
+
+
+def test_the_element_census_reaches_no_gauss_period():
+    def trace2_and_im10(tower):
+        schemecore.im10_construct(tower, schemecore.two_class_scheme(tower))
+
+    calls = _calls(trace2_and_im10, build_tower(2))
+    assert {"_psi_row", "_assemble"} <= _in(schemecore, calls)
+    assert {"gauss_periods", "_trace_zero_counts"}.isdisjoint(_in(charsum, calls))
+    assert _in(charsum, calls).isdisjoint(GAUSS_SUM_CODE)

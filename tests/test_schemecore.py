@@ -242,8 +242,8 @@ def test_element_sets_must_partition_nonzero_elements(tower1):
 @pytest.mark.parametrize("construct", [two_class_scheme, im10_construct])
 def test_element_fusions_hold_no_element_sets_at_s4(construct):
     # blocks stay exponent tuples from input to record: the two calls peak
-    # at about 0.5 and 1.0 MB at s = 4, and element sets, name lists or a
-    # discrete-log table over the 4,095 elements of F* beside the transform
+    # at about 0.5 and 0.8 MB at s = 4, and element sets, name lists or a
+    # discrete-log table over the 4,095 elements of F* beside the products
     # take them past 1.2 MB
     tower = build_tower(4)
     construct(tower)  # fills the field's cached tables
