@@ -28,16 +28,17 @@ class FieldError(ValueError):
 class ReducibleModulusError(FieldError):
     """User-supplied modulus failed the irreducibility certificate.
 
-    ``divisor_degree`` is the degree d for which gcd(x^(2^d) - x, f) != 1.
+    ``divisor_degree`` is the failing degree d: gcd(x^(2^d) - x, f) != 1
+    for d < deg f, and x^(2^d) != x modulo f for d = deg f.
     """
 
     def __init__(self, modulus: int, divisor_degree: int):
         self.modulus = modulus
         self.divisor_degree = divisor_degree
-        super().__init__(
-            f"modulus {modulus:#x} is reducible: nontrivial gcd with "
-            f"x^(2^{divisor_degree}) - x"
-        )
+        d = divisor_degree
+        failed = (f"x^(2^{d}) != x modulo the modulus" if d == modulus.bit_length() - 1
+                  else f"nontrivial gcd with x^(2^{d}) - x")
+        super().__init__(f"modulus {modulus:#x} is reducible: {failed}")
 
 
 class NonPrimitiveModulusError(FieldError):

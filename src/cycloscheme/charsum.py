@@ -10,8 +10,6 @@ of the two sides; a norm argument makes that comparison exact.  Each table
 is a Bluestein transform, one Kronecker product in Z[Z_M].
 """
 
-from __future__ import annotations
-
 from functools import cache
 from math import gcd, isqrt
 

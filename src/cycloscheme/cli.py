@@ -1,8 +1,6 @@
 """Command-line driver: run verification targets, render reports, write a
 deterministic JSON catalog of the verified schemes."""
 
-from __future__ import annotations
-
 import argparse
 import json
 import random

@@ -14,8 +14,6 @@ Q is Z read at k(q + 1).  The psi-sums over the classes are counts in
 strided slices of the trace string, which is not M-periodic.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cache
 

@@ -10,8 +10,6 @@ q come by Horner's rule, and the row-sum identities are compared
 coefficient by coefficient; no text from the data file is executed.
 """
 
-from __future__ import annotations
-
 import ast
 import json
 from functools import lru_cache

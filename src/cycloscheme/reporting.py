@@ -1,7 +1,5 @@
 """Pass/fail bookkeeping shared by all verification routines."""
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

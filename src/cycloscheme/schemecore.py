@@ -10,8 +10,6 @@ the periods times the inverted block indicator, with M = |K*| and
 psi(g^k) the periods of an element fusion.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cache
 from typing import NamedTuple
@@ -144,43 +142,34 @@ def _psi_row(K: BinaryField) -> tuple[int, ...]:
     return row
 
 
+def _divide_rows(num: list, dens: list, name: str) -> list:
+    """Row k of ``num`` divided by dens[k], every division exact."""
+    for k, (row, den) in enumerate(zip(num, dens)):
+        for j, v in enumerate(row):
+            if v % den:
+                raise InternalCheckError(f"{name}[{k}][{j}] = {v}/{den} is not an integer")
+    return [[v // den for v in row] for row, den in zip(num, dens)]
+
+
 def second_eigenmatrix(P: list, multiplicities: list, size: int) -> list:
     """Q = |X| * P^(-1) by orthogonality: with n_i = P[0][i] and the dual
     multiplicities m_l, Q[i][l] = m_l P[l][i] / n_i, each division exact.
     P*Q = |X|*I is rechecked; its diagonal, m_l sum_i P[l][i]^2 / n_i = |X|,
     is the norm relation that fixes every m_l, so a wrong one is refused."""
     n = len(P)
-    Q = [[0] * n for _ in range(n)]
-    for l, (row, m) in enumerate(zip(P, multiplicities)):
-        for i, (v, k) in enumerate(zip(row, P[0])):
-            if m * v % k:
-                raise InternalCheckError(f"Q[{i}][{l}] = {m * v}/{k} is not an integer")
-            Q[i][l] = m * v // k
+    Q = _divide_rows([[m * v for m, v in zip(multiplicities, column)] for column in zip(*P)],
+                     P[0], "Q")
     if _mat_mul(P, Q) != [[size if i == j else 0 for j in range(n)] for i in range(n)]:
         raise InternalCheckError("P*Q != |X|*I")
     return Q
 
 
-def intersection_numbers(degrees: list, multiplicities: list, P: list,
-                         size: int) -> list:
-    """B_i with entry (k, j) = p_{ij}^k, via
-    p_{ij}^k = (sum_l m_l P_{li} P_{lj} P_{lk}) / (|X| n_k); the division
-    must be exact."""
-    n = len(P)
-    B = []
-    for i in range(n):
-        Bi = [[0] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(n):
-                num = sum(multiplicities[l] * P[l][i] * P[l][j] * P[l][k]
-                          for l in range(n))
-                den = size * degrees[k]
-                if num % den:
-                    raise InternalCheckError(
-                        f"p_({i},{j})^{k} = {num}/{den} is not an integer")
-                Bi[k][j] = num // den
-        B.append(Bi)
-    return B
+def intersection_numbers(P: list, Q: list, size: int) -> list:
+    """B_i with entry (k, j) = p_{ij}^k, the Bose-Mesner product
+    Q diag(P e_i) P / |X|: A_i A_j = sum_l P_{li} P_{lj} E_l and
+    E_l = sum_k Q_{kl} A_k / |X|.  Each division must be exact."""
+    return [_divide_rows(_mat_mul(Q, [[row[i] * v for v in row] for row in P]),
+                         [size] * len(P), f"B{i}") for i in range(len(P))]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +247,7 @@ def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
         spectrum = {
             "degrees": degrees, "multiplicities": multiplicities, "P": P, "Q": Q,
             "dual_sets": dual_sets,
-            "B": intersection_numbers(degrees, multiplicities, P, K.size),
+            "B": intersection_numbers(P, Q, K.size),
             "flags": _flags(P, Q, pattern.blocks, dual_sets, K.size),
         }
     return SchemeRecord(

@@ -8,8 +8,6 @@ and folded modulo x^M - 1 (Kronecker 1882; Harvey, J. Symb. Comput. 2009).
 The digit width follows the operands' bound, so every product is exact.
 """
 
-from __future__ import annotations
-
 from array import array
 
 from .reporting import Report

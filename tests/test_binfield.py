@@ -20,7 +20,8 @@ from cycloscheme.binfield import (BinaryField, FieldError, InternalCheckError,
 
 import numpy_oracle
 from character_oracle import abs_trace, psi, rel_trace
-from gf_oracle import gf_mul, gf_pow, gf_trace, norm_exponents
+from gf_oracle import (gf_mul, gf_pow, gf_trace, norm_exponents, poly_from_int, poly_mul,
+                       poly_to_int)
 from numpy_oracle import unslice
 
 SRC = Path(cycloscheme.__file__).resolve().parents[1]
@@ -218,6 +219,21 @@ def test_reducible_modulus_rejected_with_certificate():
     with pytest.raises(ReducibleModulusError) as exc:
         build_field(4, modulus=0b10101)  # x^4+x^2+1 = (x^2+x+1)^2
     assert exc.value.divisor_degree >= 1
+
+
+@pytest.mark.parametrize("factors,degree,text", [
+    # (x^4+x^3+1)(x^5+x^3+1): coprime to x^(2^3) - x, caught by x^(2^9) != x
+    ((0x19, 0x29), 9, "x^(2^9) != x modulo the modulus"),
+    # (x+1)(x^8+x^7+x^4+x^3+1): x + 1 divides x^(2^3) - x
+    ((0b11, 0x199), 3, "nontrivial gcd with x^(2^3) - x")])
+def test_reducible_modulus_error_names_the_test_that_failed(factors, degree, text):
+    modulus = poly_to_int(poly_mul(*map(poly_from_int, factors)))
+    with pytest.raises(ReducibleModulusError) as exc:
+        build_field(9, modulus=modulus)
+    assert exc.value.divisor_degree == degree
+    assert str(exc.value) == f"modulus {modulus:#x} is reducible: {text}"
+    # the gcd is nontrivial exactly when the text claims it
+    assert (poly_gcd((1 << (1 << degree)) ^ 0b10, modulus) != 1) == ("gcd" in text)
 
 
 def test_irreducibility_certificate_on_known_factor():

@@ -220,6 +220,13 @@ def test_bad_modulus_is_usage_error():
     assert main(["--s", "1", "--targets", "fields", "--poly-f", "f"]) == 2
 
 
+def test_reducible_modulus_refusal_names_the_failed_test(capsys):
+    # 0x3f1 = (x^4+x^3+1)(x^5+x^3+1) is coprime to x^(2^3) - x
+    assert main(["--s", "1", "--targets", "thm2ii", "--poly-h", "3f1"]) == 2
+    assert capsys.readouterr().out == \
+        "error: modulus 0x3f1 is reducible: x^(2^9) != x modulo the modulus\n"
+
+
 def _forms_of_x_times(monkeypatch):
     """A mutant of the one trace-form primitive: the forms of x*a in place
     of those of a, read by ``relative_trace_forms``."""

@@ -1,0 +1,137 @@
+"""Each broken kernel is caught by the program's own checks.
+
+A mutant is applied by ``monkeypatch`` after the tower is built, so the
+root search of the construction never sees it, and ``cli.run`` gets that
+tower in place of a new one.  The run must raise one of the package's
+errors or end in failed checks; it must never end in "all checks passed".
+
+Three mutants are equivalent and so have no case here: the chirp's c and d
+swapped compute the DFT at r^-1, another root of order M; the masks of
+beta^(i+1) in place of beta^i span the same space, as beta E = E; and the
+class step k in place of k^-1 is the same classes at s = 1 and 2, where k
+and k^-1 lie in one coset of <2> mod M, on which the periods are constant.
+"""
+
+import io
+
+import pytest
+
+from cycloscheme import binfield, charsum, cli, schemecore, zmring
+from cycloscheme.binfield import InternalCheckError, build_tower
+from cycloscheme.cli import TARGETS, RunConfig
+from cycloscheme.zmring import GroupRingError
+
+
+@pytest.fixture(autouse=True)
+def fresh_dft_tables():
+    """The DFT tables are cached by value across towers: none computed
+    before a mutant may hide it, and none computed under it may outlive it."""
+    tables = (charsum._dft, charsum._chirp)
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()
+
+
+def power_table_one_power_off(monkeypatch, tower):
+    """The table of base**(i + 1) for base**i."""
+    table = binfield.power_table
+    monkeypatch.setattr(binfield, "power_table",
+                        lambda K, base, count: [w >> 1 for w in table(K, base, count + 1)])
+
+
+def product_without_the_fold(monkeypatch, tower):
+    """The plain product's terms past M - 1 dropped, not folded onto 0..M-2;
+    the product's own augmentation recheck stays."""
+    unpack = zmring._unpack
+    monkeypatch.setattr(zmring, "_unpack", lambda value, n, width: [
+        v if i <= n // 2 else 0 for i, v in enumerate(unpack(value, n, width))])
+
+
+def chirp_off_by_one_power(monkeypatch, tower):
+    """c[k] = w^(k^2 + 1) in place of w^(k^2)."""
+    chirp = charsum._chirp
+
+    def shifted(M, p, r):
+        c, d = chirp(M, p, r)
+        w = pow(r, pow(2, -1, M), p)
+        return [x * w % p for x in c], d
+
+    monkeypatch.setattr(charsum, "_chirp", shifted)
+
+
+def block_indicator_rotated(monkeypatch, tower):
+    """Every census column from the indicator of b + 1 in place of b."""
+    indicator = schemecore._indicator
+    monkeypatch.setattr(schemecore, "_indicator",
+                        lambda S, M: (lambda v: v[-1:] + v[:-1])(indicator(S, M)))
+
+
+def two_g_periods_swapped(monkeypatch, tower):
+    """eta_1 of G swapped with the first later period of another value,
+    which keeps their sum."""
+    periods = charsum.gauss_periods
+
+    def swapped(tower, label):
+        eta = list(periods(tower, label))
+        if label == "G":
+            a = next(a for a in range(2, len(eta)) if eta[a] != eta[1])
+            eta[1], eta[a] = eta[a], eta[1]
+        return tuple(eta)
+
+    monkeypatch.setattr(charsum, "gauss_periods", swapped)
+    monkeypatch.setattr(schemecore, "gauss_periods", swapped)
+
+
+def one_bit_flipped_past_the_first_block(monkeypatch, tower):
+    """Blocks of 64 powers, and bit 0 of the first power of every block
+    after the first flipped in what the walk's readers see."""
+    blocks = binfield.power_blocks
+
+    def flipped(K, base, count):
+        for start, width, table in blocks(K, base, count):
+            yield start, width, [table[0] ^ 1] + table[1:] if start else table
+
+    monkeypatch.setattr(binfield, "_BLOCK", 64)
+    monkeypatch.setattr(binfield, "power_blocks", flipped)
+    monkeypatch.setattr(charsum, "power_blocks", flipped)
+
+
+def class_step_not_inverted(monkeypatch, tower):
+    """The class of Norm(g^n) taken as n k, not n k^-1, in G and H."""
+    for label in ("G", "H"):
+        monkeypatch.setitem(tower._steps, label, pow(tower.class_step(label), -1, tower.M))
+
+
+# mutant -> the s it runs at, each with the number of failed checks or the
+# error that stops the run
+MUTANTS = {
+    power_table_one_power_off: {1: InternalCheckError, 2: InternalCheckError,
+                                3: InternalCheckError},
+    product_without_the_fold: {1: GroupRingError, 2: GroupRingError, 3: GroupRingError},
+    chirp_off_by_one_power: {1: 4, 2: 4, 3: 3},
+    block_indicator_rotated: {1: 8, 2: 8, 3: 6},
+    two_g_periods_swapped: {1: 5, 2: 5, 3: 5},
+    one_bit_flipped_past_the_first_block: {1: InternalCheckError, 2: InternalCheckError,
+                                           3: InternalCheckError},
+    class_step_not_inverted: {3: 5},
+}
+
+
+@pytest.mark.parametrize("mutant,s,outcome", [
+    (mutant, s, outcome) for mutant, cases in MUTANTS.items() for s, outcome in cases.items()],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+def test_a_broken_kernel_never_passes(monkeypatch, mutant, s, outcome):
+    tower = build_tower(s)
+    mutant(monkeypatch, tower)
+    monkeypatch.setattr(cli, "build_tower", lambda *moduli: tower)
+    # thm2ii at s = 3 streams H = GF(2^27), which --big gates
+    config = RunConfig(s=s, targets=tuple(t for t in TARGETS if s < 3 or t != "thm2ii"))
+    out = io.StringIO()
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            cli.run(config, out)
+        return
+    assert cli.run(config, out) == 1
+    assert out.getvalue().splitlines()[-1].startswith(f"{outcome} check(s) FAILED")

@@ -2,13 +2,16 @@ import tracemalloc
 
 import pytest
 
+from cycloscheme import paperbook, schemecore
 from cycloscheme.binfield import BinaryField, InternalCheckError, build_tower
 from cycloscheme.cycpart import get_partition
 from cycloscheme.schemecore import (FusionPattern, SchemeError, bannai_muzychuk_verify,
                                     build_dual_scheme, build_element_scheme, build_scheme,
                                     dual_scheme_tables_check, im10_construct,
-                                    second_eigenmatrix, two_class_scheme)
+                                    intersection_numbers, second_eigenmatrix,
+                                    two_class_scheme)
 
+from catalog_oracle import check_record
 from scheme_oracle import brute_force_intersection_oracle, character_row
 
 
@@ -133,6 +136,14 @@ def test_second_eigenmatrix_rejects_a_perturbed_entry(tower2, i, l):
         second_eigenmatrix(P, multiplicities, record.size)
 
 
+def test_second_eigenmatrix_names_the_entry_that_is_not_an_integer(tower2):
+    record = build_scheme(tower2, "thm1")
+    P = [list(row) for row in record.P]
+    P[1][1] += 1  # Q[1][1] = m_1 P[1][1] / n_1 = 3 * 16 / 15
+    with pytest.raises(InternalCheckError, match=r"^Q\[1\]\[1\] = 48/15 is not an integer$"):
+        second_eigenmatrix(P, record.multiplicities, record.size)
+
+
 def test_intersection_matrices_f_s1(tower1):
     record = build_scheme(tower1, "thm1")
     assert record.B[0] == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -149,6 +160,41 @@ def test_intersection_number_symmetries(tower2):
             for j in range(4):
                 assert B[i][k][j] == B[j][k][i]  # p_ij^k = p_ji^k
                 assert n[k] * B[i][k][j] == n[j] * B[i][j][k]  # n_k p_ij^k = n_j p_ik^j
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_two_class_scheme_passes_the_catalog_certificate(s):
+    # trace2 (d = 2) reaches no catalog: check its P, Q, B as one would
+    assert check_record(two_class_scheme(build_tower(s)).to_json()) == []
+
+
+def _diagonal_from_row_i(P, Q, size):
+    """B_i from Q diag(row i of P) P, in place of column i."""
+    return [schemecore._divide_rows(
+        schemecore._mat_mul(Q, [[P[i][l] * v for v in row] for l, row in enumerate(P)]),
+        [size] * len(P), f"B{i}") for i in range(len(P))]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_a_diagonal_from_a_row_of_p_is_not_integral(monkeypatch, s):
+    tower = build_tower(s)  # a new tower: build_scheme caches per tower
+    monkeypatch.setattr(schemecore, "intersection_numbers", _diagonal_from_row_i)
+    with pytest.raises(InternalCheckError,
+                       match=r"^B0\[\d\]\[\d\] = -?\d+/\d+ is not an integer$"):
+        build_scheme(tower, "thm1")
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda P, Q, size: intersection_numbers(P, Q[::-1], size),
+    lambda P, Q, size: [[list(c) for c in zip(*b)] for b in intersection_numbers(P, Q, size)]],
+    ids=["Q-rows-reversed", "B-transposed"])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_an_integral_intersection_mutant_fails_reconcile(monkeypatch, s, mutant):
+    tower = build_tower(s)
+    monkeypatch.setattr(schemecore, "intersection_numbers", mutant)
+    for scheme_id in ("thm1", "thm2i"):
+        checks = {c.name: c.passed for c in paperbook.reconcile(tower, scheme_id).checks}
+        assert checks["intersection matrices B1..B3 match"] is False
 
 
 @pytest.mark.parametrize("s,label", [(1, "F"), (1, "G"), (1, "H"), (2, "F")])
