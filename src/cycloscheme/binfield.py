@@ -264,16 +264,17 @@ class BinaryField:
 
     @cached_property
     def trace_mask(self) -> int:
-        """Bit i is the absolute trace of x**i, the sum of its conjugates
-        (x**i)**(2**j), so Tr(u) is the parity of u & trace_mask."""
-        mask = 0
-        for i, u in enumerate(self.x_multiples(1, self.degree)):
-            t = 0
-            for _ in range(self.degree):
-                t, u = t ^ u, self.square(u)
-            if t > 1:
-                raise InternalCheckError(f"Tr(x**{i}) = {t:#x} is not in GF(2)")
-            mask |= t << i
+        """Bit k is Tr(x**k), the power sum p_k of the roots of the modulus
+        x**n + sum f_i x**i: p_0 = n and p_k = sum_(0<j<k) f_(n-j) p_(k-j) +
+        k f_(n-k) mod 2 (Newton's identities; Lidl and Niederreiter, Finite
+        Fields, Thm 1.75).  Tr(u) is the parity of u & trace_mask."""
+        n, f = self.degree, self.modulus
+        mask = n & 1
+        for k in range(1, n):
+            p = k & f >> (n - k)  # its low bit is k f_(n-k)
+            for j in range(1, k):
+                p ^= f >> (n - j) & mask >> (k - j)
+            mask |= (p & 1) << k
         return mask
 
     @cached_property
@@ -488,24 +489,15 @@ class FieldTower:
 
     def _find_subfield_root(self, K: BinaryField, z: int) -> int:
         """The smallest k with z**k a root of F's modulus f, z of order
-        |F*| in K: f(z**k) is the XOR of (z**i)**k over the terms x**i of
-        f.  With i = o * 2**j, o odd, that is (z**o)**k under the j-th
-        Frobenius map u -> u**(2**j), so only the ``power_blocks`` of the
-        z**o are walked, each term one ``_apply`` of the images x**(t 2**j).
-        The first block where the OR of the value's slices has a zero bit
-        holds the root."""
+        |F*| in K: f(z**k) XORs the ``power_blocks`` of z**i, one walk per
+        nonconstant term x**i of f, and the first block where the OR of the
+        value's slices has a zero bit holds the root."""
         f = self.F.modulus
-        terms = [(i >> j, j) for i in range(1, f.bit_length()) if f >> i & 1
-                 for j in [(i & -i).bit_length() - 1]]
-        odd = sorted({o for o, _ in terms})
-        frobenius = [K.x_multiples(1, K.degree)]  # frobenius[j][t] = x**(t 2**j)
-        while len(frobenius) <= max(j for _, j in terms):
-            frobenius.append([K.square(u) for u in frobenius[-1]])
-        for blocks in zip(*(power_blocks(K, K.pow(z, o), self.F.order) for o in odd)):
-            tables = {o: table for o, (_, _, table) in zip(odd, blocks)}
-            images = [_apply(frobenius[j], tables[o]) if j else tables[o] for o, j in terms]
+        walks = [power_blocks(K, K.pow(z, i), self.F.order)
+                 for i in range(1, f.bit_length()) if f >> i & 1]
+        for blocks in zip(*walks):
             start, width, _ = blocks[0]
-            words = [reduce(xor, slices) for slices in zip(*images)]
+            words = [reduce(xor, slices) for slices in zip(*(t for _, _, t in blocks))]
             words[0] ^= (1 << width) - 1  # the term 1: f is irreducible of degree > 1
             zeros = ~reduce(or_, words) & ((1 << width) - 1)
             if zeros:

@@ -1,10 +1,28 @@
 """The absolute trace and the canonical additive character of a field
-element, read from the field's trace mask one element at a time, for the
-references that sum characters element by element."""
+element, read one element at a time from a trace mask built from the
+definition of the trace, for the references that sum characters element
+by element."""
+
+from functools import cache
+
+from gf_oracle import gf_trace
+
+
+@cache
+def _trace_mask(modulus):
+    m = modulus.bit_length() - 1
+    return sum(gf_trace(1 << i, modulus, m) << i for i in range(m))
+
+
+def trace_mask(K):
+    """Bit i is Tr(x^i), the sum of its conjugates by ``gf_oracle``'s
+    schoolbook product, built once per modulus; it never reads the
+    package's own ``K.trace_mask``."""
+    return _trace_mask(K.modulus)
 
 
 def abs_trace(K, u):
-    return (u & K.trace_mask).bit_count() & 1
+    return (u & trace_mask(K)).bit_count() & 1
 
 
 def psi(K, u):

@@ -15,6 +15,8 @@ ints, kept as references to cross-check the new ones.
 
 import numpy as np
 
+from character_oracle import abs_trace
+
 U64 = np.dtype("<u8")
 
 
@@ -86,9 +88,10 @@ def dft_matrix(values, M, p, r, rows=64):
 
 def trace_form_masks(K):
     """m[a], the mask of x -> Tr(g^a x), for every a: bit j is the parity of
-    g^a & L_j, where bit i of the Hankel mask L_j is Tr(x^(i+j))."""
+    g^a & L_j, where bit i of the Hankel mask L_j is Tr(x^(i+j)), read from
+    the test-side trace mask."""
     n = K.degree
-    trace = [(u & K.trace_mask).bit_count() & 1 for u in K.x_multiples(1, 2 * n - 1)]
+    trace = [abs_trace(K, u) for u in K.x_multiples(1, 2 * n - 1)]
     words = np.asarray(K.powers, dtype=U64)
     masks = np.zeros(len(words), dtype=U64)
     for j in range(n):

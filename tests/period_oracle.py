@@ -11,7 +11,7 @@ time from byte tables of the trace sequence Tr(x^k).
 
 import numpy as np
 
-from character_oracle import abs_trace
+from character_oracle import abs_trace, trace_mask
 from numpy_oracle import apply_tables, byte_tables, mul_tables, power_table
 
 
@@ -20,7 +20,7 @@ def gauss_periods_reference(K, M, step):
     class of x^k is k*step mod M."""
     modulus = K.modulus
     top = 1 << K.degree
-    tmask = K.trace_mask
+    tmask = trace_mask(K)
     eta = [0] * M
     u = 1
     c = 0

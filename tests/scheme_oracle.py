@@ -3,9 +3,9 @@ census and intersection numbers.
 
 ``character_row`` sums Gauss periods one row at a time, ``element_columns``
 is the element census (one product in Z[Z_|K*|] per set, ``np.convolve``
-folded, psi read element by element against the trace mask rather than
-along the power table), and ``brute_force_intersection_oracle`` counts
-pairs over the whole field.
+folded, psi read element by element from ``character_oracle``'s trace
+mask rather than along the power table), and
+``brute_force_intersection_oracle`` counts pairs over the whole field.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import numpy as np
 from cycloscheme.charsum import gauss_periods
 from cycloscheme.reporting import Report
 from cycloscheme.schemecore import SchemeError
+from character_oracle import psi
 from numpy_oracle import convolve_folded
 
 # the cost bound of pair counting, which builds |R_i| x |R_j| arrays
@@ -36,7 +37,7 @@ def element_columns(K, sets):
     a of psi(g^k) * (1_S)^-1 in Z[Z_|K*|], 1_S the indicator of the
     discrete logs of S."""
     dlog = {u: e for e, u in enumerate(K.powers)}
-    values = [1 - 2 * ((u & K.trace_mask).bit_count() & 1) for u in K.powers]
+    values = [psi(K, u) for u in K.powers]
     columns = []
     for S in sets:
         indicator = [0] * K.order

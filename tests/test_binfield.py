@@ -19,7 +19,7 @@ from cycloscheme.binfield import (BinaryField, FieldError, InternalCheckError,
                                   modulus_to_hex, poly_gcd, power_table)
 
 import numpy_oracle
-from character_oracle import abs_trace, psi, rel_trace
+from character_oracle import abs_trace, psi, rel_trace, trace_mask
 from gf_oracle import (gf_mul, gf_pow, gf_trace, norm_exponents, poly_from_int, poly_mul,
                        poly_to_int)
 from numpy_oracle import unslice
@@ -190,12 +190,37 @@ def test_abs_trace_matches_oracle():
         K = build_field(m)
         for u in range(K.size):
             assert abs_trace(K, u) == gf_trace(u, K.modulus, m)
+            assert (u & K.trace_mask).bit_count() & 1 == abs_trace(K, u)
 
 
 def test_trace_mask_consistent_with_psi():
     K = build_field(9)
     for u in (0, 1, 5, 100, 300, 511):
         assert psi(K, u) == 1 - 2 * abs_trace(K, u)
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_trace_mask_is_the_trace_of_each_power_of_x(s):
+    tower = build_tower(s)
+    for label in "EFGH":
+        K = tower.field(label)
+        assert K.trace_mask == trace_mask(K), label
+
+
+@pytest.mark.parametrize("m,modulus", [(6, 0x61), (12, 0x107b), (18, 0x4004d), (9, 0x221)])
+def test_trace_mask_of_a_user_modulus_is_the_trace_of_each_power_of_x(m, modulus):
+    K = build_field(m, modulus)
+    assert K.trace_mask == trace_mask(K)
+
+
+def test_trace_mask_reads_the_modulus_not_the_squaring_table(monkeypatch):
+    K = BinaryField(12, build_field(12).modulus)
+
+    def refused(self, a):
+        raise AssertionError("trace_mask squared an element")
+
+    monkeypatch.setattr(BinaryField, "square", refused)
+    assert K.trace_mask == trace_mask(K)
 
 
 def test_rel_trace_lands_in_subfield_and_is_linear():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloscheme import binfield, charsum, cycpart, schemecore, zmring
+from cycloscheme import binfield, schemecore
 from cycloscheme.binfield import BinaryField, InternalCheckError, build_field, build_tower
 from cycloscheme.cli import RunConfig, run
 from cycloscheme.cycpart import get_partition
@@ -143,19 +143,3 @@ def test_a_swapped_trace_pair_fails_im10_with_a_report_and_a_catalog(monkeypatch
     assert catalog["schemes"] == []
     assert [c["passed"] for c in catalog["reports"][0]["checks"]] == [False]
 
-
-def test_im10_at_s4_makes_five_products_of_length_the_order_of_F(monkeypatch):
-    # one product per block: two for trace2, three for im10; every other
-    # product (thm1's census and the partition's) has length M
-    lengths = []
-    product = zmring._cyclic_product
-
-    def recording(a, b):
-        lengths.append(max(len(a), len(b)))
-        return product(a, b)
-
-    for module in (zmring, cycpart, charsum, schemecore):
-        monkeypatch.setattr(module, "_cyclic_product", recording)
-    assert _run_quiet(RunConfig(s=4, targets=("im10",)))[0] == 0
-    order = tower(4).F.order
-    assert lengths.count(order) == 5 and max(lengths) == order

@@ -98,6 +98,22 @@ def one_bit_flipped_past_the_first_block(monkeypatch, tower):
     monkeypatch.setattr(charsum, "power_blocks", flipped)
 
 
+def newton_without_the_odd_term(monkeypatch, tower):
+    """The trace mask by Newton's identities with the term k f_(n-k) of odd
+    k dropped: p_k = sum_(0<j<k) f_(n-j) p_(k-j) alone."""
+    def without_the_term(K):
+        n, f = K.degree, K.modulus
+        mask = n & 1
+        for k in range(1, n):
+            p = 0
+            for j in range(1, k):
+                p ^= f >> (n - j) & mask >> (k - j)
+            mask |= (p & 1) << k
+        return mask
+
+    monkeypatch.setattr(binfield.BinaryField, "trace_mask", property(without_the_term))
+
+
 def class_step_not_inverted(monkeypatch, tower):
     """The class of Norm(g^n) taken as n k, not n k^-1, in G and H."""
     for label in ("G", "H"):
@@ -105,7 +121,7 @@ def class_step_not_inverted(monkeypatch, tower):
 
 
 # mutant -> the s it runs at, each with the number of failed checks or the
-# error that stops the run
+# error that stops the run (with the pattern of its message, where pinned)
 MUTANTS = {
     power_table_one_power_off: {1: InternalCheckError, 2: InternalCheckError,
                                 3: InternalCheckError},
@@ -115,13 +131,17 @@ MUTANTS = {
     two_g_periods_swapped: {1: 5, 2: 5, 3: 5},
     one_bit_flipped_past_the_first_block: {1: InternalCheckError, 2: InternalCheckError,
                                            3: InternalCheckError},
+    newton_without_the_odd_term: {
+        1: (InternalCheckError, "the trace-zero counts do not fill a hyperplane"),
+        2: (InternalCheckError, r"\|D\| = 63, expected 15"),
+        3: (InternalCheckError, "quadratic-form description of D failed")},
     class_step_not_inverted: {3: 5},
 }
 
 
 @pytest.mark.parametrize("mutant,s,outcome", [
     (mutant, s, outcome) for mutant, cases in MUTANTS.items() for s, outcome in cases.items()],
-    ids=lambda v: getattr(v, "__name__", str(v)))
+    ids=lambda v: getattr(v[0] if isinstance(v, tuple) else v, "__name__", str(v)))
 def test_a_broken_kernel_never_passes(monkeypatch, mutant, s, outcome):
     tower = build_tower(s)
     mutant(monkeypatch, tower)
@@ -129,8 +149,9 @@ def test_a_broken_kernel_never_passes(monkeypatch, mutant, s, outcome):
     # thm2ii at s = 3 streams H = GF(2^27), which --big gates
     config = RunConfig(s=s, targets=tuple(t for t in TARGETS if s < 3 or t != "thm2ii"))
     out = io.StringIO()
-    if isinstance(outcome, type):
-        with pytest.raises(outcome):
+    if isinstance(outcome, (type, tuple)):
+        error, match = outcome if isinstance(outcome, tuple) else (outcome, None)
+        with pytest.raises(error, match=match):
             cli.run(config, out)
         return
     assert cli.run(config, out) == 1
