@@ -442,14 +442,6 @@ def build_field(m: int, modulus: int | None = None) -> BinaryField:
     raise InternalCheckError(f"no primitive polynomial of degree {m} found")
 
 
-def modulus_to_hex(modulus: int) -> str:
-    return format(modulus, "x")
-
-
-def modulus_from_hex(text: str) -> int:
-    return int(text, 16)
-
-
 def _minimal_polynomial(K: BinaryField, z: int, degree: int) -> int:
     """The minimal polynomial over GF(2) of z in K, of the given degree, as
     a bit mask: the product of y - z**(2**j) over its conjugates, j < degree
@@ -538,7 +530,7 @@ class FieldTower:
         return self._steps[label]
 
     def moduli_hex(self) -> dict[str, str]:
-        return {lbl: modulus_to_hex(self.field(lbl).modulus)
+        return {lbl: format(self.field(lbl).modulus, "x")
                 for lbl in ("E", "F", "G", "H")}
 
 

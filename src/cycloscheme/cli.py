@@ -9,7 +9,7 @@ import time
 from typing import NamedTuple
 
 from . import charsum, paperbook, schemecore, zmring
-from .binfield import FieldError, _prime_factors, build_tower, modulus_from_hex
+from .binfield import FieldError, _prime_factors, build_tower
 from .cycpart import d_class_check, get_partition
 from .reporting import Report
 
@@ -289,9 +289,9 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(
             s=args.s, targets=targets,
-            poly_f=modulus_from_hex(args.poly_f) if args.poly_f is not None else None,
-            poly_g=modulus_from_hex(args.poly_g) if args.poly_g is not None else None,
-            poly_h=modulus_from_hex(args.poly_h) if args.poly_h is not None else None,
+            poly_f=int(args.poly_f, 16) if args.poly_f is not None else None,
+            poly_g=int(args.poly_g, 16) if args.poly_g is not None else None,
+            poly_h=int(args.poly_h, 16) if args.poly_h is not None else None,
             json_path=args.json, big=args.big, seed=args.seed,
             verbose=args.verbose)
     except ValueError as exc:

@@ -7,18 +7,15 @@ trace quadric.  They must agree.
 D, the quadric Q = {u : tr(u^(q+1)) = 0} and Z = ker tr_{F/E} are
 unions of the order-M classes C_r = omega^r E*, so each is a 0/1 row
 over Z_M and both routes are products of rows in Z[Z_M].  The rows come
-from one bit string over the exponents k of g^k = omega^k, the trace-zero
-indicator read off the bit-sliced power table of F: once it is checked
-to be E*-invariant, Z is its first M characters, D is Z read at -k and
-Q is Z read at k(q + 1).  The psi-sums over the classes are counts in
-strided slices of the trace string, which is not M-periodic.
+from the psi-sums c[r] over the classes, counts in strided slices of F's
+trace string: C_r lies in Z exactly when c[r] = q - 1, D is Z read at -r
+and Q is Z read at r(q + 1).
 """
 
 from collections import namedtuple
 from functools import cache
 
-from .binfield import (BinaryField, FieldTower, InternalCheckError, parity_string,
-                       relative_trace_forms)
+from .binfield import FieldTower, InternalCheckError
 from .reporting import Report
 from .zmring import _cyclic_product, _indicator, _inverse
 
@@ -42,30 +39,30 @@ class CyclotomicPartition(namedtuple("CyclotomicPartition", "s M T1 T2 T3")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
 
-_FLIP = str.maketrans("01", "10")
-
-
-def _trace_zero_indicator(F: BinaryField, s: int) -> str:
-    """Character k is '1' when tr_{F/E}(g^k) = 0, i.e. when g^k has even
-    parity against every ``relative_trace_forms`` mask of 1."""
-    return parity_string(F, relative_trace_forms(F, s, [1])[0]).translate(_FLIP)
+@cache
+def _class_psi_sums(tower: FieldTower) -> tuple[int, ...]:
+    """c[r] = sum over j of psi(omega^(r + jM)): the psi-sum over the class
+    C_r, read from F's trace string, independent of the period walk."""
+    F, M = tower.F, tower.M
+    return tuple(F.order // M - 2 * F.trace_string[r::M].count("1") for r in range(M))
 
 
 @cache
 def _class_rows(tower: FieldTower) -> tuple[tuple[int, ...], ...]:
     """The rows Z, D, Q over Z_M: entry r is 1 when the class C_r lies in
-    the set.  The trace-zero string must be E*-invariant, its first M
-    characters repeated q - 1 times.  -1 and q + 1 are units mod |F*| that
-    map multiples of M to multiples of M, so D (k -> -k) and Q
-    (k -> k(q + 1)) are then invariant too, and M | |F*| makes both maps
-    exact on Z_M.  |D| = q^2 - 1 and D equals Q (the quadratic-form
+    the set.  C_0 = E* spans E and E's trace form is nondegenerate, so
+    psi sums to q - 1 over C_r when tr_{F/E}(omega^r) = 0 and to -1
+    otherwise; any other sum is refused.  Inversion and the (q + 1)-th
+    power map classes to classes, so D is Z read at -r and Q is Z read at
+    r(q + 1).  |D| = q^2 - 1 and D equals Q (the quadratic-form
     description of D) are checked next."""
-    F, M = tower.F, tower.M
-    q = 1 << tower.s
-    zero = _trace_zero_indicator(F, tower.s)
-    if zero != zero[:M] * (q - 1):
-        raise InternalCheckError("Z is not E*-invariant")
-    Z = tuple(map(int, zero[:M]))
+    M, q = tower.M, 1 << tower.s
+    c = _class_psi_sums(tower)
+    for r, value in enumerate(c):
+        if value not in (q - 1, -1):
+            raise InternalCheckError(f"psi sums to {value} over C_{r}, "
+                                     f"neither q - 1 = {q - 1} nor -1")
+    Z = tuple(int(value == q - 1) for value in c)
     D = _inverse(Z)
     size = (q - 1) * sum(D)
     if size != q * q - 1:
@@ -74,13 +71,6 @@ def _class_rows(tower: FieldTower) -> tuple[tuple[int, ...], ...]:
     if D != Q:
         raise InternalCheckError("quadratic-form description of D failed")
     return Z, D, Q
-
-
-def _class_psi_sums(tower: FieldTower) -> list[int]:
-    """c[r] = sum over j of psi(omega^(r + jM)): the psi-sum over the class
-    C_r, read from the power table, independent of the period walk."""
-    F, M = tower.F, tower.M
-    return [F.order // M - 2 * F.trace_string[r::M].count("1") for r in range(M)]
 
 
 def _split(tower: FieldTower, values, keys, name: str) -> CyclotomicPartition:

@@ -155,65 +155,53 @@ def test_class_folds_match_the_element_walk(s, poly_f):
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_class_psi_sums_are_the_F_periods(s):
-    # route 1 reads the power table, the periods come from the trace-zero kernel
+    # route 1 reads F's trace string, the periods come from the trace-zero kernel
     tower = build_tower(s)
-    assert cycpart._class_psi_sums(tower) == list(gauss_periods(tower, "F"))
+    assert cycpart._class_psi_sums(tower) == gauss_periods(tower, "F")
 
 
-def flip_class_zero(tower, zero):
-    """One whole class: |D| moves by q - 1."""
-    return range(0, tower.F.order, tower.M)
+def _use_trace_string(monkeypatch, tower, bits):
+    """F's trace string replaced by ``bits``, the cached psi-sums dropped."""
+    monkeypatch.setitem(vars(tower.F), "trace_string", bits)
+    cycpart._class_psi_sums.cache_clear()
 
 
-def swap_two_classes(tower, zero):
-    """A trace-zero class r1 and a nonzero class r2 trade places: |D| and
-    E*-invariance hold, but Z stops being invariant under r -> -(q+1)r,
-    which is what D == Q needs."""
+def _zero_classes(tower, trace):
+    """The r whose class C_r has no '1' in the trace string: Z's classes."""
+    return [r for r in range(tower.M) if "1" not in trace[r::tower.M]]
+
+
+def flip_class_zero(tower, trace):
+    """C_0 = E*, never trace-zero, takes the bits of a trace-zero class:
+    every psi-sum stays q - 1 or -1, but Z gains a class and |D| moves by
+    q - 1."""
+    bits = list(trace)
+    bits[::tower.M] = trace[_zero_classes(tower, trace)[0]::tower.M]
+    return "".join(bits)
+
+
+def swap_two_classes(tower, trace):
+    """A trace-zero class r1 and a nonzero class r2 trade their bits: |D|
+    holds, but Z stops being invariant under r -> -(q+1)r, which is what
+    D == Q needs."""
     M, w = tower.M, -((1 << tower.s) + 1)
-    r1 = next(r for r in range(M) if zero[r] and r * w % M != r)
-    r2 = next(r for r in range(M) if not zero[r] and r != r1 * w % M)
-    return [k for k in range(tower.F.order) if k % tower.M in (r1, r2)]
-
-
-def swap_two_orbits(tower, zero):
-    """Two orbits of k -> -(q+1)k of one size, one inside Z and one outside,
-    trade places: |D| and D == Q hold, but the orbits are not unions of
-    classes."""
-    N, w = tower.F.order, -((1 << tower.s) + 1)
-
-    def orbit(j):
-        out = [j]
-        while out[-1] * w % N != j:
-            out.append(out[-1] * w % N)
-        return out
-
-    def is_union_of_classes(o):
-        return {(k + tower.M) % N for k in o} == set(o)
-
-    inside = next(o for o in map(orbit, range(N))
-                  if zero[o[0]] and not is_union_of_classes(o))
-    outside = next(o for o in map(orbit, range(N))
-                   if not zero[o[0]] and len(o) == len(inside))
-    return inside + outside
+    zero = _zero_classes(tower, trace)
+    r1 = next(r for r in zero if r * w % M != r)
+    r2 = next(r for r in range(M) if r not in zero and r != r1 * w % M)
+    bits = list(trace)
+    bits[r1::M], bits[r2::M] = trace[r2::M], trace[r1::M]
+    return "".join(bits)
 
 
 @pytest.mark.parametrize("s", [2, 3])
 @pytest.mark.parametrize("flip, message", [
     (flip_class_zero, r"\|D\| = "),
     (swap_two_classes, "quadratic-form description"),
-    (swap_two_orbits, r"is not E\*-invariant"),
 ])
 def test_corrupted_trace_zero_indicator_is_caught(monkeypatch, s, flip, message):
+    # the trace string is corrupted so that the row Z read from it is wrong
     tower = build_tower(s)
-    indicator = cycpart._trace_zero_indicator
-
-    def corrupted(F, sub_degree):
-        zero = [bit == "1" for bit in indicator(F, sub_degree)]
-        for k in flip(tower, zero):
-            zero[k] = not zero[k]
-        return "".join("1" if bit else "0" for bit in zero)
-
-    monkeypatch.setattr(cycpart, "_trace_zero_indicator", corrupted)
+    _use_trace_string(monkeypatch, tower, flip(tower, tower.F.trace_string))
     with pytest.raises(InternalCheckError, match=message):
         get_partition(tower)
 
@@ -222,7 +210,7 @@ def test_psi_sum_outside_the_three_values_is_caught(monkeypatch):
     tower = build_tower(2)
     sums = cycpart._class_psi_sums
     monkeypatch.setattr(cycpart, "_class_psi_sums", lambda tw: [c + 2 for c in sums(tw)])
-    with pytest.raises(InternalCheckError, match=r"psi\(omega\^0 D\) = -?\d+ outside"):
+    with pytest.raises(InternalCheckError, match=r"psi sums to -?\d+ over C_0, neither"):
         get_partition(tower)
 
 
@@ -250,30 +238,22 @@ def _with_bit_flipped(bits, k):
     return bits[:k] + "10"[int(bits[k])] + bits[k + 1:]
 
 
-@pytest.mark.parametrize("s, message", [(1, r"\|D\| = "),  # q - 1 = 1: a single row
-                                        (2, r"is not E\*-invariant"),
-                                        (3, r"is not E\*-invariant")])
-def test_every_single_bit_flip_of_the_trace_zero_string_is_caught(monkeypatch, s,
-                                                                  message):
-    # one invariance check on the whole string guards all of its q - 1 rows;
-    # every call raises, so no cache keeps a result for the tower
+@pytest.mark.parametrize("s, message", [(1, r"\|D\| = "),  # q - 1 = 1: sums stay +-1
+                                        (2, "psi sums to"), (3, "psi sums to")])
+def test_every_single_bit_flip_of_the_trace_string_is_caught(monkeypatch, s, message):
+    # a flip moves one class's psi-sum by 2, off q - 1 and -1 unless q = 2;
+    # every call raises, so no cached partition is kept for the tower
     tower = build_tower(s)
-    zero = cycpart._trace_zero_indicator(tower.F, s)
+    trace = tower.F.trace_string
     for k in range(tower.F.order):
-        flipped = _with_bit_flipped(zero, k)
-        monkeypatch.setattr(cycpart, "_trace_zero_indicator", lambda F, sub_degree: flipped)
+        _use_trace_string(monkeypatch, tower, _with_bit_flipped(trace, k))
         with pytest.raises(InternalCheckError, match=message):
             get_partition(tower)
 
 
 def test_a_flip_in_the_second_row_never_passes_the_partition_target(monkeypatch):
     tower = build_tower(2)
-    flipped = _with_bit_flipped(cycpart._trace_zero_indicator(tower.F, 2), tower.M)
-    monkeypatch.setattr(cycpart, "_trace_zero_indicator", lambda F, sub_degree: flipped)
-    out = io.StringIO()
-    try:
-        code = cli.run(cli.RunConfig(s=2, targets=("partition",)), out=out)
-    except InternalCheckError as exc:
-        assert "is not E*-invariant" in str(exc)
-    else:
-        assert code != 0 and "all checks passed" not in out.getvalue()
+    _use_trace_string(monkeypatch, tower, _with_bit_flipped(tower.F.trace_string, tower.M))
+    monkeypatch.setattr(cli, "build_tower", lambda *moduli: tower)
+    with pytest.raises(InternalCheckError, match="psi sums to"):
+        cli.run(cli.RunConfig(s=2, targets=("partition",)), out=io.StringIO())

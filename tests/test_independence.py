@@ -1,16 +1,18 @@
 """The independent routes stay independent: the Gauss periods never read
-the partition or the Gauss-sum tables, Hasse-Davenport never reads the
-partition, and neither the psi-route partition nor the element census
-reads the periods.  Each route's Python calls are recorded with
-``sys.setprofile`` on a fresh tower, since every route is cached per
-tower, and with the tables' global caches cleared, so that a call the
-route makes cannot hide behind a cache hit."""
+the partition, the trace string or the Gauss-sum tables, so the T1
+identity compares two walks of F; Hasse-Davenport never reads the
+partition; and neither the partition nor the element census reads the
+periods, nor the partition the trace forms that the period kernel walks.
+Each route's Python calls are recorded with ``sys.setprofile`` on a fresh
+tower, since every route is cached per tower, and with the tables' global
+caches cleared, so that a call the route makes cannot hide behind a cache
+hit."""
 
 import sys
 
 import pytest
 
-from cycloscheme import charsum, cycpart, schemecore
+from cycloscheme import binfield, charsum, cycpart, schemecore
 from cycloscheme.binfield import build_tower
 
 GAUSS_SUM_CODE = {"_dft", "_chirp", "_dft_prime", "_primes", "_table_check"}
@@ -43,6 +45,7 @@ def test_gauss_periods_reach_no_partition_and_no_gauss_sum_code(label):
     calls = _calls(charsum.gauss_periods, build_tower(2), label)
     assert "_trace_zero_counts" in _in(charsum, calls)  # the recorder sees the route
     assert _in(cycpart, calls) == set()
+    assert _in(binfield, calls).isdisjoint({"trace_string", "parity_string"})
     assert _in(charsum, calls).isdisjoint(GAUSS_SUM_CODE)
 
 
@@ -56,6 +59,13 @@ def test_the_psi_route_reaches_no_gauss_period():
     calls = _calls(cycpart._psi_route, build_tower(2))
     assert {"_class_rows", "_class_psi_sums"} <= _in(cycpart, calls)
     assert {"gauss_periods", "_trace_zero_counts"}.isdisjoint(_in(charsum, calls))
+
+
+def test_the_partition_reaches_no_trace_form():
+    calls = _calls(cycpart.get_partition, build_tower(2))
+    assert {"trace_string", "parity_string"} <= _in(binfield, calls)
+    assert _in(binfield, calls).isdisjoint({"trace_forms", "relative_trace_forms"})
+    assert "_trace_zero_counts" not in _in(charsum, calls)
 
 
 def test_the_element_census_reaches_no_gauss_period():

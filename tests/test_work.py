@@ -124,9 +124,10 @@ def _count_work(monkeypatch, argv):
 
 
 # invocation -> its counts: the references, then --s 4 --all --big (the only
-# run that walks H at s = 4) and im10 alone at s = 4.  Walks: a walk of one
-# residue is a parity string along K* (F's trace string and the
-# partition's trace-zero string); the others are the Gauss-period walks.
+# run that walks H at s = 4) and im10 alone at s = 4.  Walks: the walk of
+# one residue is F's trace string, the one parity string along K*, read by
+# the partition and the element census; the others are the Gauss-period
+# walks.
 # Units: H at s = 4 is 53 x 4 x 16,781,313 = 3,557,638,356.
 _TOWER = {
     1: {"candidates": {3: 2, 6: 2, 9: 9}, "mul": 47, "root": (4, 4)},
@@ -137,36 +138,36 @@ _TOWER = {
 }
 WORK = {
     "--s 1 --all": {
-        "walks": [("F", 1, 1, 7, 1), ("F", 1, 1, 7, 1), ("F", 5, 1, 1, 1),
+        "walks": [("F", 1, 1, 7, 1), ("F", 5, 1, 1, 1),
                   ("G", 5, 1, 9, 1), ("H", 5, 1, 73, 1)],
         "products": {7: (42, 9408)}, "tower": _TOWER[1]},
     "--s 2 --all": {
-        "walks": [("F", 1, 1, 63, 1), ("F", 1, 2, 63, 1), ("F", 11, 2, 1, 1),
+        "walks": [("F", 1, 1, 63, 1), ("F", 11, 2, 1, 1),
                   ("G", 11, 2, 65, 1), ("H", 11, 2, 4161, 1)],
         "products": {21: (37, 30576), 63: (5, 10080)}, "tower": _TOWER[2]},
     "--s 3 --all --big": {
-        "walks": [("F", 1, 1, 511, 1), ("F", 1, 3, 511, 1), ("F", 17, 3, 1, 1),
+        "walks": [("F", 1, 1, 511, 1), ("F", 17, 3, 1, 1),
                   ("G", 17, 3, 513, 1), ("H", 17, 3, 262657, 5)],
         "products": {73: (37, 136656), 511: (5, 81760)}, "tower": _TOWER[3]},
     "--s 3 --targets fields,partition,lemma2,gauss,thm1,thm2i,duals,im10,appendix": {
-        "walks": [("F", 1, 1, 511, 1), ("F", 1, 3, 511, 1), ("F", 17, 3, 1, 1),
+        "walks": [("F", 1, 1, 511, 1), ("F", 17, 3, 1, 1),
                   ("G", 17, 3, 513, 1)],
         "products": {73: (30, 99280), 511: (5, 81760)}, "tower": _TOWER[3]},
     "--s 4 --targets fields,partition,lemma2,gauss,thm1,thm2i,duals,im10,appendix": {
-        "walks": [("F", 1, 1, 4095, 1), ("F", 1, 4, 4095, 1), ("F", 53, 4, 1, 1),
+        "walks": [("F", 1, 1, 4095, 1), ("F", 53, 4, 1, 1),
                   ("G", 53, 4, 4097, 1)],
         "products": {273: (30, 423696), 4095: (5, 655200)}, "tower": _TOWER[4]},
     "--s 5 --targets fields,partition,lemma2,thm1,appendix": {
-        "walks": [("F", 1, 1, 32767, 1), ("F", 1, 5, 32767, 1), ("F", 145, 5, 1, 1)],
+        "walks": [("F", 1, 1, 32767, 1), ("F", 145, 5, 1, 1)],
         "products": {1057: (19, 558096)}, "tower": _TOWER[5]},
     "--s 4 --all --big": {
-        "walks": [("F", 1, 1, 4095, 1), ("F", 1, 4, 4095, 1), ("F", 53, 4, 1, 1),
+        "walks": [("F", 1, 1, 4095, 1), ("F", 53, 4, 1, 1),
                   ("G", 53, 4, 4097, 1), ("H", 53, 4, 16781313, 257)],
         "products": {273: (37, 563472), 4095: (5, 655200)}, "tower": _TOWER[4]},
     # im10 at s = 4: one product per block, two for trace2 and three for
     # im10, of length |F*| = 4,095; every other product has length M
     "--s 4 --targets im10": {
-        "walks": [("F", 1, 1, 4095, 1), ("F", 1, 4, 4095, 1), ("F", 53, 4, 1, 1)],
+        "walks": [("F", 1, 1, 4095, 1), ("F", 53, 4, 1, 1)],
         "products": {273: (5, 39312), 4095: (5, 655200)}, "tower": _TOWER[4]},
 }
 
