@@ -279,9 +279,13 @@ class BinaryField:
 
     @cached_property
     def trace_string(self) -> str:
-        """Character k is Tr(g**k), '0' or '1': the ``parity_string`` of the
-        trace mask, walked once per field."""
-        return parity_string(self, [self.trace_mask])
+        """Character k is Tr(g**k), '0' or '1': the parity of g**k against
+        the trace mask, read block by block along the powers of K*, walked
+        once per field, as a string whose strided slices and counts read the
+        exponent classes."""
+        return "".join(format(odd_parities(table, [self.trace_mask]) & ((1 << width) - 1),
+                              f"0{width}b")[::-1]
+                       for _, width, table in power_blocks(self, self.generator, self.order))
 
     @cached_property
     def powers(self) -> list[int]:
@@ -371,15 +375,6 @@ def odd_parities(table: list[int], masks) -> int:
             t += 1
         odd |= word
     return odd
-
-
-def parity_string(K: BinaryField, masks: list[int]) -> str:
-    """Character k is '1' when generator**k has odd parity against some
-    mask, read block by block along the powers of K*, as a string whose
-    strided slices and counts read the exponent classes."""
-    return "".join(format(odd_parities(table, masks) & ((1 << width) - 1),
-                          f"0{width}b")[::-1]
-                   for _, width, table in power_blocks(K, K.generator, K.order))
 
 
 def trace_forms(K: BinaryField, elements) -> list[int]:

@@ -2,23 +2,23 @@
 
 The periods are trace-zero counts over E*-orbits, read from bit-sliced
 power tables, and come back as a tuple of Python ints.  A Gauss sum
-G(phi^ell) = sum_j eta_j zeta^(j ell) lives in Z[zeta_M], but none is
-formed here: the identities between Gauss sums are verified for every ell
-at once, by comparing number-theoretic DFT tables of the periods modulo
-primes p = 1 (mod M) whose product exceeds an L1 bound on the difference
-of the two sides; a norm argument makes that comparison exact.  Each table
-is a Bluestein transform, one Kronecker product in Z[Z_M].
+G(phi^ell) = sum_j eta_j zeta^(j ell) is the value at x = zeta^ell of
+eta = sum_j eta_j [j] in Z[Z_M], but none is formed here: an identity
+between Gauss sums holds for every nonprincipal ell at once when X, the
+difference of its two sides in Z[Z_M], vanishes at every zeta^ell with
+ell != 0, that is, when X is a multiple of 1 + x + ... + x^(M-1), a
+constant.  The sides are ``zmring._cyclic_product``s of the periods,
+exact at every size.
 """
 
 from functools import cache
-from math import gcd, isqrt
 
 from .binfield import (DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
-                       InternalCheckError, _is_prime, _prime_factors,
-                       odd_parities, power_blocks, relative_trace_forms)
+                       InternalCheckError, odd_parities, power_blocks,
+                       relative_trace_forms)
 from .cycpart import _psi_route, get_partition
 from .reporting import Report
-from .zmring import _cyclic_product, _indicator, _inverse
+from .zmring import _combine, _cyclic_product, _equation_check, _indicator, _inverse
 
 
 # ---------------------------------------------------------------------------
@@ -121,152 +121,83 @@ def eta_prime_law_check(tower: FieldTower) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-sum identities, evaluated in DFT tables
+# Gauss-sum identities, as products in Z[Z_M]
 # ---------------------------------------------------------------------------
-#
-# Let p = 1 (mod M) be prime and r of order M mod p.  A check's two tables
-# differ at m by X(r^m) mod p, X in Z[Z_M] the difference of the identity's
-# two sides, and its ``bound`` B is an L1 bound sum |X_j|: |eta_F| + q |T1|
-# for T1, |eta_K| + |eta_F|^deg for Hasse-Davenport, |eta|^2 + |K| for the
-# modulus, 2 |eta| for conjugation.  For d | M, d > 1, the phi(d) maps
-# zeta_d -> r^m with gcd(m, M) = M/d are all the maps Z[zeta_d] -> F_p; p
-# splits completely in Q(zeta_d), so their kernels are the primes above p
-# and their product is (p) (Washington, Cyclotomic Fields, ch. 2).  Tables
-# that agree at every m in [1, M) thus put X(zeta_d) in pZ[zeta_d] for each
-# prime used.  A nonzero X(zeta_d) would have a norm divisible by
-# (prod p)^phi(d), yet at most B^phi(d), as no conjugate exceeds B; so
-# prod p > B makes X(zeta_d) = 0 for every d at once.  The identity at ell
-# is X(zeta_M^ell) = 0, a conjugate of X(zeta_d) for d = M/gcd(ell, M), so
-# the first failing ell is the least gcd(m, M) over the failing m.  The
-# period expansion keeps its bound 2 M |eta| under the same rule.
 
-@cache
-def _dft_prime(M: int, index: int) -> tuple[int, int]:
-    """(p, r): the index-th largest prime p = 1 (mod M) with
-    M (p-1)^2 < 2^63, and r = x^((p-1)/M) of exact order M for the least
-    such x >= 2.  A sum of M products of residues stays below 2^63, so the
-    digits of a Bluestein product are at most 8 bytes wide."""
-    top = _dft_prime(M, index - 1)[0] if index else \
-        (isqrt(((1 << 63) - 1) // M) // M + 1) * M + 1
-    p = next((p for p in range(top - M, M, -M) if _is_prime(p)), 1)
-    cofactors = [M // f for f in _prime_factors(M)]
-    roots = (pow(x, (p - 1) // M, p) for x in range(2, p))
-    r = next((r for r in roots if all(pow(r, c, p) != 1 for c in cofactors)), 0)
-    if not (r and _is_prime(p) and p % M == 1 and M * (p - 1) ** 2 < 1 << 63
-            and pow(r, M, p) == 1):
-        raise InternalCheckError(f"no DFT prime for M = {M} at index {index}")
-    return p, r
-
-
-def _primes(M: int, bound: int) -> list[tuple[int, int]]:
-    """The leading DFT primes whose product exceeds ``bound``."""
-    primes, product = [], 1
-    while product <= bound:
-        primes.append(_dft_prime(M, len(primes)))
-        product *= primes[-1][0]
-    return primes
-
-
-@cache
-def _chirp(M: int, p: int, r: int) -> tuple[list[int], list[int]]:
-    """(c, d): c[k] = w^(k^2) and d[k] = w^(-k^2) mod p for k < M, with
-    w = r^h and h = 2^-1 mod M (M is odd), so that w^(k^2) has period M."""
-    w = pow(r, pow(2, -1, M), p)
-    powers = [1] * M
-    for k in range(1, M):
-        powers[k] = powers[k - 1] * w % p
-    return ([powers[k * k % M] for k in range(M)],
-            [powers[-k * k % M] for k in range(M)])
-
-
-@cache
-def _dft(values: tuple, M: int, p: int, r: int) -> tuple[int, ...]:
-    """out[m] = sum_j values[j] r^(j m) mod p, built once per table and
-    prime.  Bluestein: jm = h((j+m)^2 - j^2 - m^2) mod M, so out[m] is
-    d[m] sum_j (values[j] d[j]) c[j + m], the chirp c read cyclically: one
-    cyclic correlation, the Kronecker product c * (values d)^-1 in Z[Z_M]."""
-    c, d = _chirp(M, p, r)
-    weighted = [v * x % p for v, x in zip(values, d)]
-    return tuple(y * x % p for y, x in zip(_cyclic_product(c, _inverse(weighted)), d))
-
-
-def _l1(eta) -> int:
-    return sum(map(abs, eta))
-
-
-def _table_check(report: Report, name: str, bound: int, vectors, agree) -> Report:
-    """Add the check that ``agree(p, m, *tables)``, the tables DFT_p of
-    ``vectors``, holds at every m in [1, M) for each prime the coefficient
-    bound needs; the detail names the first failing ell."""
-    M = len(vectors[0])
-    failing = set()
-    for p, r in _primes(M, bound):
-        tables = [_dft(tuple(v), M, p, r) for v in vectors]
-        failing.update(m for m in range(1, M) if not agree(p, m, *tables))
-    report.add(name, not failing,
-               f"ell={min(gcd(m, M) for m in failing)}" if failing else "")
+def _constant_check(report: Report, name: str, X: list[int]) -> Report:
+    """Add the check that X in Z[Z_M] vanishes at every zeta^ell, ell != 0.
+    Those are the roots of 1 + x + ... + x^(M-1), so it holds exactly when
+    that polynomial divides X, that is, when X is constant; the detail
+    names the first coefficient that differs from X_0."""
+    _equation_check(report, name, X, X[:1] * len(X))
     return report
 
 
 def verify_t1_gauss_identity(tower: FieldTower) -> Report:
     """G_F(chi^ell) = 2^s * sum over x in T1 of zeta^(ell*x), for every
-    nonprincipal ell: V_F = 2^s DFT(1_T1).  chi is evaluated at powers of
-    omega; the norm-lifted character of G or H reads the classes of F
-    pulled back by the norm, so this equality covers it too."""
+    nonprincipal ell: eta_F - 2^s 1_T1 is constant.  chi is evaluated at
+    powers of omega; the norm-lifted character of G or H reads the classes
+    of F pulled back by the norm, so this equality covers it too."""
     q = 1 << tower.s
     T1 = get_partition(tower).T1
     eta = gauss_periods(tower, "F")
-    return _table_check(Report(f"Gauss sum vs T1 identity (s={tower.s})"),
-                        "G_F(chi^ell) == 2^s sum_{x in T1} zeta^(ell x), all ell",
-                        _l1(eta) + q * len(T1), [eta, _indicator(T1, tower.M)],
-                        lambda p, m, v, w: v[m] == q * w[m] % p)
+    return _constant_check(Report(f"Gauss sum vs T1 identity (s={tower.s})"),
+                           "G_F(chi^ell) == 2^s sum_{x in T1} zeta^(ell x), all ell",
+                           _combine((1, eta), (-q, _indicator(T1, tower.M))))
 
 
 def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
     """Norm-lifted Gauss sums: degree 2 gives -(G_F)^2 over G, degree 3
-    gives +(G_F)^3 over H, exactly in Z[zeta_M]: V_K = -V_F^2 or V_F^3."""
+    gives +(G_F)^3 over H, exactly in Z[zeta_M]: eta_G + eta_F^2 or
+    eta_H - eta_F^3 is constant."""
     if lift_degree not in (2, 3):
         raise FieldError("lift degree must be 2 or 3")
     label, sign = ("G", -1) if lift_degree == 2 else ("H", 1)
     eta_f, eta = gauss_periods(tower, "F"), gauss_periods(tower, label)
-    return _table_check(
+    power = _cyclic_product(eta_f, eta_f)
+    if lift_degree == 3:
+        power = _cyclic_product(power, eta_f)
+    return _constant_check(
         Report(f"Hasse-Davenport lift degree {lift_degree} (s={tower.s})"),
         f"G_{label}(chi'^ell) == {'-' if sign < 0 else ''}(G_F(chi^ell))^{lift_degree}",
-        _l1(eta) + _l1(eta_f) ** lift_degree, [eta_f, eta],
-        lambda p, m, v_f, v: v[m] == sign * pow(v_f[m], lift_degree, p) % p)
+        _combine((1, eta), (-sign, power)))
 
 
 def gauss_sum_modulus_check(tower: FieldTower, label: str) -> Report:
-    """|G(chi^ell)|^2 = |K| for nonprincipal ell: V[m] V[-m] = |K|."""
+    """|G(chi^ell)|^2 = |K| for nonprincipal ell: eta eta^-1 - |K| [0] is
+    constant, eta^-1 taking the value conj(G(chi^ell)) at zeta^ell."""
     size = tower.field(label).size
     eta = gauss_periods(tower, label)
-    return _table_check(Report(f"Gauss sum modulus over {label} (s={tower.s})"),
-                        f"G * conj(G) == {size}", _l1(eta) ** 2 + size, [eta],
-                        lambda p, m, v: v[m] * v[-m] % p == size % p)
+    X = _cyclic_product(eta, _inverse(eta))
+    X[0] -= size
+    return _constant_check(Report(f"Gauss sum modulus over {label} (s={tower.s})"),
+                           f"G * conj(G) == {size}", X)
 
 
 def period_expansion_check(tower: FieldTower, label: str) -> Report:
     """eta_a = (1/M) sum_l G(phi^(-l)) zeta^(l*a) must reproduce every
-    direct period: the inverse DFT of V is M eta.  This holds for every
-    integer vector eta, so it checks the tables, not the periods."""
+    direct period: M eta_a - eta(1) is the sum over l != 0, and
+    M [0] - 1_{Z_M} is M at every zeta^l, l != 0, and 0 at l = 0, so
+    eta (M [0] - 1_{Z_M}) == M eta - eta(1) 1_{Z_M}.  This holds for every
+    integer vector eta, so it checks the product kernel, not the periods."""
     M = tower.M
     eta = gauss_periods(tower, label)
-    failing = set()
-    for p, r in _primes(M, 2 * M * _l1(eta)):
-        twice = _dft(_dft(tuple(eta), M, p, r), M, p, r)
-        failing.update(a for a in range(M) if twice[-a] != eta[a] % p * M % p)
-    bad = min(failing, default=None)
+    total = sum(eta)
     report = Report(f"period-from-sums expansion over {label} (s={tower.s})")
-    report.add("expansion reproduces all periods", bad is None,
-               "" if bad is None else f"a={bad}: inverse DFT is not M*eta_a")
+    _equation_check(report, "expansion reproduces all periods",
+                    _cyclic_product(eta, [M - 1] + [-1] * (M - 1)),
+                    [M * e - total for e in eta])
     return report
 
 
 def conjugation_symmetry_check(tower: FieldTower, label: str) -> Report:
     """conj(G(chi^ell)) == G(chi^(M-ell)); psi(-1) = +1 in characteristic 2.
-    The table of eta read backwards must be V[-m]; this holds for every
-    integer vector eta, so it checks the tables, not the periods."""
+    eta^-1 takes the value G(chi^(M-ell)) at zeta^ell, so G conj(G) at ell
+    and at M - ell are one value: eta eta^-1 is its own inverse.  This
+    holds for every integer vector eta, so it checks the product kernel,
+    not the periods."""
     eta = gauss_periods(tower, label)
-    return _table_check(Report(f"conjugation symmetry over {label} (s={tower.s})"),
-                        "conj(G(ell)) == G(M-ell)", 2 * _l1(eta), [_inverse(eta), eta],
-                        lambda p, m, back, v: back[m] == v[-m])
+    product = _cyclic_product(eta, _inverse(eta))
+    report = Report(f"conjugation symmetry over {label} (s={tower.s})")
+    _equation_check(report, "conj(G(ell)) == G(M-ell)", _inverse(product), product)
+    return report

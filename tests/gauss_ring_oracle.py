@@ -1,14 +1,14 @@
 """Per-character reference for the Gauss sums and their identities, kept
-to cross-check the package's DFT tables.
+to cross-check the package's Z[Z_M] products.
 
 A Gauss sum G(phi^ell) = sum_j eta_j zeta^(j ell) is the image in Z[zeta_M]
 of the group-ring element sum_j eta_j [j ell] of Z[Z_M]; ``gauss_sum``
 returns its canonical representative modulo Phi_M.  Each identity is
 decided one nonprincipal ell at a time in Z[zeta_M], on reductions modulo
-Phi_M of group-ring products, as the package verified them before it
-compared tables.  The periods and T1 come in as arguments, so a test can
-hand both routes the same perturbed inputs.  Every identity function
-returns the first failing ell (a for the expansion), or None.
+Phi_M of group-ring products, as the package once verified them.  The
+periods and T1 come in as arguments, so a test can hand both routes the
+same perturbed inputs.  Every identity function returns the first failing
+ell (a for the expansion), or None.
 """
 
 from cycloscheme.binfield import InternalCheckError

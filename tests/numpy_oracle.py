@@ -6,8 +6,6 @@ ints, kept as references to cross-check the new ones.
   ``mul_tables``); ``unslice`` turns a bit-sliced table into its elements.
 - ``convolve_folded``: the product in Z[Z_M], ``np.convolve`` folded
   modulo x^M - 1, exact while sum |a| * max |b| stays below 2^63.
-- ``dft_matrix``: the number-theoretic DFT as int64 matrix-vector products
-  in blocks of rows.
 - ``walsh_hadamard_columns``: the element census as int64 Walsh-Hadamard
   butterflies over (K, +), read at the trace-form masks (the package now
   takes it as one product in Z[Z_|K*|]; the transform is a second route).
@@ -70,20 +68,6 @@ def convolve_folded(a, b):
     cyclic = full[:M].copy()
     cyclic[:M - 1] += full[M:]
     return cyclic.tolist()
-
-
-def dft_matrix(values, M, p, r, rows=64):
-    """out[m] = sum_j values[j] r^(j m) mod p: one int64 matrix-vector
-    product, the matrix gathered in blocks of rows from the powers of r.
-    Both factors are residues below p, so no sum reaches M (p-1)^2."""
-    assert M * (p - 1) ** 2 < 1 << 63
-    powers = np.array([pow(r, k, p) for k in range(M)], dtype=np.int64)
-    x = np.array([v % p for v in values], dtype=np.int64)
-    out = np.empty(M, dtype=np.int64)
-    for start in range(0, M, rows):
-        m = np.arange(start, min(start + rows, M))[:, None]
-        out[start:start + len(m)] = powers[m * np.arange(M) % M] @ x % p
-    return out.tolist()
 
 
 def trace_form_masks(K):

@@ -145,9 +145,9 @@ def test_the_generator_is_x():
 
 
 def test_prime_factors_are_found_once_per_number():
-    # an s = 4 run without thm2ii factors 4, 12, 24, 36, their 2^m - 1 and
-    # M = 273 once each; every other call hits the cache.  A fresh process,
-    # since the DFT primes, which factor M, are cached too
+    # an s = 4 run without thm2ii factors 4, 12, 24, 36 and their 2^m - 1
+    # once each; every other call hits the cache, and nothing factors M.  A
+    # fresh process, so that no cache filled by an earlier test hides a call
     code = ("import io\n"
             "from cycloscheme import binfield, cli\n"
             "binfield._prime_factors.cache_clear()\n"
@@ -157,7 +157,7 @@ def test_prime_factors_are_found_once_per_number():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == 9
+    assert int(proc.stdout) == 8
 
 
 def test_a_wrong_squaring_table_is_refused_at_once(monkeypatch):
@@ -460,17 +460,33 @@ def test_parities_read_each_functional_along_the_table(m):
         assert binfield.odd_parities(table, masks[:j]) == reduce(or_, words[:j], 0)
 
 
+def _parity_word(K, masks):
+    """Bit k set when g**k has odd parity against some mask: the OR of the
+    masks' ``odd_parities`` words along all of K*, read block by block."""
+    word = 0
+    for start, width, table in binfield.power_blocks(K, K.generator, K.order):
+        word |= (binfield.odd_parities(table, masks) & ((1 << width) - 1)) << start
+    return word
+
+
 @pytest.mark.parametrize("block", [1, 6, 100])
 @pytest.mark.parametrize("m", [3, 6, 12])
 def test_parity_string_across_blocks_matches_one_block(monkeypatch, m, block):
-    # 6 and 100 leave a ragged last block against |K*| = 7, 63 and 4095
-    K = build_field(m)
-    masks = [[K.trace_mask], binfield.relative_trace_forms(K, m // 3, [1])[0],
-             [1, (1 << m) - 1]]
-    whole = [binfield.parity_string(K, row) for row in masks]
+    # 6 and 100 leave a ragged last block against |K*| = 7, 63 and 4095: the
+    # trace string and the parity words of one and of several masks read
+    # across blocks what one block reads; a fresh field for each block size,
+    # since the trace string is cached per field
+    def strings(K):
+        masks = [[K.trace_mask], binfield.relative_trace_forms(K, m // 3, [1])[0],
+                 [1, (1 << m) - 1]]
+        return [K.trace_string] + [_parity_word(K, row) for row in masks]
+
+    whole = strings(build_field(m))
     monkeypatch.setattr(binfield, "_BLOCK", block)
-    assert [binfield.parity_string(K, row) for row in masks] == whole
-    assert all(len(bits) == K.order for bits in whole)
+    assert strings(build_field(m)) == whole
+    trace, word = whole[:2]
+    assert len(trace) == (1 << m) - 1
+    assert trace == "".join(str(word >> k & 1) for k in range(len(trace)))
 
 
 @pytest.mark.parametrize("width, m", [(4, 7), (4, 63), (8, 13), (8, 36), (8, 63)])

@@ -1,5 +1,3 @@
-import io
-import random
 from types import SimpleNamespace
 
 import pytest
@@ -10,11 +8,9 @@ from cycloscheme.charsum import (conjugation_symmetry_check, eta_prime_law_check
                                  gauss_periods, gauss_sum_modulus_check,
                                  period_expansion_check, verify_hasse_davenport,
                                  verify_t1_gauss_identity)
-from cycloscheme.cli import RunConfig, run
 from cycloscheme.cycpart import _psi_route
 from cycloscheme.zmring import GroupRingError
 from gauss_ring_oracle import gauss_sum, gauss_sum_power_vector, recover_period_from_sums
-from numpy_oracle import dft_matrix
 from period_oracle import gauss_periods_reference, gauss_periods_walk
 from ring_oracle import GroupRingElement, cyclotomic_polynomial
 
@@ -302,19 +298,19 @@ def test_hasse_davenport_square_and_cube(s):
 
 @pytest.mark.parametrize("lift_degree", [2, 3])
 def test_hasse_davenport_products_per_character(monkeypatch, lift_degree):
-    # no ring product per character: one forward DFT (a Bluestein product)
-    # per prime and per period vector, F and the lifted field
-    primes = []
-    dft = charsum._dft
+    # no ring product per character: eta_F^2 or eta_F^3 as lift_degree - 1
+    # products in Z[Z_M], which every character reads at once
+    lengths = []
+    product = charsum._cyclic_product
 
-    def counted(values, M, p, r):
-        primes.append(p)
-        return dft(values, M, p, r)
+    def counted(a, b):
+        lengths.append((len(a), len(b)))
+        return product(a, b)
 
-    monkeypatch.setattr(charsum, "_dft", counted)
+    monkeypatch.setattr(charsum, "_cyclic_product", counted)
     tower = build_tower(1)
     assert verify_hasse_davenport(tower, lift_degree).passed
-    assert primes and all(primes.count(p) == 2 for p in primes)
+    assert lengths == [(tower.M, tower.M)] * (lift_degree - 1)
 
 
 def test_hasse_davenport_cube_s3():
@@ -382,24 +378,3 @@ def test_perturbed_gauss_sums_rejected():
 def test_mixed_cyclotomic_orders_rejected():
     with pytest.raises(GroupRingError):
         GroupRingElement.identity(7) + GroupRingElement.identity(21)
-
-
-@pytest.mark.parametrize("M", [7, 21, 73, 273])
-def test_dft_matches_the_matrix_dft(M):
-    # every DFT prime a check can reach at these M: the first three
-    rng = random.Random(M)
-    for index in range(3):
-        p, r = charsum._dft_prime(M, index)
-        for values in ([rng.randint(-(1 << 40), 1 << 40) for _ in range(M)],
-                       [rng.randint(0, 1) for _ in range(M)], [p - 1] * M, [0] * M):
-            assert list(charsum._dft(tuple(values), M, p, r)) == dft_matrix(values, M, p, r)
-
-
-def test_a_gauss_run_builds_each_table_once():
-    # eta_F, 1_T1, eta_G, eta_F read backwards and the expansion's second
-    # transform: five tables and one chirp, as every check needs one prime
-    charsum._dft.cache_clear()
-    charsum._chirp.cache_clear()
-    assert run(RunConfig(s=4, targets=("gauss",)), out=io.StringIO()) == 0
-    assert charsum._dft.cache_info().misses == 5
-    assert charsum._chirp.cache_info().misses == 1

@@ -187,13 +187,12 @@ def test_catalog_matches_reference(tmp_path, invocation):
 # partition the tower reads from another generator; s = 2 under non-default
 # G and H moduli, where the tower finds its embeddings of F and its class
 # steps from other generators; s = 3 with --big, which adds thm2ii and the
-# degree-3 Hasse-Davenport check over H; the gauss target at s = 5, the one
-# size here where the modulus, expansion and degree-2 checks would take a
-# second DFT prime under a looser bound; im10 at s = 3 under the F modulus
-# 0x221, whose generator gives each exponent k another name g^k than the
-# default modulus does, and the dual blocks print the names; and the
-# partition at s = 6 and 7, the sizes where F's walk reads more than one
-# block (2 and 32 of them).
+# degree-3 Hasse-Davenport check over H; the gauss target at s = 5 and 6
+# (M = 1,057 and 4,161), the largest Gauss-sum runs pinned here; im10 at
+# s = 3 under the F modulus 0x221, whose generator gives each exponent k
+# another name g^k than the default modulus does, and the dual blocks print
+# the names; and the partition at s = 6 and 7, the sizes where F's walk
+# reads more than one block (2 and 32 of them).
 WHOLE_CATALOGS = {
     "s2-all-f61": (RunConfig(s=2, poly_f=0x61),
                    "cc01f11f61810a922f7f751b8e886a3d3913102fa7a0cc5c899d961081e82e5c",
@@ -213,6 +212,9 @@ WHOLE_CATALOGS = {
     "s6-thm1": (RunConfig(s=6, targets=("fields", "partition", "lemma2", "thm1")),
                 "7f61a234cb0a0e06ad5fef35f4a59859f20c37ec8ad252121e6240ce12575a12",
                 "5e014e52d8a6a8b132fe1f2d0c87d152553ed665fba1e362ad54cd351ea8e118"),
+    "s6-gauss": (RunConfig(s=6, targets=("gauss",)),
+                 "7666daf59350c5908bb925c57fbfdf764af287a9c6b9e833e566e3f8b94880c5",
+                 "1e5a4e1cacdb61946dddb984c733c47a8cc5a9b135dddf346e5899efccf2a8e3"),
     "s7-partition": (RunConfig(s=7, targets=("partition",)),
                      "712f42d6310b3591d287e3bd5ccda0dd01b7d83d44f82c00f0ff9d495e231c70",
                      "4c56d8ec9d851f21f9ca40607c669d88bf88ea56c43a63799727ef80e64f1e86"),

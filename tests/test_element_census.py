@@ -133,7 +133,8 @@ def test_a_flipped_trace_character_is_caught(monkeypatch, k):
 def test_a_swapped_trace_pair_fails_im10_with_a_report_and_a_catalog(monkeypatch, tmp_path, s):
     # trace2 is refuted, so im10 is never built: the run prints the FAIL
     # row, writes the catalog and exits 1 instead of raising SchemeError
-    swapped = property(lambda K: _swap_first_pair(binfield.parity_string(K, [K.trace_mask])))
+    trace = BinaryField.trace_string.func
+    swapped = property(lambda K: _swap_first_pair(trace(K)))
     monkeypatch.setattr(BinaryField, "trace_string", swapped)
     path = tmp_path / "catalog.json"
     code, text = _run_quiet(RunConfig(s=s, targets=("im10",), json_path=str(path)))

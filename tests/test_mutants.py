@@ -5,8 +5,7 @@ root search of the construction never sees it, and ``cli.run`` gets that
 tower in place of a new one.  The run must raise one of the package's
 errors or end in failed checks; it must never end in "all checks passed".
 
-Three mutants are equivalent and so have no case here: the chirp's c and d
-swapped compute the DFT at r^-1, another root of order M; the masks of
+Two mutants are equivalent and so have no case here: the masks of
 beta^(i+1) in place of beta^i span the same space, as beta E = E; and the
 class step k in place of k^-1 is the same classes at s = 1 and 2, where k
 and k^-1 lie in one coset of <2> mod M, on which the periods are constant.
@@ -22,18 +21,6 @@ from cycloscheme.cli import TARGETS, RunConfig
 from cycloscheme.zmring import GroupRingError
 
 
-@pytest.fixture(autouse=True)
-def fresh_dft_tables():
-    """The DFT tables are cached by value across towers: none computed
-    before a mutant may hide it, and none computed under it may outlive it."""
-    tables = (charsum._dft, charsum._chirp)
-    for table in tables:
-        table.cache_clear()
-    yield
-    for table in tables:
-        table.cache_clear()
-
-
 def power_table_one_power_off(monkeypatch, tower):
     """The table of base**(i + 1) for base**i."""
     table = binfield.power_table
@@ -47,18 +34,6 @@ def product_without_the_fold(monkeypatch, tower):
     unpack = zmring._unpack
     monkeypatch.setattr(zmring, "_unpack", lambda value, n, width: [
         v if i <= n // 2 else 0 for i, v in enumerate(unpack(value, n, width))])
-
-
-def chirp_off_by_one_power(monkeypatch, tower):
-    """c[k] = w^(k^2 + 1) in place of w^(k^2)."""
-    chirp = charsum._chirp
-
-    def shifted(M, p, r):
-        c, d = chirp(M, p, r)
-        w = pow(r, pow(2, -1, M), p)
-        return [x * w % p for x in c], d
-
-    monkeypatch.setattr(charsum, "_chirp", shifted)
 
 
 def block_indicator_rotated(monkeypatch, tower):
@@ -126,7 +101,6 @@ MUTANTS = {
     power_table_one_power_off: {1: InternalCheckError, 2: InternalCheckError,
                                 3: InternalCheckError},
     product_without_the_fold: {1: GroupRingError, 2: GroupRingError, 3: GroupRingError},
-    chirp_off_by_one_power: {1: 4, 2: 4, 3: 3},
     block_indicator_rotated: {1: 8, 2: 8, 3: 6},
     two_g_periods_swapped: {1: 5, 2: 5, 3: 5},
     one_bit_flipped_past_the_first_block: {1: InternalCheckError, 2: InternalCheckError,
@@ -156,3 +130,26 @@ def test_a_broken_kernel_never_passes(monkeypatch, mutant, s, outcome):
         return
     assert cli.run(config, out) == 1
     assert out.getvalue().splitlines()[-1].startswith(f"{outcome} check(s) FAILED")
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_a_wrong_product_coefficient_fails_the_kernel_rows(monkeypatch, s):
+    """Conjugation and the expansion hold for every integer vector, so they
+    test the product kernel: one wrong coefficient in each of the Gauss-sum
+    layer's products must turn both rows into FAIL, so neither is a literal
+    pass."""
+    product = charsum._cyclic_product
+
+    def off_at_one(a, b):
+        out = product(a, b)
+        out[1] += 1
+        return out
+
+    tower = build_tower(s)
+    monkeypatch.setattr(charsum, "_cyclic_product", off_at_one)
+    monkeypatch.setattr(cli, "build_tower", lambda *moduli: tower)
+    out = io.StringIO()
+    assert cli.run(RunConfig(s=s, targets=("gauss",)), out) == 1
+    failed = [line for line in out.getvalue().splitlines() if line.lstrip().startswith("[FAIL]")]
+    assert any("conj(G(ell)) == G(M-ell)" in line for line in failed)
+    assert any("expansion reproduces all periods" in line for line in failed)
