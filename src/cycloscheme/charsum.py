@@ -93,26 +93,23 @@ def gauss_periods(tower: FieldTower, label: str) -> tuple[int, ...]:
     as M divides P = |K*|/(q - 1), so the class r*step is the union of the
     orbits u E*, u = g^n with n < P and n = r mod M.  On one orbit psi sums
     to q - 1 if Tr_{K/E}(u) = 0 and to -1 otherwise, so eta at class r*step
-    is q Z[r] - P/M, Z the trace-zero counts.
+    is q Z[r] - P/M, Z the trace-zero counts.  step is a unit mod M and
+    the hyperplane count of Z is checked, so the periods sum to -1.
     """
     K = tower.field(label)
     M, q = tower.M, 1 << tower.s
-    if K.order % M:
-        raise FieldError(f"M = {M} does not divide |{label}*| = {K.order}")
     step = tower.class_step(label)
     per_class = K.order // (q - 1) // M
     eta = [0] * M
     for r, zeros in enumerate(_trace_zero_counts(K, M, tower.s)):
         eta[r * step % M] = q * zeros - per_class
-    if sum(eta) != -1:
-        raise InternalCheckError("Gauss periods do not sum to -1")
     return tuple(eta)
 
 
 def eta_prime_law_check(tower: FieldTower) -> Report:
     """eta'_a over G must equal -2^s * psi(omega^a D) - 1 for every a."""
     eta_g = gauss_periods(tower, "G")
-    law = [-(1 << tower.s) * v - 1 for v in _psi_route(tower)[0]]
+    law = [-(1 << tower.s) * v - 1 for v in _psi_route(tower)]
     bad = next((a for a, (e, v) in enumerate(zip(eta_g, law)) if e != v), None)
     report = Report(f"G-period law (s={tower.s})")
     report.add("eta'_a == -2^s psi(omega^a D) - 1 for all a", bad is None,
@@ -146,6 +143,13 @@ def verify_t1_gauss_identity(tower: FieldTower) -> Report:
                            _combine((1, eta), (-q, _indicator(T1, tower.M))))
 
 
+@cache
+def _eta_f_power(tower: FieldTower, degree: int) -> tuple[int, ...]:
+    """eta_F^degree in Z[Z_M], degree 2 or 3: the cube reuses the square."""
+    eta_f = gauss_periods(tower, "F")
+    return tuple(_cyclic_product(_eta_f_power(tower, 2) if degree == 3 else eta_f, eta_f))
+
+
 def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
     """Norm-lifted Gauss sums: degree 2 gives -(G_F)^2 over G, degree 3
     gives +(G_F)^3 over H, exactly in Z[zeta_M]: eta_G + eta_F^2 or
@@ -153,14 +157,10 @@ def verify_hasse_davenport(tower: FieldTower, lift_degree: int) -> Report:
     if lift_degree not in (2, 3):
         raise FieldError("lift degree must be 2 or 3")
     label, sign = ("G", -1) if lift_degree == 2 else ("H", 1)
-    eta_f, eta = gauss_periods(tower, "F"), gauss_periods(tower, label)
-    power = _cyclic_product(eta_f, eta_f)
-    if lift_degree == 3:
-        power = _cyclic_product(power, eta_f)
     return _constant_check(
         Report(f"Hasse-Davenport lift degree {lift_degree} (s={tower.s})"),
         f"G_{label}(chi'^ell) == {'-' if sign < 0 else ''}(G_F(chi^ell))^{lift_degree}",
-        _combine((1, eta), (-sign, power)))
+        _combine((1, gauss_periods(tower, label)), (-sign, _eta_f_power(tower, lift_degree))))
 
 
 def gauss_sum_modulus_check(tower: FieldTower, label: str) -> Report:

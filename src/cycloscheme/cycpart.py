@@ -1,15 +1,13 @@
 """The inverse-trace set D and the partition T1, T2, T3 of Z_M.
 
-Two independent routes compute the partition: the character sums
-psi(omega^a D), and the tangent/secant point counts |S_a| on the
-trace quadric.  They must agree.
-
-D, the quadric Q = {u : tr(u^(q+1)) = 0} and Z = ker tr_{F/E} are
-unions of the order-M classes C_r = omega^r E*, so each is a 0/1 row
-over Z_M and both routes are products of rows in Z[Z_M].  The rows come
-from the psi-sums c[r] over the classes, counts in strided slices of F's
-trace string: C_r lies in Z exactly when c[r] = q - 1, D is Z read at -r
-and Q is Z read at r(q + 1).
+D, the quadric Q = {u : tr(u^(q+1)) = 0} and Z = ker tr_{F/E} are unions
+of the order-M classes C_r = omega^r E*, each a 0/1 row over Z_M read
+from the psi-sums c[r] over the classes: C_r lies in Z exactly when
+c[r] = q - 1, D is Z read at -r and Q is Z read at r(q + 1).  The
+partition splits psi(omega^a D), one product in Z[Z_M], by its values.
+Checked here: each c[r], |D|, D = Q, T1 = Z and the block sizes.  The
+checks against independent walks are in ``charsum``: the T1 identity
+(eta_F from the walk of F) and the eta' law (eta_G from the walk of G).
 """
 
 from collections import namedtuple
@@ -73,55 +71,34 @@ def _class_rows(tower: FieldTower) -> tuple[tuple[int, ...], ...]:
     return Z, D, Q
 
 
-def _split(tower: FieldTower, values, keys, name: str) -> CyclotomicPartition:
-    """T1, T2, T3: the a whose value is keys[0], keys[1], keys[2]."""
-    blocks = {key: [] for key in keys}
-    for a, value in enumerate(values):
-        if value not in blocks:
-            raise InternalCheckError(f"{name.format(a)} = {value} outside {keys}")
-        blocks[value].append(a)
-    return CyclotomicPartition(tower.s, tower.M, *map(tuple, blocks.values()))
-
-
 @cache
-def _psi_route(tower: FieldTower) -> tuple[tuple[int, ...], CyclotomicPartition]:
-    """psi(omega^a D) = sum over r in dlog D mod M of c[(a + r) mod M] for
-    every a, and the partition by its three values -1, q - 1, -q - 1."""
-    q = 1 << tower.s
-    D = _class_rows(tower)[1]
-    values = tuple(_cyclic_product(_class_psi_sums(tower), _inverse(D)))
-    return values, _split(tower, values, (-1, q - 1, -q - 1), "psi(omega^{} D)")
-
-
-def partition_by_psiD(tower: FieldTower) -> CyclotomicPartition:
-    return _psi_route(tower)[1]
-
-
-def partition_by_trace(tower: FieldTower) -> CyclotomicPartition:
-    """Independent route: T1 from trace zeros of omega^i, the T2/T3 split
-    from the sizes of S_a = {u : tr(u^(q+1)) = 0, tr(omega^a u) = 0},
-    |S_a| = (q - 1) * #{r in dlog Q mod M : (a + r) mod M in dlog Z mod M}."""
-    q = 1 << tower.s
-    Z, _, Q = _class_rows(tower)
-    sizes = [(q - 1) * c for c in _cyclic_product(Z, _inverse(Q))]
-    part = _split(tower, sizes, (q - 1, 2 * (q - 1), 0), "|S_{}|")
-    if Z != tuple(int(size == q - 1) for size in sizes):
-        raise InternalCheckError("tangent-count T1 disagrees with trace-zero T1")
-    return part
+def _psi_route(tower: FieldTower) -> tuple[int, ...]:
+    """psi(omega^a D) = sum over r in dlog D mod M of c[(a + r) mod M], all a."""
+    return tuple(_cyclic_product(_class_psi_sums(tower), _inverse(_class_rows(tower)[1])))
 
 
 @cache
 def get_partition(tower: FieldTower) -> CyclotomicPartition:
-    """The cross-validated partition."""
-    by_psi = partition_by_psiD(tower)
-    if by_psi != partition_by_trace(tower):
-        raise InternalCheckError("the two partition routes disagree")
-    return by_psi
+    """T1, T2, T3: the a with psi(omega^a D) = -1, q - 1, -q - 1.  As
+    c = q 1_Z - 1 and D^-1 = Z, psi(omega^a D) = q n_a - (q + 1) with
+    n = Z * Z, and (q - 1) n_a = |{u : tr(u^(q+1)) = 0, tr(omega^a u) = 0}|,
+    the tangent/secant count; T1, the a whose line is tangent, must be Z."""
+    q = 1 << tower.s
+    blocks = {key: [] for key in (-1, q - 1, -q - 1)}
+    for a, value in enumerate(_psi_route(tower)):
+        if value not in blocks:
+            raise InternalCheckError(f"psi(omega^{a} D) = {value} outside {tuple(blocks)}")
+        blocks[value].append(a)
+    part = CyclotomicPartition(tower.s, tower.M, *map(tuple, blocks.values()))
+    if _indicator(part.T1, tower.M) != list(_class_rows(tower)[0]):
+        raise InternalCheckError("tangent-count T1 disagrees with trace-zero T1")
+    return part
 
 
 def d_class_check(tower: FieldTower) -> Report:
-    """D must be the union of the cyclotomic classes indexed by -T1, its row
-    over Z_M the indicator of -T1; a failure names the first differing r."""
+    """D must be the union of the classes indexed by -T1, its row over Z_M
+    the indicator of -T1; a failure names the first differing r.  It cannot
+    fail: D is Z read at -r, and ``get_partition`` has checked T1 = Z."""
     neg_t1 = _inverse(_indicator(get_partition(tower).T1, tower.M))
     bad = [f"r={r}: D has {d}, -T1 has {t}"
            for r, (d, t) in enumerate(zip(_class_rows(tower)[1], neg_t1)) if d != t]

@@ -185,8 +185,7 @@ def _order(sets: tuple, groups) -> list | None:
         return None
 
 
-def _flags(P: list, Q: list, pattern_sets: tuple, dual_sets: tuple,
-           size: int) -> dict:
+def _flags(P: list, Q: list, pattern_sets: tuple, dual_sets: tuple) -> dict:
     """Primitivity, self-duality (under the psi(b.)-pairing identification
     of classes with dual classes), and per-relation strong regularity."""
     d = len(P) - 1
@@ -195,16 +194,11 @@ def _flags(P: list, Q: list, pattern_sets: tuple, dual_sets: tuple,
                        for l in range(1, d + 1) for i in range(1, d + 1))
     srg = [len({P[l][i] for l in range(1, d + 1)}) == 2 for i in range(1, d + 1)]
 
-    is_self_dual = False
+    # dual class perm[k] is class k as a set: compare the relabelled P, Q.
+    # Then (P_m)^2 = |X| I follows from P Q = |X| I, checked with Q.
     perm = _order(dual_sets, pattern_sets)
-    if perm is not None:
-        # dual class perm[k] is class k as a set: compare the relabelled P, Q
-        P_m = [P[r] for r in perm]
-        if P_m == [[row[c] for c in perm] for row in Q]:
-            is_self_dual = True
-            ident = [[size if i == j else 0 for j in range(d + 1)] for i in range(d + 1)]
-            if _mat_mul(P_m, P_m) != ident:
-                raise InternalCheckError("self-dual scheme with P^2 != |X|*I")
+    is_self_dual = perm is not None and \
+        [P[r] for r in perm] == [[row[c] for c in perm] for row in Q]
     return {
         "is_scheme": True,
         "is_primitive": is_primitive,
@@ -248,7 +242,7 @@ def _assemble(tower: FieldTower, scheme_id: str, field_label: str,
             "degrees": degrees, "multiplicities": multiplicities, "P": P, "Q": Q,
             "dual_sets": dual_sets,
             "B": intersection_numbers(P, Q, K.size),
-            "flags": _flags(P, Q, pattern.blocks, dual_sets, K.size),
+            "flags": _flags(P, Q, pattern.blocks, dual_sets),
         }
     return SchemeRecord(
         scheme_id=scheme_id, field_label=field_label, s=tower.s, M=tower.M,

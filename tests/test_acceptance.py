@@ -13,7 +13,7 @@ from cycloscheme.binfield import InternalCheckError, build_tower
 from cycloscheme.charsum import (eta_prime_law_check, gauss_periods,
                                  gauss_sum_modulus_check, period_expansion_check,
                                  verify_hasse_davenport, verify_t1_gauss_identity)
-from cycloscheme.cycpart import get_partition, partition_by_psiD, partition_by_trace
+from cycloscheme.cycpart import get_partition
 from cycloscheme.paperbook import reconcile
 from cycloscheme.schemecore import (FusionPattern, bannai_muzychuk_verify,
                                     build_scheme, dual_scheme_tables_check,
@@ -21,6 +21,7 @@ from cycloscheme.schemecore import (FusionPattern, bannai_muzychuk_verify,
 from cycloscheme.zmring import delta_square_check, verify_lemma2, verify_remark_eqs
 
 from gauss_ring_oracle import gauss_sum_power_vector, recover_period_from_sums
+from partition_oracle import partition_by_trace_reference
 from ring_oracle import GroupRingElement, involute
 from scheme_oracle import brute_force_intersection_oracle
 
@@ -54,7 +55,7 @@ def test_criterion_1_field_partition_suite():
         tw = tower(s)
         q = 1 << s
         part = get_partition(tw)
-        ok &= partition_by_psiD(tw) == partition_by_trace(tw)
+        ok &= (part.T1, part.T2, part.T3) == partition_by_trace_reference(tw)
         ok &= (len(part.T1), len(part.T2), len(part.T3)) == \
             (q + 1, (q * q + q) // 2, (q * q - q) // 2)
         T1 = GroupRingElement.from_set(tw.M, part.T1)

@@ -408,9 +408,35 @@ def test_tower_matches_the_scanning_construction_under_other_g_h_moduli():
     _assert_tower_matches_scans(build_tower(2, None, *moduli.values()), 2, moduli)
 
 
+def test_a_search_in_a_smaller_multiplicative_group_finds_no_root(monkeypatch):
+    # x^6 + x^3 + 1 is irreducible, but x has order 9 under it: the 63
+    # powers of y miss every root of F's primitive modulus, of order 63
+    monkeypatch.setattr(binfield, "_minimal_polynomial", lambda K, z, degree: 0b1001001)
+    with pytest.raises(InternalCheckError, match="no root of F's modulus in the subfield"):
+        build_tower(2)
+
+
 def test_invalid_s_rejected():
-    with pytest.raises(FieldError):
+    with pytest.raises(FieldError, match="s must be >= 1"):
         build_tower(0)
+
+
+def test_invalid_field_arguments_are_refused():
+    with pytest.raises(FieldError, match="degree must be >= 1"):
+        build_field(0)
+    with pytest.raises(FieldError, match=r"degree-1 modulus must be x \+ 1"):
+        build_field(1, 0b10)
+    with pytest.raises(FieldError, match="^modulus 0x13 does not have degree 3$"):
+        build_field(3, 0b10011)
+    with pytest.raises(FieldError, match="modulus -0xb is negative"):
+        build_tower(1, -0b1011)
+    with pytest.raises(FieldError, match="modulus must have positive degree"):
+        irreducibility_certificate(0b1)
+    tower = build_tower(1)
+    with pytest.raises(FieldError, match="negative power of 0"):
+        tower.F.pow(0, -1)
+    with pytest.raises(FieldError, match="unknown field label 'X'"):
+        tower.field("X")
 
 
 def test_tower_beyond_the_word_size_is_refused(monkeypatch):

@@ -313,6 +313,27 @@ def test_hasse_davenport_products_per_character(monkeypatch, lift_degree):
     assert lengths == [(tower.M, tower.M)] * (lift_degree - 1)
 
 
+def test_both_lift_degrees_square_eta_F_once(monkeypatch):
+    # the cube multiplies the square that degree 2 made by eta_F
+    lengths = []
+    product = charsum._cyclic_product
+
+    def counted(a, b):
+        lengths.append((len(a), len(b)))
+        return product(a, b)
+
+    monkeypatch.setattr(charsum, "_cyclic_product", counted)
+    tower = build_tower(2)
+    assert verify_hasse_davenport(tower, 2).passed
+    assert verify_hasse_davenport(tower, 3).passed
+    assert lengths == [(tower.M, tower.M)] * 2
+
+
+def test_a_lift_degree_other_than_2_or_3_is_refused():
+    with pytest.raises(FieldError, match="lift degree must be 2 or 3"):
+        verify_hasse_davenport(build_tower(1), 4)
+
+
 def test_hasse_davenport_cube_s3():
     # walks H = GF(2^27) directly; ties those periods to the F Gauss sums
     assert verify_hasse_davenport(build_tower(3), 3).passed
@@ -333,7 +354,7 @@ def test_eta_prime_law_names_the_first_mismatch(monkeypatch):
     assert result.name == "eta'_a == -2^s psi(omega^a D) - 1 for all a"
     assert not result.passed
     assert result.detail == \
-        f"first mismatch at a=5: {eta_g[5]} != {-4 * _psi_route(tower)[0][5] - 1}"
+        f"first mismatch at a=5: {eta_g[5]} != {-4 * _psi_route(tower)[5] - 1}"
 
 
 def test_conjugation_symmetry():

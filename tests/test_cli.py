@@ -134,7 +134,7 @@ def test_skipped_check_is_not_a_pass(tmp_path):
 def test_a_verdict_is_a_bool(verdict):
     # None would read as SKIP and [1] or 1 by its truth; a skip says so
     report = Report("verdicts")
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^verdict of 'x' is .+, not a bool$"):
         report.add("x", verdict)
     assert not report.checks
     report.skip("y", "not run")

@@ -1,4 +1,8 @@
 import io
+import re
+from collections import Counter
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -6,8 +10,7 @@ from cycloscheme import cli, cycpart
 from cycloscheme.binfield import InternalCheckError, build_tower
 from cycloscheme.charsum import gauss_periods
 from cycloscheme.cycpart import (CyclotomicPartition, _class_rows, _psi_route,
-                                 d_class_check, get_partition, partition_by_psiD,
-                                 partition_by_trace)
+                                 d_class_check, get_partition)
 
 from gf_oracle import gf_mul, gf_pow, gf_trace
 from partition_oracle import (compute_D_reference, partition_by_trace_reference,
@@ -58,7 +61,7 @@ def test_D_size():
 
 def test_psi_omega_a_D_values_s1():
     tower = build_tower(1)
-    values = list(_psi_route(tower)[0])
+    values = list(_psi_route(tower))
     assert sorted(set(values)) == [-3, -1, 1]
     assert values.count(-1) == 3 and values.count(1) == 3 and values.count(-3) == 1
 
@@ -79,9 +82,12 @@ def test_partition_sizes():
 
 
 def test_both_routes_agree():
+    # the package's one product of class rows against the reference's walk
+    # over the elements of F, which shares no product with it
     for s in (1, 2, 3):
         tower = build_tower(s)
-        assert partition_by_psiD(tower) == partition_by_trace(tower)
+        part = get_partition(tower)
+        assert (part.T1, part.T2, part.T3) == partition_by_trace_reference(tower)
 
 
 def test_class_of_zero():
@@ -114,16 +120,16 @@ def test_d_class_check_names_the_first_differing_residue(monkeypatch, s):
 
 
 def test_partition_invariant_enforced():
-    with pytest.raises(InternalCheckError):
+    with pytest.raises(InternalCheckError, match=r"^\|T1\| = 2, expected 3$"):
         CyclotomicPartition(1, 7, (1, 2), (3, 5, 6, 4), (0,))
 
 
 def test_partition_replace_is_validated():
     part = CyclotomicPartition(1, 7, (1, 2, 4), (3, 5, 6), (0,))
     assert part._replace(T2=(3, 6, 5)).T2 == (3, 6, 5)
-    with pytest.raises(InternalCheckError):
+    with pytest.raises(InternalCheckError, match="^T1, T2, T3 do not partition Z_M$"):
         part._replace(T1=(1, 2, 3))  # sizes hold, the union does not
-    with pytest.raises(InternalCheckError):
+    with pytest.raises(InternalCheckError, match=r"^\|T2\| = 2, expected 3$"):
         part._replace(T2=(3, 5))
     with pytest.raises(AttributeError):
         part.T1 = (0, 1, 2)
@@ -148,14 +154,14 @@ def test_trace_zero_abs_values_oracle_s1():
 def test_class_folds_match_the_element_walk(s, poly_f):
     tower = build_tower(s, poly_f)
     assert production_D(tower) == compute_D_reference(tower)
-    assert list(_psi_route(tower)[0]) == psi_omega_D_reference(tower)
-    part = partition_by_trace(tower)
+    assert list(_psi_route(tower)) == psi_omega_D_reference(tower)
+    part = get_partition(tower)
     assert (part.T1, part.T2, part.T3) == partition_by_trace_reference(tower)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_class_psi_sums_are_the_F_periods(s):
-    # route 1 reads F's trace string, the periods come from the trace-zero kernel
+    # the psi-sums read F's trace string, the periods come from the trace-zero kernel
     tower = build_tower(s)
     assert cycpart._class_psi_sums(tower) == gauss_periods(tower, "F")
 
@@ -215,13 +221,87 @@ def test_psi_sum_outside_the_three_values_is_caught(monkeypatch):
 
 
 def test_tangent_count_T1_must_be_the_trace_zero_classes(monkeypatch):
-    # dlog Q shifted by one class keeps |S_a| in {0, q - 1, 2(q - 1)} with
-    # the right counts, but moves T1 off the trace-zero classes
+    # D shifted by t classes keeps psi(omega^a D) in {-1, q - 1, -q - 1}
+    # with the right counts, but moves T1 by t, and no t != 0 fixes the
+    # Singer set Z
+    rows = cycpart._class_rows
+    for s in (2, 3):
+        tower = build_tower(s)
+        Z, D, Q = rows(tower)
+        for t in range(1, tower.M):
+            monkeypatch.setattr(cycpart, "_class_rows", lambda tw: (Z, D[-t:] + D[:-t], Q))
+            cycpart._psi_route.cache_clear()
+            with pytest.raises(InternalCheckError, match="tangent-count T1"):
+                get_partition(tower)
+
+
+def _partition_of_row(monkeypatch, tower, row):
+    """``get_partition`` with the 0/1 row over Z_M as the trace-zero classes
+    Z, fed in by the psi-sums c = q 1_row - 1."""
+    q = 1 << tower.s
+    monkeypatch.setattr(cycpart, "_class_psi_sums", lambda tw: tuple(q * b - 1 for b in row))
+    for cached in (cycpart._class_rows, cycpart._psi_route, cycpart.get_partition):
+        cached.cache_clear()
+    return get_partition(tower)
+
+
+def _guards_on_rows(monkeypatch, tower, rows):
+    """The rows that ``_partition_of_row`` passes, and how often each guard
+    fired on the others, its message with every value read as n."""
+    passed, fired = set(), Counter()
+    for row in rows:
+        try:
+            _partition_of_row(monkeypatch, tower, row)
+            passed.add(row)
+        except InternalCheckError as error:
+            fired[re.sub(r"(?<!\w)-?\d+", "n", str(error))] += 1
+    return passed, fired
+
+
+def _unit_multiples(row):
+    """The rows of u Z for the units u of Z_M, Z the set of ``row``."""
+    M = len(row)
+    return {tuple(row[u * r % M] for r in range(M)) for u in range(M) if gcd(u, M) == 1}
+
+
+def _indicator_rows(M, sets):
+    return [tuple(int(r in S) for r in range(M)) for S in map(set, sets)]
+
+
+def test_the_rows_that_pass_are_the_singer_sets_s2(monkeypatch):
+    # every set of q + 1 = 5 classes of Z_21: the two that pass are the unit
+    # multiples of the trace-zero classes Z, Singer sets under another
+    # generator; D = Q, the psi values' split and T1 = Z refuse the rest
     tower = build_tower(2)
-    Z, D, Q = cycpart._class_rows(tower)
-    monkeypatch.setattr(cycpart, "_class_rows", lambda tw: (Z, D, Q[-1:] + Q[:-1]))
-    with pytest.raises(InternalCheckError, match="tangent-count T1"):
-        partition_by_trace(tower)
+    Z = cycpart._class_rows(tower)[0]
+    passed, fired = _guards_on_rows(monkeypatch, tower,
+                                    _indicator_rows(21, combinations(range(21), 5)))
+    assert passed == _unit_multiples(Z) and len(passed) == 2
+    assert fired == {"quadratic-form description of D failed": 20331,
+                     "psi(omega^n D) = n outside (n, n, n)": 12,
+                     "tangent-count T1 disagrees with trace-zero T1": 4}
+
+
+def test_a_row_with_three_sums_to_one_residue_is_refused(monkeypatch):
+    # {0, 1, 4, 7, 16} holds |D| and D = Q, but 2 = 1 + 1 = 7 + 16 = 16 + 7,
+    # so (Z * Z)_2 = 3 and psi(omega^2 D) = 3q - (q + 1) = 7
+    tower = build_tower(2)
+    with pytest.raises(InternalCheckError,
+                       match=r"^psi\(omega\^2 D\) = 7 outside \(-1, 3, -5\)$"):
+        _partition_of_row(monkeypatch, tower, _indicator_rows(21, [{0, 1, 4, 7, 16}])[0])
+
+
+def test_the_doubling_orbit_unions_that_pass_are_the_singer_sets_s3(monkeypatch):
+    # Z is closed under doubling; every union of doubling orbits of Z_73
+    # with q + 1 = 9 members passes, and each is a unit multiple of Z
+    tower = build_tower(3)
+    M, Z = tower.M, cycpart._class_rows(tower)[0]
+    orbits = sorted({frozenset((r << i) % M for i in range(M)) for r in range(M)}, key=min)
+    unions = [set().union(*group) for n in range(1, len(orbits) + 1)
+              for group in combinations(orbits, n) if sum(map(len, group)) == 9]
+    passed, fired = _guards_on_rows(monkeypatch, tower, _indicator_rows(M, unions))
+    assert passed == _unit_multiples(Z) and len(passed) == 8
+    assert fired == {}
 
 
 def test_indicators_are_read_only():

@@ -63,6 +63,8 @@ def _inputs(tower, perturbation):
 def _route_report(monkeypatch, check, tower, eta, part):
     monkeypatch.setattr(charsum, "gauss_periods", lambda tw, label: eta[label])
     monkeypatch.setattr(charsum, "get_partition", lambda tw: part)
+    # eta_F's powers made afresh from the patched periods, not the tower's cache
+    monkeypatch.setattr(charsum, "_eta_f_power", charsum._eta_f_power.__wrapped__)
     (result,) = CHECKS[check][0](tower).checks
     return result
 

@@ -9,6 +9,11 @@ Two mutants are equivalent and so have no case here: the masks of
 beta^(i+1) in place of beta^i span the same space, as beta E = E; and the
 class step k in place of k^-1 is the same classes at s = 1 and 2, where k
 and k^-1 lie in one coset of <2> mod M, on which the periods are constant.
+
+Two mutants stand where a guard went because an earlier check implies it:
+the periods summing to -1 follows from the hyperplane count of the
+trace-zero counts, and P^2 = |X| I for a self-dual scheme from P Q = |X| I.
+Each shows that the earlier check still fires.
 """
 
 import io
@@ -16,7 +21,7 @@ import io
 import pytest
 
 from cycloscheme import binfield, charsum, cli, schemecore, zmring
-from cycloscheme.binfield import InternalCheckError, build_tower
+from cycloscheme.binfield import FieldError, InternalCheckError, build_tower
 from cycloscheme.cli import TARGETS, RunConfig
 from cycloscheme.zmring import GroupRingError
 
@@ -95,6 +100,27 @@ def class_step_not_inverted(monkeypatch, tower):
         monkeypatch.setitem(tower._steps, label, pow(tower.class_step(label), -1, tower.M))
 
 
+def one_trace_zero_count_off_by_one(monkeypatch, tower):
+    """The trace-zero count of residue 0, the orbit {0} of doubling, one
+    more than walked, in each block: the periods would not sum to -1."""
+    even = charsum._even_against_every_mask
+    monkeypatch.setattr(charsum, "_even_against_every_mask", lambda table, masks, width: [
+        c + (j == 0) for j, c in enumerate(even(table, masks, width))])
+
+
+def one_multiplicity_off(monkeypatch, tower):
+    """The first dual class's multiplicity off by the product of the
+    degrees, so every entry of Q stays an integer."""
+    second = schemecore.second_eigenmatrix
+
+    def off(P, multiplicities, size):
+        wrong = list(multiplicities)
+        wrong[1] += P[0][1] * P[0][2] * P[0][3]
+        return second(P, wrong, size)
+
+    monkeypatch.setattr(schemecore, "second_eigenmatrix", off)
+
+
 # mutant -> the s it runs at, each with the number of failed checks or the
 # error that stops the run (with the pattern of its message, where pinned)
 MUTANTS = {
@@ -110,6 +136,10 @@ MUTANTS = {
         2: (InternalCheckError, r"\|D\| = 63, expected 15"),
         3: (InternalCheckError, "quadratic-form description of D failed")},
     class_step_not_inverted: {3: 5},
+    one_trace_zero_count_off_by_one: {
+        s: (InternalCheckError, "the trace-zero counts do not fill a hyperplane")
+        for s in (1, 2, 3)},
+    one_multiplicity_off: {s: (InternalCheckError, r"P\*Q != \|X\|\*I") for s in (1, 2, 3)},
 }
 
 
@@ -153,3 +183,9 @@ def test_a_wrong_product_coefficient_fails_the_kernel_rows(monkeypatch, s):
     failed = [line for line in out.getvalue().splitlines() if line.lstrip().startswith("[FAIL]")]
     assert any("conj(G(ell)) == G(M-ell)" in line for line in failed)
     assert any("expansion reproduces all periods" in line for line in failed)
+
+
+def test_the_periods_of_E_are_refused():
+    # |E*| = q - 1 is no multiple of M: the class step refuses the label
+    with pytest.raises(FieldError, match="no cyclotomic classes for label 'E'"):
+        charsum.gauss_periods(build_tower(1), "E")

@@ -20,7 +20,7 @@ def test_qpoly_eval():
 
 
 def test_qpoly_rejects_non_integral():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^'q/2' is not an integer at q=3$"):
         evaluate("q/2", 3)
 
 
@@ -99,10 +99,19 @@ def test_table_rows_s1():
 
 
 def test_unknown_table_and_row():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown table 'thm9'"):
         table_row("thm9", "degree", 2)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown row 'nope'"):
         table_row("thm1", "nope", 2)
+    with pytest.raises(KeyError, match="unknown scheme 'thm9'"):
+        appendix_matrix("thm9", "B1", 2)
+
+
+def test_a_rejected_expression_says_why():
+    with pytest.raises(ValueError, match=r"^expression '\(q' does not parse$"):
+        evaluate("(q", 2)
+    with pytest.raises(ValueError, match=r"^expression 'q\*\*q' is not a polynomial in q$"):
+        evaluate("q**q", 2)
 
 
 def test_appendix_b1_thm1_q2():

@@ -5,6 +5,7 @@ import pytest
 from cycloscheme import paperbook, schemecore
 from cycloscheme.binfield import BinaryField, InternalCheckError, build_tower
 from cycloscheme.cycpart import get_partition
+from cycloscheme.zmring import GroupRingError
 from cycloscheme.schemecore import (FusionPattern, SchemeError, bannai_muzychuk_verify,
                                     build_dual_scheme, build_element_scheme, build_scheme,
                                     dual_scheme_tables_check, im10_construct,
@@ -283,6 +284,42 @@ def test_element_sets_must_partition_nonzero_elements(tower1):
                 (R1, R2[1:] + (7,))):  # an exponent beyond |F*|
         with pytest.raises(SchemeError):
             build_element_scheme(tower1, "F", bad, "bad")
+
+
+def test_scheme_arguments_are_refused(tower2):
+    with pytest.raises(SchemeError, match="^unknown scheme id 'thm9'$"):
+        build_scheme(tower2, "thm9")
+    with pytest.raises(SchemeError, match="^scheme id 'dual1' needs an explicit pattern$"):
+        build_scheme(tower2, "dual1")
+    with pytest.raises(GroupRingError, match="^modulus mismatch$"):  # M = 21, not 7
+        build_scheme(tower2, "thm1", FusionPattern(7, ((1, 2, 4), (3, 5, 6), (0,))))
+    with pytest.raises(SchemeError, match="^which must be 'thm1' or 'thm2i'$"):
+        dual_scheme_tables_check(tower2, "thm2ii")
+    with pytest.raises(SchemeError, match="^dual requires a verified index-fusion scheme$"):
+        build_dual_scheme(tower2, two_class_scheme(tower2))
+    tower5 = build_tower(5)  # |F*| = 32,767, past the element-level limit
+    with pytest.raises(SchemeError, match="^element-level verification limited to small fields$"):
+        build_element_scheme(tower5, "F", [range(tower5.F.order)], "x")
+
+
+def test_im10_refuses_what_it_cannot_refine(tower1, tower2):
+    with pytest.raises(SchemeError,
+                       match="^input must be a verified element-level 2-class scheme$"):
+        im10_construct(tower2, build_scheme(tower2, "thm1"))
+    # the classes g^k, k = 0, 1, 5 mod 7, and the rest: a 2-class scheme on
+    # GF(64) whose classes each meet both dual classes
+    R1 = tuple(k for k in range(63) if k % 7 in (0, 1, 5))
+    two = build_element_scheme(tower2, "F", (R1, tuple(sorted(set(range(63)) - set(R1)))), "x")
+    assert two.is_scheme and two.d == 2
+    with pytest.raises(SchemeError, match="^neither class is contained in a dual class$"):
+        im10_construct(tower2, two)
+    # a forged dual class, R1 and two exponents of R2, is refined into no scheme
+    trace2 = two_class_scheme(tower1)
+    R1, R2 = trace2.pattern_sets
+    forged = trace2._replace(dual_sets=(tuple(sorted(R1 + R2[:2])), R2[2:]))
+    with pytest.raises(InternalCheckError,
+                       match="^two-class refinement failed to verify as a scheme$"):
+        im10_construct(tower1, forged)
 
 
 @pytest.mark.parametrize("construct", [two_class_scheme, im10_construct])

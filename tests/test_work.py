@@ -135,35 +135,35 @@ WORK = {
     "--s 1 --all": {
         "walks": [("F", 1, 1, 7, 1), ("F", 5, 1, 1, 1),
                   ("G", 5, 1, 9, 1), ("H", 5, 1, 73, 1)],
-        "products": {7: (42, 4704)}, "tower": _TOWER[1]},
+        "products": {7: (40, 4480)}, "tower": _TOWER[1]},
     "--s 2 --all": {
         "walks": [("F", 1, 1, 63, 1), ("F", 11, 2, 1, 1),
                   ("G", 11, 2, 65, 1), ("H", 11, 2, 4161, 1)],
-        "products": {21: (37, 18480), 63: (5, 10080)}, "tower": _TOWER[2]},
+        "products": {21: (35, 17472), 63: (5, 10080)}, "tower": _TOWER[2]},
     "--s 3 --all --big": {
         "walks": [("F", 1, 1, 511, 1), ("F", 17, 3, 1, 1),
                   ("G", 17, 3, 513, 1), ("H", 17, 3, 262657, 5)],
-        "products": {73: (37, 96944), 511: (5, 81760)}, "tower": _TOWER[3]},
+        "products": {73: (35, 93440), 511: (5, 81760)}, "tower": _TOWER[3]},
     "--s 3 --targets fields,partition,lemma2,gauss,thm1,thm2i,duals,im10,appendix": {
         "walks": [("F", 1, 1, 511, 1), ("F", 17, 3, 1, 1),
                   ("G", 17, 3, 513, 1)],
-        "products": {73: (29, 61904), 511: (5, 81760)}, "tower": _TOWER[3]},
+        "products": {73: (28, 60736), 511: (5, 81760)}, "tower": _TOWER[3]},
     "--s 4 --targets fields,partition,lemma2,gauss,thm1,thm2i,duals,im10,appendix": {
         "walks": [("F", 1, 1, 4095, 1), ("F", 53, 4, 1, 1),
                   ("G", 53, 4, 4097, 1)],
-        "products": {273: (29, 292656), 4095: (5, 655200)}, "tower": _TOWER[4]},
+        "products": {273: (28, 288288), 4095: (5, 655200)}, "tower": _TOWER[4]},
     "--s 5 --targets fields,partition,lemma2,thm1,appendix": {
         "walks": [("F", 1, 1, 32767, 1), ("F", 145, 5, 1, 1)],
-        "products": {1057: (19, 558096)}, "tower": _TOWER[5]},
+        "products": {1057: (18, 541184)}, "tower": _TOWER[5]},
     "--s 4 --all --big": {
         "walks": [("F", 1, 1, 4095, 1), ("F", 53, 4, 1, 1),
                   ("G", 53, 4, 4097, 1), ("H", 53, 4, 16781313, 257)],
-        "products": {273: (37, 423696), 4095: (5, 655200)}, "tower": _TOWER[4]},
+        "products": {273: (35, 410592), 4095: (5, 655200)}, "tower": _TOWER[4]},
     # im10 at s = 4: one product per block, two for trace2 and three for
     # im10, of length |F*| = 4,095; every other product has length M
     "--s 4 --targets im10": {
         "walks": [("F", 1, 1, 4095, 1), ("F", 53, 4, 1, 1)],
-        "products": {273: (5, 39312), 4095: (5, 655200)}, "tower": _TOWER[4]},
+        "products": {273: (4, 34944), 4095: (5, 655200)}, "tower": _TOWER[4]},
 }
 
 

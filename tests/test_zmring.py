@@ -99,7 +99,7 @@ def test_delta_square_s1():
 
 def test_delta_square_degenerate_modulus():
     tiny = tuple.__new__(CyclotomicPartition, (0, 1, (0,), (), ()))
-    with pytest.raises(GroupRingError):
+    with pytest.raises(GroupRingError, match="partition modulus must exceed 1"):
         delta_square_check(tiny, 0)
 
 
