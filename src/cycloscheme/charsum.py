@@ -13,9 +13,8 @@ exact at every size.
 
 from functools import cache
 
-from .binfield import (DEGREE_LIMIT, BinaryField, FieldError, FieldTower,
-                       InternalCheckError, odd_parities, power_blocks,
-                       relative_trace_forms)
+from .binfield import (BinaryField, FieldError, FieldTower, InternalCheckError,
+                       odd_parities, power_blocks, relative_trace_forms)
 from .cycpart import _psi_route, get_partition
 from .reporting import Report
 from .zmring import _combine, _cyclic_product, _equation_check, _indicator, _inverse
@@ -58,9 +57,6 @@ def _trace_zero_counts(K: BinaryField, M: int, s: int) -> list[int]:
     on each orbit of doubling on Z_M: the walk counts two members, r and 2r,
     of every orbit, which must agree.
     """
-    if K.degree > DEGREE_LIMIT:
-        raise FieldError(f"the Gauss-period walk supports degree <= "
-                         f"{DEGREE_LIMIT}, not {K.degree}")
     g, q = K.generator, 1 << s
     P = K.order // (q - 1)
     N = P // M  # strided exponents per residue

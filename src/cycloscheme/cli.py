@@ -187,12 +187,9 @@ def run(config: RunConfig, out=None) -> int:
         print("error: thm2ii at s >= 3 streams a 2^(9s)-element field; "
               "pass --big to opt in", file=out)
         return USAGE_ERROR
-    # |F| = 2^(3s) > limit, compared by exponent so that no s sizes an int
-    if "im10" in config.targets and \
-            3 * config.s >= schemecore._ORACLE_SIZE_LIMIT.bit_length():
-        print(f"error: im10 verifies GF(2^{3 * config.s}) element by element, "
-              f"which is limited to {schemecore._ORACLE_SIZE_LIMIT} elements",
-              file=out)
+    if "im10" in config.targets and 3 * config.s > schemecore.ELEMENT_DEGREE_LIMIT:
+        print(f"error: im10 verifies GF(2^{3 * config.s}) element by element, which is "
+              f"limited to {1 << schemecore.ELEMENT_DEGREE_LIMIT} elements", file=out)
         return USAGE_ERROR
     start = time.perf_counter()
     try:

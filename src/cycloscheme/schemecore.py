@@ -20,7 +20,8 @@ from .cycpart import d_class_check, get_partition
 from .reporting import Report
 from .zmring import _cyclic_product, _indicator, _inverse
 
-_ORACLE_SIZE_LIMIT = 1 << 12
+# element fusions are verified element by element: K = GF(2^d), d at most this
+ELEMENT_DEGREE_LIMIT = 12
 _JSON_INT_LIMIT = 1 << 53
 
 # scheme id -> (field, id of the dual scheme), in the order of the paper's
@@ -133,8 +134,9 @@ def _census(columns) -> dict:
 def _psi_row(K: BinaryField) -> tuple[int, ...]:
     """psi(g^k) = 1 - 2 Tr(g^k) for every k, from ``K.trace_string``: the
     element census's periods, those of the classes {g^k} of M = |K*|.
-    Refused above the element-level size limit; psi sums to -1 over K*."""
-    if K.size > _ORACLE_SIZE_LIMIT:
+    Refused past degree ``ELEMENT_DEGREE_LIMIT`` (4,096 elements) before
+    anything is enumerated; psi sums to -1 over K*."""
+    if K.degree > ELEMENT_DEGREE_LIMIT:
         raise SchemeError("element-level verification limited to small fields")
     row = tuple(1 - 2 * int(t) for t in K.trace_string)
     if sum(row) != -1:
@@ -297,8 +299,9 @@ def build_element_scheme(tower: FieldTower, field_label: str, blocks,
     """Verify a partition of X* (plus {0}) into the sets {g^k : k in b} as a
     translation scheme, with dual classes read off from the census under
     the pairing b -> psi(b.); the blocks b must partition Z_|K*|."""
-    return _assemble(tower, scheme_id, field_label,
-                     FusionPattern(tower.field(field_label).order, blocks), "element")
+    K = tower.field(field_label)
+    _psi_row(K)  # the size limit refuses before the blocks are read
+    return _assemble(tower, scheme_id, field_label, FusionPattern(K.order, blocks), "element")
 
 
 # ---------------------------------------------------------------------------

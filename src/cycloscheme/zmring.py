@@ -145,8 +145,6 @@ def verify_remark_eqs(part, s: int) -> Report:
 
 def delta_square_check(part, s: int) -> Report:
     """(T2 - T3)(T2 - T3)^(-1) = 2^(2s) * [identity]."""
-    if part.M <= 1:
-        raise GroupRingError("partition modulus must exceed 1")
     _, T2, T3, one, _ = _terms(part)
     delta = _combine((1, T2), (-1, T3))
     report = Report(f"delta square identity (s={s})")

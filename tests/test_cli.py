@@ -5,6 +5,7 @@ import json
 import shlex
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -12,7 +13,7 @@ from cycloscheme import binfield, charsum, cli, schemecore
 from cycloscheme.binfield import InternalCheckError, build_tower
 from cycloscheme.cli import RunConfig, TARGETS, _target_fields, main, run
 from cycloscheme.reporting import Report
-from cycloscheme.schemecore import _ORACLE_SIZE_LIMIT, _mat_mul
+from cycloscheme.schemecore import ELEMENT_DEGREE_LIMIT, SchemeError, _mat_mul
 
 
 def run_quiet(config):
@@ -64,7 +65,7 @@ def test_thm2ii_s3_requires_big():
 
 def test_im10_beyond_the_element_limit_is_usage_error():
     # the first s whose F = GF(2^(3s)) is over the element-level limit
-    s = next(s for s in itertools.count(1) if 1 << (3 * s) > _ORACLE_SIZE_LIMIT)
+    s = next(s for s in itertools.count(1) if 3 * s > ELEMENT_DEGREE_LIMIT)
     code, text = run_quiet(RunConfig(s=s, targets=("im10",)))
     assert code == 2
     assert "im10" in text
@@ -72,6 +73,35 @@ def test_im10_beyond_the_element_limit_is_usage_error():
 
 def test_im10_s5_is_usage_error():
     assert run_quiet(RunConfig(s=5, targets=("im10",)))[0] == 2
+
+
+class _Admitted(Exception):
+    """Raised by a stub once a size rule has let a request through."""
+
+
+class _StubField(NamedTuple):
+    """A field of the given degree whose trace string is never walked."""
+    degree: int
+
+    @property
+    def trace_string(self):
+        raise _Admitted
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_cli_refuses_im10_exactly_when_the_library_refuses_F(monkeypatch, s):
+    def admit(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(cli, "build_tower", admit)  # no tower is built
+    with pytest.raises((_Admitted, SchemeError)) as library:
+        schemecore._psi_row(_StubField(3 * s))
+    try:
+        code, text = run_quiet(RunConfig(s=s, targets=("im10",)))
+    except _Admitted:
+        code, text = None, ""
+    refused = library.type is SchemeError
+    assert (code == 2 and "limited to 4096 elements" in text) == refused == (s >= 5)
 
 
 def test_im10_refusal_of_a_huge_s_sizes_nothing():

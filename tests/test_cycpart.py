@@ -131,6 +131,10 @@ def test_partition_replace_is_validated():
         part._replace(T1=(1, 2, 3))  # sizes hold, the union does not
     with pytest.raises(InternalCheckError, match=r"^\|T2\| = 2, expected 3$"):
         part._replace(T2=(3, 5))
+    # the sizes fix M = q^2 + q + 1, so no instance has a degenerate modulus
+    for M in (1, 6, 8):
+        with pytest.raises(InternalCheckError, match="^T1, T2, T3 do not partition Z_M$"):
+            part._replace(M=M)
     with pytest.raises(AttributeError):
         part.T1 = (0, 1, 2)
 

@@ -8,9 +8,9 @@ from cycloscheme.cycpart import get_partition
 from cycloscheme.zmring import GroupRingError
 from cycloscheme.schemecore import (FusionPattern, SchemeError, bannai_muzychuk_verify,
                                     build_dual_scheme, build_element_scheme, build_scheme,
-                                    dual_scheme_tables_check, im10_construct,
-                                    intersection_numbers, second_eigenmatrix,
-                                    two_class_scheme)
+                                    dual_scheme_tables_check, expected_dual_groups,
+                                    im10_construct, intersection_numbers,
+                                    second_eigenmatrix, two_class_scheme)
 
 from catalog_oracle import check_record
 from scheme_oracle import brute_force_intersection_oracle, character_row
@@ -289,6 +289,8 @@ def test_element_sets_must_partition_nonzero_elements(tower1):
 def test_scheme_arguments_are_refused(tower2):
     with pytest.raises(SchemeError, match="^unknown scheme id 'thm9'$"):
         build_scheme(tower2, "thm9")
+    with pytest.raises(SchemeError, match="^unknown scheme id 'dual1'$"):  # no table order
+        expected_dual_groups(tower2, "dual1")
     with pytest.raises(SchemeError, match="^scheme id 'dual1' needs an explicit pattern$"):
         build_scheme(tower2, "dual1")
     with pytest.raises(GroupRingError, match="^modulus mismatch$"):  # M = 21, not 7
@@ -300,6 +302,20 @@ def test_scheme_arguments_are_refused(tower2):
     tower5 = build_tower(5)  # |F*| = 32,767, past the element-level limit
     with pytest.raises(SchemeError, match="^element-level verification limited to small fields$"):
         build_element_scheme(tower5, "F", [range(tower5.F.order)], "x")
+
+
+def test_an_oversized_element_fusion_is_refused_before_any_work(monkeypatch):
+    # |H*| = 2^27 - 1 at s = 3: sorting that many exponents into a pattern
+    # exhausts memory, so the size limit must refuse before any is read
+    class Tripwire:
+        def __new__(cls, *args):
+            raise AssertionError("no FusionPattern may be built")
+
+    monkeypatch.setattr(schemecore, "FusionPattern", Tripwire)
+    tower = build_tower(3)
+    with pytest.raises(SchemeError, match="^element-level verification limited to small fields$"):
+        build_element_scheme(tower, "H", [range((1 << 27) - 1)], "x")
+    assert "trace_string" not in tower.H.__dict__
 
 
 def test_im10_refuses_what_it_cannot_refine(tower1, tower2):

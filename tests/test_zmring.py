@@ -97,12 +97,6 @@ def test_delta_square_s1():
     assert d * involute(d) == GroupRingElement.identity(7).scale(4)
 
 
-def test_delta_square_degenerate_modulus():
-    tiny = tuple.__new__(CyclotomicPartition, (0, 1, (0,), (), ()))
-    with pytest.raises(GroupRingError, match="partition modulus must exceed 1"):
-        delta_square_check(tiny, 0)
-
-
 def test_doubling_map_fixes_t1():
     assert doubling_check(PART_S1).passed
     assert doubling_check(get_partition(build_tower(2))).passed
