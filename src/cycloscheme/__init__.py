@@ -14,11 +14,10 @@ _HOMES = {
                  "NonPrimitiveModulusError", "ReducibleModulusError", "build_field",
                  "build_tower"),
     "charsum": ("gauss_periods",),
-    "cycpart": ("CyclotomicPartition", "get_partition"),
+    "cycpart": ("FusionPattern", "SchemeError", "get_partition"),
     "paperbook": ("appendix_matrix", "reconcile", "table_row"),
     "reporting": ("CheckResult", "Report"),
-    "schemecore": ("FusionPattern", "SchemeError", "SchemeRecord",
-                   "bannai_muzychuk_verify", "build_dual_scheme", "build_scheme",
+    "schemecore": ("SchemeRecord", "bannai_muzychuk_verify", "build_dual_scheme", "build_scheme",
                    "im10_construct", "two_class_scheme"),
     "zmring": ("GroupRingError",),
 }

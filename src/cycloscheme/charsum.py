@@ -132,7 +132,7 @@ def verify_t1_gauss_identity(tower: FieldTower) -> Report:
     powers of omega; the norm-lifted character of G or H reads the classes
     of F pulled back by the norm, so this equality covers it too."""
     q = 1 << tower.s
-    T1 = get_partition(tower).T1
+    T1 = get_partition(tower).blocks[0]
     eta = gauss_periods(tower, "F")
     return _constant_check(Report(f"Gauss sum vs T1 identity (s={tower.s})"),
                            "G_F(chi^ell) == 2^s sum_{x in T1} zeta^(ell x), all ell",

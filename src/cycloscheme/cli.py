@@ -60,12 +60,11 @@ def _target_fields(tower, config) -> tuple[list, list]:
 def _target_partition(tower, config):
     part = get_partition(tower)
     q = 1 << config.s
+    sizes = tuple(map(len, part.blocks))
     report = Report(f"index partition (s={config.s})")
-    report.add("both derivations agree (cross-checked internally)", True,
-               f"sizes {(len(part.T1), len(part.T2), len(part.T3))}")
+    report.add("both derivations agree (cross-checked internally)", True, f"sizes {sizes}")
     report.add("sizes are (q+1, (q^2+q)/2, (q^2-q)/2)",
-               (len(part.T1), len(part.T2), len(part.T3)) ==
-               (q + 1, (q * q + q) // 2, (q * q - q) // 2))
+               sizes == (q + 1, (q * q + q) // 2, (q * q - q) // 2))
     report.extend(d_class_check(tower))
     report.extend(zmring.doubling_check(part))
     return [report], []

@@ -4,8 +4,9 @@ D, the quadric Q = {u : tr(u^(q+1)) = 0} and Z = ker tr_{F/E} are unions
 of the order-M classes C_r = omega^r E*, each a 0/1 row over Z_M read
 from the psi-sums c[r] over the classes: C_r lies in Z exactly when
 c[r] = q - 1, D is Z read at -r and Q is Z read at r(q + 1).  The
-partition splits psi(omega^a D), one product in Z[Z_M], by its values.
-Checked here: each c[r], |D|, D = Q, T1 = Z and the block sizes.  The
+partition splits psi(omega^a D), one product in Z[Z_M], by its values
+into the ``FusionPattern`` T1, T2, T3.  Checked here: each c[r], |D|,
+D = Q and T1 = Z, which fix the block sizes (see ``get_partition``).  The
 checks against independent walks are in ``charsum``: the T1 identity
 (eta_F from the walk of F) and the eta' law (eta_G from the walk of G).
 """
@@ -18,21 +19,22 @@ from .reporting import Report
 from .zmring import _cyclic_product, _indicator, _inverse
 
 
-class CyclotomicPartition(namedtuple("CyclotomicPartition", "s M T1 T2 T3")):
-    """The tuples T1, T2, T3 of Z_M; their sizes and their union are checked
-    on every construction, ``_replace`` included."""
+class SchemeError(ValueError):
+    """Invalid fusion pattern or violated scheme precondition."""
+
+
+class FusionPattern(namedtuple("FusionPattern", "M blocks")):
+    """Nonempty disjoint index sets covering Z_M; block k fuses the classes
+    C_i, i in block k.  The blocks are sorted tuples, checked on every
+    construction, ``_replace`` included."""
 
     __slots__ = ()
 
-    def __new__(cls, s: int, M: int, T1: tuple, T2: tuple, T3: tuple):
-        q = 1 << s
-        for name, block, size in zip(cls._fields[2:], (T1, T2, T3),
-                                     (q + 1, (q * q + q) // 2, (q * q - q) // 2)):
-            if len(block) != size:
-                raise InternalCheckError(f"|{name}| = {len(block)}, expected {size}")
-        if sorted(T1 + T2 + T3) != list(range(M)):
-            raise InternalCheckError("T1, T2, T3 do not partition Z_M")
-        return super().__new__(cls, s, M, T1, T2, T3)
+    def __new__(cls, M: int, blocks):
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
+        if not all(blocks) or sorted(i for b in blocks for i in b) != list(range(M)):
+            raise SchemeError("blocks do not partition Z_M")
+        return super().__new__(cls, M, blocks)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
@@ -78,28 +80,30 @@ def _psi_route(tower: FieldTower) -> tuple[int, ...]:
 
 
 @cache
-def get_partition(tower: FieldTower) -> CyclotomicPartition:
+def get_partition(tower: FieldTower) -> FusionPattern:
     """T1, T2, T3: the a with psi(omega^a D) = -1, q - 1, -q - 1.  As
     c = q 1_Z - 1 and D^-1 = Z, psi(omega^a D) = q n_a - (q + 1) with
     n = Z * Z, and (q - 1) n_a = |{u : tr(u^(q+1)) = 0, tr(omega^a u) = 0}|,
-    the tangent/secant count; T1, the a whose line is tangent, must be Z."""
+    the tangent/secant count; T1, the a whose line is tangent, must be Z.
+    The sizes follow: |T1| = |Z| = |D| = q + 1, and the values sum to
+    (sum c) |D| = -(q + 1), which the product's augmentation recheck
+    holds, so |T2| = q(q + 1)/2 and |T3| = q(q - 1)/2."""
     q = 1 << tower.s
     blocks = {key: [] for key in (-1, q - 1, -q - 1)}
     for a, value in enumerate(_psi_route(tower)):
         if value not in blocks:
             raise InternalCheckError(f"psi(omega^{a} D) = {value} outside {tuple(blocks)}")
         blocks[value].append(a)
-    part = CyclotomicPartition(tower.s, tower.M, *map(tuple, blocks.values()))
-    if _indicator(part.T1, tower.M) != list(_class_rows(tower)[0]):
+    if _indicator(blocks[-1], tower.M) != list(_class_rows(tower)[0]):
         raise InternalCheckError("tangent-count T1 disagrees with trace-zero T1")
-    return part
+    return FusionPattern(tower.M, blocks.values())
 
 
 def d_class_check(tower: FieldTower) -> Report:
     """D must be the union of the classes indexed by -T1, its row over Z_M
     the indicator of -T1; a failure names the first differing r.  It cannot
     fail: D is Z read at -r, and ``get_partition`` has checked T1 = Z."""
-    neg_t1 = _inverse(_indicator(get_partition(tower).T1, tower.M))
+    neg_t1 = _inverse(_indicator(get_partition(tower).blocks[0], tower.M))
     bad = [f"r={r}: D has {d}, -T1 has {t}"
            for r, (d, t) in enumerate(zip(_class_rows(tower)[1], neg_t1)) if d != t]
     report = Report(f"D as a class union (s={tower.s})")

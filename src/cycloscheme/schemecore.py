@@ -10,13 +10,12 @@ the periods times the inverted block indicator, with M = |K*| and
 psi(g^k) the periods of an element fusion.
 """
 
-from collections import namedtuple
 from functools import cache
 from typing import NamedTuple
 
 from .binfield import BinaryField, FieldTower, InternalCheckError
 from .charsum import gauss_periods
-from .cycpart import d_class_check, get_partition
+from .cycpart import FusionPattern, SchemeError, d_class_check, get_partition
 from .reporting import Report
 from .zmring import _cyclic_product, _indicator, _inverse
 
@@ -35,30 +34,6 @@ THEOREMS = tuple(sid for sid in SCHEMES if sid.startswith("thm"))
 # dual's blocks read); the self-dual thm2ii's dual blocks are T1, T2, T3
 _DUAL_BLOCKS = {"thm1": (-1, "{0}, -T1, the rest"),
                 "thm2i": (1, "{0}, T1, (T2 u T3) \\ {0}")}
-
-
-class SchemeError(ValueError):
-    """Invalid fusion pattern or violated scheme precondition."""
-
-
-class FusionPattern(namedtuple("FusionPattern", "M blocks")):
-    """Nonempty disjoint index sets covering Z_M; block k fuses the classes
-    C_i, i in block k.  The blocks are sorted tuples, checked on every
-    construction, ``_replace`` included."""
-
-    __slots__ = ()
-
-    def __new__(cls, M: int, blocks):
-        blocks = tuple(tuple(sorted(b)) for b in blocks)
-        if not all(blocks) or sorted(i for b in blocks for i in b) != list(range(M)):
-            raise SchemeError("blocks do not partition Z_M")
-        return super().__new__(cls, M, blocks)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
-
-    @classmethod
-    def from_partition(cls, part) -> "FusionPattern":
-        return cls(part.M, (part.T1, part.T2, part.T3))
 
 
 class SchemeRecord(NamedTuple):
@@ -281,7 +256,7 @@ def build_scheme(tower: FieldTower, scheme_id: str,
     if pattern is None:
         if scheme_id not in THEOREMS:
             raise SchemeError(f"scheme id {scheme_id!r} needs an explicit pattern")
-        pattern = FusionPattern.from_partition(get_partition(tower))
+        pattern = get_partition(tower)
     return _assemble(tower, scheme_id, label, pattern, "index")
 
 
@@ -345,13 +320,10 @@ def expected_dual_groups(tower: FieldTower, scheme_id: str) -> list:
     """The residue groups of the published dual classes, in the order of
     the dual table's rows: {0}, -T1, the rest (thm1); {0}, T1, the rest
     (thm2i); T1, T2, T3 (the self-dual thm2ii)."""
-    part = get_partition(tower)
+    blocks = get_partition(tower).blocks
     if scheme_id == "thm2ii":
-        return list(FusionPattern.from_partition(part).blocks)
-    if scheme_id not in _DUAL_BLOCKS:
-        raise SchemeError(f"unknown scheme id {scheme_id!r}")
-    sign = _DUAL_BLOCKS[scheme_id][0]
-    first = {sign * i % tower.M for i in part.T1}
+        return list(blocks)
+    first = {_DUAL_BLOCKS[scheme_id][0] * i % tower.M for i in blocks[0]}
     return [(0,), tuple(sorted(first)), tuple(sorted(set(range(1, tower.M)) - first))]
 
 

@@ -180,7 +180,7 @@ def partition_identities(part, s):
     ``delta_square_check`` decide, as the package computed them on
     group-ring elements before they became int64 arrays."""
     M = part.M
-    T1, T2, T3 = (from_set(M, T) for T in (part.T1, part.T2, part.T3))
+    T1, T2, T3 = (from_set(M, T) for T in part.blocks)
     Z = GroupRingElement.all_ones(M)
     one = GroupRingElement.identity(M)
     q, h = 1 << s, 1 << (s - 1)

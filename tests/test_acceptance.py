@@ -55,10 +55,9 @@ def test_criterion_1_field_partition_suite():
         tw = tower(s)
         q = 1 << s
         part = get_partition(tw)
-        ok &= (part.T1, part.T2, part.T3) == partition_by_trace_reference(tw)
-        ok &= (len(part.T1), len(part.T2), len(part.T3)) == \
-            (q + 1, (q * q + q) // 2, (q * q - q) // 2)
-        T1 = GroupRingElement.from_set(tw.M, part.T1)
+        ok &= part.blocks == partition_by_trace_reference(tw)
+        ok &= tuple(map(len, part.blocks)) == (q + 1, (q * q + q) // 2, (q * q - q) // 2)
+        T1 = GroupRingElement.from_set(tw.M, part.blocks[0])
         singer = GroupRingElement.identity(tw.M).scale(q) + \
             GroupRingElement.all_ones(tw.M)
         ok &= T1 * involute(T1) == singer
@@ -141,7 +140,7 @@ def test_criterion_6_oracle_equivalence():
     ok = True
     for s, label, sid in ((1, "F", "thm1"), (1, "G", "thm2i"), (2, "F", "thm1")):
         tw = tower(s)
-        pat = FusionPattern.from_partition(get_partition(tw))
+        pat = get_partition(tw)
         B, report = brute_force_intersection_oracle(tw, label, pat)
         ok &= report.passed
         ok &= B == build_scheme(tw, sid).B

@@ -9,7 +9,7 @@ import pytest
 from cycloscheme import cli, cycpart
 from cycloscheme.binfield import InternalCheckError, build_tower
 from cycloscheme.charsum import gauss_periods
-from cycloscheme.cycpart import (CyclotomicPartition, _class_rows, _psi_route,
+from cycloscheme.cycpart import (FusionPattern, SchemeError, _class_rows, _psi_route,
                                  d_class_check, get_partition)
 
 from gf_oracle import gf_mul, gf_pow, gf_trace
@@ -67,18 +67,14 @@ def test_psi_omega_a_D_values_s1():
 
 
 def test_partition_s1():
-    part = get_partition(build_tower(1))
-    assert part.T1 == (1, 2, 4)
-    assert part.T2 == (3, 5, 6)
-    assert part.T3 == (0,)
+    assert get_partition(build_tower(1)) == FusionPattern(7, ((1, 2, 4), (3, 5, 6), (0,)))
 
 
 def test_partition_sizes():
     for s in (1, 2, 3, 4):
         part = get_partition(build_tower(s))
         q = 1 << s
-        assert (len(part.T1), len(part.T2), len(part.T3)) == \
-            (q + 1, (q * q + q) // 2, (q * q - q) // 2)
+        assert tuple(map(len, part.blocks)) == (q + 1, (q * q + q) // 2, (q * q - q) // 2)
 
 
 def test_both_routes_agree():
@@ -86,17 +82,15 @@ def test_both_routes_agree():
     # over the elements of F, which shares no product with it
     for s in (1, 2, 3):
         tower = build_tower(s)
-        part = get_partition(tower)
-        assert (part.T1, part.T2, part.T3) == partition_by_trace_reference(tower)
+        assert get_partition(tower).blocks == partition_by_trace_reference(tower)
 
 
 def test_class_of_zero():
     # the class of a = 0 is decided by which branch psi(D) itself hits,
     # and that varies with s; freeze the observed placements
-    expected = {1: "T3", 2: "T2", 3: "T3"}
-    for s, name in expected.items():
-        part = get_partition(build_tower(s))
-        assert 0 in getattr(part, name)
+    expected = {1: 2, 2: 1, 3: 2}  # T3, T2, T3
+    for s, block in expected.items():
+        assert 0 in get_partition(build_tower(s)).blocks[block]
 
 
 def test_d_is_union_of_negated_T1_classes():
@@ -109,8 +103,9 @@ def test_d_class_check_names_the_first_differing_residue(monkeypatch, s):
     # T1 and T2 trade one element: the sizes still hold, -T1 does not
     tower = build_tower(s)
     part = get_partition(tower)
-    t1, t2 = part.T1[0], part.T2[0]
-    swapped = part._replace(T1=(t2,) + part.T1[1:], T2=(t1,) + part.T2[1:])
+    T1, T2, T3 = part.blocks
+    t1, t2 = T1[0], T2[0]
+    swapped = part._replace(blocks=((t2,) + T1[1:], (t1,) + T2[1:], T3))
     monkeypatch.setattr(cycpart, "get_partition", lambda _: swapped)
     check = d_class_check(tower).checks[0]
     first = min(-t1 % tower.M, -t2 % tower.M)
@@ -119,24 +114,17 @@ def test_d_class_check_names_the_first_differing_residue(monkeypatch, s):
     assert check.detail == f"r={first}: D has {has}, -T1 has {1 - has}"
 
 
-def test_partition_invariant_enforced():
-    with pytest.raises(InternalCheckError, match=r"^\|T1\| = 2, expected 3$"):
-        CyclotomicPartition(1, 7, (1, 2), (3, 5, 6, 4), (0,))
-
-
 def test_partition_replace_is_validated():
-    part = CyclotomicPartition(1, 7, (1, 2, 4), (3, 5, 6), (0,))
-    assert part._replace(T2=(3, 6, 5)).T2 == (3, 6, 5)
-    with pytest.raises(InternalCheckError, match="^T1, T2, T3 do not partition Z_M$"):
-        part._replace(T1=(1, 2, 3))  # sizes hold, the union does not
-    with pytest.raises(InternalCheckError, match=r"^\|T2\| = 2, expected 3$"):
-        part._replace(T2=(3, 5))
-    # the sizes fix M = q^2 + q + 1, so no instance has a degenerate modulus
+    part = FusionPattern(7, ((1, 2, 4), (3, 5, 6), (0,)))
+    assert part._replace(blocks=((1, 2, 4), (3, 6, 5), (0,))) == part
+    with pytest.raises(SchemeError, match="^blocks do not partition Z_M$"):
+        part._replace(blocks=((1, 2, 3), (3, 5, 6), (0,)))  # sizes hold, the union does not
+    # three nonempty blocks need M >= 3, so no instance has a degenerate modulus
     for M in (1, 6, 8):
-        with pytest.raises(InternalCheckError, match="^T1, T2, T3 do not partition Z_M$"):
+        with pytest.raises(SchemeError, match="^blocks do not partition Z_M$"):
             part._replace(M=M)
     with pytest.raises(AttributeError):
-        part.T1 = (0, 1, 2)
+        part.blocks = ((0, 1, 2),)
 
 
 def test_trace_zero_abs_values_oracle_s1():
@@ -149,8 +137,7 @@ def test_trace_zero_abs_values_oracle_s1():
         if gf_trace(u, F.modulus, 3) == 0:
             zero_classes.add(k % 7)
         u = gf_mul(u, F.generator, F.modulus)
-    part = get_partition(tower)
-    assert zero_classes == set(part.T1)
+    assert zero_classes == set(get_partition(tower).blocks[0])
 
 
 @pytest.mark.parametrize("s, poly_f", [(1, None), (2, None), (3, None), (4, None),
@@ -159,8 +146,7 @@ def test_class_folds_match_the_element_walk(s, poly_f):
     tower = build_tower(s, poly_f)
     assert production_D(tower) == compute_D_reference(tower)
     assert list(_psi_route(tower)) == psi_omega_D_reference(tower)
-    part = get_partition(tower)
-    assert (part.T1, part.T2, part.T3) == partition_by_trace_reference(tower)
+    assert get_partition(tower).blocks == partition_by_trace_reference(tower)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])

@@ -13,8 +13,7 @@ from cycloscheme import binfield, schemecore
 from cycloscheme.binfield import BinaryField, InternalCheckError, build_field, build_tower
 from cycloscheme.cli import RunConfig, run
 from cycloscheme.cycpart import get_partition
-from cycloscheme.schemecore import (FusionPattern, build_element_scheme, im10_construct,
-                                    two_class_scheme)
+from cycloscheme.schemecore import build_element_scheme, im10_construct, two_class_scheme
 
 from character_oracle import psi
 from numpy_oracle import walsh_hadamard_columns
@@ -86,7 +85,7 @@ def test_cyclotomic_element_partitions_give_the_character_rows(s, label):
     # row of the class of g^a
     tw = tower(s)
     K = tw.field(label)
-    pattern = FusionPattern.from_partition(get_partition(tw))
+    pattern = get_partition(tw)
     step = tw.class_step(label)
     blocks = [[k for k in range(K.order) if k * step % tw.M in members]
               for members in map(set, pattern.blocks)]

@@ -48,9 +48,9 @@ def _inputs(tower, perturbation):
     eta = {label: list(charsum.gauss_periods(tower, label)) for label in labels}
     part = get_partition(tower)
     if perturbation == "swap":
-        T1, T2 = list(part.T1), list(part.T2)
+        T1, T2, T3 = map(list, part.blocks)
         T1[0], T2[0] = T2[0], T1[0]
-        part = part._replace(T1=tuple(T1), T2=tuple(T2))
+        part = part._replace(blocks=(T1, T2, T3))
     elif perturbation == "subgroup":
         for j in range(0, tower.M, min(_prime_factors(tower.M))):
             eta["F"][j] += 1
@@ -96,12 +96,12 @@ def _detail(X):
 def test_tables_agree_with_ring_oracle(monkeypatch, s, check, perturbation):
     tower = TOWERS[s]
     eta, part = _inputs(tower, perturbation)
-    expected = CHECKS[check][1](eta, part.T1, tower)
+    expected = CHECKS[check][1](eta, part.blocks[0], tower)
     result = _route_report(monkeypatch, check, tower, eta, part)
     assert result.passed == (expected is None)
     # conjugation and the expansion hold for every integer vector
     assert result.detail == ("" if check in ("conjugation", "expansion")
-                             else _detail(_difference(check, eta, part.T1, tower)))
+                             else _detail(_difference(check, eta, part.blocks[0], tower)))
 
 
 def test_true_periods_pass_and_perturbations_bite():
@@ -110,11 +110,11 @@ def test_true_periods_pass_and_perturbations_bite():
     # expansion, which hold for every integer vector)
     tower = TOWERS[2]
     eta, part = _inputs(tower, None)
-    assert all(ring(eta, part.T1, tower) is None for _, ring in CHECKS.values())
+    assert all(ring(eta, part.blocks[0], tower) is None for _, ring in CHECKS.values())
     eta, part = _inputs(tower, ("F", 1, 1))
-    assert oracle.t1_identity(eta["F"], part.T1, 4) == 1
+    assert oracle.t1_identity(eta["F"], part.blocks[0], 4) == 1
     eta, part = _inputs(tower, "subgroup")
-    assert oracle.t1_identity(eta["F"], part.T1, 4) == 7
+    assert oracle.t1_identity(eta["F"], part.blocks[0], 4) == 7
     assert oracle.conjugation(eta["F"]) is None and oracle.expansion(eta["F"]) is None
 
 
@@ -125,11 +125,11 @@ def test_a_period_moved_by_2_to_the_64_is_caught(monkeypatch, check):
     tower = TOWERS[1]
     eta, part = _inputs(tower, None)
     eta["F"][2] += 1 << 64
-    expected = CHECKS[check][1](eta, part.T1, tower)
+    expected = CHECKS[check][1](eta, part.blocks[0], tower)
     assert expected is not None
     result = _route_report(monkeypatch, check, tower, eta, part)
     assert not result.passed
-    assert result.detail == _detail(_difference(check, eta, part.T1, tower))
+    assert result.detail == _detail(_difference(check, eta, part.blocks[0], tower))
 
 
 def _is_prime_by_division(n):

@@ -10,17 +10,19 @@ beta^(i+1) in place of beta^i span the same space, as beta E = E; and the
 class step k in place of k^-1 is the same classes at s = 1 and 2, where k
 and k^-1 lie in one coset of <2> mod M, on which the periods are constant.
 
-Two mutants stand where a guard went because an earlier check implies it:
+Four mutants stand where a guard went because an earlier check implies it:
 the periods summing to -1 follows from the hyperplane count of the
-trace-zero counts, and P^2 = |X| I for a self-dual scheme from P Q = |X| I.
-Each shows that the earlier check still fires.
+trace-zero counts, P^2 = |X| I for a self-dual scheme from P Q = |X| I,
+and the partition's block sizes from the psi-sum guard, |D|, T1 = Z and
+the augmentation recheck of the product psi(omega^a D).  Each shows that
+the earlier check still fires, or that a partition past it fails rows.
 """
 
 import io
 
 import pytest
 
-from cycloscheme import binfield, charsum, cli, schemecore, zmring
+from cycloscheme import binfield, charsum, cli, cycpart, schemecore, zmring
 from cycloscheme.binfield import FieldError, InternalCheckError, build_tower
 from cycloscheme.cli import TARGETS, RunConfig
 from cycloscheme.zmring import GroupRingError
@@ -121,6 +123,29 @@ def one_multiplicity_off(monkeypatch, tower):
     monkeypatch.setattr(schemecore, "second_eigenmatrix", off)
 
 
+def _first_t2_value(tower):
+    """The first a with psi(omega^a D) = q - 1, an a of T2, read without
+    filling the tower's caches of the product and the partition."""
+    return cycpart._psi_route.__wrapped__(tower).index((1 << tower.s) - 1)
+
+
+def psi_product_moves_a_t2_value(monkeypatch, tower):
+    """The product's plain coefficient at the first a of T2 moved by -2q:
+    psi(omega^a D) would read -q - 1, a T3 value, with T1 = Z kept."""
+    a, move, unpack = _first_t2_value(tower), -2 << tower.s, zmring._unpack
+    monkeypatch.setattr(zmring, "_unpack", lambda value, n, width: [
+        v + move * (i == a) for i, v in enumerate(unpack(value, n, width))])
+
+
+def one_a_moved_from_t2_to_t3(monkeypatch, tower):
+    """The partition split from psi(omega^a D) with the first a of T2 read
+    as -q - 1, past the product's recheck: the blocks have the wrong sizes,
+    and the rows that read them must fail."""
+    a, route = _first_t2_value(tower), cycpart._psi_route
+    monkeypatch.setattr(cycpart, "_psi_route", lambda tower: tuple(
+        -(1 << tower.s) - 1 if i == a else v for i, v in enumerate(route(tower))))
+
+
 # mutant -> the s it runs at, each with the number of failed checks or the
 # error that stops the run (with the pattern of its message, where pinned)
 MUTANTS = {
@@ -140,6 +165,11 @@ MUTANTS = {
         s: (InternalCheckError, "the trace-zero counts do not fill a hyperplane")
         for s in (1, 2, 3)},
     one_multiplicity_off: {s: (InternalCheckError, r"P\*Q != \|X\|\*I") for s in (1, 2, 3)},
+    psi_product_moves_a_t2_value: {
+        s: (GroupRingError, "^augmentation mismatch after the product$") for s in (1, 2, 3)},
+    # the sizes row, lemma 2's 3 rows, 4 of the 6 remark rows, the delta
+    # square and the rows of every fusion of T1, T2, T3
+    one_a_moved_from_t2_to_t3: {1: 17, 2: 17, 3: 15},
 }
 
 

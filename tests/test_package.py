@@ -1,5 +1,6 @@
 """The package's public names and its dependencies."""
 
+from importlib import import_module
 from pathlib import Path
 
 try:
@@ -15,6 +16,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_every_export_resolves():
     assert all(hasattr(cycloscheme, name) for name in cycloscheme.__all__)
     assert len(set(cycloscheme.__all__)) == len(cycloscheme.__all__)
+
+
+def test_each_export_is_named_by_the_module_that_defines_it():
+    for module, names in cycloscheme._HOMES.items():
+        home = import_module(f"cycloscheme.{module}")
+        for name in names:
+            assert getattr(home, name).__module__ == home.__name__, name
 
 
 def test_test_oracles_are_not_exported():

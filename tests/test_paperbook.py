@@ -226,7 +226,7 @@ def test_a_missing_published_group_fails_and_never_skips(monkeypatch):
 
 def test_a_dual_census_without_t1_fails_the_dual_rows(monkeypatch):
     tower = build_tower(1)
-    t1 = get_partition(tower).T1
+    t1 = get_partition(tower).blocks[0]
 
     def without_t1(tower, record):
         dual = build_dual_scheme(tower, record)

@@ -4,10 +4,12 @@ listed in UNREACHABLE with the reason no input can reach it.
 The census reads each ``raise`` with ``ast``.  A raise whose exception
 gets a message literal is fired by a test when some pattern P of a
 ``pytest.raises(..., match=P)`` in tests/, or of an ``(SomeError, P)``
-outcome pair as in test_mutants.py, finds text that the message can
-render, each f-string field holding one token: text without a space, or
-a quoted or bracketed run.  A raise of an exception class that builds its
-own message is fired by a ``pytest.raises`` of that class.
+outcome pair as in test_mutants.py, finds text that this message can
+render and that no other raise's message can, each f-string field holding
+one token: text without a space, or a quoted or bracketed run.  So two
+raises with one message are never credited by one firing.  A raise of an
+exception class that builds its own message is fired by a
+``pytest.raises`` of that class.
 """
 
 import ast
@@ -136,13 +138,26 @@ def _anchored(parts):
     return parts
 
 
+def _singled(examples, messages):
+    """The keys of ``messages`` (anchored constant parts) whose message is
+    the only one that some example fits."""
+    out = set()
+    for example in examples:
+        sites = [key for key, parts in messages.items() if _fits(example, parts)]
+        if len(sites) == 1:
+            out.update(sites)
+    return out
+
+
 def _unfired():
     patterns, classes = _test_patterns()
     examples = [e for p in patterns for e in _examples(p)]
+    raises = _raises()
+    fired = _singled(examples, {(module, line): _anchored(what)
+                                for module, line, kind, what in raises if kind == "message"})
     return {(module, "{}".join(what) if kind == "message" else what): line
-            for module, line, kind, what in _raises()
-            if not (any(_fits(e, _anchored(what)) for e in examples) if kind == "message"
-                    else what in classes)}
+            for module, line, kind, what in raises
+            if not ((module, line) in fired if kind == "message" else what in classes)}
 
 
 def test_every_pattern_finds_its_examples():
@@ -165,6 +180,15 @@ def test_fits_reads_each_field_as_one_token():
     assert _fits(START + "modulus -0xb is negative" + END, negative)
     assert not _fits(START + "modulus mismatch" + END, negative)
     assert not _fits(START + "is negative", negative)
+
+
+def test_a_firing_credits_only_the_one_message_it_fits():
+    one, same, other = (_anchored(parts) for parts in (
+        ["unknown scheme id ", ""], ["unknown scheme id ", ""], ["unknown field ", ""]))
+    assert _singled(_examples("^unknown scheme id 'x'$"), {1: one, 2: other}) == {1}
+    assert _singled(_examples("^unknown scheme id 'x'$"), {1: one, 2: same}) == set()
+    assert _singled(_examples("unknown"), {1: one, 3: other}) == set()
+    assert _singled(_examples("scheme|field"), {1: one, 3: other}) == {1, 3}
 
 
 def test_every_raise_is_fired_by_a_test_or_unreachable():

@@ -6,18 +6,15 @@ from cycloscheme import paperbook, schemecore
 from cycloscheme.binfield import BinaryField, InternalCheckError, build_tower
 from cycloscheme.cycpart import get_partition
 from cycloscheme.zmring import GroupRingError
-from cycloscheme.schemecore import (FusionPattern, SchemeError, bannai_muzychuk_verify,
-                                    build_dual_scheme, build_element_scheme, build_scheme,
-                                    dual_scheme_tables_check, expected_dual_groups,
-                                    im10_construct, intersection_numbers,
-                                    second_eigenmatrix, two_class_scheme)
+from cycloscheme.schemecore import (THEOREMS, FusionPattern, SchemeError,
+                                    bannai_muzychuk_verify, build_dual_scheme,
+                                    build_element_scheme, build_scheme,
+                                    dual_scheme_tables_check, im10_construct,
+                                    intersection_numbers, second_eigenmatrix,
+                                    two_class_scheme)
 
 from catalog_oracle import check_record
 from scheme_oracle import brute_force_intersection_oracle, character_row
-
-
-def pattern_for(tower):
-    return FusionPattern.from_partition(get_partition(tower))
 
 
 @pytest.fixture(scope="module")
@@ -60,21 +57,28 @@ def test_fusion_pattern_is_a_checked_value():
         pattern.M = 8
 
 
+def test_the_theorems_fuse_the_partition_itself(tower2):
+    part = get_partition(tower2)
+    assert type(part) is FusionPattern
+    for sid in THEOREMS:
+        assert build_scheme(tower2, sid).pattern_sets == part.blocks
+
+
 def test_character_rows_f_s1(tower1):
-    pat = pattern_for(tower1)
+    pat = get_partition(tower1)
     assert character_row(tower1, "F", pat, 0) == (1, 3, -3, -1)
     assert character_row(tower1, "F", pat, 6) == (1, -1, 1, -1)  # 6 = -1 in -T1
     assert character_row(tower1, "F", pat, None) == (1, 3, 3, 1)
 
 
 def test_character_row_g_s1(tower1):
-    pat = pattern_for(tower1)
+    pat = get_partition(tower1)
     for a in (1, 2, 4):
         assert character_row(tower1, "G", pat, a) == (1, -5, 3, 1)
 
 
 def test_bannai_muzychuk_f_s1(tower1):
-    bm = bannai_muzychuk_verify(tower1, "F", pattern_for(tower1))
+    bm = bannai_muzychuk_verify(tower1, "F", get_partition(tower1))
     assert bm.is_scheme
     assert {tuple(sorted(g)) for g in bm.dual_sets} == \
         {(0,), (3, 5, 6), (1, 2, 4)}
@@ -84,7 +88,7 @@ def test_bannai_muzychuk_f_s1(tower1):
 @pytest.mark.parametrize("corrupted", [False, True])
 def test_census_rows_are_the_character_rows(tower2, label, corrupted):
     # the census gathers whole columns; character_row sums one a at a time
-    pat = pattern_for(tower2)
+    pat = get_partition(tower2)
     if corrupted:
         first, second, third = pat.blocks
         pat = FusionPattern(pat.M, (first[1:], second + first[:1], third))
@@ -201,7 +205,7 @@ def test_an_integral_intersection_mutant_fails_reconcile(monkeypatch, s, mutant)
 @pytest.mark.parametrize("s,label", [(1, "F"), (1, "G"), (1, "H"), (2, "F")])
 def test_oracle_agreement(s, label):
     tower = build_tower(s)
-    pat = pattern_for(tower)
+    pat = get_partition(tower)
     sid = {"F": "thm1", "G": "thm2i", "H": "thm2ii"}[label]
     record = build_scheme(tower, sid)
     B, report = brute_force_intersection_oracle(tower, label, pat)
@@ -217,7 +221,7 @@ def test_oracle_rejects_corrupted_pattern(tower1):
 
 def test_oracle_size_limit(tower2):
     with pytest.raises(SchemeError):
-        brute_force_intersection_oracle(tower2, "H", pattern_for(tower2))
+        brute_force_intersection_oracle(tower2, "H", get_partition(tower2))
 
 
 def test_thm1_flags(tower1, tower2):
@@ -289,8 +293,6 @@ def test_element_sets_must_partition_nonzero_elements(tower1):
 def test_scheme_arguments_are_refused(tower2):
     with pytest.raises(SchemeError, match="^unknown scheme id 'thm9'$"):
         build_scheme(tower2, "thm9")
-    with pytest.raises(SchemeError, match="^unknown scheme id 'dual1'$"):  # no table order
-        expected_dual_groups(tower2, "dual1")
     with pytest.raises(SchemeError, match="^scheme id 'dual1' needs an explicit pattern$"):
         build_scheme(tower2, "dual1")
     with pytest.raises(GroupRingError, match="^modulus mismatch$"):  # M = 21, not 7

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloscheme.binfield import build_tower
-from cycloscheme.cycpart import CyclotomicPartition, get_partition
+from cycloscheme.cycpart import FusionPattern, get_partition
 from cycloscheme import zmring
 from cycloscheme.zmring import (GroupRingError, _cyclic_product, delta_square_check,
                                 doubling_check, verify_lemma2, verify_remark_eqs)
@@ -14,7 +14,7 @@ from ring_oracle import (GroupRingElement, _divide, convolve_reference,
                          cyclotomic_polynomial, from_set, involute, partition_identities,
                          reduce_reference)
 
-PART_S1 = CyclotomicPartition(1, 7, (1, 2, 4), (3, 5, 6), (0,))
+PART_S1 = FusionPattern(7, ((1, 2, 4), (3, 5, 6), (0,)))
 
 
 def test_from_set_indicator():
@@ -62,8 +62,8 @@ def test_lemma2_eq3_value_s1():
 
 
 def test_lemma2_corrupted_partition_fails():
-    # tuple.__new__ skips the partition's own validation
-    bad = tuple.__new__(CyclotomicPartition, (1, 7, (1, 2, 3), (4, 5, 6), (0,)))
+    # a partition of Z_7 with the true sizes, but not T1, T2, T3
+    bad = FusionPattern(7, ((1, 2, 3), (4, 5, 6), (0,)))
     report = verify_lemma2(bad, 1)
     assert not report.passed
     assert any("index" in c.detail for c in report.failures())
@@ -214,9 +214,9 @@ IDENTITY_CASES = [(s, False, s) for s in (1, 2, 3, 4)] + \
 def test_identities_agree_with_ring_oracle(s, swap, checked_s):
     part = get_partition(build_tower(s))
     if swap:
-        T2, T3 = list(part.T2), list(part.T3)
+        T1, T2, T3 = map(list, part.blocks)
         T2[0], T3[0] = T3[0], T2[0]
-        part = part._replace(T2=tuple(T2), T3=tuple(T3))
+        part = part._replace(blocks=(T1, T2, T3))
     expected = partition_identities(part, checked_s)
     checks = [c for verify in (verify_lemma2, verify_remark_eqs, delta_square_check)
               for c in verify(part, checked_s).checks]
