@@ -104,12 +104,10 @@ def gauss_periods(tower: FieldTower, label: str) -> tuple[int, ...]:
 
 def eta_prime_law_check(tower: FieldTower) -> Report:
     """eta'_a over G must equal -2^s * psi(omega^a D) - 1 for every a."""
-    eta_g = gauss_periods(tower, "G")
-    law = [-(1 << tower.s) * v - 1 for v in _psi_route(tower)]
-    bad = next((a for a, (e, v) in enumerate(zip(eta_g, law)) if e != v), None)
     report = Report(f"G-period law (s={tower.s})")
-    report.add("eta'_a == -2^s psi(omega^a D) - 1 for all a", bad is None,
-               "" if bad is None else f"first mismatch at a={bad}: {eta_g[bad]} != {law[bad]}")
+    _equation_check(report, "eta'_a == -2^s psi(omega^a D) - 1 for all a",
+                    gauss_periods(tower, "G"),
+                    [-(1 << tower.s) * v - 1 for v in _psi_route(tower)])
     return report
 
 

@@ -172,9 +172,6 @@ def _progress(step: str, start: float) -> None:
 
 def run(config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    if config.s < 1:
-        print("error: --s must be >= 1", file=out)
-        return USAGE_ERROR
     if not config.targets:
         print("error: the target list is empty", file=out)
         return USAGE_ERROR
@@ -248,6 +245,11 @@ def export_catalog(config: RunConfig, tower, reports, records, path: str) -> Non
         fh.write(text)
 
 
+def hexadecimal(text: str) -> int:
+    """A ``--poly-*`` modulus: its hex digits, read as an int."""
+    return int(text, 16)
+
+
 def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="cycloscheme",
@@ -260,11 +262,11 @@ def _parse_args(argv) -> argparse.Namespace:
                         help=f"comma-separated subset of {','.join(TARGETS)}")
     chosen.add_argument("--all", action="store_true",
                         help="run every target (default when --targets is omitted)")
-    parser.add_argument("--poly-f", type=str, default=None, metavar="HEX",
+    parser.add_argument("--poly-f", type=hexadecimal, default=None, metavar="HEX",
                         help="modulus override for the degree-3s field")
-    parser.add_argument("--poly-g", type=str, default=None, metavar="HEX",
+    parser.add_argument("--poly-g", type=hexadecimal, default=None, metavar="HEX",
                         help="modulus override for the degree-6s field")
-    parser.add_argument("--poly-h", type=str, default=None, metavar="HEX",
+    parser.add_argument("--poly-h", type=hexadecimal, default=None, metavar="HEX",
                         help="modulus override for the degree-9s field")
     parser.add_argument("--json", type=str, default=None, metavar="PATH",
                         help="write the JSON catalog here")
@@ -282,15 +284,6 @@ def main(argv=None) -> int:
     targets = TARGETS
     if args.targets is not None:
         targets = tuple(t.strip() for t in args.targets.split(",") if t.strip())
-    try:
-        config = RunConfig(
-            s=args.s, targets=targets,
-            poly_f=int(args.poly_f, 16) if args.poly_f is not None else None,
-            poly_g=int(args.poly_g, 16) if args.poly_g is not None else None,
-            poly_h=int(args.poly_h, 16) if args.poly_h is not None else None,
-            json_path=args.json, big=args.big, seed=args.seed,
-            verbose=args.verbose)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    return run(config)
+    return run(RunConfig(s=args.s, targets=targets, poly_f=args.poly_f, poly_g=args.poly_g,
+                         poly_h=args.poly_h, json_path=args.json, big=args.big,
+                         seed=args.seed, verbose=args.verbose))

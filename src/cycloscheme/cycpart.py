@@ -16,7 +16,7 @@ from functools import cache
 
 from .binfield import FieldTower, InternalCheckError
 from .reporting import Report
-from .zmring import _cyclic_product, _indicator, _inverse
+from .zmring import _cyclic_product, _equation_check, _indicator, _inverse
 
 
 class SchemeError(ValueError):
@@ -101,11 +101,9 @@ def get_partition(tower: FieldTower) -> FusionPattern:
 
 def d_class_check(tower: FieldTower) -> Report:
     """D must be the union of the classes indexed by -T1, its row over Z_M
-    the indicator of -T1; a failure names the first differing r.  It cannot
-    fail: D is Z read at -r, and ``get_partition`` has checked T1 = Z."""
-    neg_t1 = _inverse(_indicator(get_partition(tower).blocks[0], tower.M))
-    bad = [f"r={r}: D has {d}, -T1 has {t}"
-           for r, (d, t) in enumerate(zip(_class_rows(tower)[1], neg_t1)) if d != t]
+    the indicator of -T1.  It cannot fail: D is Z read at -r, and
+    ``get_partition`` has checked T1 = Z."""
     report = Report(f"D as a class union (s={tower.s})")
-    report.add("D == union of C_i, i in -T1", not bad, bad[0] if bad else "")
+    _equation_check(report, "D == union of C_i, i in -T1", _class_rows(tower)[1],
+                    _inverse(_indicator(get_partition(tower).blocks[0], tower.M)))
     return report

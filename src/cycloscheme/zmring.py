@@ -153,9 +153,9 @@ def delta_square_check(part, s: int) -> Report:
 
 
 def doubling_check(part) -> Report:
-    """{2i : i in T1} must equal T1 setwise."""
+    """{2i : i in T1} must equal T1 setwise: the two indicators agree."""
+    T1, M = part.blocks[0], part.M
     report = Report("T1 doubling invariance")
-    T1 = list(part.blocks[0])
-    doubled = sorted((2 * i) % part.M for i in T1)
-    report.add("2*T1 == T1", doubled == T1, "" if doubled == T1 else f"2*T1 = {doubled}")
+    _equation_check(report, "2*T1 == T1", _indicator([2 * i % M for i in T1], M),
+                    _indicator(T1, M))
     return report

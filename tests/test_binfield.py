@@ -497,7 +497,7 @@ def _parity_word(K, masks):
 
 @pytest.mark.parametrize("block", [1, 6, 100])
 @pytest.mark.parametrize("m", [3, 6, 12])
-def test_parity_string_across_blocks_matches_one_block(monkeypatch, m, block):
+def test_trace_string_across_blocks_matches_one_block(monkeypatch, m, block):
     # 6 and 100 leave a ragged last block against |K*| = 7, 63 and 4095: the
     # trace string and the parity words of one and of several masks read
     # across blocks what one block reads; a fresh field for each block size,

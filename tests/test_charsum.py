@@ -346,8 +346,8 @@ def test_eta_prime_law_names_the_first_mismatch(monkeypatch):
     (result,) = eta_prime_law_check(tower).checks
     assert result.name == "eta'_a == -2^s psi(omega^a D) - 1 for all a"
     assert not result.passed
-    assert result.detail == \
-        f"first mismatch at a=5: {eta_g[5]} != {-4 * _psi_route(tower)[5] - 1}"
+    assert result.detail == "first differing coefficient at index 5: " \
+        f"{eta_g[5]} != {-4 * _psi_route(tower)[5] - 1}"
 
 
 def test_conjugation_symmetry():

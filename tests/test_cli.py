@@ -10,7 +10,7 @@ from typing import NamedTuple
 import pytest
 
 from cycloscheme import binfield, charsum, cli, schemecore
-from cycloscheme.binfield import InternalCheckError, build_tower
+from cycloscheme.binfield import FieldError, InternalCheckError, build_tower
 from cycloscheme.cli import RunConfig, TARGETS, _target_fields, main, run
 from cycloscheme.reporting import Report
 from cycloscheme.schemecore import ELEMENT_DEGREE_LIMIT, SchemeError, _mat_mul
@@ -30,6 +30,18 @@ def test_all_targets_s1_pass():
 
 def test_invalid_s_is_usage_error():
     assert main(["--s", "0", "--targets", "fields"]) == 2
+
+
+@pytest.mark.parametrize("s, message", [(0, "s must be >= 1"), (8, "s <= 7")])
+def test_s_out_of_range_is_refused_by_build_tower_alone(monkeypatch, capsys, s, message):
+    # run has no range check of its own: build_tower's refusal is printed
+    # as it is, before any target runs
+    with pytest.raises(FieldError, match=message) as exc:
+        build_tower(s)
+    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(
+        TARGETS, lambda tower, config: pytest.fail("no target may run")))
+    assert main(["--s", str(s), "--targets", "fields"]) == 2
+    assert capsys.readouterr().out == f"error: {exc.value}\n"
 
 
 def test_unknown_target_is_usage_error():
@@ -230,8 +242,7 @@ WHOLE_CATALOGS = {
     "s2-all-gh": (RunConfig(s=2, poly_g=0x107b, poly_h=0x4004d),
                   "ca010e26023d9c918a720c047aa53e798cdd4d6679a61aae2c4b2c9ed44b02bf",
                   "f7e455bfdd299aadbc32a4db111b37273ebd169534c7f1ffa1533c8ebad11efa"),
-    "s3-all-big": (RunConfig(s=3, big=True),
-                   "d2429a649d6d20ff662cdc53fa57a80a89e4651afba564641d674f8ca63f6501",
+    "s3-all-big": (RunConfig(s=3, big=True), FILE_SHA256["3-big"],
                    "dfe48650c63cad4d3ba3fa9145be5330cf3381d98b7f1a1d56352bc5fbbcacb3"),
     "s5-gauss": (RunConfig(s=5, targets=("gauss",)),
                  "71da8a4cc875b058c1f5bfa6689a49a6074c6392272aee1e0847d50bd9d2b490",
@@ -265,9 +276,13 @@ def test_explicit_modulus_flag():
     assert main(["--s", "1", "--targets", "thm1", "--poly-f", "b"]) == 0
 
 
-def test_a_modulus_that_is_not_hex_is_usage_error(capsys):
-    assert main(["--s", "1", "--targets", "fields", "--poly-f", "zz"]) == 2
-    assert "'zz'" in capsys.readouterr().err
+def test_a_modulus_that_is_not_hex_is_usage_error(monkeypatch, capsys):
+    # refused by argparse, as a bad --s is, before anything runs
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("nothing may run"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--s", "1", "--targets", "fields", "--poly-f", "zz"])
+    assert exc.value.code == 2
+    assert "error: argument --poly-f: invalid hexadecimal value: 'zz'" in capsys.readouterr().err
 
 
 def test_bad_modulus_is_usage_error():

@@ -111,7 +111,7 @@ def test_d_class_check_names_the_first_differing_residue(monkeypatch, s):
     first = min(-t1 % tower.M, -t2 % tower.M)
     has = int(first == -t1 % tower.M)
     assert check.passed is False
-    assert check.detail == f"r={first}: D has {has}, -T1 has {1 - has}"
+    assert check.detail == f"first differing coefficient at index {first}: {has} != {1 - has}"
 
 
 def test_partition_replace_is_validated():

@@ -123,7 +123,7 @@ def test_empty_modulus_is_usage_error():
     proc = python("-m", "cycloscheme", "--s", "2", "--poly-f=", "--targets", "fields",
                   timeout=10)
     assert proc.returncode == 2
-    assert "error: invalid literal" in proc.stderr
+    assert "error: argument --poly-f: invalid hexadecimal value: ''" in proc.stderr
 
 
 # The set-up path of a process that only builds towers: the package loads

@@ -14,7 +14,7 @@ exception class that builds its own message is fired by a
 
 import ast
 import re
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,20 +96,30 @@ FIELD = r"(?:[^\s\x03]*?|'[^\x03]*?'|\([^\x03]*?\)|\[[^\x03]*?\])"
 
 
 def _examples(pattern):
-    """One text that ``pattern`` finds per top-level alternative: an escape
-    read as its character (\\d as 0), an atom under ? or * left out, + read
-    once, and the anchors ^ and $ as START and END."""
-    out = []
-    for alternative in re.split(r"(?<!\\)\|", pattern):
-        text = []
-        for atom in re.findall(r"\\.|.", alternative):
-            if atom in "?*":
-                text.pop()
+    """One text that ``pattern`` finds per alternative, the alternatives of
+    each group expanded: an escape read as its character (\\d as 0), an atom
+    or a group under ? or * left out, + read once, and the anchors ^ and $
+    as START and END."""
+    atoms = iter(re.findall(r"\\.|\(\?:|.", pattern))
+
+    def alternation():
+        # the texts of the alternatives up to the ) that closes the group
+        out, pieces = [], []
+        for atom in atoms:
+            if atom == ")":
+                break
+            if atom == "|":
+                out += map("".join, product(*pieces))
+                pieces = []
+            elif atom in ("(", "(?:"):
+                pieces.append(alternation())
+            elif atom in "?*":
+                pieces.pop()
             elif atom != "+":
-                anchors = {"^": START, "$": END, r"\d": "0"}
-                text.append(anchors.get(atom, atom[-1]))
-        out.append("".join(text))
-    return out
+                pieces.append([{"^": START, "$": END, r"\d": "0"}.get(atom, atom[-1])])
+        return out + list(map("".join, product(*pieces)))
+
+    return alternation()
 
 
 def _fits(text, parts):
@@ -163,7 +173,7 @@ def _unfired():
 def test_every_pattern_finds_its_examples():
     patterns, _ = _test_patterns()
     assert patterns
-    for pattern in patterns:
+    for pattern in patterns | {"unknown (scheme|field)", "^a(?:b|c)?d+$"}:
         for example in _examples(pattern):
             assert re.search(pattern, example.strip(START + END)), (pattern, example)
 
@@ -189,6 +199,8 @@ def test_a_firing_credits_only_the_one_message_it_fits():
     assert _singled(_examples("^unknown scheme id 'x'$"), {1: one, 2: same}) == set()
     assert _singled(_examples("unknown"), {1: one, 3: other}) == set()
     assert _singled(_examples("scheme|field"), {1: one, 3: other}) == {1, 3}
+    assert _examples("unknown (scheme|field)") == ["unknown scheme", "unknown field"]
+    assert _singled(_examples("unknown (scheme|field)"), {1: one, 3: other}) == {1, 3}
 
 
 def test_every_raise_is_fired_by_a_test_or_unreachable():

@@ -1,9 +1,12 @@
 """The README names only what the code has: every backticked identifier in
 README.md, dotted or not, is a word of some Python file under src/, tests/
-or perfbench/, so a name removed from the code cannot linger in the docs."""
+or perfbench/, so a name removed from the code cannot linger in the docs,
+and its "N lines in all" is the package's line count."""
 
 import re
 from pathlib import Path
+
+from conftest import _line_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +36,9 @@ def test_every_readme_identifier_names_something_in_the_code():
     # an allowed miss that the code has, or the README no longer names, is stale
     assert {n for n in names if not set(n.split(".")) <= words} == set(NOT_CODE)
     assert all(NOT_CODE.values())
+
+
+def test_the_readme_line_count_is_the_package_size():
+    # the "N lines in all" of README.md is the total that tier-1 prints
+    (stated,) = re.findall(r"\(([\d,]+) lines in all\)", (ROOT / "README.md").read_text())
+    assert int(stated.replace(",", "")) == _line_counts()[-1][0]

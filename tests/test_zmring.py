@@ -102,6 +102,23 @@ def test_doubling_map_fixes_t1():
     assert doubling_check(get_partition(build_tower(2))).passed
 
 
+@pytest.mark.parametrize("s", [1, 2])
+def test_doubling_check_names_the_first_differing_residue(s):
+    # T1 trades one element with T2: T1 is a union of doubling orbits, none
+    # of them a fixed point, so the traded set is no longer one
+    part = get_partition(build_tower(s))
+    T1, T2, T3 = part.blocks
+    swapped = part._replace(blocks=((T2[0],) + T1[1:], (T1[0],) + T2[1:], T3))
+    traded = set(swapped.blocks[0])
+    doubled = {2 * i % part.M for i in traded}
+    first = min(doubled ^ traded)
+    (check,) = doubling_check(swapped).checks
+    assert check.name == "2*T1 == T1"
+    assert check.passed is False
+    assert check.detail == "first differing coefficient at index " \
+        f"{first}: {int(first in doubled)} != {int(first in traded)}"
+
+
 small_elements = st.builds(
     lambda coeffs: GroupRingElement(7, tuple(coeffs)),
     st.lists(st.integers(min_value=-50, max_value=50), min_size=7, max_size=7))
